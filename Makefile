@@ -31,19 +31,14 @@ perf-baseline:
 # (the lock-free HtY build and open-addressed tables live or die by this).
 # The bench experiments run -short under race — at full tilt they exceed
 # the test timeout on small machines — while the hot packages (hashtab,
-# core, engine, plan, sortx, obs), which have no expensive short-mode
+# core, engine, plan, sortx, obs, dist), which have no expensive short-mode
 # skips, always race-run in full, once plain and once with the -tags assert
 # invariant checks compiled in (probe bounds, load factor, arena-sweep
 # monotonicity, DP split partitions, estimator non-negativity, LRU recency
-# generations; see internal/invariant).
+# generations; see internal/invariant). The commands and the hot-package
+# list live in scripts/check.sh, which also runs without make.
 verify:
-	$(GO) build ./...
-	$(GO) vet ./...
-	$(GO) run ./cmd/sptc-lint ./...
-	$(GO) run ./cmd/sptc-lint -perf
-	$(GO) test -race -short ./...
-	$(GO) test -race ./internal/hashtab ./internal/core ./internal/engine ./internal/plan ./internal/sortx ./internal/obs ./internal/dist
-	$(GO) test -race -tags assert ./internal/hashtab ./internal/core ./internal/engine ./internal/plan ./internal/sortx ./internal/obs ./internal/dist
+	GO="$(GO)" ./scripts/check.sh
 
 # bench prints the chained-vs-flat hash-kernel duel without writing JSON.
 bench:

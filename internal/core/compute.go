@@ -1,7 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"sparta/internal/coo"
 	"sparta/internal/hashtab"
@@ -10,32 +14,139 @@ import (
 )
 
 // zsub records that one X sub-tensor contributed n consecutive output
-// non-zeros to a thread's Zlocal.
+// non-zeros to a Zlocal chunk.
 type zsub struct {
 	f int32
 	n int32
 }
 
-// zlocalBuf is the thread-local dynamic output buffer Zlocal from §3.5:
-// free-Y keys and values appended sub-tensor by sub-tensor; the free-X
-// coordinates are recovered from X via the sub-tensor id during gather.
-type zlocalBuf struct {
+// zchunk is one fixed-capacity block of a thread's Zlocal: the runs flushed
+// into it, back to back, with len(lns) == len(vals) == Σ subs[i].n. A run
+// never straddles two chunks, so the gathers sort and scatter chunk by
+// chunk, and storage is written once and never moved.
+type zchunk struct {
 	subs []zsub
 	lns  []uint64
 	vals []float64
 }
 
-func (z *zlocalBuf) bytes() uint64 {
-	return uint64(cap(z.subs))*8 + uint64(cap(z.lns))*8 + uint64(cap(z.vals))*8
+// zchunkMin and zchunkMax bound a chunk's entry capacity. A worker's first
+// chunk holds zchunkMin entries and each further one doubles up to
+// zchunkMax, so a contraction with a thousand outputs pays 16 KB per thread
+// and an output-heavy one wastes at most one half-filled 512 KB chunk.
+// zchunkMax is a variable only so tests can lower it to force many small
+// chunks (setChunkCap in zlocal_test.go); library code never writes it.
+const zchunkMin = 1 << 10
+
+var zchunkMax = 1 << 15
+
+// zlocalBuf is the thread-local dynamic output buffer Zlocal from §3.4/§3.5
+// as a chunk list: free-Y keys and values appended sub-tensor by sub-tensor
+// into fixed chunks; the free-X coordinates are recovered from X via the
+// sub-tensor id during gather. Growing allocates one more chunk instead of
+// reallocating and copying what is already buffered, which is what made the
+// former append-doubling vectors allocate ~5x the output.
+type zlocalBuf struct {
+	// chunks[:used] hold the buffered runs in flush order; chunks[used:]
+	// are spares kept by reset for the next streamed window.
+	chunks []zchunk
+	used   int
+	n      int // entries buffered in chunks[:used]
+
+	// limit, when non-nil, is the contraction-wide MaxOutputNNZ account
+	// shared by all workers; counted is how many of this buffer's entries
+	// it already holds.
+	limit   *outputLimit
+	counted int
 }
 
-// reset empties the buffer keeping its capacity; the streaming driver calls
-// it between windows so one window's worth of Zlocal is the steady-state
-// footprint regardless of how many windows the contraction spans.
+// outputLimit enforces Options.MaxOutputNNZ while Zlocal fills: each worker
+// adds what it buffered since its last report whenever it opens a chunk, so
+// an over-limit contraction stops within threads × chunk entries of the
+// bound instead of after the whole output is buffered. Contended once per
+// chunk, not per run.
+type outputLimit struct {
+	max   int
+	total atomic.Int64
+}
+
+// report adds the entries buffered since the last report to the shared
+// account and returns its new value.
+func (z *zlocalBuf) report() int {
+	got := int(z.limit.total.Add(int64(z.n - z.counted)))
+	z.counted = z.n
+	return got
+}
+
+// live returns the chunks holding this window's runs, spares excluded.
+func (z *zlocalBuf) live() []zchunk { return z.chunks[:z.used] }
+
+// bytes is the buffer's footprint: the capacity of every chunk it owns,
+// spares included.
+func (z *zlocalBuf) bytes() uint64 {
+	var b uint64
+	for i := range z.chunks {
+		c := &z.chunks[i]
+		b += uint64(cap(c.subs))*8 + uint64(cap(c.lns))*8 + uint64(cap(c.vals))*8
+	}
+	return b
+}
+
+// reset empties the buffer and keeps every chunk as a spare; the streaming
+// driver calls it between windows so one window's worth of Zlocal is the
+// steady-state footprint regardless of how many windows the contraction
+// spans.
 func (z *zlocalBuf) reset() {
-	z.subs = z.subs[:0]
-	z.lns = z.lns[:0]
-	z.vals = z.vals[:0]
+	z.used, z.n, z.counted = 0, 0, 0
+}
+
+// room returns the chunk the next run of n entries goes into: the current
+// one while the run fits, else a newly opened one.
+func (z *zlocalBuf) room(n int) (*zchunk, error) {
+	if i := z.used - 1; uint(i) < uint(len(z.chunks)) {
+		if c := &z.chunks[i]; cap(c.lns)-len(c.lns) >= n {
+			return c, nil
+		}
+	}
+	return z.open(n)
+}
+
+// open makes chunks[used] an empty chunk with room for n entries — a spare
+// when one is large enough, else a new allocation of the next ramp size (or
+// exactly n for a run larger than zchunkMax, which gets a chunk of its own).
+func (z *zlocalBuf) open(n int) (*zchunk, error) {
+	if z.limit != nil {
+		if got := z.report(); got > z.limit.max {
+			return nil, &OutputTooLargeError{Got: got, Limit: z.limit.max}
+		}
+	}
+	at := -1
+	for i := z.used; i < len(z.chunks); i++ {
+		if cap(z.chunks[i].lns) >= n {
+			at = i
+			break
+		}
+	}
+	if at < 0 {
+		size := zchunkMax
+		if k := len(z.chunks); k < 32 && zchunkMin<<k < size {
+			size = zchunkMin << k
+		}
+		if n > size {
+			size = n
+		}
+		z.chunks = append(z.chunks, zchunk{
+			subs: make([]zsub, 0, size/16+1),
+			lns:  make([]uint64, 0, size),
+			vals: make([]float64, 0, size),
+		})
+		at = len(z.chunks) - 1
+	}
+	z.chunks[z.used], z.chunks[at] = z.chunks[at], z.chunks[z.used]
+	c := &z.chunks[z.used]
+	c.subs, c.lns, c.vals = c.subs[:0], c.lns[:0], c.vals[:0]
+	z.used++
+	return c, nil
 }
 
 // match is one X non-zero with a resolved Y item list (Sparta path).
@@ -51,15 +162,30 @@ type rangeMatch struct {
 }
 
 // worker is the per-thread state of the computation stages. Exactly one of
-// hta/htaF is non-nil for the accumulating algorithms, selected by
-// Options.Kernel; the accumulation and flush loops branch once per
+// hta/htaF/spa is non-nil, selected by Options.Algorithm and Options.Kernel
+// and pointing into acc; the accumulation and flush loops branch once per
 // sub-tensor on that, keeping the per-product Add monomorphic (no interface
 // dispatch on the hottest call in the repo).
+//
+// The accumulator headers are stored in the worker rather than allocated
+// beside it: their entry counts and hit/probe counters are written on every
+// product, and as separate small objects two workers' headers landed in one
+// size-class span, a cache line apart at best (DESIGN.md §9.1).
 type worker struct {
 	hta  *hashtab.HtA
 	htaF *hashtab.HtAFlat
 	spa  *spa.SPA
-	z    zlocalBuf
+	acc  struct {
+		flat    hashtab.HtAFlat
+		chained hashtab.HtA
+		spa     spa.SPA
+	}
+	z zlocalBuf
+
+	// err is the first writeback failure (output over MaxOutputNNZ, a run
+	// too long for zsub); once set the drivers' sub-tensor loops skip this
+	// worker's remaining claims and return it after the parallel section.
+	err error
 
 	scratch  []match
 	scratchR []rangeMatch
@@ -79,23 +205,48 @@ type worker struct {
 	htyProbe *obs.HistShard
 }
 
+// workerLine is the isolation unit of the worker arena: two 64-byte cache
+// lines, because the adjacent-line prefetcher pairs them.
+const workerLine = 128
+
+// workerSlot is one element of the worker arena. The trailing pad is at
+// least workerLine bytes and rounds the element to a multiple of it, so
+// whatever the arena's base alignment no byte one worker writes shares a
+// line pair with a byte its neighbour writes.
+type workerSlot struct {
+	worker
+	_ [workerLine + (workerLine-unsafe.Sizeof(worker{})%workerLine)%workerLine]byte
+}
+
+// makeWorkers builds the per-thread state of one contraction in a single
+// arena allocation and returns a pointer to each element.
 func makeWorkers(threads int, p *plan, opt Options) []*worker {
+	arena := make([]workerSlot, threads)
 	ws := make([]*worker, threads)
 	hint := opt.HtACapHint
 	if hint <= 0 {
 		hint = 1024
 	}
-	for i := range ws {
-		w := &worker{keyBuf: make([]uint32, p.nfy)}
+	var limit *outputLimit
+	if opt.MaxOutputNNZ > 0 {
+		limit = &outputLimit{max: opt.MaxOutputNNZ}
+	}
+	for i := range arena {
+		w := &arena[i].worker
+		w.keyBuf = make([]uint32, p.nfy)
+		w.z.limit = limit
 		switch opt.Algorithm {
 		case AlgSparta, AlgCOOHtA:
 			if opt.Kernel == KernelChained {
-				w.hta = hashtab.NewHtA(hint)
+				w.acc.chained = *hashtab.NewHtA(hint)
+				w.hta = &w.acc.chained
 			} else {
-				w.htaF = hashtab.NewHtAFlat(hint)
+				w.acc.flat = *hashtab.NewHtAFlat(hint)
+				w.htaF = &w.acc.flat
 			}
 		case AlgSPA:
-			w.spa = spa.New(p.nfy)
+			w.acc.spa = *spa.New(p.nfy)
+			w.spa = &w.acc.spa
 		}
 		if opt.Metrics != nil {
 			w.htyProbe = obs.NewHistShard(obs.ProbeBuckets)
@@ -282,22 +433,21 @@ func (w *worker) subSPA(p *plan, xw, yw *coo.Tensor, ptrFX, ptrCY []int, f int) 
 	w.writeNS += int64(time.Since(t))
 }
 
-// flushHtA appends the accumulator contents to Zlocal and resets it. Both
-// accumulator layouts expose the same insertion-order Keys/Vals arrays, so
-// the Zlocal writeback contract is identical.
+// flushHtA appends the accumulator contents to Zlocal as one run and resets
+// it. Both accumulator layouts expose the same insertion-order Keys/Vals
+// arrays, so the Zlocal writeback contract is identical. The appends never
+// reallocate: room reserved the run's capacity.
 func (w *worker) flushHtA(f int) {
-	var n int
 	var keys []uint64
 	var vals []float64
 	if w.htaF != nil {
-		n, keys, vals = w.htaF.Len(), w.htaF.Keys(), w.htaF.Vals()
+		keys, vals = w.htaF.Keys(), w.htaF.Vals()
 	} else {
-		n, keys, vals = w.hta.Len(), w.hta.Keys(), w.hta.Vals()
+		keys, vals = w.hta.Keys(), w.hta.Vals()
 	}
-	if n > 0 {
-		w.z.subs = append(w.z.subs, zsub{f: int32(f), n: int32(n)})
-		w.z.lns = append(w.z.lns, keys...)
-		w.z.vals = append(w.z.vals, vals...)
+	if c := w.openRun(f, len(keys)); c != nil {
+		c.lns = append(c.lns, keys...)
+		c.vals = append(c.vals, vals...)
 	}
 	if w.htaF != nil {
 		w.htaF.Reset()
@@ -310,13 +460,33 @@ func (w *worker) flushHtA(f int) {
 // resets it.
 func (w *worker) flushSPA(p *plan, f int) {
 	n := w.spa.Len()
-	if n > 0 {
-		w.z.subs = append(w.z.subs, zsub{f: int32(f), n: int32(n)})
+	if c := w.openRun(f, n); c != nil {
 		for i := 0; i < n; i++ {
 			key, v := w.spa.Entry(i)
-			w.z.lns = append(w.z.lns, p.radFY.Encode(key))
-			w.z.vals = append(w.z.vals, v)
+			c.lns = append(c.lns, p.radFY.Encode(key))
+			c.vals = append(c.vals, v)
 		}
 	}
 	w.spa.Reset()
+}
+
+// openRun records that sub-tensor f contributes a run of n entries and
+// returns the chunk with room for them, or nil when there is nothing to
+// write: an empty run, or a failure now held in w.err.
+func (w *worker) openRun(f, n int) *zchunk {
+	if n == 0 {
+		return nil
+	}
+	if n > math.MaxInt32 {
+		w.err = fmt.Errorf("%w: sub-tensor %d produced %d output non-zeros", ErrRunOverflow, f, n)
+		return nil
+	}
+	c, err := w.z.room(n)
+	if err != nil {
+		w.err = err
+		return nil
+	}
+	c.subs = append(c.subs, zsub{f: int32(f), n: int32(n)})
+	w.z.n += n
+	return c
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"sparta/internal/coo"
@@ -61,7 +63,9 @@ type Options struct {
 	// MaxOutputNNZ aborts the contraction with an error when the output
 	// would exceed this many non-zeros (0 = unlimited). SpTC outputs can
 	// dwarf both inputs (the paper's challenge 3); the bound is checked
-	// after the compute stages, before Z is materialized.
+	// while the workers fill Zlocal (each time one opens a chunk) and once
+	// more, exactly, after the compute stages — before Z is materialized.
+	// The error matches ErrOutputTooLarge.
 	MaxOutputNNZ int
 	// Tracer, when non-nil, records stage spans and per-worker chunk spans
 	// for Chrome trace-event export (sptc-bench -trace). Nil costs nothing.
@@ -215,8 +219,11 @@ func contractMain(ctx context.Context, p *plan, prep *PreparedY, opt Options, re
 
 	// ②③④ Computation; chunk < 1 defers the chunk size to ForChunked's
 	// own heuristic (the single source of truth for chunking). -----------
-	ws := makeWorkers(threads, p, opt)
 	nf := rep.NF
+	if err := checkSubTensorCount(nf); err != nil {
+		return nil, nil, err
+	}
+	ws := makeWorkers(threads, p, opt)
 	spCompute := tr.Start("compute", track)
 	cerr := parallel.ForChunkedWorkCtx(ctx, threads, nf, 0, int64(xw.NNZ()), func(tid, lo, hi int) {
 		var sp obs.Span
@@ -224,7 +231,7 @@ func contractMain(ctx context.Context, p *plan, prep *PreparedY, opt Options, re
 			sp = tr.Start("subtensor chunk", tid+1)
 		}
 		w := ws[tid]
-		for f := lo; f < hi; f++ {
+		for f := lo; f < hi && w.err == nil; f++ {
 			switch opt.Algorithm {
 			case AlgSparta:
 				w.subSparta(p, xw, hty, ptrFX, f)
@@ -240,18 +247,12 @@ func contractMain(ctx context.Context, p *plan, prep *PreparedY, opt Options, re
 	if cerr != nil {
 		return nil, nil, cerr
 	}
+	if err := writebackErr(ws); err != nil {
+		return nil, nil, err
+	}
 	mergeWorkerStats(rep, ws)
 
 	// ④ Writeback: gather thread-local Zlocal into Z ---------------------
-	if opt.MaxOutputNNZ > 0 {
-		total := 0
-		for _, w := range ws {
-			total += len(w.z.vals)
-		}
-		if total > opt.MaxOutputNNZ {
-			return nil, nil, fmt.Errorf("core: output has %d non-zeros, exceeding MaxOutputNNZ %d", total, opt.MaxOutputNNZ)
-		}
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -292,6 +293,59 @@ func contractMain(ctx context.Context, p *plan, prep *PreparedY, opt Options, re
 	}
 	publishMetrics(opt.Metrics, rep, ws, nil)
 	return z, rep, nil
+}
+
+// ErrOutputTooLarge is what errors.Is matches for every MaxOutputNNZ
+// violation, whichever algorithm or driver reported it.
+var ErrOutputTooLarge = errors.New("core: output exceeds MaxOutputNNZ")
+
+// OutputTooLargeError is the concrete MaxOutputNNZ error. Got is the output
+// non-zero count when the contraction stopped: the exact total when the
+// bound tripped after the compute stages, a lower bound when a worker
+// tripped it while filling Zlocal.
+type OutputTooLargeError struct {
+	Got, Limit int
+}
+
+func (e *OutputTooLargeError) Error() string {
+	return fmt.Sprintf("core: output has %d non-zeros, exceeding MaxOutputNNZ %d", e.Got, e.Limit)
+}
+
+func (e *OutputTooLargeError) Unwrap() error { return ErrOutputTooLarge }
+
+// ErrRunOverflow reports a contraction Zlocal's 32-bit run records cannot
+// describe: more than MaxInt32 X sub-tensors, or one sub-tensor producing
+// more than MaxInt32 output non-zeros.
+var ErrRunOverflow = errors.New("core: sub-tensor id or run length overflows int32")
+
+// checkSubTensorCount rejects an X whose sub-tensor ids do not fit zsub.f.
+func checkSubTensorCount(nf int) error {
+	if nf > math.MaxInt32 {
+		return fmt.Errorf("%w: X has %d sub-tensors", ErrRunOverflow, nf)
+	}
+	return nil
+}
+
+// writebackErr closes the compute stages' output account: the first failure
+// a worker recorded while flushing, else — with every worker's unreported
+// entries folded in — the exact MaxOutputNNZ check.
+func writebackErr(ws []*worker) error {
+	for _, w := range ws {
+		if w.err != nil {
+			return w.err
+		}
+	}
+	limit := ws[0].z.limit
+	if limit == nil {
+		return nil
+	}
+	for _, w := range ws {
+		w.z.report()
+	}
+	if got := int(limit.total.Load()); got > limit.max {
+		return &OutputTooLargeError{Got: got, Limit: limit.max}
+	}
+	return nil
 }
 
 // errBadAlgorithm keeps the error text alongside the enum.
@@ -349,7 +403,7 @@ func buildYTable(ctx context.Context, p *plan, opt Options, threads int, rep *Re
 func gather(p *plan, xw *coo.Tensor, ptrFX []int, ws []*worker, threads int) (*coo.Tensor, error) {
 	counts := make([]int, len(ws))
 	for i, w := range ws {
-		counts[i] = len(w.z.vals)
+		counts[i] = w.z.n
 	}
 	offsets, total := parallel.PrefixSum(counts)
 	z, err := coo.New(p.zdims, 0)
@@ -367,20 +421,22 @@ func gather(p *plan, xw *coo.Tensor, ptrFX []int, ws []*worker, threads int) (*c
 		for wi := lo; wi < hi; wi++ {
 			w := ws[wi]
 			pos := offsets[wi]
-			k := 0
-			for _, sub := range w.z.subs {
-				xAt := ptrFX[sub.f]
-				for j := 0; j < int(sub.n); j++ {
-					for m := 0; m < p.nfx; m++ {
-						z.Inds[m][pos] = xCols[m][xAt]
+			for _, c := range w.z.live() {
+				k := 0
+				for _, sub := range c.subs {
+					xAt := ptrFX[sub.f]
+					for j := 0; j < int(sub.n); j++ {
+						for m := 0; m < p.nfx; m++ {
+							z.Inds[m][pos] = xCols[m][xAt]
+						}
+						p.radFY.Decode(c.lns[k], buf)
+						for m := 0; m < p.nfy; m++ {
+							z.Inds[p.nfx+m][pos] = buf[m]
+						}
+						z.Vals[pos] = c.vals[k]
+						pos++
+						k++
 					}
-					p.radFY.Decode(w.z.lns[k], buf)
-					for m := 0; m < p.nfy; m++ {
-						z.Inds[p.nfx+m][pos] = buf[m]
-					}
-					z.Vals[pos] = w.z.vals[k]
-					pos++
-					k++
 				}
 			}
 		}
@@ -403,8 +459,10 @@ func gatherFused(p *plan, xw *coo.Tensor, ptrFX []int, ws []*worker, rep *Report
 	nf := len(ptrFX) - 1
 	counts := make([]int, nf)
 	for _, w := range ws {
-		for _, sub := range w.z.subs {
-			counts[sub.f] = int(sub.n)
+		for _, c := range w.z.live() {
+			for _, sub := range c.subs {
+				counts[sub.f] = int(sub.n)
+			}
 		}
 	}
 	offsets, total := parallel.PrefixSum(counts)
@@ -412,10 +470,10 @@ func gatherFused(p *plan, xw *coo.Tensor, ptrFX []int, ws []*worker, rep *Report
 	if err != nil {
 		return nil, err
 	}
+	z.Vals = make([]float64, total)
 	for m := range z.Inds {
 		z.Inds[m] = make([]uint32, total)
 	}
-	z.Vals = make([]float64, total)
 
 	var maxKey uint64
 	if c := p.radFY.Card(); c > 0 {
@@ -446,86 +504,94 @@ func gatherFused(p *plan, xw *coo.Tensor, ptrFX []int, ws []*worker, rep *Report
 		for wi := wlo; wi < whi; wi++ {
 			w := ws[wi]
 			buf := bufs[wi]
-			// Pass 1: sort every run by LN(Fy). Timed as a block so the
-			// residual stage-⑤ cost is exact without per-run clock calls.
-			// Runs are mostly tiny (output nnz over nf is often ~2), so
-			// one- and two-element runs are handled inline and longer runs
-			// only enter SortPairs when a cheap sweep finds them unsorted
-			// (HtY item lists frequently come out of the build key-ordered).
-			t0 := time.Now()
-			lns, vals := w.z.lns, w.z.vals
-			k := 0
-			for _, sub := range w.z.subs {
-				n := int(sub.n)
-				end := k + n
-				if n < 0 || k < 0 || end < k || end > len(lns) || end > len(vals) {
-					break // impossible: runs tile Zlocal exactly
-				}
-				runK := lns[k:end]
-				runV := vals[k:end]
-				switch {
-				case n < 2:
-				case n == 2:
-					if runK[0] > runK[1] {
-						runK[0], runK[1] = runK[1], runK[0]
-						runV[0], runV[1] = runV[1], runV[0]
-					}
-				default:
-					sortx.SortPairs(runK, runV, maxKey, &sks[wi], &svs[wi])
-				}
-				k = end
+			chunks, used := w.z.chunks, w.z.used
+			if used < 0 || used > len(chunks) {
+				continue // impossible: used counts the live prefix of chunks
 			}
-			subsortNS[wi] = int64(time.Since(t0))
-			// Pass 2: scatter the sorted runs to their f-ordered slots.
-			k = 0
-			for _, sub := range w.z.subs {
-				n := int(sub.n)
-				f := int(sub.f)
-				end := k + n
-				if n < 0 || k < 0 || end < k || end > len(lns) || end > len(vals) ||
-					f < 0 || f >= len(offsets) || f >= len(ptrFX) {
-					break // impossible: subs reference valid sub-tensors
-				}
-				runK := lns[k:end]
-				runV := vals[k:end]
-				pos := offsets[f]
-				xAt := ptrFX[f]
-				zend := pos + n
-				if pos < 0 || zend < pos || zend > len(zVals) {
-					break // impossible: per-f offsets tile [0,total)
-				}
-				copy(zVals[pos:zend], runV)
-				// Free-X columns are constant across one run.
-				for m, col := range xCols {
-					if m >= len(zIndsX) || xAt < 0 || xAt >= len(col) {
-						continue // impossible: X columns span nnz_X
+			// One chunk at a time, so a chunk is still in cache when its
+			// sorted runs are scattered; each chunk's runs tile it exactly.
+			for _, c := range chunks[:used] {
+				lns, vals := c.lns, c.vals
+				// Pass 1: sort every run by LN(Fy). Timed per chunk so the
+				// residual stage-⑤ cost is exact without per-run clock calls.
+				// Runs are mostly tiny (output nnz over nf is often ~2), so
+				// one- and two-element runs are handled inline and longer runs
+				// only enter SortPairs when a cheap sweep finds them unsorted
+				// (HtY item lists frequently come out of the build key-ordered).
+				t0 := time.Now()
+				k := 0
+				for _, sub := range c.subs {
+					n := int(sub.n)
+					end := k + n
+					if n < 0 || k < 0 || end < k || end > len(lns) || end > len(vals) {
+						break // impossible: runs tile the chunk exactly
 					}
-					v := col[xAt]
-					dst := zIndsX[m]
-					if pos < 0 || zend < pos || zend > len(dst) {
-						continue // impossible: Z columns span total
-					}
-					run := dst[pos:zend]
-					for j := range run {
-						run[j] = v
-					}
-				}
-				// Free-Y columns decode per item.
-				for j, ln := range runK {
-					radFY.Decode(ln, buf)
-					zp := pos + j
-					for m, v := range buf {
-						if m >= len(zIndsY) {
-							continue // impossible: buf has one entry per free-Y mode
+					runK := lns[k:end]
+					runV := vals[k:end]
+					switch {
+					case n < 2:
+					case n == 2:
+						if runK[0] > runK[1] {
+							runK[0], runK[1] = runK[1], runK[0]
+							runV[0], runV[1] = runV[1], runV[0]
 						}
-						dst := zIndsY[m]
-						if uint(zp) >= uint(len(dst)) {
+					default:
+						sortx.SortPairs(runK, runV, maxKey, &sks[wi], &svs[wi])
+					}
+					k = end
+				}
+				subsortNS[wi] += int64(time.Since(t0))
+				// Pass 2: scatter the sorted runs to their f-ordered slots.
+				k = 0
+				for _, sub := range c.subs {
+					n := int(sub.n)
+					f := int(sub.f)
+					end := k + n
+					if n < 0 || k < 0 || end < k || end > len(lns) || end > len(vals) ||
+						f < 0 || f >= len(offsets) || f >= len(ptrFX) {
+						break // impossible: subs reference valid sub-tensors
+					}
+					runK := lns[k:end]
+					runV := vals[k:end]
+					pos := offsets[f]
+					xAt := ptrFX[f]
+					zend := pos + n
+					if pos < 0 || zend < pos || zend > len(zVals) {
+						break // impossible: per-f offsets tile [0,total)
+					}
+					copy(zVals[pos:zend], runV)
+					// Free-X columns are constant across one run.
+					for m, col := range xCols {
+						if m >= len(zIndsX) || xAt < 0 || xAt >= len(col) {
+							continue // impossible: X columns span nnz_X
+						}
+						v := col[xAt]
+						dst := zIndsX[m]
+						if pos < 0 || zend < pos || zend > len(dst) {
 							continue // impossible: Z columns span total
 						}
-						dst[zp] = v
+						run := dst[pos:zend]
+						for j := range run {
+							run[j] = v
+						}
 					}
+					// Free-Y columns decode per item.
+					for j, ln := range runK {
+						radFY.Decode(ln, buf)
+						zp := pos + j
+						for m, v := range buf {
+							if m >= len(zIndsY) {
+								continue // impossible: buf has one entry per free-Y mode
+							}
+							dst := zIndsY[m]
+							if uint(zp) >= uint(len(dst)) {
+								continue // impossible: Z columns span total
+							}
+							dst[zp] = v
+						}
+					}
+					k = end
 				}
-				k = end
 			}
 		}
 	})

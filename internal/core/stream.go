@@ -146,7 +146,6 @@ func ContractStream(ctx context.Context, xs XStream, pr *PreparedY, opt StreamOp
 	}
 	defer sink.abort()
 
-	total := 0
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
@@ -172,6 +171,9 @@ func ContractStream(ctx context.Context, xs XStream, pr *PreparedY, opt StreamOp
 		if err != nil {
 			return nil, nil, err
 		}
+		if err := checkSubTensorCount(len(ptrFX) - 1); err != nil {
+			return nil, nil, err
+		}
 		rep.NF += len(ptrFX) - 1
 		if ms := coo.MaxSubNNZ(ptrFX); ms > rep.MaxSubNNZX {
 			rep.MaxSubNNZX = ms
@@ -183,7 +185,7 @@ func ContractStream(ctx context.Context, xs XStream, pr *PreparedY, opt StreamOp
 		sp := tr.Start("x window", track)
 		cerr := parallel.ForChunkedWorkCtx(ctx, threads, len(ptrFX)-1, 0, int64(win.NNZ()), func(tid, lo, hi int) {
 			w := ws[tid]
-			for f := lo; f < hi; f++ {
+			for f := lo; f < hi && w.err == nil; f++ {
 				w.subSparta(p, win, pr.hty, ptrFX, f)
 			}
 		})
@@ -191,15 +193,9 @@ func ContractStream(ctx context.Context, xs XStream, pr *PreparedY, opt StreamOp
 			sp.End()
 			return nil, nil, cerr
 		}
-		if opt.MaxOutputNNZ > 0 {
-			winOut := 0
-			for _, w := range ws {
-				winOut += len(w.z.vals)
-			}
-			if total+winOut > opt.MaxOutputNNZ {
-				sp.End()
-				return nil, nil, fmt.Errorf("core: output exceeds MaxOutputNNZ %d", opt.MaxOutputNNZ)
-			}
+		if err := writebackErr(ws); err != nil {
+			sp.End()
+			return nil, nil, err
 		}
 		t0 = time.Now()
 		run, err := gatherFused(p, win, ptrFX, ws, rep)
@@ -213,7 +209,6 @@ func ContractStream(ctx context.Context, xs XStream, pr *PreparedY, opt StreamOp
 		d = time.Since(t0)
 		rep.StageWall[StageWrite] += d
 		rep.StageCPU[StageWrite] += d
-		total += run.NNZ()
 		if err := sink.append(run); err != nil {
 			sp.End()
 			return nil, nil, err

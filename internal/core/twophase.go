@@ -111,7 +111,7 @@ func contractTwoPhase(ctx context.Context, p *plan, opt Options, rep *Report) (*
 	}
 	zoff, total := parallel.PrefixSum(counts)
 	if opt.MaxOutputNNZ > 0 && total > opt.MaxOutputNNZ {
-		return nil, errOutputTooLarge{total, opt.MaxOutputNNZ}
+		return nil, &OutputTooLargeError{Got: total, Limit: opt.MaxOutputNNZ}
 	}
 
 	// Exact allocation — the symbolic phase's payoff.
@@ -255,34 +255,4 @@ func contractTwoPhase(ctx context.Context, p *plan, opt Options, rep *Report) (*
 	}
 	publishMetrics(opt.Metrics, rep, ws, symWorkers)
 	return z, nil
-}
-
-// errOutputTooLarge mirrors the MaxOutputNNZ error of the one-phase path.
-type errOutputTooLarge [2]int
-
-func (e errOutputTooLarge) Error() string {
-	return "core: output has " + itoa(e[0]) + " non-zeros, exceeding MaxOutputNNZ " + itoa(e[1])
-}
-
-// itoa avoids pulling strconv into the hot-path file for one error.
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var b [20]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		b[i] = '-'
-	}
-	return string(b[i:])
 }

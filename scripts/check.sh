@@ -1,16 +1,20 @@
 #!/bin/sh
-# check.sh — the same gate as `make verify`, for environments without make:
-# full build, vet, the sptc-lint analyzer suite, the hot-path escape/BCE
-# budget (sptc-lint -perf vs lint/hotpath_budget.json), and the
+# check.sh — the pre-merge gate; `make verify` runs this script, so the two
+# cannot drift: full build, vet, the sptc-lint analyzer suite, the hot-path
+# escape/BCE budget (sptc-lint -perf vs lint/hotpath_budget.json), and the
 # race-detector test sweep (-short for the bench experiments, full for the
 # hot packages — see the Makefile note), then the hot packages again with
 # -tags assert so the internal/invariant checks are compiled in.
 set -eu
 cd "$(dirname "$0")/.."
-go build ./...
-go vet ./...
-go run ./cmd/sptc-lint ./...
-go run ./cmd/sptc-lint -perf
-go test -race -short ./...
-go test -race ./internal/hashtab ./internal/core ./internal/engine ./internal/plan ./internal/sortx ./internal/obs
-go test -race -tags assert ./internal/hashtab ./internal/core ./internal/engine ./internal/plan ./internal/sortx ./internal/obs
+GO="${GO:-go}"
+# The packages that race-run in full: no expensive short-mode skips, and the
+# lock-free builds, open-addressed tables and worker arenas live here.
+hot="./internal/hashtab ./internal/core ./internal/engine ./internal/plan ./internal/sortx ./internal/obs ./internal/dist"
+$GO build ./...
+$GO vet ./...
+$GO run ./cmd/sptc-lint ./...
+$GO run ./cmd/sptc-lint -perf
+$GO test -race -short ./...
+$GO test -race $hot
+$GO test -race -tags assert $hot

@@ -132,6 +132,14 @@ const (
 // Options configures Contract.
 type Options = core.Options
 
+// ErrOutputTooLarge is what errors.Is matches when a contraction's output
+// exceeds Options.MaxOutputNNZ, on every algorithm and execution tier;
+// errors.As into *OutputTooLargeError yields the count and the limit.
+var ErrOutputTooLarge = core.ErrOutputTooLarge
+
+// OutputTooLargeError is the concrete MaxOutputNNZ error.
+type OutputTooLargeError = core.OutputTooLargeError
+
 // Report carries stage timings, operation counters, and data-object sizes
 // from one contraction.
 type Report = core.Report
