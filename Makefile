@@ -26,14 +26,14 @@ lint:
 perf-baseline:
 	$(GO) run ./cmd/sptc-lint -perf-baseline
 
-# verify is the pre-merge gate: full build, vet, the sptc-lint analyzers,
+# verify is the pre-merge gate: full build, gofmt -l, vet, the sptc-lint analyzers,
 # the hot-path performance budget, and the race detector over every package
-# (the lock-free HtY build and open-addressed tables live or die by this).
+# (the parallel HtY build and open-addressed tables live or die by this).
 # The bench experiments run -short under race — at full tilt they exceed
 # the test timeout on small machines — while the hot packages (hashtab,
 # core, engine, plan, sortx, obs, dist), which have no expensive short-mode
 # skips, always race-run in full, once plain and once with the -tags assert
-# invariant checks compiled in (probe bounds, load factor, arena-sweep
+# invariant checks compiled in (probe bounds, load factor, arena-offset
 # monotonicity, DP split partitions, estimator non-negativity, LRU recency
 # generations; see internal/invariant). The commands and the hot-package
 # list live in scripts/check.sh, which also runs without make.

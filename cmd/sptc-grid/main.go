@@ -54,8 +54,8 @@ type thresholdsFile struct {
 
 // cellStats is one cell's folded fresh measurements.
 type cellStats struct {
-	minSpeedup  map[string]float64
-	maxSlowdown map[string]float64
+	minSpeedup   map[string]float64
+	maxSlowdown  map[string]float64
 	notIdentical []string // files with a failed identical_output oracle
 	files        int
 }

@@ -8,13 +8,13 @@ import (
 
 // atomicmix flags struct fields that one part of a package accesses through
 // sync/atomic and another part reads or writes with plain loads/stores — the
-// exact hazard of the HtYFlat two-pass build, where pass 1 claims slot keys
-// with CompareAndSwapUint64 and later phases touch the same field. Plain
-// access is only sound after a happens-before barrier the compiler cannot
-// see; every such site must either use the atomic API too (free on the hot
-// path: an atomic load of an aligned word compiles to a plain load on
-// amd64/arm64) or carry a //lint:ignore atomicmix justification naming the
-// barrier.
+// hazard of any lock-free build that claims slot keys with
+// CompareAndSwapUint64 while later phases touch the same field. Plain access
+// is only sound after a happens-before barrier the compiler cannot see; every
+// such site must either use the atomic API too (an atomic load of an aligned
+// word compiles to a plain load on amd64/arm64; an atomic store does not — it
+// is an XCHG on amd64) or carry a //lint:ignore atomicmix justification
+// naming the barrier.
 var atomicmixAnalyzer = &Analyzer{
 	Name: "atomicmix",
 	Doc:  "struct fields accessed both atomically (sync/atomic) and with plain loads/stores",

@@ -1,5 +1,5 @@
-// Package atomicmix is the atomicmix analyzer fixture: slot.key mirrors the
-// HtYFlat CAS-claimed key field, mixed with plain reads and writes.
+// Package atomicmix is the atomicmix analyzer fixture: slot.key is a
+// CAS-claimed hash-table key field, mixed with plain reads and writes.
 package atomicmix
 
 import "sync/atomic"

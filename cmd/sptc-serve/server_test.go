@@ -243,8 +243,8 @@ func TestBadRequests(t *testing.T) {
 	cases := []contractRequest{
 		{X: "nope", Y: "demoB", Spec: "abc,cde->abde"},
 		{X: "demoA", Y: "nope", Spec: "abc,cde->abde"},
-		{X: "demoA", Y: "demoB", Spec: "abc,cde"},              // no arrow
-		{X: "demoA", Y: "demoB", Spec: "ab,cde->abde"},         // rank mismatch
+		{X: "demoA", Y: "demoB", Spec: "abc,cde"},      // no arrow
+		{X: "demoA", Y: "demoB", Spec: "ab,cde->abde"}, // rank mismatch
 		{X: "demoA", Y: "demoB", Spec: "abc,cde->abde", Algorithm: "nope"},
 		{X: "demoA", Y: "demoB", Spec: "abc,cde->abde", Kernel: "nope"},
 	}

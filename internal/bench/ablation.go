@@ -45,7 +45,7 @@ func Ablation(w io.Writer, c Config) error {
 		tab.Row("COO-to-HtY build (two-pass)", time.Since(t0))
 		t0 = time.Now()
 		hashtab.BuildHtYFlat(y, cy, fmodes, radC, radF, 0, c.Threads)
-		tab.Row("COO-to-HtYFlat build (flat, lock-free)", time.Since(t0))
+		tab.Row("COO-to-HtYFlat build (flat, sort-then-pack)", time.Since(t0))
 		tab.Render(w)
 	}
 

@@ -428,3 +428,43 @@ func TestSortWithFallbackInfo(t *testing.T) {
 	}
 	checkSorted(t, ten)
 }
+
+// TestSortSortedKeepsColumns: when the keys are already in order the radix
+// path returns before the gather, so the tensor keeps its own columns (an
+// already-sorted X costs one scan, not a second copy of the tensor).
+func TestSortSortedKeepsColumns(t *testing.T) {
+	ten := randomTensor(t, []uint64{9, 9, 9}, 2000, 3)
+	ten.Sort(2)
+	col0, vals := &ten.Inds[0][0], &ten.Vals[0]
+	info := ten.SortWith(2, SortAuto)
+	if !info.Radix || !info.Stats.Sorted {
+		t.Fatalf("sorted input not detected: %+v", info)
+	}
+	if &ten.Inds[0][0] != col0 || &ten.Vals[0] != vals {
+		t.Fatal("sorting a sorted tensor reallocated its columns")
+	}
+}
+
+// TestSortableViewNeverWritesSource: permuting and sorting the view leaves
+// the source bitwise unchanged, both when the view shares the source's
+// columns (LN-encodable box: the sorter gathers into fresh ones) and when
+// the in-place tuple quicksort forces a deep copy.
+func TestSortableViewNeverWritesSource(t *testing.T) {
+	for _, dims := range [][]uint64{{9, 8, 7}, {1 << 31, 1 << 31, 1 << 31}} {
+		src := randomTensor(t, dims, 3000, 21)
+		snap := src.Clone()
+		v := src.SortableView()
+		_, lnErr := src.Radix()
+		if shared := &v.Vals[0] == &src.Vals[0]; shared != (lnErr == nil) {
+			t.Fatalf("dims %v: view shares storage = %v, LN-encodable = %v", dims, shared, lnErr == nil)
+		}
+		if err := v.Permute([]int{2, 0, 1}); err != nil {
+			t.Fatal(err)
+		}
+		v.Sort(2)
+		checkSorted(t, v)
+		if !src.Equal(snap) {
+			t.Fatalf("dims %v: sorting the view modified the source", dims)
+		}
+	}
+}

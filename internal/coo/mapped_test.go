@@ -246,11 +246,11 @@ func TestGroupCapped(t *testing.T) {
 		limit int
 		want  []int
 	}{
-		{0, []int{0, 110}},               // no cap: one window
-		{1000, []int{0, 110}},            // everything fits one window
-		{30, []int{0, 30, 100, 110}},     // merge up to the cap
+		{0, []int{0, 110}},                  // no cap: one window
+		{1000, []int{0, 110}},               // everything fits one window
+		{30, []int{0, 30, 100, 110}},        // merge up to the cap
 		{1, []int{0, 10, 25, 30, 100, 110}}, // nothing merges
-		{70, []int{0, 30, 100, 110}},     // the 70-wide chunk stays whole
+		{70, []int{0, 30, 100, 110}},        // the 70-wide chunk stays whole
 	}
 	for _, c := range cases {
 		got := groupCapped(b, c.limit)

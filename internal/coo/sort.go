@@ -38,7 +38,9 @@ type SortInfo struct {
 // path: encode each coordinate once, sort (key, position) pairs with the
 // parallel radix engine (package sortx), then apply the permutation to
 // every column — one O(order) gather per element instead of O(order) work
-// per comparison. Otherwise it falls back to the in-place multi-column
+// per comparison. The gather writes fresh columns (the old ones are never
+// written, which SortableView relies on) and is skipped when the keys were
+// already in order. Otherwise it falls back to the in-place multi-column
 // parallel quicksort from §3.5 (OpenMP tasks in the paper, a depth-budgeted
 // goroutine fan-out here).
 func (t *Tensor) Sort(threads int) {
@@ -94,6 +96,9 @@ func (t *Tensor) sortByKeys(r *lnum.Radix, threads int, algo SortAlgo) SortInfo 
 		// Pos starts as 0,1,2,..., so the stable radix sort lands on the
 		// exact (key, pos) order the quicksort's tie-break produces.
 		info = SortInfo{Radix: true, Stats: sortx.Sort(kp, r.Card()-1, threads)}
+		if info.Stats.Sorted {
+			return info // nothing moved: the columns stay as they are
+		}
 	}
 	// Apply the permutation column by column (parallel across columns and
 	// within each column's gather).

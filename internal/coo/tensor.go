@@ -126,6 +126,24 @@ func (t *Tensor) Clone() *Tensor {
 	return c
 }
 
+// SortableView returns a tensor that Permute and Sort can be applied to
+// without writing to t's storage. When the index box is LN-encodable the
+// sorter gathers into fresh columns (sortByKeys) and Permute only moves slice
+// headers, so a view that shares t's columns and values but owns its Dims and
+// column headers is enough. The tuple quicksort for wider boxes swaps
+// elements where they lie, so that case gets a deep Clone.
+func (t *Tensor) SortableView() *Tensor {
+	if _, err := lnum.NewRadix(t.Dims); err != nil {
+		return t.Clone()
+	}
+	return &Tensor{
+		Dims:    append([]uint64(nil), t.Dims...),
+		Inds:    append([][]uint32(nil), t.Inds...),
+		Vals:    t.Vals,
+		backing: t.backing,
+	}
+}
+
 // Permute reorders modes so that new mode m is old mode perm[m]. Only slice
 // headers move; non-zero storage is untouched. perm must be a permutation of
 // 0..Order()-1.

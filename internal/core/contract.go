@@ -9,6 +9,7 @@ import (
 
 	"sparta/internal/coo"
 	"sparta/internal/hashtab"
+	"sparta/internal/lnum"
 	"sparta/internal/obs"
 	"sparta/internal/parallel"
 	"sparta/internal/sortx"
@@ -43,18 +44,19 @@ type Options struct {
 	// (see BENCH_1.json and sptc-bench -exp kernels).
 	Kernel Kernel
 	// BucketsHtY overrides the HtY bucket/slot count (0 = kernel default:
-	// next power of two >= nnz_Y chained, >= 2*nnz_Y flat). Rounded up to
-	// a power of two; the flat kernel additionally clamps it above nnz_Y
-	// so its open-addressed probes terminate.
+	// next power of two >= nnz_Y chained, >= 2*distinct contract keys
+	// flat). Rounded up to a power of two; the flat kernel additionally
+	// clamps it above the distinct-key count so its open-addressed probes
+	// terminate.
 	BucketsHtY int
 	// HtACapHint pre-sizes each thread's accumulator (0 = heuristic).
 	HtACapHint int
 	// TwoPassHtY selects the lock-free two-pass construction of the
 	// *chained* HtY instead of the bucket-locked parallel build
-	// (KernelChained only; the flat kernel is always two-pass and
-	// lock-free). The results are identical; the two-pass build avoids
-	// lock contention on tensors with few distinct contract keys at the
-	// cost of an extra pass over Y.
+	// (KernelChained only; the flat kernel always builds by sort-then-pack
+	// and takes no locks). The results are identical; the two-pass build
+	// avoids lock contention on tensors with few distinct contract keys at
+	// the cost of an extra pass over Y.
 	TwoPassHtY bool
 	// Planner enables chain-level contraction-order planning
 	// (PlannerAuto). Only EvalChain consults it; single contractions
@@ -167,7 +169,7 @@ func contractMain(ctx context.Context, p *plan, prep *PreparedY, opt Options, re
 	t0 := time.Now()
 	xw := p.x
 	if !opt.InPlace {
-		xw = xw.Clone()
+		xw = xw.SortableView()
 	}
 	if err := xw.Permute(p.permX); err != nil {
 		return nil, nil, err
@@ -197,7 +199,7 @@ func contractMain(ctx context.Context, p *plan, prep *PreparedY, opt Options, re
 	} else {
 		yw = p.y
 		if !opt.InPlace {
-			yw = yw.Clone()
+			yw = yw.SortableView()
 		}
 		if err := yw.Permute(p.permY); err != nil {
 			return nil, nil, err
@@ -362,38 +364,50 @@ func (e errBadKernel) Error() string {
 	return "core: unknown kernel " + Kernel(e).String()
 }
 
+// buildHtY is the one place that maps Options onto a COO→HtY conversion:
+// the flat sort-then-pack build by default, the bucket-locked or two-pass
+// chained build for KernelChained. Only the two-pass chained build consults
+// ctx (its bucket assembly checkpoints between chunk claims); callers
+// checkpoint around the others.
+func buildHtY(ctx context.Context, y *coo.Tensor, cmodes, fmodes []int, radC, radF *lnum.Radix, opt Options, threads int) (hashtab.YTable, error) {
+	switch {
+	case opt.Kernel != KernelChained:
+		return hashtab.BuildHtYFlat(y, cmodes, fmodes, radC, radF, opt.BucketsHtY, threads), nil
+	case opt.TwoPassHtY:
+		hty, err := hashtab.BuildHtY2PCtx(ctx, y, cmodes, fmodes, radC, radF, opt.BucketsHtY, threads)
+		if err != nil {
+			return nil, err
+		}
+		return hty, nil
+	default:
+		return hashtab.BuildHtY(y, cmodes, fmodes, radC, radF, opt.BucketsHtY, threads), nil
+	}
+}
+
+// reportHtY records the table-side statistics of a built or reused HtY.
+func reportHtY(rep *Report, hty hashtab.YTable, nnzY, orderY int, bytesY uint64) {
+	rep.BytesY = bytesY
+	rep.BytesHtY = hty.Bytes()
+	rep.BucketsHtY = hty.NumBuckets()
+	rep.DistinctKeysY = hty.NumKeys()
+	rep.MaxSubNNZY = hty.MaxItemLen()
+	rep.EstBytesHtY = hashtab.EstimateHtYBytes(nnzY, orderY, hty.NumBuckets())
+}
+
 // buildYTable runs the selected COO→HtY conversion kernel and records the
 // table stats plus the build-only wall time (rep.HtYBuild) so kernel duels
-// compare exactly the hash-table work, not X's permute+sort. The two-pass
-// chained build threads ctx (its bucket assembly checkpoints between chunk
-// claims); the other builds are checkpointed by contractMain around the
-// call.
+// compare exactly the hash-table work, not X's permute+sort.
 func buildYTable(ctx context.Context, p *plan, opt Options, threads int, rep *Report) (hashtab.YTable, error) {
 	tr, track, _ := traceTarget(ctx, opt)
 	sp := tr.Start("hty build", track)
 	defer sp.End()
 	t0 := time.Now()
-	var hty hashtab.YTable
-	if opt.Kernel == KernelChained {
-		if opt.TwoPassHtY {
-			var err error
-			hty, err = hashtab.BuildHtY2PCtx(ctx, p.y, p.cmodesY, p.fmodesY, p.radC, p.radFY, opt.BucketsHtY, threads)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			hty = hashtab.BuildHtY(p.y, p.cmodesY, p.fmodesY, p.radC, p.radFY, opt.BucketsHtY, threads)
-		}
-	} else {
-		hty = hashtab.BuildHtYFlat(p.y, p.cmodesY, p.fmodesY, p.radC, p.radFY, opt.BucketsHtY, threads)
+	hty, err := buildHtY(ctx, p.y, p.cmodesY, p.fmodesY, p.radC, p.radFY, opt, threads)
+	if err != nil {
+		return nil, err
 	}
 	rep.HtYBuild = time.Since(t0)
-	rep.BytesY = p.y.Bytes()
-	rep.BytesHtY = hty.Bytes()
-	rep.BucketsHtY = hty.NumBuckets()
-	rep.DistinctKeysY = hty.NumKeys()
-	rep.MaxSubNNZY = hty.MaxItemLen()
-	rep.EstBytesHtY = hashtab.EstimateHtYBytes(p.y.NNZ(), p.y.Order(), hty.NumBuckets())
+	reportHtY(rep, hty, p.y.NNZ(), p.y.Order(), p.y.Bytes())
 	return hty, nil
 }
 

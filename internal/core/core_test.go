@@ -323,3 +323,53 @@ func min(a, b int) int {
 	}
 	return b
 }
+
+// TestContractLeavesInputsUntouched: without InPlace, stage ① works on a
+// header-only view of X (and of Y for the COO-Y baselines), so nothing
+// downstream may write through it. The caller's tensors must come back
+// bitwise unchanged — dims, mode order and every column — whether the spec
+// leaves the modes where they are (sorted X takes the sorter's early return
+// and stays aliased for the whole contraction), permutes them (fresh sorted
+// columns), or has an index box too wide to LN-encode (in-place tuple
+// quicksort on a deep clone).
+func TestContractLeavesInputsUntouched(t *testing.T) {
+	wideDims := []uint64{1 << 32, 1 << 31, 6}
+	wide := coo.MustNew(wideDims, 0)
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 300; i++ {
+		wide.Append([]uint32{rng.Uint32(), rng.Uint32() >> 1, uint32(rng.Intn(6))}, rng.NormFloat64())
+	}
+	if _, err := wide.Radix(); err == nil {
+		t.Fatal("test setup: the wide box is LN-encodable")
+	}
+	for _, tc := range []struct {
+		name   string
+		x, y   *coo.Tensor
+		cx, cy []int
+	}{
+		{"identity-perm", randomSparse([]uint64{7, 6, 5, 4}, 400, 31), randomSparse([]uint64{5, 4, 9}, 150, 32), []int{2, 3}, []int{0, 1}},
+		{"permuting", randomSparse([]uint64{5, 4, 7, 6}, 400, 33), randomSparse([]uint64{9, 4, 5}, 150, 34), []int{0, 1}, []int{2, 1}},
+		{"not-ln-encodable", wide, randomSparse([]uint64{6, 5}, 20, 35), []int{2}, []int{0}},
+	} {
+		for _, alg := range allAlgorithms {
+			for _, threads := range []int{1, 3} {
+				x0, y0 := tc.x.Clone(), tc.y.Clone()
+				z, _, err := Contract(tc.x, tc.y, tc.cx, tc.cy, Options{Algorithm: alg, Threads: threads})
+				if err != nil {
+					t.Fatalf("%s/%v: %v", tc.name, alg, err)
+				}
+				if !tc.x.Equal(x0) || !tc.y.Equal(y0) {
+					t.Fatalf("%s/%v/threads=%d: Contract modified its inputs", tc.name, alg, threads)
+				}
+				// Same answer as the path that owns its storage.
+				zi, _, err := Contract(x0, y0, tc.cx, tc.cy, Options{Algorithm: alg, Threads: threads, InPlace: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !z.Equal(zi) {
+					t.Fatalf("%s/%v/threads=%d: view-based result differs from the in-place one", tc.name, alg, threads)
+				}
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -96,6 +97,59 @@ func TestMaxOutputNNZ(t *testing.T) {
 		_, _, err = Contract(x, y, []int{1}, []int{0}, Options{Algorithm: alg, MaxOutputNNZ: 1})
 		if err == nil {
 			t.Fatalf("%v: guard did not trip", alg)
+		}
+	}
+}
+
+// TestBuildDispatchOneShotMatchesPrepared: buildYTable and PrepareY go
+// through one dispatcher, so for every kernel/build selection the one-shot
+// and the prepared path must pick the same table (same stats in the Report,
+// bitwise-equal Z), and both must time the build.
+func TestBuildDispatchOneShotMatchesPrepared(t *testing.T) {
+	x := randomSparse([]uint64{9, 6, 5, 4}, 500, 91)
+	y := randomSparse([]uint64{5, 4, 8, 7}, 700, 92)
+	cx, cy := []int{2, 3}, []int{0, 1}
+	for _, opt := range []Options{
+		{Algorithm: AlgSparta},
+		{Algorithm: AlgSparta, BucketsHtY: 1 << 10},
+		{Algorithm: AlgSparta, Kernel: KernelChained},
+		{Algorithm: AlgSparta, Kernel: KernelChained, TwoPassHtY: true, BucketsHtY: 16},
+	} {
+		opt.Threads = 2
+		z1, r1, err := Contract(x, y, cx, cy, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr, err := PrepareY(y, cy, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		z2, r2, err := pr.Contract(context.Background(), x, cx, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !z1.Equal(z2) {
+			t.Fatalf("%+v: prepared Z differs from one-shot Z", opt)
+		}
+		if r1.HtYBuild <= 0 || r2.HtYBuild <= 0 || r2.HtYReused {
+			t.Fatalf("%+v: build not reported: one-shot %v, prepared %v (reused %v)", opt, r1.HtYBuild, r2.HtYBuild, r2.HtYReused)
+		}
+		if r1.BucketsHtY != r2.BucketsHtY || r1.DistinctKeysY != r2.DistinctKeysY || r1.MaxSubNNZY != r2.MaxSubNNZY ||
+			r1.EstBytesHtY != r2.EstBytesHtY || r1.BytesY != r2.BytesY {
+			t.Fatalf("%+v: table stats differ:\none-shot %+v\nprepared %+v", opt, r1, r2)
+		}
+		// The chained build's Bytes counts slice capacities, which depend on
+		// the lock order; the flat table is deterministic.
+		if opt.Kernel == KernelFlat {
+			if r1.BytesHtY != r2.BytesHtY {
+				t.Fatalf("%+v: BytesHtY %d vs %d", opt, r1.BytesHtY, r2.BytesHtY)
+			}
+			if r1.EstBytesHtY < r1.BytesHtY {
+				t.Fatalf("%+v: Eq. 5 estimate %d below the measured table %d", opt, r1.EstBytesHtY, r1.BytesHtY)
+			}
+		}
+		if opt.BucketsHtY == 0 && opt.Kernel == KernelFlat && r1.BucketsHtY >= 4*r1.DistinctKeysY {
+			t.Fatalf("default flat table has %d slots for %d keys: not sized from the distinct keys", r1.BucketsHtY, r1.DistinctKeysY)
 		}
 	}
 }

@@ -94,14 +94,8 @@ func PrepareY(y *coo.Tensor, cmodesY []int, opt Options) (*PreparedY, error) {
 	sp := opt.Tracer.Start("hty build", 0)
 	defer sp.End()
 	t0 := time.Now()
-	if opt.Kernel == KernelChained {
-		build := hashtab.BuildHtY
-		if opt.TwoPassHtY {
-			build = hashtab.BuildHtY2P
-		}
-		pr.hty = build(y, cmodesY, fmodesY, pr.radC, pr.radFY, opt.BucketsHtY, threads)
-	} else {
-		pr.hty = hashtab.BuildHtYFlat(y, cmodesY, fmodesY, pr.radC, pr.radFY, opt.BucketsHtY, threads)
+	if pr.hty, err = buildHtY(context.Background(), y, cmodesY, fmodesY, pr.radC, pr.radFY, opt, threads); err != nil {
+		return nil, err
 	}
 	pr.build = time.Since(t0)
 	return pr, nil
@@ -194,12 +188,7 @@ func (pr *PreparedY) newPlanX(x *coo.Tensor, cmodesX []int) (*plan, error) {
 // fillReport copies the table-side statistics buildYTable would have
 // recorded, so warm-path reports stay comparable to cold ones.
 func (pr *PreparedY) fillReport(rep *Report) {
-	rep.BytesY = pr.bytesY
-	rep.BytesHtY = pr.hty.Bytes()
-	rep.BucketsHtY = pr.hty.NumBuckets()
-	rep.DistinctKeysY = pr.hty.NumKeys()
-	rep.MaxSubNNZY = pr.hty.MaxItemLen()
-	rep.EstBytesHtY = hashtab.EstimateHtYBytes(pr.nnzY, pr.orderY, pr.hty.NumBuckets())
+	reportHtY(rep, pr.hty, pr.nnzY, pr.orderY, pr.bytesY)
 }
 
 // Kernel returns the hash-kernel family the table was built with.

@@ -53,8 +53,8 @@ func (a Algorithm) String() string {
 type Kernel int
 
 const (
-	// KernelFlat uses the open-addressed flat kernels: HtYFlat (lock-free
-	// two-pass build, CSR item arena, linear-probe key table) and HtAFlat
+	// KernelFlat uses the open-addressed flat kernels: HtYFlat (sort-then-pack
+	// build, CSR item arena, linear-probe key table) and HtAFlat
 	// (inline key slots, no chain nodes).
 	KernelFlat Kernel = 0
 	// KernelChained uses the seed kernels: bucket-locked chained HtY

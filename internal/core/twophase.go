@@ -37,7 +37,7 @@ func contractTwoPhase(ctx context.Context, p *plan, opt Options, rep *Report) (*
 	t0 := time.Now()
 	xw := p.x
 	if !opt.InPlace {
-		xw = xw.Clone()
+		xw = xw.SortableView()
 	}
 	if err := xw.Permute(p.permX); err != nil {
 		return nil, err

@@ -64,7 +64,7 @@ func randomCase(rng *rand.Rand, trial int) diffCase {
 }
 
 // kernelConfigs are the deterministic build configurations: the flat kernel
-// is always lock-free two-pass; the chained kernel is deterministic only
+// is always sort-then-pack; the chained kernel is deterministic only
 // with TwoPassHtY (the bucket-locked build appends in arrival order).
 var kernelConfigs = []struct {
 	name string

@@ -91,9 +91,9 @@ var seen sync.Map
 func FuzzFingerprint(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 5, 1, 2, 3})
-	f.Add([]byte{1, 3, 3, 0, 0, 7, 1, 1, 7})            // duplicate entries
-	f.Add([]byte{2, 4, 4, 4, 1, 2, 3, 9, 3, 2, 1, 9})   // order 3
-	f.Add([]byte{3, 2, 2, 2, 2, 0, 1, 0, 1, 128})       // negative value
+	f.Add([]byte{1, 3, 3, 0, 0, 7, 1, 1, 7})           // duplicate entries
+	f.Add([]byte{2, 4, 4, 4, 1, 2, 3, 9, 3, 2, 1, 9})  // order 3
+	f.Add([]byte{3, 2, 2, 2, 2, 0, 1, 0, 1, 128})      // negative value
 	f.Add(bytesOf(0, 9, 1, 1, 5, 2, 1, 6, 2, 2, 7, 3)) // several entries, order 1
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tensor := tensorFromBytes(data)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sparta/internal/coo"
+	"sparta/internal/gen"
 	"sparta/internal/lnum"
 )
 
@@ -29,8 +30,10 @@ func benchY(nnz int) (*coo.Tensor, *lnum.Radix, *lnum.Radix) {
 }
 
 // BenchmarkHtYBuild compares the three COO→HtY conversion strategies —
-// bucket-locked chained, two-pass chained, and the flat lock-free arena —
-// across thread counts.
+// bucket-locked chained, two-pass chained, and the flat sort-then-pack arena
+// — across thread counts, then times the flat build on the benchmark's
+// cold_build shape (NIPS preset at 300 k nnz, trailing three modes
+// contracted: ~290 k distinct keys), the number the ROADMAP ledger quotes.
 func BenchmarkHtYBuild(b *testing.B) {
 	y, radC, radF := benchY(1 << 16)
 	builds := []struct {
@@ -49,6 +52,20 @@ func BenchmarkHtYBuild(b *testing.B) {
 				}
 			})
 		}
+	}
+	p, err := gen.FindPreset("NIPS")
+	if err != nil {
+		b.Fatal(err)
+	}
+	nips := gen.Generate(p, 300000, 42)
+	nipsC, nipsF := lnum.MustRadix(nips.Dims[1:]), lnum.MustRadix(nips.Dims[:1])
+	for _, threads := range []int{1, 2} {
+		b.Run(fmt.Sprintf("flat-nips300k/threads=%d", threads), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				BuildHtYFlat(nips, []int{1, 2, 3}, []int{0}, nipsC, nipsF, 0, threads)
+			}
+		})
 	}
 }
 

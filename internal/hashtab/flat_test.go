@@ -2,6 +2,7 @@ package hashtab
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -104,7 +105,7 @@ func TestBuildHtYFlatEmptyAndSkewed(t *testing.T) {
 	if items, _ := h.Lookup(3); items != nil {
 		t.Fatal("empty table returned items")
 	}
-	// All non-zeros under one contract key (maximum CAS contention).
+	// All non-zeros under one contract key (a single group).
 	y := coo.MustNew(dims, 0)
 	for j := uint32(0); j < 5; j++ {
 		y.Append([]uint32{2, j}, float64(j))
@@ -124,27 +125,186 @@ func TestBuildHtYFlatEmptyAndSkewed(t *testing.T) {
 	}
 }
 
-// TestBuildHtYFlatBucketClamp: explicit bucket counts below nnz_Y must be
-// clamped so the open-addressed table keeps a free slot.
+// TestBuildHtYFlatBucketClamp: the slot table is sized from the distinct
+// keys, not nnz_Y — explicit bucket counts at or below NKeys are clamped so
+// the open-addressed table keeps a free slot, and duplicates do not inflate
+// the clamp.
 func TestBuildHtYFlatBucketClamp(t *testing.T) {
 	dims := []uint64{64, 3}
 	radC := lnum.MustRadix(dims[:1])
 	radF := lnum.MustRadix(dims[1:])
 	y := coo.MustNew(dims, 0)
 	for i := uint32(0); i < 64; i++ {
-		y.Append([]uint32{i, 0}, 1) // 64 distinct contract keys
+		for j := uint32(0); j < 3; j++ {
+			y.Append([]uint32{i, j}, 1) // 64 distinct contract keys, 192 non-zeros
+		}
 	}
 	h := BuildHtYFlat(y, []int{0}, []int{1}, radC, radF, 8, 2)
-	if h.NumBuckets() <= 64 {
-		t.Fatalf("buckets = %d, want > nnz", h.NumBuckets())
+	if h.NumBuckets() != 128 {
+		t.Fatalf("buckets = %d, want 128 (smallest power of two > NKeys = 64)", h.NumBuckets())
 	}
 	if h.NumKeys() != 64 {
 		t.Fatalf("keys = %d", h.NumKeys())
 	}
 	// Every key resolvable, misses terminate.
 	for i := uint64(0); i < 64; i++ {
-		if items, _ := h.Lookup(i); len(items) != 1 {
+		if items, _ := h.Lookup(i); len(items) != 3 {
 			t.Fatalf("key %d: %d items", i, len(items))
+		}
+	}
+}
+
+// TestBuildHtYFlatMatchesOracle checks the sort-then-pack build against a
+// serially built map for the shapes that stress each of its steps, at thread
+// counts on both sides of the sorter's serial/parallel switch: presence,
+// stats, table sizing, items in original Y order inside each key, and an
+// arena that is bitwise identical whatever the thread count.
+func TestBuildHtYFlatMatchesOracle(t *testing.T) {
+	type tcase struct {
+		name    string
+		dims    []uint64
+		cmodes  []int
+		fmodes  []int
+		n       int
+		index   func(i int, rng *rand.Rand, idx []uint32) // fills idx for non-zero i
+		buckets int
+	}
+	uniform := func(dims []uint64) func(int, *rand.Rand, []uint32) {
+		return func(_ int, rng *rand.Rand, idx []uint32) {
+			for m, d := range dims {
+				idx[m] = uint32(rng.Int63n(int64(d)))
+			}
+		}
+	}
+	small := []uint64{64, 64, 32}
+	wide := []uint64{1 << 20, 1 << 19, 8} // contract keys span 39 bits
+	cases := []tcase{
+		{name: "empty", dims: small, cmodes: []int{0, 1}, fmodes: []int{2}, n: 0, index: uniform(small)},
+		{name: "one", dims: small, cmodes: []int{0, 1}, fmodes: []int{2}, n: 1, index: uniform(small)},
+		{name: "all-equal-keys", dims: small, cmodes: []int{0, 1}, fmodes: []int{2}, n: 20000,
+			index: func(_ int, rng *rand.Rand, idx []uint32) { idx[0], idx[1], idx[2] = 7, 9, uint32(rng.Intn(32)) }},
+		{name: "all-distinct-keys", dims: []uint64{256, 128, 4}, cmodes: []int{0, 1}, fmodes: []int{2}, n: 256 * 128,
+			// An odd multiplier permutes the 2^15 keys, so Y arrives unsorted.
+			index: func(i int, _ *rand.Rand, idx []uint32) {
+				k := i * 12345 % (256 * 128)
+				idx[0], idx[1], idx[2] = uint32(k/128), uint32(k%128), uint32(i%4)
+			}},
+		{name: "duplicate-heavy", dims: []uint64{64, 64, 128, 128}, cmodes: []int{0, 1}, fmodes: []int{2, 3}, n: 120000,
+			index: uniform([]uint64{64, 64, 128, 128})},
+		{name: "duplicate-coordinates", dims: []uint64{8, 8, 4}, cmodes: []int{0, 1}, fmodes: []int{2}, n: 20000,
+			index: uniform([]uint64{8, 8, 4})},
+		{name: "contract-modes-last", dims: small, cmodes: []int{2, 1}, fmodes: []int{0}, n: 5000, index: uniform(small)},
+		{name: "keys-wider-than-32-bits", dims: wide, cmodes: []int{0, 1}, fmodes: []int{2}, n: 30000, index: uniform(wide)},
+		{name: "buckets-below-nkeys", dims: small, cmodes: []int{0, 1}, fmodes: []int{2}, n: 3000, index: uniform(small), buckets: 16},
+		{name: "buckets-above-nkeys", dims: small, cmodes: []int{0, 1}, fmodes: []int{2}, n: 3000, index: uniform(small), buckets: 1 << 15},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(len(tc.name))))
+			y := coo.MustNew(tc.dims, tc.n)
+			cdims, fdims := pick(tc.dims, tc.cmodes), pick(tc.dims, tc.fmodes)
+			radC, radF := lnum.MustRadix(cdims), lnum.MustRadix(fdims)
+			oracle := map[uint64][]YItem{}
+			idx := make([]uint32, len(tc.dims))
+			for i := 0; i < tc.n; i++ {
+				tc.index(i, rng, idx)
+				v := float64(i + 1) // distinct values expose any reordering
+				y.Append(idx, v)
+				ck := radC.Encode(pick(idx, tc.cmodes))
+				oracle[ck] = append(oracle[ck], YItem{LNFree: radF.Encode(pick(idx, tc.fmodes)), Val: v})
+			}
+			maxLen := 0
+			for _, items := range oracle {
+				maxLen = max(maxLen, len(items))
+			}
+			wantBuckets := NextPow2(2 * len(oracle))
+			if tc.buckets > 0 {
+				wantBuckets = NextPow2(max(tc.buckets, len(oracle)+1))
+			}
+
+			var ref *HtYFlat
+			for _, threads := range []int{1, 2, 8} {
+				h := BuildHtYFlat(y, tc.cmodes, tc.fmodes, radC, radF, tc.buckets, threads)
+				if h.NumKeys() != len(oracle) || h.NumItems() != tc.n || h.MaxItemLen() != maxLen {
+					t.Fatalf("threads=%d: keys/items/max = %d/%d/%d, oracle %d/%d/%d", threads,
+						h.NumKeys(), h.NumItems(), h.MaxItemLen(), len(oracle), tc.n, maxLen)
+				}
+				if h.NumBuckets() != wantBuckets {
+					t.Fatalf("threads=%d: %d buckets for %d keys (explicit %d), want %d",
+						threads, h.NumBuckets(), len(oracle), tc.buckets, wantBuckets)
+				}
+				for ck, want := range oracle {
+					got, probes := h.Lookup(ck)
+					if !slices.Equal(got, want) {
+						t.Fatalf("threads=%d key %d: items differ from the oracle (got %d, want %d in Y order)",
+							threads, ck, len(got), len(want))
+					}
+					if probes < 1 || probes > h.NumBuckets() {
+						t.Fatalf("threads=%d key %d: %d probes", threads, ck, probes)
+					}
+				}
+				for i := 0; i < 2000; i++ {
+					ck := uint64(rng.Int63n(int64(radC.Card())))
+					if got, _ := h.Lookup(ck); len(got) != len(oracle[ck]) {
+						t.Fatalf("threads=%d key %d: %d items, oracle %d", threads, ck, len(got), len(oracle[ck]))
+					}
+				}
+				if ref == nil {
+					ref = h
+				} else if !slices.Equal(h.itemOff, ref.itemOff) || !slices.Equal(h.items, ref.items) || !slices.Equal(h.table, ref.table) {
+					t.Fatalf("threads=%d: table differs bitwise from the threads=1 build", threads)
+				}
+			}
+		})
+	}
+}
+
+// pick gathers v[m] for each m in modes.
+func pick[T any](v []T, modes []int) []T {
+	out := make([]T, len(modes))
+	for k, m := range modes {
+		out[k] = v[m]
+	}
+	return out
+}
+
+// TestEstimateHtYBoundsFlatBytes: with the slot table sized from the distinct
+// keys, Eq. 5 fed the real slot count upper-bounds HtYFlat.Bytes whenever
+// 8*order*nnz_Y >= 8*slots + 4*(NKeys+1). That holds for every Y of order 5
+// or more, and from order 3 up once keys average two items (slots < 4*NKeys
+// <= 2*nnz_Y) — the regimes checked here. An all-distinct-key Y of low order
+// can still exceed the estimate, as it could before.
+func TestEstimateHtYBoundsFlatBytes(t *testing.T) {
+	for _, tc := range []struct {
+		dims   []uint64
+		ncm, n int
+	}{
+		{[]uint64{32, 32, 64}, 2, 4000},            // order 3, ~4 items per key
+		{[]uint64{64, 64, 128, 128}, 2, 120000},    // order 4, ~29 items per key
+		{[]uint64{40, 40, 40, 6, 6}, 3, 30000},     // order 5, nearly all keys distinct
+		{[]uint64{16, 16, 16, 16, 4, 4}, 4, 60000}, // order 6, 65536 keys at a power of two
+	} {
+		rng := rand.New(rand.NewSource(int64(tc.n)))
+		y := coo.MustNew(tc.dims, tc.n)
+		idx := make([]uint32, len(tc.dims))
+		for i := 0; i < tc.n; i++ {
+			for m, d := range tc.dims {
+				idx[m] = uint32(rng.Intn(int(d)))
+			}
+			y.Append(idx, 1)
+		}
+		cmodes, fmodes := make([]int, tc.ncm), make([]int, len(tc.dims)-tc.ncm)
+		for k := range cmodes {
+			cmodes[k] = k
+		}
+		for k := range fmodes {
+			fmodes[k] = tc.ncm + k
+		}
+		h := BuildHtYFlat(y, cmodes, fmodes, lnum.MustRadix(tc.dims[:tc.ncm]), lnum.MustRadix(tc.dims[tc.ncm:]), 0, 2)
+		est := EstimateHtYBytes(y.NNZ(), y.Order(), h.NumBuckets())
+		if got := h.Bytes(); got > est {
+			t.Errorf("dims %v: Bytes %d exceeds the Eq. 5 estimate %d (%d keys, %d slots)",
+				tc.dims, got, est, h.NumKeys(), h.NumBuckets())
 		}
 	}
 }

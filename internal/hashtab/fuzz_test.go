@@ -13,8 +13,8 @@ import (
 // same items, same (original Y) order, same stats. Duplicate coordinates,
 // single-key skew and empty tensors all fall out of the byte decoding.
 func FuzzHtYFlatLookup(f *testing.F) {
-	f.Add([]byte{}, uint8(1))                                  // empty tensor
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0}, uint8(3))         // one key, duplicates
+	f.Add([]byte{}, uint8(1))                          // empty tensor
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0}, uint8(3)) // one key, duplicates
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 0, 15, 3, 3, 3}, uint8(4))
 	f.Add([]byte{255, 255, 255, 128, 64, 32, 9, 9, 9}, uint8(7))
 	f.Fuzz(func(t *testing.T, data []byte, rawThreads uint8) {

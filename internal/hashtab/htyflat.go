@@ -1,12 +1,11 @@
 package hashtab
 
 import (
-	"sync/atomic"
-
 	"sparta/internal/coo"
 	"sparta/internal/invariant"
 	"sparta/internal/lnum"
 	"sparta/internal/parallel"
+	"sparta/internal/sortx"
 )
 
 // emptySlot marks a free slot in the open-addressed key tables. LN keys are
@@ -16,11 +15,10 @@ const emptySlot = ^uint64(0)
 
 // ytSlot is one open-addressed slot of HtYFlat: the claiming key and its
 // dense rank interleaved in 16 bytes, so a probe and the rank read that
-// follows a hit touch a single cache line. The key field is first (8-byte
-// aligned) because pass 1 of the build claims it with CompareAndSwapUint64.
+// follows a hit touch a single cache line.
 type ytSlot struct {
 	key  uint64 // emptySlot when free
-	rank int32  // dense rank of the key (slot-scan order)
+	rank int32  // dense rank of the key (ascending key order)
 }
 
 // HtYFlat is the cache-friendly layout of the hash-table-represented second
@@ -28,20 +26,19 @@ type ytSlot struct {
 // a contiguous CSR-style item arena. A Lookup is one probe sequence over a
 // flat slot slice followed by a sub-slice of the arena — no mutexes, no
 // per-entry slice headers, no pointer chasing, zero per-entry allocations.
+// The table is written by one goroutine during the build and read-only
+// afterwards, so no access is atomic.
 //
 // Layout:
 //
 //	table[s]     {key, rank}: LN contract key claiming slot s (or emptySlot)
 //	             and its dense rank
-//	keys[r]      key of rank r (kept for stats/debugging)
 //	itemOff[r]   items of rank r live in items[itemOff[r]:itemOff[r+1]]
-//	items        all nnz_Y YItems, grouped by key, original Y order inside
-//	             each group
+//	items        all nnz_Y YItems, grouped by ascending key, original Y
+//	             order inside each group
 type HtYFlat struct {
 	table []ytSlot
-	mask  uint64
 
-	keys    []uint64
 	itemOff []int32
 	items   []YItem
 
@@ -53,53 +50,31 @@ type HtYFlat struct {
 	MaxItems int
 }
 
-// BuildHtYFlat converts Y (COO, any order) into an HtYFlat with a lock-free,
-// two-pass, counting-sort-style construction:
+// BuildHtYFlat converts Y (COO, any order) into an HtYFlat by sort-then-pack:
 //
-//	pass 1  every non-zero encodes its contract key, claims a slot in the
-//	        open-addressed key table via compare-and-swap (no locks), and
-//	        bumps that slot's item count (atomic add)
-//	merge   one scan over the slots assigns dense ranks in slot order and
-//	        prefix-sums the counts into arena offsets; a serial O(n) sweep
-//	        in non-zero order then assigns each item its arena position
-//	pass 2  every non-zero scatters its YItem (free-key encode + value) to
-//	        its precomputed position — threads write disjoint slots, no locks
+//	encode  every non-zero becomes a (LN(Cy), position) pair (parallel)
+//	sort    the pairs are radix-sorted by key with the stable sortx engine,
+//	        so each key's non-zeros are contiguous and in original Y order
+//	group   two scans over the sorted keys find the group boundaries: the
+//	        first counts NKeys, the second fills the arena offsets at exact
+//	        size and finds MaxItems
+//	pack    item i of the arena is the free-key encode + value of the
+//	        non-zero at sorted position i — sequential writes, disjoint
+//	        ranges per thread
+//	insert  the key table is sized from the distinct-key count and receives
+//	        one slot per group, written by a single goroutine
 //
-// Positions are assigned by a single sweep in original non-zero order, so
-// the items of one key appear in original Y order and the build is
-// deterministic regardless of thread count (unlike the lock-order-dependent
-// chained build). The sweep is serial but does only one array increment per
-// non-zero; the encode-heavy scatter stays parallel, and nothing in the
-// build is O(threads * buckets).
+// The sort is stable and everything after it is a function of the sorted
+// pairs alone, so the table is bitwise identical for any thread count
+// (unlike the lock-order-dependent chained build), duplicate coordinates in
+// Y included.
 //
-// buckets <= 0 picks the default: next power of two >= 2*nnz_Y (load factor
-// <= 0.5 over distinct keys). Explicit bucket counts are rounded up to a
-// power of two and clamped to > nnz_Y so the open-addressed table always
-// keeps a free slot (probe sequences must terminate).
+// buckets <= 0 picks the default: next power of two >= 2*NKeys (load factor
+// <= 0.5). Explicit bucket counts are rounded up to a power of two and
+// clamped to > NKeys so the open-addressed table always keeps a free slot
+// (probe sequences must terminate).
 func BuildHtYFlat(y *coo.Tensor, cmodes, fmodes []int, radC, radF *lnum.Radix, buckets, threads int) *HtYFlat {
 	n := y.NNZ()
-	if buckets <= 0 {
-		buckets = NextPow2(2 * n)
-	} else {
-		buckets = NextPow2(buckets)
-	}
-	if min := NextPow2(n + 1); buckets < min {
-		buckets = min
-	}
-	invariant.Assertf(buckets&(buckets-1) == 0 && buckets > n,
-		"HtYFlat: %d buckets for %d items (need power of two with a free slot)", buckets, n)
-	h := &HtYFlat{
-		table:  make([]ytSlot, buckets),
-		mask:   uint64(buckets - 1),
-		NItems: n,
-	}
-	// The slot keys are CAS targets in pass 1, so every access — even this
-	// pre-parallel initialization and the post-barrier merge below — goes
-	// through sync/atomic (enforced by sptc-lint's atomicmix; an aligned
-	// atomic word load/store compiles to a plain MOV on amd64 and arm64).
-	for i := range h.table {
-		atomic.StoreUint64(&h.table[i].key, emptySlot)
-	}
 	cCols := make([][]uint32, len(cmodes))
 	for k, m := range cmodes {
 		cCols[k] = y.Inds[m]
@@ -108,97 +83,106 @@ func BuildHtYFlat(y *coo.Tensor, cmodes, fmodes []int, radC, radF *lnum.Radix, b
 	for k, m := range fmodes {
 		fCols[k] = y.Inds[m]
 	}
-	if n == 0 {
-		h.itemOff = make([]int32, 1)
-		return h
-	}
-
-	// Pass 1: claim slots with CAS and count items per slot (atomic adds on
-	// a shared counts array — contention only between items of one key).
 	threads = parallel.Clamp(threads, n)
-	slotOf := make([]int32, n)
-	counts := make([]int32, buckets)
-	parallel.For(threads, n, func(tid, lo, hi int) {
+
+	kp := make([]sortx.KeyPos, n)
+	parallel.For(threads, n, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			key := radC.EncodeStrided(cCols, i)
-			s := hashKey(key) & h.mask
-			for {
-				cur := atomic.LoadUint64(&h.table[s].key)
-				if cur == key {
-					break
-				}
-				if cur == emptySlot {
-					if atomic.CompareAndSwapUint64(&h.table[s].key, emptySlot, key) {
-						break
-					}
-					continue // lost the race for this slot; re-read it
-				}
-				s = (s + 1) & h.mask
-			}
-			slotOf[i] = int32(s)
-			atomic.AddInt32(&counts[s], 1)
+			kp[i] = sortx.KeyPos{Key: radC.EncodeStrided(cCols, i), Pos: int32(i)}
 		}
 	})
+	sortx.Sort(kp, radC.Card()-1, threads)
 
-	// Merge: rank the claimed slots in slot order and prefix-sum the counts
-	// into arena offsets; counts[s] then becomes the running scatter cursor
-	// of its slot, and one serial sweep in non-zero order turns slotOf[i]
-	// into the item's final arena position (stable: original Y order within
-	// each key, independent of the thread count).
-	for s := 0; s < buckets; s++ {
-		key := atomic.LoadUint64(&h.table[s].key)
-		if key == emptySlot {
+	nkeys := 0
+	for i := range kp {
+		if i == 0 || kp[i].Key != kp[i-1].Key {
+			nkeys++
+		}
+	}
+	itemOff := make([]int32, nkeys+1)
+	maxItems, r := 0, 0
+	for i := 1; i <= n; i++ {
+		if i < n && kp[i].Key == kp[i-1].Key {
 			continue
 		}
-		h.table[s].rank = int32(h.NKeys)
-		h.NKeys++
-		h.keys = append(h.keys, key)
-		h.itemOff = append(h.itemOff, int32(0))
-	}
-	invariant.Assertf(h.NKeys < buckets,
-		"HtYFlat: %d keys filled all %d slots; probe sequences would not terminate", h.NKeys, buckets)
-	h.itemOff = append(h.itemOff, 0)
-	off := int32(0)
-	for s := 0; s < buckets; s++ {
-		if c := counts[s]; c > 0 {
-			r := h.table[s].rank
-			h.itemOff[r] = off
-			off += c
-			h.itemOff[r+1] = off
-			if int(c) > h.MaxItems {
-				h.MaxItems = int(c)
-			}
-			counts[s] = h.itemOff[r]
+		r++
+		itemOff[r] = int32(i)
+		if c := i - int(itemOff[r-1]); c > maxItems {
+			maxItems = c
 		}
 	}
-	invariant.Assertf(int(off) == n,
-		"HtYFlat: arena offsets cover %d items, want nnz_Y = %d", off, n)
-	for i := 0; i < n; i++ {
-		s := slotOf[i]
-		slotOf[i] = counts[s]
-		counts[s]++
-	}
+	h := &HtYFlat{itemOff: itemOff, NKeys: nkeys, NItems: n, MaxItems: maxItems}
 	if invariant.Enabled {
-		// The position sweep must be a bijection [0,n) -> [0,n): monotone
-		// per slot (original Y order within each key) and within bounds.
-		for r := 1; r < len(h.itemOff); r++ {
-			invariant.Assertf(h.itemOff[r-1] <= h.itemOff[r],
-				"HtYFlat: itemOff not monotone at rank %d: %d > %d", r, h.itemOff[r-1], h.itemOff[r])
-		}
-		for i := 0; i < n; i++ {
-			invariant.Assertf(slotOf[i] >= 0 && int(slotOf[i]) < n,
-				"HtYFlat: position sweep sent item %d to %d, outside [0,%d)", i, slotOf[i], n)
+		invariant.Assertf(r == nkeys && int(itemOff[nkeys]) == n,
+			"HtYFlat: group scan closed %d groups ending at %d, want %d ending at nnz_Y = %d",
+			r, itemOff[nkeys], nkeys, n)
+		for r := 1; r < nkeys; r++ {
+			invariant.Assertf(itemOff[r-1] < itemOff[r] && kp[itemOff[r-1]].Key < kp[itemOff[r]].Key,
+				"HtYFlat: group %d does not follow group %d (offsets %d, %d; keys %d, %d)", r, r-1,
+				itemOff[r-1], itemOff[r], kp[itemOff[r-1]].Key, kp[itemOff[r]].Key)
 		}
 	}
 
-	// Pass 2: scatter every YItem to its precomputed arena position.
+	// The arena pack and the key-table fill read only the sorted pairs and
+	// write disjoint structures, so they are two tasks: with one thread they
+	// run back to back; with more, the fill (one goroutine's work) runs
+	// beside the pack, which takes the remaining threads.
 	h.items = make([]YItem, n)
-	parallel.For(threads, n, func(tid, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			h.items[slotOf[i]] = YItem{LNFree: radF.EncodeStrided(fCols, i), Val: y.Vals[i]}
+	parallel.For(threads, 2, func(_, lo, hi int) {
+		for task := lo; task < hi; task++ {
+			if task == 0 {
+				h.fillTable(kp, buckets)
+				continue
+			}
+			parallel.For(max(threads-1, 1), n, func(_, lo, hi int) {
+				for i := lo; i < hi; i++ {
+					p := int(kp[i].Pos)
+					h.items[i] = YItem{LNFree: radF.EncodeStrided(fCols, p), Val: y.Vals[p]}
+				}
+			})
 		}
 	})
 	return h
+}
+
+// fillTable sizes the key table from the distinct-key count and claims one
+// slot per key group of the sorted pairs, rank = group number.
+func (h *HtYFlat) fillTable(kp []sortx.KeyPos, buckets int) {
+	if buckets <= 0 {
+		buckets = NextPow2(2 * h.NKeys)
+		invariant.Assertf(2*h.NKeys <= buckets,
+			"HtYFlat: default sizing gives %d slots for %d keys (load factor > 1/2)", buckets, h.NKeys)
+	} else {
+		buckets = NextPow2(buckets)
+	}
+	if min := NextPow2(h.NKeys + 1); buckets < min {
+		buckets = min
+	}
+	invariant.Assertf(buckets&(buckets-1) == 0 && buckets > h.NKeys,
+		"HtYFlat: %d buckets for %d keys (need power of two with a free slot)", buckets, h.NKeys)
+	table := make([]ytSlot, buckets)
+	for s := range table {
+		table[s].key = emptySlot
+	}
+	mask := uint64(buckets - 1)
+	for r, off := range h.itemOff[:h.NKeys] {
+		key := kp[off].Key
+		s := hashKey(key) & mask
+		for table[s].key != emptySlot {
+			s = (s + 1) & mask
+		}
+		table[s] = ytSlot{key: key, rank: int32(r)}
+	}
+	if invariant.Enabled {
+		claimed := 0
+		for s := range table {
+			if table[s].key != emptySlot {
+				claimed++
+			}
+		}
+		invariant.Assertf(claimed == h.NKeys, "HtYFlat: %d slots claimed for %d keys", claimed, h.NKeys)
+	}
+	h.table = table
 }
 
 // Lookup returns the item list for an LN contract key, or nil, plus the
@@ -222,7 +206,7 @@ func (h *HtYFlat) Lookup(key uint64) ([]YItem, int) {
 	s0 := hashKey(key) & mask
 	s := s0
 	for {
-		k := atomic.LoadUint64(&table[s&mask].key)
+		k := table[s&mask].key
 		if k == key {
 			r := int(table[s&mask].rank)
 			probes := int((s-s0)&mask) + 1
@@ -266,11 +250,12 @@ func (h *HtYFlat) NumItems() int { return h.NItems }
 func (h *HtYFlat) MaxItemLen() int { return h.MaxItems }
 
 // Bytes reports the measured memory footprint: key table (16 per slot,
-// key+rank interleaved) plus the CSR arena (8 per key, 4 per offset, 16 per
-// item). The Eq. 5 estimate still upper-bounds this — the per-item cost
-// drops from Size_idx*N_Y + Size_val + Size_ep chained bytes to a fixed 16,
-// and the per-slot cost from 32 to 16.
+// key+rank interleaved) plus the CSR arena (4 per offset, 16 per item).
+// Against the chained layout the per-item cost drops from Size_idx*N_Y +
+// Size_val + Size_ep bytes to a fixed 16 and the per-slot cost from 32 to 16,
+// so Eq. 5 (EstimateHtYBytes) upper-bounds this whenever 8*N_Y*nnz_Y >=
+// 8*slots + 4*(NKeys+1): always from order 5 up, and from order 3 up once
+// keys average two items.
 func (h *HtYFlat) Bytes() uint64 {
-	return uint64(len(h.table))*16 +
-		uint64(len(h.keys))*8 + uint64(len(h.itemOff))*4 + uint64(len(h.items))*16
+	return uint64(len(h.table))*16 + uint64(len(h.itemOff))*4 + uint64(len(h.items))*16
 }

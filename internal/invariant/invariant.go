@@ -1,9 +1,9 @@
 // Package invariant provides assertion helpers for the documented invariants
 // of the lock-free SpTC hot path — the properties PR 1 moved out of the type
 // system and into comments: probe tables keep a free slot so probe sequences
-// terminate, accumulators stay below load factor 1/2, the two-pass HtY build's
-// position sweep is a bijection onto the item arena, and LN encodes never
-// exceed the radix cardinality checked at construction.
+// terminate, accumulators stay below load factor 1/2, the HtY build's key
+// groups ascend strictly and their offsets tile the item arena, and LN
+// encodes never exceed the radix cardinality checked at construction.
 //
 // Assertions compile to nothing by default. Building with `-tags assert`
 // turns them into panics, which is how `make verify` runs the race tests of

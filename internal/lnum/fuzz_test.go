@@ -42,7 +42,7 @@ func TestNewRadixBoundaryFit(t *testing.T) {
 // in-range tuples. Seed corpus sits right on the 2^64 boundary.
 func FuzzLNRoundTrip(f *testing.F) {
 	f.Add(uint64(3), uint64(4), uint64(5), uint32(2), uint32(3), uint32(4))
-	f.Add(uint64(1)<<32, uint64(1)<<32, uint64(1), uint32(0), uint32(0), uint32(0))      // exactly 2^64: overflow
+	f.Add(uint64(1)<<32, uint64(1)<<32, uint64(1), uint32(0), uint32(0), uint32(0))       // exactly 2^64: overflow
 	f.Add(uint64(1)<<32, uint64(1<<32)-1, uint64(1), uint32(1<<31), uint32(7), uint32(0)) // 2^64-2^32: fits
 	f.Add(uint64(math.MaxUint64), uint64(1), uint64(1), uint32(9), uint32(0), uint32(0))
 	f.Add(uint64(1), uint64(0), uint64(3), uint32(0), uint32(0), uint32(0)) // zero mode: rejected

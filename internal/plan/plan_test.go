@@ -5,8 +5,8 @@ import (
 	"math"
 	"testing"
 
-	"sparta/internal/core"
 	"sparta/internal/coo"
+	"sparta/internal/core"
 	"sparta/internal/einsum"
 	"sparta/internal/gen"
 )

@@ -1,10 +1,11 @@
 #!/bin/sh
 # check.sh — the pre-merge gate; `make verify` runs this script, so the two
-# cannot drift: full build, vet, the sptc-lint analyzer suite, the hot-path
-# escape/BCE budget (sptc-lint -perf vs lint/hotpath_budget.json), and the
-# race-detector test sweep (-short for the bench experiments, full for the
-# hot packages — see the Makefile note), then the hot packages again with
-# -tags assert so the internal/invariant checks are compiled in.
+# cannot drift: full build, gofmt -l (must list nothing), vet, the sptc-lint
+# analyzer suite, the hot-path escape/BCE budget (sptc-lint -perf vs
+# lint/hotpath_budget.json), and the race-detector test sweep (-short for the
+# bench experiments, full for the hot packages — see the Makefile note), then
+# the hot packages again with -tags assert so the internal/invariant checks
+# are compiled in.
 set -eu
 cd "$(dirname "$0")/.."
 GO="${GO:-go}"
@@ -12,6 +13,12 @@ GO="${GO:-go}"
 # lock-free builds, open-addressed tables and worker arenas live here.
 hot="./internal/hashtab ./internal/core ./internal/engine ./internal/plan ./internal/sortx ./internal/obs ./internal/dist"
 $GO build ./...
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+	echo "gofmt -l lists unformatted files:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 $GO vet ./...
 $GO run ./cmd/sptc-lint ./...
 $GO run ./cmd/sptc-lint -perf

@@ -115,7 +115,7 @@ const (
 type Kernel = core.Kernel
 
 const (
-	KernelFlat    = core.KernelFlat    // open addressing, lock-free two-pass HtY build (default)
+	KernelFlat    = core.KernelFlat    // open addressing, sort-then-pack HtY build (default)
 	KernelChained = core.KernelChained // the seed separate-chaining layout, kept for A/B
 )
 
