@@ -26,7 +26,9 @@ lint:
 perf-baseline:
 	$(GO) run ./cmd/sptc-lint -perf-baseline
 
-# verify is the pre-merge gate: full build, gofmt -l, vet, the sptc-lint analyzers,
+# verify is the pre-merge gate: full build, the benchmark module's vet and
+# smoke test (it has its own go.mod, so nothing else compiles the harness
+# against the library), gofmt -l, vet, the sptc-lint analyzers,
 # the hot-path performance budget, and the race detector over every package
 # (the parallel HtY build and open-addressed tables live or die by this).
 # The bench experiments run -short under race — at full tilt they exceed

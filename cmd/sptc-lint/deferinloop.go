@@ -26,7 +26,7 @@ var deferinloopAnalyzer = &Analyzer{
 var hotPathPkgs = []string{
 	"/internal/core", "/internal/hashtab", "/internal/sortx",
 	"/internal/spa", "/internal/lnum", "/internal/blocksparse",
-	"/internal/parallel",
+	"/internal/parallel", "/internal/coo",
 }
 
 func isHotPathPkg(path string) bool {

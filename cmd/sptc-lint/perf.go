@@ -28,6 +28,7 @@ import (
 // Kept in sync with hotPathPkgs (deferinloop.go); blocksparse and parallel
 // are excluded here because their inner loops delegate to core/sortx.
 var perfPackages = []string{
+	"internal/coo",
 	"internal/core",
 	"internal/hashtab",
 	"internal/lnum",
@@ -196,7 +197,9 @@ func parseDiagnostics(lines []string) []perfFinding {
 	var out []perfFinding
 	for _, line := range lines {
 		m := diagRE.FindStringSubmatch(line)
-		if m == nil {
+		if m == nil || filepath.IsAbs(m[1]) {
+			// An absolute path is the standard library's generic code
+			// instantiated by a budgeted package: not this module's to budget.
 			continue
 		}
 		msg := strings.TrimSuffix(m[4], ":")

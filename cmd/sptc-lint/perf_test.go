@@ -18,6 +18,7 @@ func TestParseDiagnostics(t *testing.T) {
 		"internal/core/x.go:10:1: inlining call to foo",
 		"  internal/core/x.go:6:2: indented, not a diagnostic",
 		"# sparta/internal/core",
+		"/usr/local/go/src/slices/zsortanyfunc.go:20:9: Found IsInBounds", // stdlib generic code: not ours
 		"",
 	}
 	got := parseDiagnostics(lines)
@@ -191,8 +192,10 @@ func Leak() *int {
 	return &x
 }
 `)
-	for _, p := range []string{"hashtab", "lnum", "sortx", "spa"} {
-		write("internal/"+p+"/empty.go", "package "+p+"\n")
+	for _, pkg := range perfPackages {
+		if pkg != "internal/core" {
+			write(pkg+"/empty.go", "package "+filepath.Base(pkg)+"\n")
+		}
 	}
 	write(budgetRelPath, `{"functions":{}}`)
 

@@ -508,6 +508,13 @@ func (s *server) contract(w http.ResponseWriter, r *http.Request, req contractRe
 	if !okY {
 		return fmt.Errorf("no tensor %q", req.Y)
 	}
+	ein, err := einsum.Parse(req.Spec)
+	if err != nil {
+		return err
+	}
+	if err := ein.CheckRanks(req.Spec, x.Order(), y.Order()); err != nil {
+		return err
+	}
 
 	ctx := r.Context()
 	if req.TimeoutMS > 0 {
@@ -539,13 +546,24 @@ func (s *server) contract(w http.ResponseWriter, r *http.Request, req contractRe
 	s.gInflight.Set(float64(s.inflightN.Add(1)))
 	defer func() { s.gInflight.Set(float64(s.inflightN.Add(-1))) }()
 
+	// Stage ① for X, once per operand: every tier below reads X in
+	// contraction order and finds it already there.
+	spO := rt.StartPhase("x order")
+	orderStart := time.Now()
+	x, err = s.keepInOrder(req.X, x, ein.CmodesX, threads)
+	ordered := time.Since(orderStart) // contraction work: counted into wall_ns
+	spO.End()
+	if err != nil {
+		return err
+	}
+
 	// Sharded mode: AlgSparta requests scatter/gather across the shard fleet
 	// instead of running on the front engine. The front's DRAM admission gate
 	// does not apply — each shard sees only its partition (~1/S of X) and
 	// local executors size their own caches; remote workers run their own
 	// gates and shed upstream.
 	if s.coord != nil && alg == core.AlgSparta {
-		return s.contractSharded(w, r, req, opt)
+		return s.contractSharded(ctx, w, r, req, x, y, opt, ordered)
 	}
 
 	// Gate 2: memory. Only the Sparta algorithm goes through the prepared
@@ -555,7 +573,7 @@ func (s *server) contract(w http.ResponseWriter, r *http.Request, req contractRe
 	// full working set does not, the windowed out-of-core driver runs
 	// instead, and only a table that cannot fit at all is refused.
 	spA := rt.StartPhase("admission")
-	release, tier, res, pr, ein, aerr := s.admit(ctx, req, x, y, opt)
+	release, tier, res, pr, aerr := s.admit(ctx, ein, x, y, opt)
 	spA.End()
 	if aerr != nil {
 		return aerr
@@ -575,7 +593,6 @@ func (s *server) contract(w http.ResponseWriter, r *http.Request, req contractRe
 	var (
 		z   *coo.Tensor
 		rep *core.Report
-		err error
 	)
 	if tier == engine.TierStreamed {
 		z, rep, err = s.contractStreamed(ctx, x, pr, ein, res, opt)
@@ -615,7 +632,7 @@ func (s *server) contract(w http.ResponseWriter, r *http.Request, req contractRe
 	st := s.eng.Stats()
 	s.countReq(r, "contract", "ok")
 	s.reg.Histogram("sptc_serve_contract_seconds", "contraction wall time",
-		[]float64{0.001, 0.01, 0.1, 1, 10}).Observe(time.Since(start).Seconds())
+		[]float64{0.001, 0.01, 0.1, 1, 10}).Observe((time.Since(start) + ordered).Seconds())
 	writeJSON(w, http.StatusOK, contractReply{
 		RequestID:     rt.ID(),
 		Spec:          req.Spec,
@@ -625,7 +642,7 @@ func (s *server) contract(w http.ResponseWriter, r *http.Request, req contractRe
 		HtYReused:     rep.HtYReused,
 		CacheHits:     st.Hits,
 		CacheMisses:   st.Misses,
-		WallNS:        time.Since(start).Nanoseconds(),
+		WallNS:        (time.Since(start) + ordered).Nanoseconds(),
 		ExecutionTier: tier.String(),
 		Windows:       rep.Windows,
 	})
@@ -634,27 +651,13 @@ func (s *server) contract(w http.ResponseWriter, r *http.Request, req contractRe
 
 // contractSharded runs one request through the coordinator: partition X,
 // fan out to the shard executors, merge the sorted runs. Output is bitwise
-// identical to the one-shot path (internal/dist oracle suite). Called with
-// the inflight slot already held; returns an error only for bad requests.
-func (s *server) contractSharded(w http.ResponseWriter, r *http.Request, req contractRequest, opt core.Options) error {
-	ctx := r.Context()
-	if req.TimeoutMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
-		defer cancel()
-	}
+// identical to the one-shot path (internal/dist oracle suite). The scatter is
+// stable, so every partition of an X kept in contraction order is in that
+// order too. Called with the inflight slot already held, ctx carrying the
+// request's deadline and ordered the time keepInOrder took; returns an error
+// only for bad requests.
+func (s *server) contractSharded(ctx context.Context, w http.ResponseWriter, r *http.Request, req contractRequest, x, y *coo.Tensor, opt core.Options, ordered time.Duration) error {
 	rt := obs.ReqFrom(r.Context())
-	s.mu.RLock()
-	x, okX := s.tensors[req.X]
-	y, okY := s.tensors[req.Y]
-	s.mu.RUnlock()
-	if !okX {
-		return fmt.Errorf("no tensor %q", req.X)
-	}
-	if !okY {
-		return fmt.Errorf("no tensor %q", req.Y)
-	}
-
 	start := time.Now()
 	spC := rt.StartPhase("contract")
 	z, rep, err := s.coord.Einsum(obs.WithReq(ctx, rt), req.Spec, x, y, opt)
@@ -690,7 +693,7 @@ func (s *server) contractSharded(w http.ResponseWriter, r *http.Request, req con
 
 	s.countReq(r, "contract", "ok")
 	s.reg.Histogram("sptc_serve_contract_seconds", "contraction wall time",
-		[]float64{0.001, 0.01, 0.1, 1, 10}).Observe(time.Since(start).Seconds())
+		[]float64{0.001, 0.01, 0.1, 1, 10}).Observe((time.Since(start) + ordered).Seconds())
 	writeJSON(w, http.StatusOK, contractReply{
 		RequestID:     rt.ID(),
 		Spec:          req.Spec,
@@ -698,7 +701,7 @@ func (s *server) contractSharded(w http.ResponseWriter, r *http.Request, req con
 		NNZ:           z.NNZ(),
 		Fingerprint:   engine.FingerprintTensor(z, opt.Threads).String(),
 		HtYReused:     rep.HtYReused,
-		WallNS:        time.Since(start).Nanoseconds(),
+		WallNS:        (time.Since(start) + ordered).Nanoseconds(),
 		ExecutionTier: "sharded",
 		Windows:       rep.Windows,
 		Shards:        rep.Shards,
@@ -824,23 +827,24 @@ func (s *server) contractStreamed(ctx context.Context, x *coo.Tensor, pr *core.P
 
 // admit runs the DRAM admission gate and assigns the execution tier. It
 // returns a release func (always non-nil) plus, on the prepared path, the
-// residency plan, the cached prepared Y, and the parsed spec the streamed
-// tier needs. Requests outside the prepared path, or with admission
-// disabled, get TierDRAM with a no-op release.
-func (s *server) admit(ctx context.Context, req contractRequest, x, y *coo.Tensor, opt core.Options) (release func(), tier engine.Tier, res hetmem.Residency, pr *core.PreparedY, ein *einsum.Plan, err error) {
+// residency plan and the cached prepared Y the streamed tier needs. Requests
+// outside the prepared path, or with admission disabled, get TierDRAM with a
+// no-op release.
+func (s *server) admit(ctx context.Context, ein *einsum.Plan, x, y *coo.Tensor, opt core.Options) (release func(), tier engine.Tier, res hetmem.Residency, pr *core.PreparedY, err error) {
 	release = func() {}
 	tier = engine.TierDRAM
 	if s.adm.DRAMBudget == 0 || opt.Algorithm != core.AlgSparta {
-		return release, tier, res, nil, nil, nil
+		return release, tier, res, nil, nil
 	}
 	if err := ctx.Err(); err != nil {
-		return release, tier, res, nil, nil, err
+		return release, tier, res, nil, err
 	}
-	// Resolve the contract modes so the Y side can be prepared (cached
-	// across requests) and its exact resident size used in the estimate.
-	pr, ein, err = s.prepareFor(ctx, req.Spec, x, y, opt)
+	// Prepare the Y side through the engine's plan cache (the later Einsum
+	// call re-resolves the same cached plan — the fingerprint lookup is the
+	// cheap part) so its exact resident size goes into the estimate.
+	pr, _, err = s.eng.PrepareCtx(ctx, y, ein.CmodesY, opt)
 	if err != nil {
-		return release, tier, res, nil, nil, err
+		return release, tier, res, nil, err
 	}
 	fp := engine.EstimateFootprint(x.NNZ(), pr)
 	s.admMu.Lock()
@@ -852,7 +856,7 @@ func (s *server) admit(ctx context.Context, req contractRequest, x, y *coo.Tenso
 	}
 	if tier == engine.TierShed {
 		s.admMu.Unlock()
-		return release, tier, res, pr, ein, nil
+		return release, tier, res, pr, nil
 	}
 	// Streamed requests account only their windowed resident demand — the
 	// point of the degrade tier is that concurrent work can still fit.
@@ -867,24 +871,32 @@ func (s *server) admit(ctx context.Context, req contractRequest, x, y *coo.Tenso
 		s.admitted -= total
 		s.admMu.Unlock()
 	}
-	return release, tier, res, pr, ein, nil
+	return release, tier, res, pr, nil
 }
 
-// prepareFor parses the spec far enough to prepare the Y side through the
-// engine's plan cache (the later Einsum call re-resolves the same cached
-// plan — the fingerprint lookup is the cheap part). The parsed plan rides
-// along so the streamed tier can reuse it.
-func (s *server) prepareFor(ctx context.Context, spec string, x, y *coo.Tensor, opt core.Options) (*core.PreparedY, *einsum.Plan, error) {
-	ein, err := einsum.Parse(spec)
+// keepInOrder returns x, stored under name, with its rows in the order a
+// contraction over cmodesX reads them, and leaves that tensor in the store in
+// x's place so the next request with the same contract modes pays for the
+// contraction only. Row order is not observable through the API — GET
+// /tensors reports dims, nnz and the order-independent fingerprint — and the
+// reorder is stable, so every later reply is bitwise what x would have given.
+// It replaces rather than caches: the old columns become garbage as a
+// per-request sorted copy would, and live memory does not grow. The swap is a
+// compare-and-swap on the pointer this request read: a PUT of the same name
+// in the meantime wins, and this request still computes from what it read.
+func (s *server) keepInOrder(name string, x *coo.Tensor, cmodesX []int, threads int) (*coo.Tensor, error) {
+	xo, info, err := core.InContractionOrder(x, cmodesX, threads)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if err := ein.CheckRanks(spec, x.Order(), y.Order()); err != nil {
-		return nil, nil, err
+	core.PublishXSort(s.reg, info, x.NNZ())
+	if xo == x {
+		return x, nil
 	}
-	pr, _, err := s.eng.PrepareCtx(ctx, y, ein.CmodesY, opt)
-	if err != nil {
-		return nil, nil, err
+	s.mu.Lock()
+	if s.tensors[name] == x {
+		s.tensors[name] = xo
 	}
-	return pr, ein, nil
+	s.mu.Unlock()
+	return xo, nil
 }

@@ -3,6 +3,7 @@ package coo
 import (
 	"cmp"
 	"slices"
+	"sync/atomic"
 
 	"sparta/internal/lnum"
 	"sparta/internal/parallel"
@@ -39,10 +40,10 @@ type SortInfo struct {
 // parallel radix engine (package sortx), then apply the permutation to
 // every column — one O(order) gather per element instead of O(order) work
 // per comparison. The gather writes fresh columns (the old ones are never
-// written, which SortableView relies on) and is skipped when the keys were
-// already in order. Otherwise it falls back to the in-place multi-column
-// parallel quicksort from §3.5 (OpenMP tasks in the paper, a depth-budgeted
-// goroutine fan-out here).
+// written, which SortableView relies on). Rows that are already in order are
+// recognised before anything is allocated. Otherwise it falls back to the
+// in-place multi-column parallel quicksort from §3.5 (OpenMP tasks in the
+// paper, a depth-budgeted goroutine fan-out here).
 func (t *Tensor) Sort(threads int) {
 	t.SortWith(threads, SortAuto)
 }
@@ -79,8 +80,41 @@ func (t *Tensor) IsSorted() bool {
 // conversion.
 type keyPos = sortx.KeyPos
 
+// sortedCheckBlock is how many rows a keysInOrder worker scans between looks
+// at the shared "inversion found" flag.
+const sortedCheckBlock = 1 << 10
+
+// keysInOrder reports whether the rows are already in non-decreasing LN-key
+// order, computing each key from the columns as it goes: one parallel pass,
+// no allocation, and every worker stops soon after any of them meets an
+// inversion. LN order is lexicographic order, so this agrees with IsSorted.
+func (t *Tensor) keysInOrder(r *lnum.Radix, threads int) bool {
+	n := t.NNZ()
+	var inversion atomic.Bool
+	// Item i of the loop is the adjacent pair (i, i+1).
+	parallel.For(parallel.ClampWork(threads, n-1, int64(n)), n-1, func(_, lo, hi int) {
+		prev := r.EncodeStrided(t.Inds, lo)
+		for i := lo + 1; i <= hi; i++ {
+			if (i-lo)%sortedCheckBlock == 0 && inversion.Load() {
+				return
+			}
+			k := r.EncodeStrided(t.Inds, i)
+			if k < prev {
+				inversion.Store(true)
+				return
+			}
+			prev = k
+		}
+	})
+	return !inversion.Load()
+}
+
 func (t *Tensor) sortByKeys(r *lnum.Radix, threads int, algo SortAlgo) SortInfo {
 	n := t.NNZ()
+	if algo != SortQuick && t.keysInOrder(r, threads) {
+		// Nothing moves: the columns stay as they are.
+		return SortInfo{Radix: true, Stats: sortx.Stats{Sorted: true}}
+	}
 	kp := make([]keyPos, n)
 	parallel.For(threads, n, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -96,9 +130,6 @@ func (t *Tensor) sortByKeys(r *lnum.Radix, threads int, algo SortAlgo) SortInfo 
 		// Pos starts as 0,1,2,..., so the stable radix sort lands on the
 		// exact (key, pos) order the quicksort's tie-break produces.
 		info = SortInfo{Radix: true, Stats: sortx.Sort(kp, r.Card()-1, threads)}
-		if info.Stats.Sorted {
-			return info // nothing moved: the columns stay as they are
-		}
 	}
 	// Apply the permutation column by column (parallel across columns and
 	// within each column's gather).

@@ -1,0 +1,114 @@
+package core
+
+import (
+	"context"
+	"math/rand"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"sparta/internal/coo"
+	"sparta/internal/invariant"
+)
+
+// manySmallSubTensors is the shape the stage clock was built for: nf
+// sub-tensors of X with three non-zeros each, against a Y that holds one
+// contract key in ten, so most sub-tensors search and find nothing.
+func manySmallSubTensors(nf int) (x, y *coo.Tensor) {
+	const keys, perSub = 512, 3
+	rng := rand.New(rand.NewSource(77))
+	x = coo.MustNew([]uint64{uint64(nf), keys}, nf*perSub)
+	for f := 0; f < nf; f++ {
+		c := rng.Intn(keys - perSub)
+		for k := 0; k < perSub; k++ {
+			x.Append([]uint32{uint32(f), uint32(c + k)}, rng.Float64()+0.5)
+		}
+	}
+	y = coo.MustNew([]uint64{keys, 64}, 0)
+	for c := 0; c < keys; c += 10 {
+		for j := 0; j < 8; j++ {
+			y.Append([]uint32{uint32(c), uint32(rng.Intn(64))}, rng.Float64()+0.5)
+		}
+	}
+	y.Sort(1)
+	y.Dedup()
+	return x, y
+}
+
+// TestStageWallsAccountForTheContraction asserts the conservation check the
+// benchmark reports as core.unattributed_frac: on a shape of 60 k tiny
+// sub-tensors the stage walls — input, the slowest thread's search,
+// accumulation and writeback, and the gather — cover at least nine tenths of
+// the wall time of the call that produced them. Per-sub-tensor clock calls
+// used to leave an eighth of it between the intervals.
+func TestStageWallsAccountForTheContraction(t *testing.T) {
+	if testing.Short() || raceEnabled || invariant.Enabled {
+		t.Skip("a wall-clock share; measured on the plain build only")
+	}
+	x, y := manySmallSubTensors(60_000)
+	opt := Options{Algorithm: AlgSparta, Threads: 2}
+	pr, err := PrepareY(y, []int{0}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	best := 0.0
+	for try := 0; try < 8 && best < 0.9; try++ {
+		start := time.Now()
+		_, rep, err := pr.Contract(context.Background(), x, []int{1}, opt)
+		wall := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.NF < 50_000 || rep.MaxSubNNZX > 4 || 5*rep.HitsY >= rep.HitsY+rep.MissY {
+			t.Fatalf("shape drifted: %d sub-tensors, largest %d, %d hits of %d lookups",
+				rep.NF, rep.MaxSubNNZX, rep.HitsY, rep.HitsY+rep.MissY)
+		}
+		var staged time.Duration
+		for _, d := range rep.StageWall {
+			staged += d
+		}
+		best = max(best, float64(staged)/float64(wall))
+	}
+	if best < 0.9 {
+		t.Errorf("stage walls cover %.1f%% of the contraction's wall time at best, want >= 90%%", 100*best)
+	}
+}
+
+// TestStageClockReadBudget pins what the stage clock costs: two reads per
+// chunk of sub-tensors (opening the first search interval, closing the last)
+// and three per sub-tensor that matched something in Y — none for one that
+// only searched.
+func TestStageClockReadBudget(t *testing.T) {
+	x, y := manySmallSubTensors(20_000)
+	real := stageNow
+	var reads atomic.Int64
+	stageNow = func() int64 { reads.Add(1); return real() }
+	t.Cleanup(func() { stageNow = real })
+
+	for _, alg := range []Algorithm{AlgSparta, AlgCOOHtA, AlgSPA, AlgTwoPhase} {
+		for _, threads := range []int{1, 2} {
+			reads.Store(0)
+			z, rep, err := Contract(x, y, []int{1}, []int{0}, Options{Algorithm: alg, Threads: threads})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Z is sorted and every matched sub-tensor of X contributes a
+			// distinct leading index to it.
+			ptr, err := z.SubPtr(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			matched := len(ptr) - 1
+			if matched == 0 || matched*2 > rep.NF {
+				t.Fatalf("%v: %d of %d sub-tensors matched; the shape should leave most of them searching only", alg, matched, rep.NF)
+			}
+			// ForChunked's heuristic: eight chunks a thread.
+			size := (rep.NF + 8*threads - 1) / (8 * threads)
+			chunks := (rep.NF + size - 1) / size
+			if got, budget := reads.Load(), int64(3*matched+2*chunks); got > budget {
+				t.Errorf("%v threads=%d: %d clock reads for %d matched sub-tensors in %d chunks, budget %d",
+					alg, threads, got, matched, chunks, budget)
+			}
+		}
+	}
+}

@@ -191,6 +191,9 @@ type worker struct {
 	scratchR []rangeMatch
 	keyBuf   []uint32
 
+	// mark is the stage clock: the reading taken at the last stage boundary
+	// (startClock, stamp), which is where the interval now open began.
+	mark                       int64
 	searchNS, accumNS, writeNS int64
 	searchSteps                uint64
 	probesHtY                  uint64
@@ -262,15 +265,38 @@ func makeWorkers(threads int, p *plan, opt Options) []*worker {
 	return ws
 }
 
-// subSparta processes X sub-tensor f with Algorithm 2: HtY probes for the
-// index search, HtA for accumulation, Zlocal flush for writeback. The three
-// phases are timed separately so Fig. 2-style breakdowns are exact.
-func (w *worker) subSparta(p *plan, xw *coo.Tensor, hty hashtab.YTable, ptrFX []int, f int) {
-	lo, hi := ptrFX[f], ptrFX[f+1]
-	cCols := xw.Inds[p.nfx:]
+// clockOrigin anchors stageNow; only differences of readings are used.
+var clockOrigin = time.Now()
 
-	// ② index search
-	t := time.Now()
+// stageNow reads the monotonic clock in nanoseconds. A variable only so the
+// clock-budget test can count the reads; library code never assigns it.
+var stageNow = func() int64 { return int64(time.Since(clockOrigin)) }
+
+// The stage clock. A worker times a chunk of sub-tensors with one chain of
+// readings: startClock opens the first search interval, each stamp closes
+// the open interval into a stage and opens the next at the same reading, so
+// the end of one sub-tensor's ④ is the start of the next one's ②, and
+// stopClock closes whatever is open when the chunk ends. A sub-tensor with
+// no match in Y returns before its first stamp: its search time stays in the
+// open interval and reaches searchNS with the next stamp, so the three
+// stage totals still add up to the chunk's wall time exactly, at no clock
+// read for the sub-tensors (most of them, on a sparse Y) that only search.
+
+func (w *worker) startClock() { w.mark = stageNow() }
+
+func (w *worker) stamp(stageNS *int64) {
+	t := stageNow()
+	*stageNS += t - w.mark
+	w.mark = t
+}
+
+func (w *worker) stopClock() { w.stamp(&w.searchNS) }
+
+// searchHtY is stage ② of Algorithm 2 for X non-zeros [lo, hi): one HtY
+// probe each, the hits collected in w.scratch. It reports whether there are
+// any.
+func (w *worker) searchHtY(p *plan, xw *coo.Tensor, hty hashtab.YTable, lo, hi int) bool {
+	cCols := xw.Inds[p.nfx:]
 	w.scratch = w.scratch[:0]
 	for i := lo; i < hi; i++ {
 		key := p.radC.EncodeStrided(cCols, i)
@@ -286,10 +312,12 @@ func (w *worker) subSparta(p *plan, xw *coo.Tensor, hty hashtab.YTable, ptrFX []
 		w.hits++
 		w.scratch = append(w.scratch, match{items: items, xv: xw.Vals[i]})
 	}
-	w.searchNS += int64(time.Since(t))
+	return len(w.scratch) > 0
+}
 
-	// ③ accumulation
-	t = time.Now()
+// accumulateHtY is stage ③ of Algorithm 2: every product of the matches in
+// w.scratch goes into the hash accumulator.
+func (w *worker) accumulateHtY() {
 	if w.htaF != nil {
 		for _, m := range w.scratch {
 			v := m.xv
@@ -307,12 +335,21 @@ func (w *worker) subSparta(p *plan, xw *coo.Tensor, hty hashtab.YTable, ptrFX []
 			w.products += uint64(len(m.items))
 		}
 	}
-	w.accumNS += int64(time.Since(t))
+}
 
-	// ④ writeback into Zlocal
-	t = time.Now()
+// subSparta processes X sub-tensor f with Algorithm 2: HtY probes for the
+// index search, HtA for accumulation, Zlocal flush for writeback. The stage
+// clock times the three phases separately so Fig. 2-style breakdowns are
+// exact.
+func (w *worker) subSparta(p *plan, xw *coo.Tensor, hty hashtab.YTable, ptrFX []int, f int) {
+	if !w.searchHtY(p, xw, hty, ptrFX[f], ptrFX[f+1]) {
+		return
+	}
+	w.stamp(&w.searchNS)
+	w.accumulateHtY()
+	w.stamp(&w.accumNS)
 	w.flushHtA(f)
-	w.writeNS += int64(time.Since(t))
+	w.stamp(&w.writeNS)
 }
 
 // searchCOOY performs the baseline linear index search (Algorithm 1): scan
@@ -347,11 +384,10 @@ func (w *worker) searchCOOY(p *plan, xw, yw *coo.Tensor, ptrCY []int, i int) (in
 	return 0, 0, false
 }
 
-// subCOOHtA processes X sub-tensor f with COO-Y linear search + HtA.
-func (w *worker) subCOOHtA(p *plan, xw, yw *coo.Tensor, ptrFX, ptrCY []int, f int) {
-	lo, hi := ptrFX[f], ptrFX[f+1]
-
-	t := time.Now()
+// searchSubCOOY is stage ② of the COO-Y baselines for X non-zeros [lo, hi):
+// one linear search each, the hits collected in w.scratchR. It reports
+// whether there are any.
+func (w *worker) searchSubCOOY(p *plan, xw, yw *coo.Tensor, ptrCY []int, lo, hi int) bool {
 	w.scratchR = w.scratchR[:0]
 	for i := lo; i < hi; i++ {
 		ylo, yhi, ok := w.searchCOOY(p, xw, yw, ptrCY, i)
@@ -362,9 +398,16 @@ func (w *worker) subCOOHtA(p *plan, xw, yw *coo.Tensor, ptrFX, ptrCY []int, f in
 		w.hits++
 		w.scratchR = append(w.scratchR, rangeMatch{lo: ylo, hi: yhi, xv: xw.Vals[i]})
 	}
-	w.searchNS += int64(time.Since(t))
+	return len(w.scratchR) > 0
+}
 
-	t = time.Now()
+// subCOOHtA processes X sub-tensor f with COO-Y linear search + HtA.
+func (w *worker) subCOOHtA(p *plan, xw, yw *coo.Tensor, ptrFX, ptrCY []int, f int) {
+	if !w.searchSubCOOY(p, xw, yw, ptrCY, ptrFX[f], ptrFX[f+1]) {
+		return
+	}
+	w.stamp(&w.searchNS)
+
 	fCols := yw.Inds[p.ncm:]
 	if w.htaF != nil {
 		for _, m := range w.scratchR {
@@ -383,32 +426,20 @@ func (w *worker) subCOOHtA(p *plan, xw, yw *coo.Tensor, ptrFX, ptrCY []int, f in
 			w.products += uint64(m.hi - m.lo)
 		}
 	}
-	w.accumNS += int64(time.Since(t))
+	w.stamp(&w.accumNS)
 
-	t = time.Now()
 	w.flushHtA(f)
-	w.writeNS += int64(time.Since(t))
+	w.stamp(&w.writeNS)
 }
 
 // subSPA processes X sub-tensor f with Algorithm 1: COO-Y linear search +
 // vector SPA keyed by the raw free-index tuple of Y.
 func (w *worker) subSPA(p *plan, xw, yw *coo.Tensor, ptrFX, ptrCY []int, f int) {
-	lo, hi := ptrFX[f], ptrFX[f+1]
-
-	t := time.Now()
-	w.scratchR = w.scratchR[:0]
-	for i := lo; i < hi; i++ {
-		ylo, yhi, ok := w.searchCOOY(p, xw, yw, ptrCY, i)
-		if !ok {
-			w.miss++
-			continue
-		}
-		w.hits++
-		w.scratchR = append(w.scratchR, rangeMatch{lo: ylo, hi: yhi, xv: xw.Vals[i]})
+	if !w.searchSubCOOY(p, xw, yw, ptrCY, ptrFX[f], ptrFX[f+1]) {
+		return
 	}
-	w.searchNS += int64(time.Since(t))
+	w.stamp(&w.searchNS)
 
-	t = time.Now()
 	fCols := yw.Inds[p.ncm:]
 	for _, m := range w.scratchR {
 		v := m.xv
@@ -426,11 +457,10 @@ func (w *worker) subSPA(p *plan, xw, yw *coo.Tensor, ptrFX, ptrCY []int, f int) 
 		}
 		w.products += uint64(m.hi - m.lo)
 	}
-	w.accumNS += int64(time.Since(t))
+	w.stamp(&w.accumNS)
 
-	t = time.Now()
 	w.flushSPA(p, f)
-	w.writeNS += int64(time.Since(t))
+	w.stamp(&w.writeNS)
 }
 
 // flushHtA appends the accumulator contents to Zlocal as one run and resets

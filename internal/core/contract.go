@@ -177,7 +177,7 @@ func contractMain(ctx context.Context, p *plan, prep *PreparedY, opt Options, re
 	spXSort := tr.Start("x sort", track)
 	rep.XSort = xw.SortWith(threads, coo.SortAuto)
 	spXSort.End()
-	ptrFX, err := xw.SubPtr(p.nfx)
+	ptrFX, err := xw.SubPtrPar(p.nfx, threads)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -205,7 +205,7 @@ func contractMain(ctx context.Context, p *plan, prep *PreparedY, opt Options, re
 			return nil, nil, err
 		}
 		yw.Sort(threads)
-		if ptrCY, err = yw.SubPtr(p.ncm); err != nil {
+		if ptrCY, err = yw.SubPtrPar(p.ncm, threads); err != nil {
 			return nil, nil, err
 		}
 		rep.BytesY = yw.Bytes()
@@ -233,6 +233,7 @@ func contractMain(ctx context.Context, p *plan, prep *PreparedY, opt Options, re
 			sp = tr.Start("subtensor chunk", tid+1)
 		}
 		w := ws[tid]
+		w.startClock()
 		for f := lo; f < hi && w.err == nil; f++ {
 			switch opt.Algorithm {
 			case AlgSparta:
@@ -243,6 +244,7 @@ func contractMain(ctx context.Context, p *plan, prep *PreparedY, opt Options, re
 				w.subSPA(p, xw, yw, ptrFX, ptrCY, f)
 			}
 		}
+		w.stopClock()
 		sp.End()
 	})
 	spCompute.End()

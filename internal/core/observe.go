@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"sparta/internal/coo"
 	"sparta/internal/obs"
 )
 
@@ -14,6 +15,28 @@ var stageKey = [NumStages]string{
 	StageAccum:  "accum",
 	StageWrite:  "write",
 	StageSort:   "sort",
+}
+
+// PublishXSort records the radix-sort engine telemetry of one X sort (stage
+// ①): partition count plus a skew ratio — largest MSD partition over the
+// perfectly balanced share, so 1.0 means the MSD digit spreads the keys
+// evenly and 256.0 means one digit value held every key. Pass counters
+// expose how much the constant-digit skip saves. Exported for sptc-serve,
+// which sorts a stored X once, ahead of the contractions that then find it
+// in order.
+func PublishXSort(reg *obs.Registry, info coo.SortInfo, nnzX int) {
+	if reg == nil || !info.Radix {
+		return
+	}
+	st := info.Stats
+	reg.Counter("sptc_sort_radix_passes_total", "radix digit passes scheduled by the X sort").Add(uint64(st.Passes))
+	reg.Counter("sptc_sort_radix_skipped_total", "radix digit passes skipped as constant").Add(uint64(st.Skipped))
+	if st.Partitions > 0 && nnzX > 0 {
+		reg.Gauge("sptc_sort_partitions", "non-empty MSD partitions in the last X sort").
+			Set(float64(st.Partitions))
+		reg.Gauge("sptc_sort_partition_skew", "largest MSD partition over the balanced share (1.0 = uniform)").
+			Set(float64(st.MaxRun) * float64(st.Partitions) / float64(nnzX))
+	}
 }
 
 // publishMetrics folds one finished contraction into the registry: the
@@ -66,20 +89,7 @@ func publishMetrics(reg *obs.Registry, rep *Report, ws, symWs []*worker) {
 	}
 	reg.Gauge("sptc_output_nnz", "non-zeros of the last output tensor Z").Set(float64(rep.NNZZ))
 
-	// Radix-sort engine telemetry (stage ①): partition count plus a skew
-	// ratio — largest MSD partition over the perfectly balanced share, so
-	// 1.0 means uniform key bytes and 256.0 means one byte value held every
-	// key. Pass counters expose how much the constant-byte skip saves.
-	if st := rep.XSort.Stats; rep.XSort.Radix {
-		reg.Counter("sptc_sort_radix_passes_total", "radix byte passes executed by the X sort").Add(uint64(st.Passes))
-		reg.Counter("sptc_sort_radix_skipped_total", "radix byte passes skipped as constant").Add(uint64(st.Skipped))
-		if st.Partitions > 0 && rep.NNZX > 0 {
-			reg.Gauge("sptc_sort_partitions", "non-empty MSD partitions in the last X sort").
-				Set(float64(st.Partitions))
-			reg.Gauge("sptc_sort_partition_skew", "largest MSD partition over the balanced share (1.0 = uniform)").
-				Set(float64(st.MaxRun) * float64(st.Partitions) / float64(rep.NNZX))
-		}
-	}
+	PublishXSort(reg, rep.XSort, rep.NNZX)
 	if rep.SubsortWall > 0 {
 		reg.Histogram("sptc_fused_subsort_seconds", "per-run LN(Fy) sort time inside the fused writeback",
 			obs.TimeBuckets).Observe(rep.SubsortWall.Seconds())

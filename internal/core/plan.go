@@ -77,14 +77,7 @@ func newPlan(x, y *coo.Tensor, cmodesX, cmodesY []int) (*plan, error) {
 		nfy: y.Order() - len(cmodesY),
 	}
 
-	// "Correct mode order" (§3.1): free modes of X first (keeping their
-	// original relative order), contract modes last in pairing order.
-	for m := 0; m < x.Order(); m++ {
-		if !inX[m] {
-			p.permX = append(p.permX, m)
-		}
-	}
-	p.permX = append(p.permX, cmodesX...)
+	p.permX = contractionPerm(inX, cmodesX)
 
 	// Y: contract modes first in pairing order, then free modes.
 	p.permY = append(p.permY, cmodesY...)
@@ -118,6 +111,59 @@ func newPlan(x, y *coo.Tensor, cmodesX, cmodesY []int) (*plan, error) {
 		p.scalar = true
 	}
 	return p, nil
+}
+
+// contractionPerm is the "correct mode order" of X (§3.1): its free modes
+// first, keeping their original relative order, then its contract modes in
+// pairing order. inX is modeSet's mask of cmodesX.
+func contractionPerm(inX []bool, cmodesX []int) []int {
+	perm := make([]int, 0, len(inX))
+	for m, contracted := range inX {
+		if !contracted {
+			perm = append(perm, m)
+		}
+	}
+	return append(perm, cmodesX...)
+}
+
+// InContractionOrder returns x with its rows in the order a contraction over
+// cmodesX reads them — sorted under contractionPerm — so that stage ① of any
+// such contraction finds nothing to move. It is x itself when the rows are
+// already in that order; otherwise a tensor in x's own mode order with fresh
+// columns, x untouched. The reorder is stable: rows with equal coordinates
+// keep their relative order, which is all a contraction's floating-point
+// sums depend on, so results from the reordered tensor are bitwise those
+// from x. The SortInfo says what the reorder cost (Stats.Sorted: nothing).
+// An index box too wide for LN keys has no stable sorter and is returned as
+// it is.
+func InContractionOrder(x *coo.Tensor, cmodesX []int, threads int) (*coo.Tensor, coo.SortInfo, error) {
+	if x == nil {
+		return nil, coo.SortInfo{}, fmt.Errorf("core: nil X tensor")
+	}
+	inX, err := modeSet(x.Order(), cmodesX, "X")
+	if err != nil {
+		return nil, coo.SortInfo{}, err
+	}
+	if _, err := x.Radix(); err != nil {
+		return x, coo.SortInfo{}, nil
+	}
+	perm := contractionPerm(inX, cmodesX)
+	xs := x.SortableView()
+	if err := xs.Permute(perm); err != nil {
+		return nil, coo.SortInfo{}, err
+	}
+	info := xs.SortWith(threads, coo.SortAuto)
+	if info.Stats.Sorted {
+		return x, info, nil
+	}
+	back := make([]int, len(perm))
+	for m, from := range perm {
+		back[from] = m
+	}
+	if err := xs.Permute(back); err != nil {
+		return nil, coo.SortInfo{}, err
+	}
+	return xs, info, nil
 }
 
 // modeSet validates a contract-mode list and returns its membership mask.

@@ -168,12 +168,7 @@ func (pr *PreparedY) newPlanX(x *coo.Tensor, cmodesX []int) (*plan, error) {
 		radC:  pr.radC,
 		radFY: pr.radFY,
 	}
-	for m := 0; m < x.Order(); m++ {
-		if !inX[m] {
-			p.permX = append(p.permX, m)
-		}
-	}
-	p.permX = append(p.permX, cmodesX...)
+	p.permX = contractionPerm(inX, cmodesX)
 	for _, m := range p.permX[:p.nfx] {
 		p.zdims = append(p.zdims, x.Dims[m])
 	}

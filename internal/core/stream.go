@@ -46,18 +46,11 @@ func NewTensorStream(x *coo.Tensor, cmodesX []int, windowNNZ, threads int, inPla
 	if err != nil {
 		return nil, err
 	}
-	perm := make([]int, 0, x.Order())
-	for m := 0; m < x.Order(); m++ {
-		if !inX[m] {
-			perm = append(perm, m)
-		}
-	}
-	perm = append(perm, cmodesX...)
 	xw := x
 	if !inPlace {
 		xw = x.Clone()
 	}
-	if err := xw.Permute(perm); err != nil {
+	if err := xw.Permute(contractionPerm(inX, cmodesX)); err != nil {
 		return nil, err
 	}
 	if threads < 1 {
@@ -167,7 +160,7 @@ func ContractStream(ctx context.Context, xs XStream, pr *PreparedY, opt StreamOp
 		if err := validateWindow(win, dims); err != nil {
 			return nil, nil, err
 		}
-		ptrFX, err := win.SubPtr(nfx)
+		ptrFX, err := win.SubPtrPar(nfx, threads)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -185,9 +178,11 @@ func ContractStream(ctx context.Context, xs XStream, pr *PreparedY, opt StreamOp
 		sp := tr.Start("x window", track)
 		cerr := parallel.ForChunkedWorkCtx(ctx, threads, len(ptrFX)-1, 0, int64(win.NNZ()), func(tid, lo, hi int) {
 			w := ws[tid]
+			w.startClock()
 			for f := lo; f < hi && w.err == nil; f++ {
 				w.subSparta(p, win, pr.hty, ptrFX, f)
 			}
+			w.stopClock()
 		})
 		if cerr != nil {
 			sp.End()

@@ -45,7 +45,7 @@ func contractTwoPhase(ctx context.Context, p *plan, opt Options, rep *Report) (*
 	spXSort := tr.Start("x sort", track)
 	rep.XSort = xw.SortWith(threads, coo.SortAuto)
 	spXSort.End()
-	ptrFX, err := xw.SubPtr(p.nfx)
+	ptrFX, err := xw.SubPtrPar(p.nfx, threads)
 	if err != nil {
 		return nil, err
 	}
@@ -138,50 +138,21 @@ func contractTwoPhase(ctx context.Context, p *plan, opt Options, rep *Report) (*
 		defer sp.End()
 		w := ws[tid]
 		buf := make([]uint32, p.nfy)
+		w.startClock()
+		defer w.stopClock()
 		for f := lo; f < hi; f++ {
-			// ② index search
-			t := time.Now()
-			w.scratch = w.scratch[:0]
-			for i := ptrFX[f]; i < ptrFX[f+1]; i++ {
-				key := p.radC.EncodeStrided(cCols, i)
-				items, probes := hty.Lookup(key)
-				w.probesHtY += uint64(probes)
-				if w.htyProbe != nil {
-					w.htyProbe.Observe(float64(probes))
-				}
-				if items == nil {
-					w.miss++
-					continue
-				}
-				w.hits++
-				w.scratch = append(w.scratch, match{items: items, xv: xw.Vals[i]})
+			// ②③ index search and accumulation, as in subSparta
+			if !w.searchHtY(p, xw, hty, ptrFX[f], ptrFX[f+1]) {
+				invariant.Assertf(counts[f] == 0,
+					"two-phase: sub-tensor %d matched nothing numerically but counted %d keys symbolically", f, counts[f])
+				continue
 			}
-			w.searchNS += int64(time.Since(t))
-
-			// ③ accumulation
-			t = time.Now()
-			if w.htaF != nil {
-				for _, m := range w.scratch {
-					v := m.xv
-					for _, it := range m.items {
-						w.htaF.Add(it.LNFree, it.Val*v)
-					}
-					w.products += uint64(len(m.items))
-				}
-			} else {
-				for _, m := range w.scratch {
-					v := m.xv
-					for _, it := range m.items {
-						w.hta.Add(it.LNFree, it.Val*v)
-					}
-					w.products += uint64(len(m.items))
-				}
-			}
-			w.accumNS += int64(time.Since(t))
+			w.stamp(&w.searchNS)
+			w.accumulateHtY()
+			w.stamp(&w.accumNS)
 
 			// ④ writeback: straight into the pre-sized Z at this
 			// sub-tensor's exact offset.
-			t = time.Now()
 			pos := zoff[f]
 			xAt := ptrFX[f]
 			var keys []uint64
@@ -220,7 +191,7 @@ func contractTwoPhase(ctx context.Context, p *plan, opt Options, rep *Report) (*
 			} else {
 				w.hta.Reset()
 			}
-			w.writeNS += int64(time.Since(t))
+			w.stamp(&w.writeNS)
 		}
 	})
 	spNum.End()

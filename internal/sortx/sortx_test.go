@@ -1,6 +1,7 @@
 package sortx
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -272,5 +273,89 @@ func sizeName(n int) string {
 		return "64k"
 	default:
 		return "4k"
+	}
+}
+
+// widthPatterns builds the adversarial key patterns of TestSortWidthGrid for
+// one declared key width: every key is at most maxKey = 2^width - 1.
+func widthPatterns(n, width int, rng *rand.Rand) map[string][]uint64 {
+	maxKey := ^uint64(0) >> uint(64-width)
+	// step spreads n ascending keys over [0, maxKey]; narrow widths repeat.
+	spread := func(i int) uint64 {
+		if maxKey >= uint64(n) {
+			return uint64(i) * (maxKey / uint64(n))
+		}
+		return uint64(i) * maxKey / uint64(n)
+	}
+	mk := func(f func(i int) uint64) []uint64 {
+		ks := make([]uint64, n)
+		for i := range ks {
+			ks[i] = f(i)
+		}
+		return ks
+	}
+	low := ^uint64(0) >> uint(64-min(width, 12))
+	return map[string][]uint64{
+		"all-equal":      mk(func(int) uint64 { return maxKey / 3 }),
+		"sorted":         mk(spread),
+		"reverse":        mk(func(i int) uint64 { return spread(n - 1 - i) }),
+		"two-keys":       mk(func(int) uint64 { return uint64(rng.Intn(2)) * maxKey }),
+		"one-live-bit":   mk(func(int) uint64 { return maxKey/2 ^ uint64(rng.Intn(2))<<uint(width/2) }),
+		"dense-low-bits": mk(func(int) uint64 { return rng.Uint64() & low }),
+	}
+}
+
+// TestSortWidthGrid holds Sort to the stable stdlib sort over key widths that
+// put the live bits on, just under and just over digit boundaries, sizes on
+// both sides of the insertion and MSD cut-overs, and patterns that starve
+// one digit or another, and checks the Stats account of every run.
+func TestSortWidthGrid(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	big := 300_000
+	if testing.Short() {
+		big = 3 * parallelMin
+	}
+	for _, width := range []int{1, 7, 8, 9, 27, 41, 45, 46, 63, 64} {
+		maxKey := ^uint64(0) >> uint(64-width)
+		for _, n := range []int{0, 1, insertionMax, parallelMin - 1, parallelMin, big} {
+			for name, keys := range widthPatterns(n, width, rng) {
+				in := make([]KeyPos, n)
+				for i := range in {
+					in[i] = KeyPos{Key: keys[i], Pos: int32(i)}
+				}
+				want := oracle(in)
+				for _, threads := range []int{1, 2, 8} {
+					a := append([]KeyPos(nil), in...)
+					st := Sort(a, maxKey, threads)
+					label := fmt.Sprintf("width=%d n=%d %s threads=%d", width, n, name, threads)
+					checkSorted(t, label, a, want)
+					if st.Partitions > 256 || st.MaxRun > n {
+						t.Fatalf("%s: partition account out of range: %+v", label, st)
+					}
+					if counted := !st.Sorted && n > insertionMax; counted && 8*(st.Passes+st.Skipped) < width {
+						t.Fatalf("%s: %d passes + %d skipped do not cover %d key bits: %+v",
+							label, st.Passes, st.Skipped, width, st)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSortPartitionsOnLiveBits is the regression test for the byte-aligned
+// MSD digit: 41-bit keys vary in one bit of their top byte, which used to
+// give two partitions however the keys were spread.
+func TestSortPartitionsOnLiveBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	maxKey := uint64(1)<<41 - 1
+	a := make([]KeyPos, 4*parallelMin)
+	for i := range a {
+		a[i] = KeyPos{Key: rng.Uint64() & maxKey, Pos: int32(i)}
+	}
+	want := oracle(a)
+	st := Sort(a, maxKey, 2)
+	checkSorted(t, "uniform 41-bit keys", a, want)
+	if st.Partitions < 64 {
+		t.Fatalf("uniform 41-bit keys fell into %d MSD partitions, want >= 64: %+v", st.Partitions, st)
 	}
 }

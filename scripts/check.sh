@@ -1,6 +1,8 @@
 #!/bin/sh
 # check.sh — the pre-merge gate; `make verify` runs this script, so the two
-# cannot drift: full build, gofmt -l (must list nothing), vet, the sptc-lint
+# cannot drift: full build, the benchmark module's own vet and tests (it
+# compiles against the library's signatures but has its own go.mod, so the
+# root build never sees it), gofmt -l (must list nothing), vet, the sptc-lint
 # analyzer suite, the hot-path escape/BCE budget (sptc-lint -perf vs
 # lint/hotpath_budget.json), and the race-detector test sweep (-short for the
 # bench experiments, full for the hot packages — see the Makefile note), then
@@ -13,6 +15,7 @@ GO="${GO:-go}"
 # lock-free builds, open-addressed tables and worker arenas live here.
 hot="./internal/hashtab ./internal/core ./internal/engine ./internal/plan ./internal/sortx ./internal/obs ./internal/dist"
 $GO build ./...
+(cd benchmark && $GO vet . && $GO test .)
 unformatted="$(gofmt -l .)"
 if [ -n "$unformatted" ]; then
 	echo "gofmt -l lists unformatted files:" >&2
