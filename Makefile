@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint perf-baseline verify bench bench-json bench-grid grid-stamp grid-check loadgen slo-check slo-baseline clean
+.PHONY: build test lint perf-baseline verify bench-json bench-grid grid-stamp grid-check loadgen slo-check slo-baseline clean
 
 build:
 	$(GO) build ./...
@@ -42,13 +42,8 @@ perf-baseline:
 verify:
 	GO="$(GO)" ./scripts/check.sh
 
-# bench prints the chained-vs-flat hash-kernel duel without writing JSON.
-bench:
-	$(GO) run ./cmd/sptc-bench -exp kernels
-
 # bench-json regenerates the committed BENCH_*.json files at the repo root
-# (scale 20000 so every cell's work dwarfs scheduling noise): BENCH_1.json is
-# the hash-kernel duel, BENCH_2.json the sort/fused-writeback duel,
+# (scale 20000 so every cell's work dwarfs scheduling noise):
 # BENCH_3.json the contraction-order planner duel, BENCH_5.json the
 # out-of-core streaming duel, and BENCH_6.json the sharded scatter/gather
 # duel (BENCH_4.json is the loadgen SLO baseline, stamped by slo-baseline). Every file carries the shared "meta" block
@@ -56,13 +51,11 @@ bench:
 # is stamped here because `go run` builds carry no VCS revision.
 COMMIT := $(shell git rev-parse --short HEAD 2>/dev/null)
 bench-json:
-	$(GO) run ./cmd/sptc-bench -exp kernels -scale 20000 -commit "$(COMMIT)" -json BENCH_1.json
-	$(GO) run ./cmd/sptc-bench -exp sort -scale 20000 -commit "$(COMMIT)" -json BENCH_2.json
 	$(GO) run ./cmd/sptc-bench -exp planner -scale 20000 -commit "$(COMMIT)" -json BENCH_3.json
 	$(GO) run ./cmd/sptc-bench -exp ooc -scale 20000 -commit "$(COMMIT)" -json BENCH_5.json
 	$(GO) run ./cmd/sptc-bench -exp shard -scale 20000 -commit "$(COMMIT)" -json BENCH_6.json
 
-# bench-grid sweeps the kernels/sort/planner/ooc/shard duels across scales
+# bench-grid sweeps the planner/ooc/shard duels across scales
 # and thread counts with warmup and a summary table
 # (scripts/paper/run_all.sh). Errored cells emit ERR rows and fail the run.
 bench-grid:

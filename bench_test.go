@@ -234,30 +234,9 @@ func BenchmarkAblation_YBuild(b *testing.B) {
 	})
 	b.Run("hashtable-build", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = hashtab.BuildHtY(y, cy, fmodes, radC, radF, 0, 0)
+			_ = hashtab.BuildHtYFlat(y, cy, fmodes, radC, radF, 0, 0)
 		}
 	})
-}
-
-// BenchmarkAblation_Buckets sweeps HtY load factors on a full contraction.
-func BenchmarkAblation_Buckets(b *testing.B) {
-	c := benchConfig()
-	p := mustPreset(b, "NIPS")
-	x := c.Tensor(p)
-	wl := gen.Workload{Preset: p, Modes: 2}
-	cx, cy := wl.ContractModes()
-	for _, mult := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("buckets=%dx", mult), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := core.Contract(x, x, cx, cy, core.Options{
-					Algorithm:  core.AlgSparta,
-					BucketsHtY: x.NNZ() * mult / 4,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkAblation_IndexSearch compares the Y index-search structures of
@@ -296,7 +275,7 @@ func BenchmarkAblation_IndexSearch(b *testing.B) {
 	}
 	radC, _ := y.RadixOf(cy)
 	radF, _ := y.RadixOf(fmodes)
-	hty := hashtab.BuildHtY(y, cy, fmodes, radC, radF, 0, 0)
+	hty := hashtab.BuildHtYFlat(y, cy, fmodes, radC, radF, 0, 0)
 
 	xs := c.Tensor(p).Clone()
 	if err := xs.Permute(append(append([]int{}, fmodes...), cx...)); err != nil {

@@ -175,35 +175,33 @@ func chainOracle(t *testing.T, steps []ChainStep, inputs map[string]*Tensor, opt
 // and checks (a) all outputs match the clone-everything oracle and (b) no
 // input tensor is ever mutated.
 func TestEvalChainAliasingEdges(t *testing.T) {
-	for _, kernel := range []Kernel{KernelFlat, KernelChained} {
-		a := Random([]uint64{8, 8}, 40, 71)
-		b := Random([]uint64{8, 8}, 40, 72)
-		snapA, snapB := a.Clone(), b.Clone()
-		steps := []ChainStep{
-			// A appears in three steps; G's step has X == Y (same input).
-			{Out: "G", Spec: "ab,cb->ac", X: "A", Y: "A"},
-			{Out: "H", Spec: "ab,bc->ac", X: "A", Y: "B"},
-			// G is used as both X and Y of one later step (self-square).
-			{Out: "GG", Spec: "ac,cd->ad", X: "G", Y: "G"},
-			// H used twice: once as X here, once as Y below.
-			{Out: "P", Spec: "ad,dc->ac", X: "GG", Y: "H"},
-			{Out: "Z", Spec: "ac,ac->", X: "P", Y: "H"},
+	a := Random([]uint64{8, 8}, 40, 71)
+	b := Random([]uint64{8, 8}, 40, 72)
+	snapA, snapB := a.Clone(), b.Clone()
+	steps := []ChainStep{
+		// A appears in three steps; G's step has X == Y (same input).
+		{Out: "G", Spec: "ab,cb->ac", X: "A", Y: "A"},
+		{Out: "H", Spec: "ab,bc->ac", X: "A", Y: "B"},
+		// G is used as both X and Y of one later step (self-square).
+		{Out: "GG", Spec: "ac,cd->ad", X: "G", Y: "G"},
+		// H used twice: once as X here, once as Y below.
+		{Out: "P", Spec: "ad,dc->ac", X: "GG", Y: "H"},
+		{Out: "Z", Spec: "ac,ac->", X: "P", Y: "H"},
+	}
+	inputs := map[string]*Tensor{"A": a, "B": b}
+	opt := Options{Algorithm: AlgSparta}
+	res, err := EvalChain(steps, inputs, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := chainOracle(t, steps, inputs, opt)
+	for _, name := range []string{"G", "H", "GG", "P", "Z"} {
+		if !res.Tensors[name].Equal(oracle[name]) {
+			t.Errorf("%q differs from clone-everything oracle", name)
 		}
-		inputs := map[string]*Tensor{"A": a, "B": b}
-		opt := Options{Algorithm: AlgSparta, Kernel: kernel}
-		res, err := EvalChain(steps, inputs, opt)
-		if err != nil {
-			t.Fatalf("kernel %v: %v", kernel, err)
-		}
-		oracle := chainOracle(t, steps, inputs, opt)
-		for _, name := range []string{"G", "H", "GG", "P", "Z"} {
-			if !res.Tensors[name].Equal(oracle[name]) {
-				t.Errorf("kernel %v: %q differs from clone-everything oracle", kernel, name)
-			}
-		}
-		if !a.Equal(snapA) || !b.Equal(snapB) {
-			t.Fatalf("kernel %v: inputs mutated by the chain", kernel)
-		}
+	}
+	if !a.Equal(snapA) || !b.Equal(snapB) {
+		t.Fatal("inputs mutated by the chain")
 	}
 }
 

@@ -5,12 +5,12 @@
 //	sptc-bench -exp fig4 -scale 20000   # larger synthetic datasets
 //
 // Experiments: fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 table2 table3 table4
-// headline ablation kernels all. See DESIGN.md §4 for the experiment index
+// headline ablation duel all. See DESIGN.md §4 for the experiment index
 // and EXPERIMENTS.md for paper-vs-measured results.
 //
 // Observability (DESIGN.md §8):
 //
-//	sptc-bench -exp kernels -trace out.json       # Chrome trace-event spans
+//	sptc-bench -exp duel -trace out.json          # Chrome trace-event spans
 //	sptc-bench -exp all -metrics-addr :9090       # /metrics + pprof + expvar
 //	sptc-bench -exp fig4 -metrics-addr :9090 -hold 60s
 //
@@ -59,8 +59,6 @@ var experiments = []struct {
 	{"ablation", "design-choice ablations", bench.Ablation},
 	{"search", "Y index-search structure comparison (COO/CSF/HtY)", bench.SearchAblation},
 	{"duel", "stage-by-stage algorithm comparison on one workload", bench.Duel},
-	{"kernels", "hash-kernel duel: chained (seed) vs flat open addressing", runKernels},
-	{"sort", "sort duel: quicksort vs radix, unfused vs fused writeback", runSort},
 	{"planner", "contraction-order duel: written chains vs cost-based planner", runPlanner},
 	{"twophase", "symbolic+numeric two-phase SpTC vs Sparta's dynamic allocation", bench.TwoPhase},
 	{"ooc", "out-of-core duel: mmap-streamed windows vs in-memory driver", runOOC},
@@ -81,7 +79,7 @@ func main() {
 		hold        = flag.Duration("hold", 0, "keep serving -metrics-addr this long after the experiments finish")
 	)
 	commit := flag.String("commit", "", "git revision recorded in -json metadata (default: the binary's stamped vcs.revision)")
-	flag.StringVar(&duelJSON, "json", "", "for -exp kernels/sort/planner/ooc/shard: also write the duel rows to this JSON file")
+	flag.StringVar(&duelJSON, "json", "", "for -exp planner/ooc/shard: also write the duel rows to this JSON file")
 	flag.Parse()
 
 	cfg := bench.Config{Scale: *scale, Threads: *threads, Seed: *seed, DRAMFraction: *dramFrac, Commit: *commit}
@@ -175,20 +173,11 @@ func printHistograms(w io.Writer, reg *obs.Registry) {
 	}
 }
 
-// duelJSON is the -json flag: when set, the kernels, sort, and planner
+// duelJSON is the -json flag: when set, the planner, ooc and shard
 // experiments also persist their rows (this is how the BENCH_*.json files
-// at the repo root are produced: sptc-bench -exp kernels -json BENCH_1.json,
-// -exp sort -json BENCH_2.json, -exp planner -json BENCH_3.json — see
-// `make bench-json`).
+// at the repo root are produced: sptc-bench -exp planner -json BENCH_3.json
+// and so on — see `make bench-json`).
 var duelJSON string
-
-func runKernels(w io.Writer, cfg bench.Config) error {
-	return bench.KernelsJSON(w, cfg, duelJSON)
-}
-
-func runSort(w io.Writer, cfg bench.Config) error {
-	return bench.SortJSON(w, cfg, duelJSON)
-}
 
 func runPlanner(w io.Writer, cfg bench.Config) error {
 	return bench.PlannerJSON(w, cfg, duelJSON)

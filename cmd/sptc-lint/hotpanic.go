@@ -54,7 +54,7 @@ func runHotpanic(pkgs []*Package) []Diagnostic {
 	// Static call edges + direct panic sites per function. Calls through
 	// interfaces or function values are invisible to this resolution, which
 	// is why the roots below include every exported function and method of
-	// the hot packages (e.g. each YTable implementation), not just Contract.
+	// the hot packages (e.g. the HtYFlat and HtAFlat methods), not just Contract.
 	edges := map[*types.Func][]*types.Func{}
 	panics := map[*types.Func][]Diagnostic{}
 	for obj, fi := range fns {

@@ -373,14 +373,12 @@ func (s *server) handleGetTensor(w http.ResponseWriter, r *http.Request) {
 }
 
 // contractRequest is the POST /contract body. Algorithm: "sparta"
-// (default), "spa", "coohta", "twophase". Kernel: "flat" (default),
-// "chained".
+// (default), "spa", "coohta", "twophase".
 type contractRequest struct {
 	X         string `json:"x"`
 	Y         string `json:"y"`
 	Spec      string `json:"spec"`
 	Algorithm string `json:"algorithm"`
-	Kernel    string `json:"kernel"`
 	Threads   int    `json:"threads"`
 	TimeoutMS int    `json:"timeout_ms"`
 }
@@ -422,16 +420,6 @@ func parseAlgorithm(name string) (core.Algorithm, error) {
 	return 0, fmt.Errorf("unknown algorithm %q", name)
 }
 
-func parseKernel(name string) (core.Kernel, error) {
-	switch name {
-	case "", "flat":
-		return core.KernelFlat, nil
-	case "chained":
-		return core.KernelChained, nil
-	}
-	return 0, fmt.Errorf("unknown kernel %q", name)
-}
-
 // acquireSlot takes an inflight slot, waiting up to queueWait. It reports
 // whether the slot was obtained; the caller must releaseSlot on true.
 func (s *server) acquireSlot(ctx context.Context) bool {
@@ -466,22 +454,27 @@ func (s *server) releaseSlot() {
 	}
 }
 
+// maxContractBody caps the POST /contract body: three tensor names, a spec
+// and a few scalars.
+const maxContractBody = 1 << 20
+
 func (s *server) handleContract(w http.ResponseWriter, r *http.Request) {
 	var req contractRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxContractBody)).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			s.countReq(r, "contract", "too_large")
+			writeJSON(w, http.StatusRequestEntityTooLarge,
+				errorReply{Error: fmt.Sprintf("request body exceeds %d bytes", maxContractBody)})
+			return
+		}
 		s.countReq(r, "contract", "bad_request")
 		writeJSON(w, http.StatusBadRequest, errorReply{Error: "bad JSON: " + err.Error()})
 		return
 	}
 	alg, err := parseAlgorithm(req.Algorithm)
 	if err == nil {
-		var kerr error
-		var k core.Kernel
-		if k, kerr = parseKernel(req.Kernel); kerr != nil {
-			err = kerr
-		} else {
-			err = s.contract(w, r, req, alg, k)
-		}
+		err = s.contract(w, r, req, alg)
 	}
 	if err != nil {
 		s.countReq(r, "contract", "bad_request")
@@ -492,7 +485,7 @@ func (s *server) handleContract(w http.ResponseWriter, r *http.Request) {
 // contract runs the admission gates and the contraction; it returns an
 // error only for bad requests (the caller writes 400), and writes every
 // other reply itself.
-func (s *server) contract(w http.ResponseWriter, r *http.Request, req contractRequest, alg core.Algorithm, kernel core.Kernel) error {
+func (s *server) contract(w http.ResponseWriter, r *http.Request, req contractRequest, alg core.Algorithm) error {
 	rt := obs.ReqFrom(r.Context())
 	rt.SetTag("spec", req.Spec)
 	rt.SetTag("x", req.X)
@@ -529,7 +522,6 @@ func (s *server) contract(w http.ResponseWriter, r *http.Request, req contractRe
 	}
 	opt := core.Options{
 		Algorithm: alg,
-		Kernel:    kernel,
 		Threads:   threads,
 		Metrics:   s.reg,
 	}
@@ -739,11 +731,6 @@ func (s *server) handleShardContract(w http.ResponseWriter, r *http.Request) {
 		fail(http.StatusBadRequest, "cy: "+err.Error())
 		return
 	}
-	kernel, err := parseKernel(q.Get("kernel"))
-	if err != nil {
-		fail(http.StatusBadRequest, err.Error())
-		return
-	}
 	threads := s.threads
 	if ts := q.Get("threads"); ts != "" {
 		if threads, err = strconv.Atoi(ts); err != nil || threads < 1 {
@@ -762,10 +749,9 @@ func (s *server) handleShardContract(w http.ResponseWriter, r *http.Request) {
 	rt.SetTag("y", yName)
 	opt := core.Options{
 		Algorithm: core.AlgSparta,
-		Kernel:    kernel,
 		Threads:   threads,
 		Metrics:   s.reg,
-		// The partition is request-local: let the kernel permute it in place.
+		// The partition is request-local: let the contraction permute it in place.
 		InPlace: true,
 	}
 	pr, hit, err := s.eng.PrepareCtx(ctx, y, cy, opt)

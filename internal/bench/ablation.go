@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"sparta/internal/core"
 	"sparta/internal/gen"
 	"sparta/internal/hashtab"
 	"sparta/internal/stats"
@@ -13,16 +12,15 @@ import (
 
 // Ablation exercises the design choices DESIGN.md calls out:
 //
-//  1. Y input processing: COO sort (O(n log n)) vs hash-table build (O(n)) —
-//     §3.3's claimed input-processing win.
+//  1. Y input processing: COO sort vs hash-table build — §3.3's claimed
+//     input-processing win.
 //  2. Accumulator: SPA vs HtA vs a plain Go map — §3.4's choice of a
-//     custom chained table.
-//  3. HtY bucket load factor: buckets = nnz_Y/4 … 4*nnz_Y.
+//     custom table.
 func Ablation(w io.Writer, c Config) error {
 	p := mustPreset("NIPS")
 	y := c.Tensor(p)
 	wl := gen.Workload{Preset: p, Modes: 2}
-	cx, cy := wl.ContractModes()
+	_, cy := wl.ContractModes()
 
 	// --- 1. Y build: sort vs hash -------------------------------------
 	fmt.Fprintln(w, "Ablation 1: Y input processing (sort vs COO-to-hashtable)")
@@ -38,14 +36,8 @@ func Ablation(w io.Writer, c Config) error {
 		fmodes := freeModes(y.Order(), cy)
 		radF, _ := y.RadixOf(fmodes)
 		t0 = time.Now()
-		hashtab.BuildHtY(y, cy, fmodes, radC, radF, 0, c.Threads)
-		tab.Row("COO-to-HtY build (locked)", time.Since(t0))
-		t0 = time.Now()
-		hashtab.BuildHtY2P(y, cy, fmodes, radC, radF, 0, c.Threads)
-		tab.Row("COO-to-HtY build (two-pass)", time.Since(t0))
-		t0 = time.Now()
 		hashtab.BuildHtYFlat(y, cy, fmodes, radC, radF, 0, c.Threads)
-		tab.Row("COO-to-HtYFlat build (flat, sort-then-pack)", time.Since(t0))
+		tab.Row("COO-to-HtY build (sort-then-pack)", time.Since(t0))
 		tab.Render(w)
 	}
 
@@ -59,21 +51,13 @@ func Ablation(w io.Writer, c Config) error {
 		// Tables are constructed outside the timed region: the contraction
 		// reuses one accumulator per thread across all sub-tensors, so
 		// construction is not part of the per-add cost being compared.
-		hta := hashtab.NewHtA(1024)
+		hta := hashtab.NewHtAFlat(1024)
 		t0 := time.Now()
 		for _, k := range keys {
 			hta.Add(k, 1)
 		}
 		dt := time.Since(t0)
-		tab.Row("HtA (chained table)", len(keys), dt, fmt.Sprintf("%.1f", float64(dt.Nanoseconds())/float64(len(keys))))
-
-		htaf := hashtab.NewHtAFlat(1024)
-		t0 = time.Now()
-		for _, k := range keys {
-			htaf.Add(k, 1)
-		}
-		dt = time.Since(t0)
-		tab.Row("HtAFlat (open addressing)", len(keys), dt, fmt.Sprintf("%.1f", float64(dt.Nanoseconds())/float64(len(keys))))
+		tab.Row("HtA (open addressing)", len(keys), dt, fmt.Sprintf("%.1f", float64(dt.Nanoseconds())/float64(len(keys))))
 
 		m := make(map[uint64]float64, 1024)
 		t0 = time.Now()
@@ -98,36 +82,6 @@ func Ablation(w io.Writer, c Config) error {
 		tab.Row("SPA (linear scan)", len(spaKeys), dt, fmt.Sprintf("%.1f", float64(dt.Nanoseconds())/float64(len(spaKeys))))
 		tab.Render(w)
 	}
-
-	// --- 3. Bucket load factor ----------------------------------------
-	// Pinned to the chained kernel: only separate chaining supports bucket
-	// counts below the key count (the flat kernel clamps them so its
-	// open-addressed probes terminate, which would flatten the sweep).
-	fmt.Fprintln(w, "\nAblation 3: HtY bucket count sweep (NIPS 2-mode contraction, chained kernel)")
-	{
-		x := c.Tensor(p)
-		tab := stats.NewTable("Buckets", "Search+Accum", "Total")
-		for _, mult := range []float64{0.25, 0.5, 1, 2, 4} {
-			buckets := int(float64(y.NNZ()) * mult)
-			if buckets < 1 {
-				buckets = 1
-			}
-			_, rep, err := core.Contract(x, x, cx, cy, core.Options{
-				Algorithm:  core.AlgSparta,
-				Kernel:     core.KernelChained,
-				Threads:    c.Threads,
-				BucketsHtY: buckets,
-				Tracer:     c.Tracer,
-				Metrics:    c.Metrics,
-			})
-			if err != nil {
-				return err
-			}
-			tab.Row(fmt.Sprintf("%.2gx nnzY", mult),
-				rep.StageWall[core.StageSearch]+rep.StageWall[core.StageAccum], rep.Total())
-		}
-		tab.Render(w)
-	}
 	return nil
 }
 
@@ -139,7 +93,7 @@ func accumKeyStream(c Config, wl gen.Workload, cap int) []uint64 {
 	fmodes := freeModes(x.Order(), cy)
 	radC, _ := x.RadixOf(cx)
 	radF, _ := x.RadixOf(fmodes)
-	hty := hashtab.BuildHtY(x, cy, fmodes, radC, radF, 0, c.Threads)
+	hty := hashtab.BuildHtYFlat(x, cy, fmodes, radC, radF, 0, c.Threads)
 	xs := x.Clone()
 	_ = xs.Permute(permFor(x.Order(), cx))
 	xs.Sort(c.Threads)

@@ -72,17 +72,10 @@ type runResult struct {
 }
 
 // RunWorkload contracts a workload's tensor with itself using the given
-// algorithm (and the default flat kernels) and returns the output and
-// report. Results are cached per (workload, algorithm, config); callers
-// must not mutate the returned tensor.
+// algorithm and returns the output and report. Results are cached per
+// (workload, algorithm, config); callers must not mutate the returned tensor.
 func (c Config) RunWorkload(w gen.Workload, alg core.Algorithm) (*coo.Tensor, *core.Report, error) {
-	return c.RunWorkloadKernel(w, alg, core.KernelFlat)
-}
-
-// RunWorkloadKernel is RunWorkload with an explicit hash-kernel selection,
-// for the chained-vs-flat duels.
-func (c Config) RunWorkloadKernel(w gen.Workload, alg core.Algorithm, k core.Kernel) (*coo.Tensor, *core.Report, error) {
-	key := fmt.Sprintf("%s/%v/%v/%d/%d/%d/%v", w.Preset.Name, alg, k, w.Modes, c.Scale, c.Seed, c.Threads)
+	key := fmt.Sprintf("%s/%v/%d/%d/%d/%v", w.Preset.Name, alg, w.Modes, c.Scale, c.Seed, c.Threads)
 	if w.Star {
 		key += "*"
 	}
@@ -94,7 +87,6 @@ func (c Config) RunWorkloadKernel(w gen.Workload, alg core.Algorithm, k core.Ker
 	cx, cy := w.ContractModes()
 	z, rep, err := core.Contract(x, x, cx, cy, core.Options{
 		Algorithm: alg,
-		Kernel:    k,
 		Threads:   c.Threads,
 		Tracer:    c.Tracer,
 		Metrics:   c.Metrics,

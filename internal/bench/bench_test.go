@@ -65,7 +65,6 @@ func TestExperimentsRunEndToEnd(t *testing.T) {
 		"formats":  Formats,
 		"reorder":  Reorder,
 		"search":   SearchAblation,
-		"kernels":  Kernels,
 	}
 	for name, f := range exps {
 		t.Run(name, func(t *testing.T) {
@@ -129,7 +128,7 @@ func TestScalingAndAblationRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, want := range []string{"Ablation 1", "Ablation 2", "Ablation 3"} {
+	for _, want := range []string{"Ablation 1", "Ablation 2"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in ablation output", want)
 		}

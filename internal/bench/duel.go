@@ -9,7 +9,7 @@ import (
 	"sparta/internal/stats"
 )
 
-// Duel prints a stage-by-stage comparison of the three algorithms on one
+// Duel prints a stage-by-stage comparison of the four algorithms on one
 // workload — the diagnostic view behind Figures 2 and 4 (which stages each
 // data-structure choice actually buys back).
 func Duel(w io.Writer, c Config) error {
@@ -27,17 +27,6 @@ func Duel(w io.Writer, c Config) error {
 			rep.StageWall[core.StageSort], rep.Total(),
 			rep.Products, rep.ProbesHtA+rep.SPACompares)
 	}
-	// The seed hash kernels, for the full chained-vs-flat picture (the
-	// `kernels` experiment measures this duel per stage and in isolation).
-	_, rep, err := c.RunWorkloadKernel(wl, core.AlgSparta, core.KernelChained)
-	if err != nil {
-		return err
-	}
-	tab.Row(core.AlgSparta.String()+" (chained)",
-		rep.StageWall[core.StageInput], rep.StageWall[core.StageSearch],
-		rep.StageWall[core.StageAccum], rep.StageWall[core.StageWrite],
-		rep.StageWall[core.StageSort], rep.Total(),
-		rep.Products, rep.ProbesHtA+rep.SPACompares)
 	tab.Render(w)
 	return nil
 }

@@ -25,11 +25,10 @@ import (
 // identical (Equal + checksum), so the duel doubles as the end-to-end proof
 // that window-aligned streaming preserves the paper's exact pipeline.
 
-// oocDuelRow is one kernel's streamed-vs-in-memory cell.
+// oocDuelRow is the streamed-vs-in-memory cell.
 type oocDuelRow struct {
-	Kernel string `json:"kernel"`
-	NNZX   int    `json:"nnzx"`
-	NNZY   int    `json:"nnzy"`
+	NNZX int `json:"nnzx"`
+	NNZY int `json:"nnzy"`
 	// FootprintBytes is the Eq. 5/6 modeled demand of the unwindowed run;
 	// BudgetBytes the DRAM budget the streamed run was planned into.
 	FootprintBytes      uint64  `json:"footprint_bytes"`
@@ -87,8 +86,8 @@ func OOC(w io.Writer, c Config) error { return OOCJSON(w, c, "") }
 // contraction order (free modes first), reopened as an mmap view, and
 // contracted window by window under a DRAM budget one fifth of the modeled
 // footprint; the in-memory driver on the original heap tensor is the
-// oracle. Both hash kernels run. When jsonPath is non-empty the rows are
-// written there (BENCH_5.json).
+// oracle. When jsonPath is non-empty the row is written there
+// (BENCH_5.json).
 func OOCJSON(w io.Writer, c Config, jsonPath string) error {
 	threads := c.Threads
 	if threads < 1 {
@@ -125,113 +124,109 @@ func OOCJSON(w io.Writer, c Config, jsonPath string) error {
 	file := oocDuelFile{Meta: c.meta("ooc",
 		fmt.Sprintf("synthetic X 2048x48x64 (nnz=%d) x Y 64x32 (nnz=%d), contract X mode 2 vs Y mode 0, budget=footprint/%d",
 			x.NNZ(), y.NNZ(), oocBudgetDivisor), oocDuelReps)}
-	tab := stats.NewTable("Kernel", "Footprint", "Budget", "Window", "Windows", "SpillZ", "Streamed", "InMem", "Slowdown", "NNZZ", "Identical")
+	tab := stats.NewTable("Footprint", "Budget", "Window", "Windows", "SpillZ", "Streamed", "InMem", "Slowdown", "NNZZ", "Identical")
 
-	for _, k := range []core.Kernel{core.KernelFlat, core.KernelChained} {
-		opt := core.Options{
-			Algorithm: core.AlgSparta,
-			Kernel:    k,
-			Threads:   threads,
-			Tracer:    c.Tracer,
-			Metrics:   c.Metrics,
-		}
-		pr, err := core.PrepareY(y, cmodesY, opt)
-		if err != nil {
-			return fmt.Errorf("ooc: prepare (%v): %w", k, err)
-		}
-		fp := engine.EstimateFootprint(x.NNZ(), pr)
-		budget := fp.Total(threads) / oocBudgetDivisor
-		adm := engine.Admission{DRAMBudget: budget}
-		tier, res := adm.Plan(fp, threads, x.NNZ(), 0)
-		if tier != engine.TierStreamed {
-			return fmt.Errorf("ooc: planned tier %v under budget %d (footprint %d), want streamed — dataset too small for the duel",
-				tier, budget, fp.Total(threads))
-		}
-
-		// Oracle: the in-memory driver on the original heap tensor.
-		var zMem *coo.Tensor
-		var memWall int64
-		for rep := 0; rep < oocDuelReps; rep++ {
-			t0 := time.Now()
-			z, _, err := pr.Contract(context.Background(), x, cmodesX, opt)
-			if err != nil {
-				return fmt.Errorf("ooc: in-memory (%v): %w", k, err)
-			}
-			wall := int64(time.Since(t0))
-			if rep == 0 || wall < memWall {
-				memWall = wall
-			}
-			if zMem != nil && !z.Equal(zMem) {
-				return fmt.Errorf("ooc: in-memory (%v): unstable output across reps", k)
-			}
-			zMem = z
-		}
-
-		// Streamed: reopen the mapped file each rep so the wall charges the
-		// whole tier — open, window walk, and run merge/materialization.
-		var zStr *coo.Tensor
-		var strWall int64
-		var row oocDuelRow
-		for rep := 0; rep < oocDuelReps; rep++ {
-			t0 := time.Now()
-			m, err := coo.OpenMapped(xPath)
-			if err != nil {
-				return fmt.Errorf("ooc: open mapped (%v): %w", k, err)
-			}
-			st, err := m.Stream(res.WindowNNZ)
-			if err != nil {
-				return fmt.Errorf("ooc: stream (%v): %w", k, err)
-			}
-			z, rep2, err := core.ContractStream(context.Background(), st, pr, core.StreamOptions{
-				Options:  opt,
-				SpillZ:   res.SpillZ,
-				SpillDir: dir,
-			})
-			if err != nil {
-				return fmt.Errorf("ooc: streamed (%v): %w", k, err)
-			}
-			wall := int64(time.Since(t0))
-			if rep == 0 || wall < strWall {
-				strWall = wall
-			}
-			if zStr != nil && !z.Equal(zStr) {
-				return fmt.Errorf("ooc: streamed (%v): unstable output across reps", k)
-			}
-			zStr = z
-			row.Windows = rep2.Windows
-			row.SpilledZ = rep2.SpilledZ
-			row.ZeroCopyMmap = m.ZeroCopy()
-			// A spilled Z is a view into the materialized output file; the
-			// mapped X can be closed, the Z mapping keeps itself alive.
-			_ = m.Close()
-		}
-
-		row.Kernel = k.String()
-		row.NNZX = x.NNZ()
-		row.NNZY = y.NNZ()
-		row.FootprintBytes = fp.Total(threads)
-		row.BudgetBytes = budget
-		row.FootprintOverBudget = float64(fp.Total(threads)) / float64(budget)
-		row.Tier = tier.String()
-		row.WindowNNZ = res.WindowNNZ
-		row.StreamedNS = strWall
-		row.InMemNS = memWall
-		row.Slowdown = float64(strWall) / float64(memWall)
-		row.NNZZ = zStr.NNZ()
-		row.Checksum = checksum(zStr)
-		row.Identical = zStr.Equal(zMem) && row.Checksum == checksum(zMem)
-		if !row.Identical {
-			return fmt.Errorf("ooc: %v: streamed output differs from in-memory oracle (nnz %d vs %d, checksum %s vs %s)",
-				k, zStr.NNZ(), zMem.NNZ(), row.Checksum, checksum(zMem))
-		}
-		if row.Windows < 2 {
-			return fmt.Errorf("ooc: %v: streamed run used %d window(s) — not an out-of-core execution", k, row.Windows)
-		}
-		file.Configs = append(file.Configs, row)
-		tab.Row(row.Kernel, row.FootprintBytes, row.BudgetBytes, row.WindowNNZ, row.Windows,
-			row.SpilledZ, time.Duration(strWall), time.Duration(memWall),
-			fmt.Sprintf("%.2fx", row.Slowdown), row.NNZZ, row.Identical)
+	opt := core.Options{
+		Algorithm: core.AlgSparta,
+		Threads:   threads,
+		Tracer:    c.Tracer,
+		Metrics:   c.Metrics,
 	}
+	pr, err := core.PrepareY(y, cmodesY, opt)
+	if err != nil {
+		return fmt.Errorf("ooc: prepare: %w", err)
+	}
+	fp := engine.EstimateFootprint(x.NNZ(), pr)
+	budget := fp.Total(threads) / oocBudgetDivisor
+	adm := engine.Admission{DRAMBudget: budget}
+	tier, res := adm.Plan(fp, threads, x.NNZ(), 0)
+	if tier != engine.TierStreamed {
+		return fmt.Errorf("ooc: planned tier %v under budget %d (footprint %d), want streamed — dataset too small for the duel",
+			tier, budget, fp.Total(threads))
+	}
+
+	// Oracle: the in-memory driver on the original heap tensor.
+	var zMem *coo.Tensor
+	var memWall int64
+	for rep := 0; rep < oocDuelReps; rep++ {
+		t0 := time.Now()
+		z, _, err := pr.Contract(context.Background(), x, cmodesX, opt)
+		if err != nil {
+			return fmt.Errorf("ooc: in-memory: %w", err)
+		}
+		wall := int64(time.Since(t0))
+		if rep == 0 || wall < memWall {
+			memWall = wall
+		}
+		if zMem != nil && !z.Equal(zMem) {
+			return fmt.Errorf("ooc: in-memory: unstable output across reps")
+		}
+		zMem = z
+	}
+
+	// Streamed: reopen the mapped file each rep so the wall charges the
+	// whole tier — open, window walk, and run merge/materialization.
+	var zStr *coo.Tensor
+	var strWall int64
+	var row oocDuelRow
+	for rep := 0; rep < oocDuelReps; rep++ {
+		t0 := time.Now()
+		m, err := coo.OpenMapped(xPath)
+		if err != nil {
+			return fmt.Errorf("ooc: open mapped: %w", err)
+		}
+		st, err := m.Stream(res.WindowNNZ)
+		if err != nil {
+			return fmt.Errorf("ooc: stream: %w", err)
+		}
+		z, rep2, err := core.ContractStream(context.Background(), st, pr, core.StreamOptions{
+			Options:  opt,
+			SpillZ:   res.SpillZ,
+			SpillDir: dir,
+		})
+		if err != nil {
+			return fmt.Errorf("ooc: streamed: %w", err)
+		}
+		wall := int64(time.Since(t0))
+		if rep == 0 || wall < strWall {
+			strWall = wall
+		}
+		if zStr != nil && !z.Equal(zStr) {
+			return fmt.Errorf("ooc: streamed: unstable output across reps")
+		}
+		zStr = z
+		row.Windows = rep2.Windows
+		row.SpilledZ = rep2.SpilledZ
+		row.ZeroCopyMmap = m.ZeroCopy()
+		// A spilled Z is a view into the materialized output file; the
+		// mapped X can be closed, the Z mapping keeps itself alive.
+		_ = m.Close()
+	}
+
+	row.NNZX = x.NNZ()
+	row.NNZY = y.NNZ()
+	row.FootprintBytes = fp.Total(threads)
+	row.BudgetBytes = budget
+	row.FootprintOverBudget = float64(fp.Total(threads)) / float64(budget)
+	row.Tier = tier.String()
+	row.WindowNNZ = res.WindowNNZ
+	row.StreamedNS = strWall
+	row.InMemNS = memWall
+	row.Slowdown = float64(strWall) / float64(memWall)
+	row.NNZZ = zStr.NNZ()
+	row.Checksum = checksum(zStr)
+	row.Identical = zStr.Equal(zMem) && row.Checksum == checksum(zMem)
+	if !row.Identical {
+		return fmt.Errorf("ooc: streamed output differs from in-memory oracle (nnz %d vs %d, checksum %s vs %s)",
+			zStr.NNZ(), zMem.NNZ(), row.Checksum, checksum(zMem))
+	}
+	if row.Windows < 2 {
+		return fmt.Errorf("ooc: streamed run used %d window(s) — not an out-of-core execution", row.Windows)
+	}
+	file.Configs = append(file.Configs, row)
+	tab.Row(row.FootprintBytes, row.BudgetBytes, row.WindowNNZ, row.Windows,
+		row.SpilledZ, time.Duration(strWall), time.Duration(memWall),
+		fmt.Sprintf("%.2fx", row.Slowdown), row.NNZZ, row.Identical)
 	tab.Render(w)
 	fmt.Fprintln(w, "Slowdown = streamed wall / in-memory wall (streamed includes mmap open and run merge).")
 	if jsonPath != "" {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -368,10 +369,29 @@ func TestStringer(t *testing.T) {
 	}
 }
 
-// TestSortWithEnginesAgree: the seed quicksort and the radix engine must
-// produce byte-identical tensors — same coordinates AND same value order at
-// duplicate coordinates (both orders are (key, original position)). Dims
-// include an LN boundary case: a product one step under 2^64 keeps the
+// stableSorted returns a copy of ten ordered by the stdlib's stable sort over
+// full index tuples: the oracle for (coordinate, original position) order.
+func stableSorted(ten *Tensor) *Tensor {
+	idx := make([]int, ten.NNZ())
+	for i := range idx {
+		idx[i] = i
+	}
+	slices.SortStableFunc(idx, func(a, b int) int { return ten.Compare(a, b) })
+	out := MustNew(ten.Dims, ten.NNZ())
+	row := make([]uint32, ten.Order())
+	for _, i := range idx {
+		for m := range row {
+			row[m] = ten.Inds[m][i]
+		}
+		out.Append(row, ten.Vals[i])
+	}
+	return out
+}
+
+// TestSortWithEnginesAgree: the radix engine and the stdlib's stable tuple
+// sort must produce byte-identical tensors — same coordinates AND same value
+// order at duplicate coordinates (both orders are (key, original position)).
+// Dims include an LN boundary case: a product one step under 2^64 keeps the
 // radix on the LN path with every key byte significant.
 func TestSortWithEnginesAgree(t *testing.T) {
 	shapes := [][]uint64{
@@ -382,16 +402,13 @@ func TestSortWithEnginesAgree(t *testing.T) {
 	for si, dims := range shapes {
 		for _, nnz := range []int{0, 1, 500, 20000} {
 			for _, threads := range []int{1, 4} {
-				q := randomTensor(t, dims, nnz, int64(70+si))
-				r := q.Clone()
-				if info := q.SortWith(threads, SortQuick); info.Radix {
-					t.Fatalf("shape %d: SortQuick took the radix path", si)
-				}
-				info := r.SortWith(threads, SortRadix)
+				r := randomTensor(t, dims, nnz, int64(70+si))
+				want := stableSorted(r)
+				info := r.SortWith(threads, SortAuto)
 				if nnz >= 2 && !info.Radix {
-					t.Fatalf("shape %d: SortRadix fell back for LN-encodable dims", si)
+					t.Fatalf("shape %d: fell back for LN-encodable dims", si)
 				}
-				if !q.Equal(r) {
+				if !want.Equal(r) {
 					t.Fatalf("shape %d nnz=%d threads=%d: engines disagree", si, nnz, threads)
 				}
 				checkSorted(t, r)
@@ -401,29 +418,24 @@ func TestSortWithEnginesAgree(t *testing.T) {
 }
 
 // TestSortWithDuplicateCoordinates: duplicates are the stability stress —
-// both engines must keep the original value order at equal keys.
+// the sort must keep the original value order at equal keys.
 func TestSortWithDuplicateCoordinates(t *testing.T) {
-	mk := func() *Tensor {
-		ten := MustNew([]uint64{3, 3}, 0)
-		for i := 0; i < 4000; i++ {
-			ten.Append([]uint32{uint32(i) % 3, uint32(i/7) % 3}, float64(i))
-		}
-		return ten
+	ten := MustNew([]uint64{3, 3}, 0)
+	for i := 0; i < 4000; i++ {
+		ten.Append([]uint32{uint32(i) % 3, uint32(i/7) % 3}, float64(i))
 	}
-	q, r := mk(), mk()
-	q.SortWith(2, SortQuick)
-	r.SortWith(2, SortRadix)
-	if !q.Equal(r) {
-		t.Fatal("engines disagree on duplicate-coordinate value order")
+	want := stableSorted(ten)
+	ten.SortWith(2, SortAuto)
+	if !want.Equal(ten) {
+		t.Fatal("duplicate-coordinate value order differs from the stable oracle")
 	}
 }
 
-// TestSortWithFallbackInfo: non-LN-encodable dims report a non-radix sort
-// regardless of the requested engine.
+// TestSortWithFallbackInfo: non-LN-encodable dims report a non-radix sort.
 func TestSortWithFallbackInfo(t *testing.T) {
 	dims := []uint64{1 << 31, 1 << 31, 1 << 31}
 	ten := randomTensor(t, dims, 300, 5)
-	if info := ten.SortWith(2, SortRadix); info.Radix {
+	if info := ten.SortWith(2, SortAuto); info.Radix {
 		t.Fatal("radix reported on a non-LN-encodable box")
 	}
 	checkSorted(t, ten)

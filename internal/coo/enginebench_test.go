@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"sparta/internal/parallel"
 	"sparta/internal/sortx"
 )
 
@@ -16,14 +15,6 @@ func BenchmarkEngines(b *testing.B) {
 			base[i] = keyPos{Key: rng.Uint64() & (1<<34 - 1), Pos: int32(i)}
 		}
 		work := make([]keyPos, n)
-		b.Run("quick", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				copy(work, base)
-				fo := parallel.NewFanout(1)
-				quickSortKeys(work, fo, maxDepth(n))
-				fo.Wait()
-			}
-		})
 		b.Run("radix1", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				copy(work, base)

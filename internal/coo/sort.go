@@ -1,7 +1,6 @@
 package coo
 
 import (
-	"cmp"
 	"slices"
 	"sync/atomic"
 
@@ -10,22 +9,14 @@ import (
 	"sparta/internal/sortx"
 )
 
-// SortAlgo selects the engine behind Sort/SortWith.
+// SortAlgo names the engine behind SortWith. There is one: the benchmark
+// harness compiles against SortWith(threads, SortAuto), so the parameter
+// stays although nothing is left to select.
 type SortAlgo int
 
-const (
-	// SortAuto picks the sortx radix engine whenever the index box is
-	// LN-encodable and the comparison quicksort otherwise — the default
-	// for every production call site.
-	SortAuto SortAlgo = iota
-	// SortQuick forces the depth-budgeted comparison quicksort (the seed
-	// sorter), kept selectable for the sptc-bench -exp sort duel.
-	SortQuick
-	// SortRadix behaves like SortAuto but states the intent: the radix
-	// engine, with the tuple quicksort only for non-LN-encodable boxes
-	// (radix needs a single-word key).
-	SortRadix
-)
+// SortAuto picks the sortx radix engine whenever the index box is
+// LN-encodable and the tuple quicksort otherwise.
+const SortAuto SortAlgo = 0
 
 // SortInfo reports which engine a SortWith call used.
 type SortInfo struct {
@@ -48,16 +39,15 @@ func (t *Tensor) Sort(threads int) {
 	t.SortWith(threads, SortAuto)
 }
 
-// SortWith is Sort with an explicit engine selection, returning which one
-// ran; the sptc-bench -exp sort duel uses it to A/B the seed quicksort
-// against the radix engine on identical inputs.
-func (t *Tensor) SortWith(threads int, algo SortAlgo) SortInfo {
+// SortWith is Sort, returning which engine ran and, on the radix path, its
+// pass/partition stats.
+func (t *Tensor) SortWith(threads int, _ SortAlgo) SortInfo {
 	n := t.NNZ()
 	if n < 2 {
 		return SortInfo{}
 	}
 	if r, err := lnum.NewRadix(t.Dims); err == nil {
-		return t.sortByKeys(r, threads, algo)
+		return t.sortByKeys(r, threads)
 	}
 	fo := parallel.NewFanout(threads)
 	quickSortTensor(t, 0, n, fo, maxDepth(n))
@@ -109,9 +99,9 @@ func (t *Tensor) keysInOrder(r *lnum.Radix, threads int) bool {
 	return !inversion.Load()
 }
 
-func (t *Tensor) sortByKeys(r *lnum.Radix, threads int, algo SortAlgo) SortInfo {
+func (t *Tensor) sortByKeys(r *lnum.Radix, threads int) SortInfo {
 	n := t.NNZ()
-	if algo != SortQuick && t.keysInOrder(r, threads) {
+	if t.keysInOrder(r, threads) {
 		// Nothing moves: the columns stay as they are.
 		return SortInfo{Radix: true, Stats: sortx.Stats{Sorted: true}}
 	}
@@ -121,16 +111,9 @@ func (t *Tensor) sortByKeys(r *lnum.Radix, threads int, algo SortAlgo) SortInfo 
 			kp[i] = keyPos{Key: r.EncodeStrided(t.Inds, i), Pos: int32(i)}
 		}
 	})
-	var info SortInfo
-	if algo == SortQuick {
-		fo := parallel.NewFanout(threads)
-		quickSortKeys(kp, fo, maxDepth(n))
-		fo.Wait()
-	} else {
-		// Pos starts as 0,1,2,..., so the stable radix sort lands on the
-		// exact (key, pos) order the quicksort's tie-break produces.
-		info = SortInfo{Radix: true, Stats: sortx.Sort(kp, r.Card()-1, threads)}
-	}
+	// The radix sort is stable, so duplicate coordinates keep their value
+	// order.
+	info := SortInfo{Radix: true, Stats: sortx.Sort(kp, r.Card()-1, threads)}
 	// Apply the permutation column by column (parallel across columns and
 	// within each column's gather).
 	for m := range t.Inds {
@@ -167,81 +150,6 @@ func maxDepth(n int) int {
 
 const serialCutoff = 1 << 11 // below this, sort serially
 const insertionCutoff = 16   // below this, insertion sort
-
-// lessKP orders by key with the original position as tie-break, making the
-// key-path sort stable (duplicate coordinates keep their value order).
-func lessKP(a, b keyPos) bool {
-	return a.Key < b.Key || (a.Key == b.Key && a.Pos < b.Pos)
-}
-
-// cmpKP is lessKP as a three-way comparison for the stdlib fallback.
-func cmpKP(a, b keyPos) int {
-	if c := cmp.Compare(a.Key, b.Key); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.Pos, b.Pos)
-}
-
-func quickSortKeys(a []keyPos, fo *parallel.Fanout, depth int) {
-	for len(a) > insertionCutoff {
-		if depth == 0 {
-			slices.SortFunc(a, cmpKP)
-			return
-		}
-		depth--
-		p := partitionKeys(a)
-		left, right := a[:p], a[p+1:]
-		// Recurse on the smaller side via the fan-out when it is big enough
-		// to be worth a goroutine; iterate on the larger side.
-		if len(left) > len(right) {
-			left, right = right, left
-		}
-		if len(left) > serialCutoff {
-			l, d := left, depth
-			if fo.Spawn(func() { quickSortKeys(l, fo, d) }) {
-				a = right
-				continue
-			}
-		}
-		quickSortKeys(left, fo, depth)
-		a = right
-	}
-	insertionSortKeys(a)
-}
-
-func partitionKeys(a []keyPos) int {
-	n := len(a)
-	// median-of-three pivot
-	mid := n / 2
-	if lessKP(a[mid], a[0]) {
-		a[mid], a[0] = a[0], a[mid]
-	}
-	if lessKP(a[n-1], a[0]) {
-		a[n-1], a[0] = a[0], a[n-1]
-	}
-	if lessKP(a[n-1], a[mid]) {
-		a[n-1], a[mid] = a[mid], a[n-1]
-	}
-	a[mid], a[n-2] = a[n-2], a[mid]
-	pivot := a[n-2]
-	i := 0
-	for j := 0; j < n-2; j++ {
-		if lessKP(a[j], pivot) {
-			a[i], a[j] = a[j], a[i]
-			i++
-		}
-	}
-	a[i], a[n-2] = a[n-2], a[i]
-	return i
-}
-
-func insertionSortKeys(a []keyPos) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && lessKP(a[j], a[j-1]); j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
 
 // quickSortTensor sorts t[lo:hi) in place comparing full index tuples —
 // the fallback for index boxes whose cardinality overflows uint64.

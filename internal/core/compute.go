@@ -162,23 +162,20 @@ type rangeMatch struct {
 }
 
 // worker is the per-thread state of the computation stages. Exactly one of
-// hta/htaF/spa is non-nil, selected by Options.Algorithm and Options.Kernel
-// and pointing into acc; the accumulation and flush loops branch once per
-// sub-tensor on that, keeping the per-product Add monomorphic (no interface
-// dispatch on the hottest call in the repo).
+// hta/spa is non-nil, selected by Options.Algorithm and pointing into acc;
+// each algorithm's sub-tensor loop calls its accumulator's concrete Add (no
+// interface dispatch on the hottest call in the repo).
 //
 // The accumulator headers are stored in the worker rather than allocated
 // beside it: their entry counts and hit/probe counters are written on every
 // product, and as separate small objects two workers' headers landed in one
 // size-class span, a cache line apart at best (DESIGN.md §9.1).
 type worker struct {
-	hta  *hashtab.HtA
-	htaF *hashtab.HtAFlat
-	spa  *spa.SPA
-	acc  struct {
-		flat    hashtab.HtAFlat
-		chained hashtab.HtA
-		spa     spa.SPA
+	hta *hashtab.HtAFlat
+	spa *spa.SPA
+	acc struct {
+		hta hashtab.HtAFlat
+		spa spa.SPA
 	}
 	z zlocalBuf
 
@@ -221,15 +218,14 @@ type workerSlot struct {
 	_ [workerLine + (workerLine-unsafe.Sizeof(worker{})%workerLine)%workerLine]byte
 }
 
+// htaCapHint pre-sizes each worker's accumulator; it grows from there.
+const htaCapHint = 1024
+
 // makeWorkers builds the per-thread state of one contraction in a single
 // arena allocation and returns a pointer to each element.
 func makeWorkers(threads int, p *plan, opt Options) []*worker {
 	arena := make([]workerSlot, threads)
 	ws := make([]*worker, threads)
-	hint := opt.HtACapHint
-	if hint <= 0 {
-		hint = 1024
-	}
 	var limit *outputLimit
 	if opt.MaxOutputNNZ > 0 {
 		limit = &outputLimit{max: opt.MaxOutputNNZ}
@@ -240,13 +236,8 @@ func makeWorkers(threads int, p *plan, opt Options) []*worker {
 		w.z.limit = limit
 		switch opt.Algorithm {
 		case AlgSparta, AlgCOOHtA:
-			if opt.Kernel == KernelChained {
-				w.acc.chained = *hashtab.NewHtA(hint)
-				w.hta = &w.acc.chained
-			} else {
-				w.acc.flat = *hashtab.NewHtAFlat(hint)
-				w.htaF = &w.acc.flat
-			}
+			w.acc.hta = *hashtab.NewHtAFlat(htaCapHint)
+			w.hta = &w.acc.hta
 		case AlgSPA:
 			w.acc.spa = *spa.New(p.nfy)
 			w.spa = &w.acc.spa
@@ -255,9 +246,6 @@ func makeWorkers(threads int, p *plan, opt Options) []*worker {
 			w.htyProbe = obs.NewHistShard(obs.ProbeBuckets)
 			if w.hta != nil {
 				w.hta.ProbeHist = obs.NewHistShard(obs.ProbeBuckets)
-			}
-			if w.htaF != nil {
-				w.htaF.ProbeHist = obs.NewHistShard(obs.ProbeBuckets)
 			}
 		}
 		ws[i] = w
@@ -295,7 +283,7 @@ func (w *worker) stopClock() { w.stamp(&w.searchNS) }
 // searchHtY is stage ② of Algorithm 2 for X non-zeros [lo, hi): one HtY
 // probe each, the hits collected in w.scratch. It reports whether there are
 // any.
-func (w *worker) searchHtY(p *plan, xw *coo.Tensor, hty hashtab.YTable, lo, hi int) bool {
+func (w *worker) searchHtY(p *plan, xw *coo.Tensor, hty *hashtab.HtYFlat, lo, hi int) bool {
 	cCols := xw.Inds[p.nfx:]
 	w.scratch = w.scratch[:0]
 	for i := lo; i < hi; i++ {
@@ -318,22 +306,12 @@ func (w *worker) searchHtY(p *plan, xw *coo.Tensor, hty hashtab.YTable, lo, hi i
 // accumulateHtY is stage ③ of Algorithm 2: every product of the matches in
 // w.scratch goes into the hash accumulator.
 func (w *worker) accumulateHtY() {
-	if w.htaF != nil {
-		for _, m := range w.scratch {
-			v := m.xv
-			for _, it := range m.items {
-				w.htaF.Add(it.LNFree, it.Val*v)
-			}
-			w.products += uint64(len(m.items))
+	for _, m := range w.scratch {
+		v := m.xv
+		for _, it := range m.items {
+			w.hta.Add(it.LNFree, it.Val*v)
 		}
-	} else {
-		for _, m := range w.scratch {
-			v := m.xv
-			for _, it := range m.items {
-				w.hta.Add(it.LNFree, it.Val*v)
-			}
-			w.products += uint64(len(m.items))
-		}
+		w.products += uint64(len(m.items))
 	}
 }
 
@@ -341,7 +319,7 @@ func (w *worker) accumulateHtY() {
 // index search, HtA for accumulation, Zlocal flush for writeback. The stage
 // clock times the three phases separately so Fig. 2-style breakdowns are
 // exact.
-func (w *worker) subSparta(p *plan, xw *coo.Tensor, hty hashtab.YTable, ptrFX []int, f int) {
+func (w *worker) subSparta(p *plan, xw *coo.Tensor, hty *hashtab.HtYFlat, ptrFX []int, f int) {
 	if !w.searchHtY(p, xw, hty, ptrFX[f], ptrFX[f+1]) {
 		return
 	}
@@ -409,22 +387,12 @@ func (w *worker) subCOOHtA(p *plan, xw, yw *coo.Tensor, ptrFX, ptrCY []int, f in
 	w.stamp(&w.searchNS)
 
 	fCols := yw.Inds[p.ncm:]
-	if w.htaF != nil {
-		for _, m := range w.scratchR {
-			v := m.xv
-			for j := m.lo; j < m.hi; j++ {
-				w.htaF.Add(p.radFY.EncodeStrided(fCols, j), yw.Vals[j]*v)
-			}
-			w.products += uint64(m.hi - m.lo)
+	for _, m := range w.scratchR {
+		v := m.xv
+		for j := m.lo; j < m.hi; j++ {
+			w.hta.Add(p.radFY.EncodeStrided(fCols, j), yw.Vals[j]*v)
 		}
-	} else {
-		for _, m := range w.scratchR {
-			v := m.xv
-			for j := m.lo; j < m.hi; j++ {
-				w.hta.Add(p.radFY.EncodeStrided(fCols, j), yw.Vals[j]*v)
-			}
-			w.products += uint64(m.hi - m.lo)
-		}
+		w.products += uint64(m.hi - m.lo)
 	}
 	w.stamp(&w.accumNS)
 
@@ -464,26 +432,14 @@ func (w *worker) subSPA(p *plan, xw, yw *coo.Tensor, ptrFX, ptrCY []int, f int) 
 }
 
 // flushHtA appends the accumulator contents to Zlocal as one run and resets
-// it. Both accumulator layouts expose the same insertion-order Keys/Vals
-// arrays, so the Zlocal writeback contract is identical. The appends never
-// reallocate: room reserved the run's capacity.
+// it. The appends never reallocate: room reserved the run's capacity.
 func (w *worker) flushHtA(f int) {
-	var keys []uint64
-	var vals []float64
-	if w.htaF != nil {
-		keys, vals = w.htaF.Keys(), w.htaF.Vals()
-	} else {
-		keys, vals = w.hta.Keys(), w.hta.Vals()
-	}
+	keys, vals := w.hta.Keys(), w.hta.Vals()
 	if c := w.openRun(f, len(keys)); c != nil {
 		c.lns = append(c.lns, keys...)
 		c.vals = append(c.vals, vals...)
 	}
-	if w.htaF != nil {
-		w.htaF.Reset()
-	} else {
-		w.hta.Reset()
-	}
+	w.hta.Reset()
 }
 
 // flushSPA appends the SPA contents (LN-encoding each tuple once) and

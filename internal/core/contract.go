@@ -9,55 +9,30 @@ import (
 
 	"sparta/internal/coo"
 	"sparta/internal/hashtab"
-	"sparta/internal/lnum"
 	"sparta/internal/obs"
 	"sparta/internal/parallel"
 	"sparta/internal/sortx"
 )
 
-// Options configures a contraction. The zero value is the paper's default
-// configuration of Algorithm 2 except for the algorithm selector: Sparta
-// (HtY+HtA), all cores, sorted output, cloned inputs.
+// Options configures a contraction. The zero value is the production
+// configuration, the paper's Algorithm 2: Sparta (HtY+HtA), all cores, sorted
+// output, cloned inputs.
 type Options struct {
-	// Algorithm selects the SpTC variant. NOTE: the zero value is AlgSPA
-	// (to match EXPERIMENT_MODES numbering); use AlgSparta for Sparta.
+	// Algorithm selects the SpTC variant; the zero value is AlgSparta. The
+	// others are the paper's baselines.
 	Algorithm Algorithm
 	// Threads is the worker count for every parallel stage; <1 means
 	// GOMAXPROCS.
 	Threads int
-	// SkipOutputSort leaves Z unsorted (stage ⑤ is on by default, as in
-	// the paper's evaluation).
+	// SkipOutputSort skips every sort of Z that is a pass of its own:
+	// AlgTwoPhase's stage ⑤ (on by default, as in the paper's evaluation)
+	// and the re-sort after an einsum spec permutes the output modes. The
+	// Zlocal-buffered algorithms order Z inside the writeback gather
+	// either way.
 	SkipOutputSort bool
-	// UnfusedWriteback restores the seed writeback: gather Zlocal in worker
-	// order, then run the full stage-⑤ sort over Z. The default (false)
-	// fuses ordering into the gather — Zlocal runs scatter to f-ordered
-	// destinations and each run is radix-sorted by LN(Fy) in place, so Z
-	// comes out sorted and stage ⑤ is a no-op. Kept selectable for the
-	// sptc-bench -exp sort duel and as a belt-and-braces escape hatch.
-	UnfusedWriteback bool
 	// InPlace lets the algorithm permute and sort the caller's tensors
 	// instead of cloning them, saving one copy of each input.
 	InPlace bool
-	// Kernel selects the hash-kernel layout family (KernelFlat, the
-	// default, or KernelChained — the seed implementation). Both produce
-	// identical outputs; the flat kernels are the measured-faster path
-	// (see BENCH_1.json and sptc-bench -exp kernels).
-	Kernel Kernel
-	// BucketsHtY overrides the HtY bucket/slot count (0 = kernel default:
-	// next power of two >= nnz_Y chained, >= 2*distinct contract keys
-	// flat). Rounded up to a power of two; the flat kernel additionally
-	// clamps it above the distinct-key count so its open-addressed probes
-	// terminate.
-	BucketsHtY int
-	// HtACapHint pre-sizes each thread's accumulator (0 = heuristic).
-	HtACapHint int
-	// TwoPassHtY selects the lock-free two-pass construction of the
-	// *chained* HtY instead of the bucket-locked parallel build
-	// (KernelChained only; the flat kernel always builds by sort-then-pack
-	// and takes no locks). The results are identical; the two-pass build
-	// avoids lock contention on tensors with few distinct contract keys at
-	// the cost of an extra pass over Y.
-	TwoPassHtY bool
 	// Planner enables chain-level contraction-order planning
 	// (PlannerAuto). Only EvalChain consults it; single contractions
 	// accept and ignore the field so one Options value can drive both.
@@ -111,18 +86,13 @@ func ContractCtx(ctx context.Context, x, y *coo.Tensor, cmodesX, cmodesY []int, 
 	return contractMain(ctx, p, nil, opt, rep)
 }
 
-// checkOptions validates the algorithm/kernel selectors and builds the
+// checkOptions validates the algorithm and planner selectors and builds the
 // Report skeleton shared by the one-shot and prepared entry points.
 func checkOptions(opt Options, nnzX, nnzY int) (*Report, error) {
 	switch opt.Algorithm {
 	case AlgSPA, AlgCOOHtA, AlgSparta, AlgTwoPhase:
 	default:
 		return nil, errBadAlgorithm(opt.Algorithm)
-	}
-	switch opt.Kernel {
-	case KernelFlat, KernelChained:
-	default:
-		return nil, errBadKernel(opt.Kernel)
 	}
 	switch opt.Planner {
 	case PlannerOff, PlannerAuto:
@@ -135,7 +105,6 @@ func checkOptions(opt Options, nnzX, nnzY int) (*Report, error) {
 	}
 	return &Report{
 		Algorithm: opt.Algorithm,
-		Kernel:    opt.Kernel,
 		Threads:   threads,
 		NNZX:      nnzX,
 		NNZY:      nnzY,
@@ -185,7 +154,7 @@ func contractMain(ctx context.Context, p *plan, prep *PreparedY, opt Options, re
 	rep.MaxSubNNZX = coo.MaxSubNNZ(ptrFX)
 	rep.BytesX = xw.Bytes()
 
-	var hty hashtab.YTable
+	var hty *hashtab.HtYFlat
 	var yw *coo.Tensor
 	var ptrCY []int
 	if prep != nil {
@@ -193,9 +162,7 @@ func contractMain(ctx context.Context, p *plan, prep *PreparedY, opt Options, re
 		rep.HtYReused = true
 		prep.fillReport(rep)
 	} else if opt.Algorithm == AlgSparta {
-		if hty, err = buildYTable(ctx, p, opt, threads, rep); err != nil {
-			return nil, nil, err
-		}
+		hty = buildHtY(ctx, p, opt, threads, rep)
 	} else {
 		yw = p.y
 		if !opt.InPlace {
@@ -260,15 +227,9 @@ func contractMain(ctx context.Context, p *plan, prep *PreparedY, opt Options, re
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	fused := !opt.UnfusedWriteback
 	spGather := tr.Start("writeback gather", track)
 	t0 = time.Now()
-	var z *coo.Tensor
-	if fused {
-		z, err = gatherFused(p, xw, ptrFX, ws, rep)
-	} else {
-		z, err = gather(p, xw, ptrFX, ws, threads)
-	}
+	z, err := gatherFused(p, xw, ptrFX, ws, rep)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -283,18 +244,10 @@ func contractMain(ctx context.Context, p *plan, prep *PreparedY, opt Options, re
 			hashtab.NextPow2(rep.MaxSubNNZY), rep.MaxSubNNZX, rep.MaxSubNNZY, p.nfy)
 	}
 
-	// ⑤ Output sorting: the fused gather already produced Z in lexicographic
-	// order (f-ordered scatter + per-run LN(Fy) sorts), so the stage runs
-	// only on the unfused path. The residual per-run sort time is reported
-	// separately as rep.SubsortWall, charged to StageWrite where it ran.
-	if !opt.SkipOutputSort && !fused {
-		spSort := tr.Start("output sort", track)
-		t0 = time.Now()
-		z.Sort(threads)
-		rep.StageWall[StageSort] = time.Since(t0)
-		rep.StageCPU[StageSort] = rep.StageWall[StageSort]
-		spSort.End()
-	}
+	// ⑤ Output sorting: the gather already produced Z in lexicographic
+	// order (f-ordered scatter + per-run LN(Fy) sorts). The residual per-run
+	// sort time is reported as rep.SubsortWall, charged to StageWrite where
+	// it ran.
 	publishMetrics(opt.Metrics, rep, ws, nil)
 	return z, rep, nil
 }
@@ -359,111 +312,36 @@ func (e errBadAlgorithm) Error() string {
 	return "core: unknown algorithm " + Algorithm(e).String()
 }
 
-// errBadKernel mirrors errBadAlgorithm for the kernel selector.
-type errBadKernel Kernel
-
-func (e errBadKernel) Error() string {
-	return "core: unknown kernel " + Kernel(e).String()
-}
-
-// buildHtY is the one place that maps Options onto a COO→HtY conversion:
-// the flat sort-then-pack build by default, the bucket-locked or two-pass
-// chained build for KernelChained. Only the two-pass chained build consults
-// ctx (its bucket assembly checkpoints between chunk claims); callers
-// checkpoint around the others.
-func buildHtY(ctx context.Context, y *coo.Tensor, cmodes, fmodes []int, radC, radF *lnum.Radix, opt Options, threads int) (hashtab.YTable, error) {
-	switch {
-	case opt.Kernel != KernelChained:
-		return hashtab.BuildHtYFlat(y, cmodes, fmodes, radC, radF, opt.BucketsHtY, threads), nil
-	case opt.TwoPassHtY:
-		hty, err := hashtab.BuildHtY2PCtx(ctx, y, cmodes, fmodes, radC, radF, opt.BucketsHtY, threads)
-		if err != nil {
-			return nil, err
-		}
-		return hty, nil
-	default:
-		return hashtab.BuildHtY(y, cmodes, fmodes, radC, radF, opt.BucketsHtY, threads), nil
-	}
-}
-
 // reportHtY records the table-side statistics of a built or reused HtY.
-func reportHtY(rep *Report, hty hashtab.YTable, nnzY, orderY int, bytesY uint64) {
+func reportHtY(rep *Report, hty *hashtab.HtYFlat, nnzY, orderY int, bytesY uint64) {
 	rep.BytesY = bytesY
 	rep.BytesHtY = hty.Bytes()
 	rep.BucketsHtY = hty.NumBuckets()
-	rep.DistinctKeysY = hty.NumKeys()
-	rep.MaxSubNNZY = hty.MaxItemLen()
+	rep.DistinctKeysY = hty.NKeys
+	rep.MaxSubNNZY = hty.MaxItems
 	rep.EstBytesHtY = hashtab.EstimateHtYBytes(nnzY, orderY, hty.NumBuckets())
 }
 
-// buildYTable runs the selected COO→HtY conversion kernel and records the
-// table stats plus the build-only wall time (rep.HtYBuild) so kernel duels
-// compare exactly the hash-table work, not X's permute+sort.
-func buildYTable(ctx context.Context, p *plan, opt Options, threads int, rep *Report) (hashtab.YTable, error) {
+// buildHtY runs the COO→HtY conversion and records the table stats plus
+// the build-only wall time (rep.HtYBuild), separate from X's permute+sort.
+// The table is sized from Y's distinct-key count. The build does not consult
+// ctx; callers checkpoint around it.
+func buildHtY(ctx context.Context, p *plan, opt Options, threads int, rep *Report) *hashtab.HtYFlat {
 	tr, track, _ := traceTarget(ctx, opt)
 	sp := tr.Start("hty build", track)
 	defer sp.End()
 	t0 := time.Now()
-	hty, err := buildHtY(ctx, p.y, p.cmodesY, p.fmodesY, p.radC, p.radFY, opt, threads)
-	if err != nil {
-		return nil, err
-	}
+	hty := hashtab.BuildHtYFlat(p.y, p.cmodesY, p.fmodesY, p.radC, p.radFY, 0, threads)
 	rep.HtYBuild = time.Since(t0)
 	reportHtY(rep, hty, p.y.NNZ(), p.y.Order(), p.y.Bytes())
-	return hty, nil
+	return hty
 }
 
-// gather allocates Z exactly (the sum of all Zlocal sizes is known — the
-// paper's answer to the unknown-output-size challenge) and copies every
-// thread's buffer into a disjoint range in parallel.
-func gather(p *plan, xw *coo.Tensor, ptrFX []int, ws []*worker, threads int) (*coo.Tensor, error) {
-	counts := make([]int, len(ws))
-	for i, w := range ws {
-		counts[i] = w.z.n
-	}
-	offsets, total := parallel.PrefixSum(counts)
-	z, err := coo.New(p.zdims, 0)
-	if err != nil {
-		return nil, err
-	}
-	for m := range z.Inds {
-		z.Inds[m] = make([]uint32, total)
-	}
-	z.Vals = make([]float64, total)
-
-	xCols := xw.Inds[:p.nfx]
-	parallel.For(len(ws), len(ws), func(_, lo, hi int) {
-		buf := make([]uint32, p.nfy)
-		for wi := lo; wi < hi; wi++ {
-			w := ws[wi]
-			pos := offsets[wi]
-			for _, c := range w.z.live() {
-				k := 0
-				for _, sub := range c.subs {
-					xAt := ptrFX[sub.f]
-					for j := 0; j < int(sub.n); j++ {
-						for m := 0; m < p.nfx; m++ {
-							z.Inds[m][pos] = xCols[m][xAt]
-						}
-						p.radFY.Decode(c.lns[k], buf)
-						for m := 0; m < p.nfy; m++ {
-							z.Inds[p.nfx+m][pos] = buf[m]
-						}
-						z.Vals[pos] = c.vals[k]
-						pos++
-						k++
-					}
-				}
-			}
-		}
-	})
-	return z, nil
-}
-
-// gatherFused is the sort-fused writeback: it allocates Z exactly like
-// gather, but scatters each sub-tensor's run to a destination computed from
-// the sub-tensor id f — a prefix sum over per-f output counts — instead of
-// worker order, after radix-sorting the run by LN(Fy) in place.
+// gatherFused is the sort-fused writeback: it allocates Z exactly (the sum
+// of all Zlocal sizes is known — the paper's answer to the
+// unknown-output-size challenge) and scatters each sub-tensor's run to a
+// destination computed from the sub-tensor id f — a prefix sum over per-f
+// output counts — after radix-sorting the run by LN(Fy) in place.
 //
 // Why that yields a fully sorted Z: X is sorted, so ascending f enumerates
 // the distinct free-X tuples in lexicographic order; within one f the free-X
@@ -644,16 +522,6 @@ func mergeWorkerStats(rep *Report, ws []*worker) {
 			rep.AccumHits += w.hta.Hits
 			rep.AccumMiss += w.hta.Misses
 			b := w.hta.Bytes()
-			rep.BytesHtA += b
-			if b > rep.BytesHtAPerThr {
-				rep.BytesHtAPerThr = b
-			}
-		}
-		if w.htaF != nil {
-			rep.ProbesHtA += w.htaF.Probes
-			rep.AccumHits += w.htaF.Hits
-			rep.AccumMiss += w.htaF.Misses
-			b := w.htaF.Bytes()
 			rep.BytesHtA += b
 			if b > rep.BytesHtAPerThr {
 				rep.BytesHtAPerThr = b

@@ -49,9 +49,8 @@ func publishMetrics(reg *obs.Registry, rep *Report, ws, symWs []*worker) {
 	if reg == nil {
 		return
 	}
-	alg, kern := rep.Algorithm.String(), rep.Kernel.String()
-	reg.Counter("sptc_contractions_total", "contractions completed",
-		"alg", alg, "kernel", kern).Inc()
+	alg := rep.Algorithm.String()
+	reg.Counter("sptc_contractions_total", "contractions completed", "alg", alg).Inc()
 	reg.Counter("sptc_threads_used_total", "worker threads summed over contractions").Add(uint64(rep.Threads))
 
 	for s := Stage(0); s < NumStages; s++ {
@@ -60,15 +59,15 @@ func publishMetrics(reg *obs.Registry, rep *Report, ws, symWs []*worker) {
 	}
 	if rep.HtYBuild > 0 {
 		reg.Histogram("sptc_hty_build_seconds", "COO Y to HtY conversion wall time",
-			obs.TimeBuckets, "kernel", kern).Observe(rep.HtYBuild.Seconds())
+			obs.TimeBuckets).Observe(rep.HtYBuild.Seconds())
 	}
 	if rep.Symbolic > 0 {
 		reg.Histogram("sptc_symbolic_wall_seconds", "two-phase symbolic phase wall time",
 			obs.TimeBuckets).Observe(rep.Symbolic.Seconds())
 	}
 
-	reg.Counter("sptc_hty_probes_total", "HtY bucket/slot inspections").Add(rep.ProbesHtY)
-	reg.Counter("sptc_hta_probes_total", "HtA chain/slot inspections").Add(rep.ProbesHtA)
+	reg.Counter("sptc_hty_probes_total", "HtY slot inspections").Add(rep.ProbesHtY)
+	reg.Counter("sptc_hta_probes_total", "HtA slot inspections").Add(rep.ProbesHtA)
 	reg.Counter("sptc_products_total", "scalar multiply-adds", "alg", alg).Add(rep.Products)
 	reg.Counter("sptc_search_steps_total", "baseline COO-Y linear search steps").Add(rep.SearchSteps)
 	reg.Counter("sptc_y_lookups_total", "index-search outcomes", "outcome", "hit").Add(rep.HitsY)
@@ -96,9 +95,9 @@ func publishMetrics(reg *obs.Registry, rep *Report, ws, symWs []*worker) {
 	}
 
 	htyH := reg.Histogram("sptc_hty_probe_length", "HtY probes per index-search lookup",
-		obs.ProbeBuckets, "kernel", kern)
-	htaH := reg.Histogram("sptc_hta_probe_length", "HtA chain/probe length per accumulate",
-		obs.ProbeBuckets, "kernel", kern)
+		obs.ProbeBuckets)
+	htaH := reg.Histogram("sptc_hta_probe_length", "HtA probe length per accumulate",
+		obs.ProbeBuckets)
 	busyH := reg.Histogram("sptc_worker_busy_seconds", "per-worker compute time (search+accum+write)",
 		obs.TimeBuckets)
 	zlocalH := reg.Histogram("sptc_zlocal_bytes", "per-worker Zlocal buffer footprint",
@@ -110,9 +109,6 @@ func publishMetrics(reg *obs.Registry, rep *Report, ws, symWs []*worker) {
 			htyH.Merge(w.htyProbe)
 			if w.hta != nil {
 				htaH.Merge(w.hta.ProbeHist)
-			}
-			if w.htaF != nil {
-				htaH.Merge(w.htaF.ProbeHist)
 			}
 			if !numeric {
 				continue

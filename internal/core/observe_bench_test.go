@@ -22,21 +22,19 @@ func BenchmarkContract(b *testing.B) {
 			}
 		}
 	}
-	for _, k := range []Kernel{KernelFlat, KernelChained} {
-		base := Options{Algorithm: AlgSparta, Kernel: k, Threads: 2}
-		b.Run("off/"+k.String(), func(b *testing.B) {
-			run(b, base)
-		})
-		b.Run("metrics/"+k.String(), func(b *testing.B) {
-			opt := base
-			opt.Metrics = obs.NewRegistry()
-			run(b, opt)
-		})
-		b.Run("trace+metrics/"+k.String(), func(b *testing.B) {
-			opt := base
-			opt.Tracer = obs.NewTracer()
-			opt.Metrics = obs.NewRegistry()
-			run(b, opt)
-		})
-	}
+	base := Options{Threads: 2}
+	b.Run("off", func(b *testing.B) {
+		run(b, base)
+	})
+	b.Run("metrics", func(b *testing.B) {
+		opt := base
+		opt.Metrics = obs.NewRegistry()
+		run(b, opt)
+	})
+	b.Run("trace+metrics", func(b *testing.B) {
+		opt := base
+		opt.Tracer = obs.NewTracer()
+		opt.Metrics = obs.NewRegistry()
+		run(b, opt)
+	})
 }

@@ -28,74 +28,72 @@ func TestContractObservability(t *testing.T) {
 	y := randomSparse([]uint64{50, 30, 45}, 1500, 2)
 
 	for _, alg := range []Algorithm{AlgSparta, AlgTwoPhase} {
-		for _, kern := range []Kernel{KernelFlat, KernelChained} {
-			tr := obs.NewTracer()
-			reg := obs.NewRegistry()
-			_, rep, err := Contract(x, y, []int{1, 2}, []int{0, 1}, Options{
-				Algorithm: alg, Kernel: kern, Threads: 3, Tracer: tr, Metrics: reg,
-			})
-			if err != nil {
-				t.Fatalf("%v/%v: %v", alg, kern, err)
-			}
-			if tr.Len() == 0 {
-				t.Fatalf("%v/%v: tracer recorded no events", alg, kern)
-			}
-			var buf bytes.Buffer
-			if err := tr.WriteJSON(&buf); err != nil {
-				t.Fatal(err)
-			}
-			if !json.Valid(buf.Bytes()) {
-				t.Fatalf("%v/%v: trace export is not valid JSON", alg, kern)
-			}
+		tr := obs.NewTracer()
+		reg := obs.NewRegistry()
+		_, rep, err := Contract(x, y, []int{1, 2}, []int{0, 1}, Options{
+			Algorithm: alg, Threads: 3, Tracer: tr, Metrics: reg,
+		})
+		if err != nil {
+			t.Fatalf("%v: %v", alg, err)
+		}
+		if tr.Len() == 0 {
+			t.Fatalf("%v: tracer recorded no events", alg)
+		}
+		var buf bytes.Buffer
+		if err := tr.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !json.Valid(buf.Bytes()) {
+			t.Fatalf("%v: trace export is not valid JSON", alg)
+		}
 
-			snaps := reg.Snapshot()
-			hty := findSnap(snaps, "sptc_hty_probe_length", "")
-			if hty == nil || hty.Count == 0 {
-				t.Fatalf("%v/%v: HtY probe histogram missing or empty", alg, kern)
-			}
-			if hty.Count != rep.HitsY+rep.MissY {
-				t.Errorf("%v/%v: HtY probe observations %d != lookups %d",
-					alg, kern, hty.Count, rep.HitsY+rep.MissY)
-			}
-			hta := findSnap(snaps, "sptc_hta_probe_length", "")
-			if hta == nil || hta.Count == 0 {
-				t.Fatalf("%v/%v: HtA probe histogram missing or empty", alg, kern)
-			}
-			// One Add per product; the two-phase symbolic workers add a
-			// second structural pass, so >= is the invariant across algs.
-			if hta.Count < rep.Products {
-				t.Errorf("%v/%v: HtA probe observations %d < products %d",
-					alg, kern, hta.Count, rep.Products)
-			}
+		snaps := reg.Snapshot()
+		hty := findSnap(snaps, "sptc_hty_probe_length", "")
+		if hty == nil || hty.Count == 0 {
+			t.Fatalf("%v: HtY probe histogram missing or empty", alg)
+		}
+		if hty.Count != rep.HitsY+rep.MissY {
+			t.Errorf("%v: HtY probe observations %d != lookups %d",
+				alg, hty.Count, rep.HitsY+rep.MissY)
+		}
+		hta := findSnap(snaps, "sptc_hta_probe_length", "")
+		if hta == nil || hta.Count == 0 {
+			t.Fatalf("%v: HtA probe histogram missing or empty", alg)
+		}
+		// One Add per product; the two-phase symbolic workers add a
+		// second structural pass, so >= is the invariant across algs.
+		if hta.Count < rep.Products {
+			t.Errorf("%v: HtA probe observations %d < products %d",
+				alg, hta.Count, rep.Products)
+		}
 
-			// Consistency with Report.StageWall: each stage's wall time was
-			// observed once, so the histogram sum over all stages equals the
-			// report total (sans HtY build, which is inside StageInput).
-			var sumWall float64
-			for s := Stage(0); s < NumStages; s++ {
-				sn := findSnap(snaps, "sptc_stage_wall_seconds", `stage="`+stageKey[s]+`"`)
-				if sn == nil || sn.Count != 1 {
-					t.Fatalf("%v/%v: stage %v wall metric missing", alg, kern, s)
-				}
-				if got, want := sn.Sum, rep.StageWall[s].Seconds(); got != want {
-					t.Errorf("%v/%v: stage %v wall metric %v != report %v", alg, kern, s, got, want)
-				}
-				sumWall += sn.Sum
+		// Consistency with Report.StageWall: each stage's wall time was
+		// observed once, so the histogram sum over all stages equals the
+		// report total (sans HtY build, which is inside StageInput).
+		var sumWall float64
+		for s := Stage(0); s < NumStages; s++ {
+			sn := findSnap(snaps, "sptc_stage_wall_seconds", `stage="`+stageKey[s]+`"`)
+			if sn == nil || sn.Count != 1 {
+				t.Fatalf("%v: stage %v wall metric missing", alg, s)
 			}
-			var wantWall float64
-			for s := Stage(0); s < NumStages; s++ {
-				wantWall += rep.StageWall[s].Seconds()
+			if got, want := sn.Sum, rep.StageWall[s].Seconds(); got != want {
+				t.Errorf("%v: stage %v wall metric %v != report %v", alg, s, got, want)
 			}
-			if got := sumWall; got < wantWall*0.999 || got > wantWall*1.001 {
-				t.Errorf("%v/%v: stage wall sum %v != report sum %v", alg, kern, got, wantWall)
-			}
+			sumWall += sn.Sum
+		}
+		var wantWall float64
+		for s := Stage(0); s < NumStages; s++ {
+			wantWall += rep.StageWall[s].Seconds()
+		}
+		if got := sumWall; got < wantWall*0.999 || got > wantWall*1.001 {
+			t.Errorf("%v: stage wall sum %v != report sum %v", alg, got, wantWall)
+		}
 
-			if g := findSnap(snaps, "sptc_output_nnz", ""); g == nil || g.Value != float64(rep.NNZZ) {
-				t.Errorf("%v/%v: output nnz gauge inconsistent with report", alg, kern)
-			}
-			if g := findSnap(snaps, "sptc_worker_load_imbalance", ""); g == nil || g.Value < 1 {
-				t.Errorf("%v/%v: load imbalance gauge missing or < 1", alg, kern)
-			}
+		if g := findSnap(snaps, "sptc_output_nnz", ""); g == nil || g.Value != float64(rep.NNZZ) {
+			t.Errorf("%v: output nnz gauge inconsistent with report", alg)
+		}
+		if g := findSnap(snaps, "sptc_worker_load_imbalance", ""); g == nil || g.Value < 1 {
+			t.Errorf("%v: load imbalance gauge missing or < 1", alg)
 		}
 	}
 }

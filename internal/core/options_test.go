@@ -2,38 +2,12 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
-)
 
-// TestTwoPassHtYMatchesDefault: the lock-free build must produce identical
-// contraction results.
-func TestTwoPassHtYMatchesDefault(t *testing.T) {
-	x := randomSparse([]uint64{7, 6, 5, 4}, 300, 71)
-	y := randomSparse([]uint64{5, 4, 8}, 200, 72)
-	a, _, err := Contract(x, y, []int{2, 3}, []int{0, 1}, Options{Algorithm: AlgSparta})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := Contract(x, y, []int{2, 3}, []int{0, 1}, Options{Algorithm: AlgSparta, TwoPassHtY: true, Threads: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.NNZ() != b.NNZ() {
-		t.Fatalf("nnz differs: %d vs %d", a.NNZ(), b.NNZ())
-	}
-	for i := 0; i < a.NNZ(); i++ {
-		for m := range a.Inds {
-			if a.Inds[m][i] != b.Inds[m][i] {
-				t.Fatalf("coordinate mismatch at %d", i)
-			}
-		}
-		d := a.Vals[i] - b.Vals[i]
-		if d < -1e-9 || d > 1e-9 {
-			t.Fatalf("value mismatch at %d", i)
-		}
-	}
-}
+	"sparta/internal/dense"
+)
 
 // TestTwoPhaseReport: the symbolic phase must be timed, and two-phase must
 // report no thread-local output buffers (its one advantage over Sparta).
@@ -101,55 +75,92 @@ func TestMaxOutputNNZ(t *testing.T) {
 	}
 }
 
-// TestBuildDispatchOneShotMatchesPrepared: buildYTable and PrepareY go
-// through one dispatcher, so for every kernel/build selection the one-shot
-// and the prepared path must pick the same table (same stats in the Report,
-// bitwise-equal Z), and both must time the build.
+// TestBuildDispatchOneShotMatchesPrepared: buildHtY and PrepareY must
+// build the same table (same stats in the Report, bitwise-equal Z), both must
+// time the build, and the table is sized from Y's distinct keys.
 func TestBuildDispatchOneShotMatchesPrepared(t *testing.T) {
 	x := randomSparse([]uint64{9, 6, 5, 4}, 500, 91)
 	y := randomSparse([]uint64{5, 4, 8, 7}, 700, 92)
 	cx, cy := []int{2, 3}, []int{0, 1}
-	for _, opt := range []Options{
-		{Algorithm: AlgSparta},
-		{Algorithm: AlgSparta, BucketsHtY: 1 << 10},
-		{Algorithm: AlgSparta, Kernel: KernelChained},
-		{Algorithm: AlgSparta, Kernel: KernelChained, TwoPassHtY: true, BucketsHtY: 16},
-	} {
-		opt.Threads = 2
-		z1, r1, err := Contract(x, y, cx, cy, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pr, err := PrepareY(y, cy, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		z2, r2, err := pr.Contract(context.Background(), x, cx, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !z1.Equal(z2) {
-			t.Fatalf("%+v: prepared Z differs from one-shot Z", opt)
-		}
-		if r1.HtYBuild <= 0 || r2.HtYBuild <= 0 || r2.HtYReused {
-			t.Fatalf("%+v: build not reported: one-shot %v, prepared %v (reused %v)", opt, r1.HtYBuild, r2.HtYBuild, r2.HtYReused)
-		}
-		if r1.BucketsHtY != r2.BucketsHtY || r1.DistinctKeysY != r2.DistinctKeysY || r1.MaxSubNNZY != r2.MaxSubNNZY ||
-			r1.EstBytesHtY != r2.EstBytesHtY || r1.BytesY != r2.BytesY {
-			t.Fatalf("%+v: table stats differ:\none-shot %+v\nprepared %+v", opt, r1, r2)
-		}
-		// The chained build's Bytes counts slice capacities, which depend on
-		// the lock order; the flat table is deterministic.
-		if opt.Kernel == KernelFlat {
-			if r1.BytesHtY != r2.BytesHtY {
-				t.Fatalf("%+v: BytesHtY %d vs %d", opt, r1.BytesHtY, r2.BytesHtY)
-			}
-			if r1.EstBytesHtY < r1.BytesHtY {
-				t.Fatalf("%+v: Eq. 5 estimate %d below the measured table %d", opt, r1.EstBytesHtY, r1.BytesHtY)
-			}
-		}
-		if opt.BucketsHtY == 0 && opt.Kernel == KernelFlat && r1.BucketsHtY >= 4*r1.DistinctKeysY {
-			t.Fatalf("default flat table has %d slots for %d keys: not sized from the distinct keys", r1.BucketsHtY, r1.DistinctKeysY)
-		}
+	opt := Options{Algorithm: AlgSparta, Threads: 2}
+	z1, r1, err := Contract(x, y, cx, cy, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := PrepareY(y, cy, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	z2, r2, err := pr.Contract(context.Background(), x, cx, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !z1.Equal(z2) {
+		t.Fatal("prepared Z differs from one-shot Z")
+	}
+	if r1.HtYBuild <= 0 || r2.HtYBuild <= 0 || r2.HtYReused {
+		t.Fatalf("build not reported: one-shot %v, prepared %v (reused %v)", r1.HtYBuild, r2.HtYBuild, r2.HtYReused)
+	}
+	if r1.BucketsHtY != r2.BucketsHtY || r1.DistinctKeysY != r2.DistinctKeysY || r1.MaxSubNNZY != r2.MaxSubNNZY ||
+		r1.EstBytesHtY != r2.EstBytesHtY || r1.BytesY != r2.BytesY || r1.BytesHtY != r2.BytesHtY {
+		t.Fatalf("table stats differ:\none-shot %+v\nprepared %+v", r1, r2)
+	}
+	if r1.EstBytesHtY < r1.BytesHtY {
+		t.Fatalf("Eq. 5 estimate %d below the measured table %d", r1.EstBytesHtY, r1.BytesHtY)
+	}
+	if r1.BucketsHtY >= 4*r1.DistinctKeysY {
+		t.Fatalf("table has %d slots for %d keys: not sized from the distinct keys", r1.BucketsHtY, r1.DistinctKeysY)
+	}
+}
+
+// TestZeroOptionsIsSparta: the zero Options is the production configuration —
+// it selects AlgSparta, matches the dense reference, and is accepted by the
+// prepared and streamed entry points, which serve AlgSparta only.
+func TestZeroOptionsIsSparta(t *testing.T) {
+	if reflect.TypeOf(Options{}).NumField() != 8 {
+		t.Fatalf("Options has %d fields, want 8", reflect.TypeOf(Options{}).NumField())
+	}
+	x := randomSparse([]uint64{9, 6, 5}, 200, 93)
+	y := randomSparse([]uint64{5, 8, 7}, 150, 94)
+	cx, cy := []int{2}, []int{0}
+	z, rep, err := Contract(x, y, cx, cy, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Algorithm != AlgSparta {
+		t.Fatalf("zero Options ran %v, want %v", rep.Algorithm, AlgSparta)
+	}
+	dx, _ := dense.FromCOO(x, 1<<24)
+	dy, _ := dense.FromCOO(y, 1<<24)
+	want, err := dense.Contract(dx, dy, cx, cy, 1<<24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := dense.FromCOO(z, 1<<24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff, err := dense.MaxAbsDiff(got, want); err != nil || diff > 1e-9 {
+		t.Fatalf("zero Options differs from the dense reference: diff %v, err %v", diff, err)
+	}
+
+	pr, err := PrepareY(y, cy, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	zp, _, err := pr.Contract(context.Background(), x, cx, Options{})
+	if err != nil {
+		t.Fatalf("PreparedY.Contract rejected the zero Options: %v", err)
+	}
+	xs, err := NewTensorStream(x, cx, 50, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zs, _, err := ContractStream(context.Background(), xs, pr, StreamOptions{})
+	if err != nil {
+		t.Fatalf("ContractStream rejected the zero Options: %v", err)
+	}
+	if !zp.Equal(z) || !zs.Equal(z) {
+		t.Fatal("prepared or streamed output differs from one-shot under the zero Options")
 	}
 }

@@ -24,14 +24,13 @@ import (
 // (chain steps with Options.InPlace) cannot corrupt it. It is immutable
 // after PrepareY returns and safe for concurrent Contract calls.
 type PreparedY struct {
-	hty hashtab.YTable
+	hty *hashtab.HtYFlat
 
 	cdims  []uint64 // contract-mode sizes in pairing order
 	fydims []uint64 // Y free-mode sizes in mode order
 	radC   *lnum.Radix
 	radFY  *lnum.Radix
 
-	kernel Kernel
 	nnzY   int
 	orderY int
 	bytesY uint64
@@ -43,19 +42,13 @@ type PreparedY struct {
 	uses  atomic.Uint64
 }
 
-// PrepareY runs the COO→HtY conversion for Z = X ×_{?}^{cmodesY} Y once,
-// with the kernel/bucket/thread settings of opt (only Kernel, BucketsHtY,
-// TwoPassHtY, Threads, Tracer are consulted — the prepared table serves any
-// AlgSparta contraction regardless of the other options). Y is read but
+// PrepareY runs the COO→HtY conversion for Z = X ×_{?}^{cmodesY} Y once
+// (only opt.Threads and opt.Tracer are consulted — the prepared table serves
+// any AlgSparta contraction regardless of the other options). Y is read but
 // never mutated; the result references none of Y's storage.
 func PrepareY(y *coo.Tensor, cmodesY []int, opt Options) (*PreparedY, error) {
 	if y == nil {
 		return nil, fmt.Errorf("core: PrepareY: nil tensor")
-	}
-	switch opt.Kernel {
-	case KernelFlat, KernelChained:
-	default:
-		return nil, errBadKernel(opt.Kernel)
 	}
 	if len(cmodesY) == 0 {
 		return nil, fmt.Errorf("core: contraction needs at least one contract-mode pair")
@@ -65,7 +58,6 @@ func PrepareY(y *coo.Tensor, cmodesY []int, opt Options) (*PreparedY, error) {
 		return nil, err
 	}
 	pr := &PreparedY{
-		kernel: opt.Kernel,
 		nnzY:   y.NNZ(),
 		orderY: y.Order(),
 		bytesY: y.Bytes(),
@@ -94,9 +86,7 @@ func PrepareY(y *coo.Tensor, cmodesY []int, opt Options) (*PreparedY, error) {
 	sp := opt.Tracer.Start("hty build", 0)
 	defer sp.End()
 	t0 := time.Now()
-	if pr.hty, err = buildHtY(context.Background(), y, cmodesY, fmodesY, pr.radC, pr.radFY, opt, threads); err != nil {
-		return nil, err
-	}
+	pr.hty = hashtab.BuildHtYFlat(y, cmodesY, fmodesY, pr.radC, pr.radFY, 0, threads)
 	pr.build = time.Since(t0)
 	return pr, nil
 }
@@ -113,9 +103,6 @@ func PrepareY(y *coo.Tensor, cmodesY []int, opt Options) (*PreparedY, error) {
 func (pr *PreparedY) Contract(ctx context.Context, x *coo.Tensor, cmodesX []int, opt Options) (*coo.Tensor, *Report, error) {
 	if opt.Algorithm != AlgSparta {
 		return nil, nil, fmt.Errorf("core: prepared contraction supports only %v, got %v", AlgSparta, opt.Algorithm)
-	}
-	if opt.Kernel != pr.kernel {
-		return nil, nil, fmt.Errorf("core: prepared with kernel %v, contraction requested %v", pr.kernel, opt.Kernel)
 	}
 	p, err := pr.newPlanX(x, cmodesX)
 	if err != nil {
@@ -180,14 +167,11 @@ func (pr *PreparedY) newPlanX(x *coo.Tensor, cmodesX []int) (*plan, error) {
 	return p, nil
 }
 
-// fillReport copies the table-side statistics buildYTable would have
+// fillReport copies the table-side statistics buildHtY would have
 // recorded, so warm-path reports stay comparable to cold ones.
 func (pr *PreparedY) fillReport(rep *Report) {
 	reportHtY(rep, pr.hty, pr.nnzY, pr.orderY, pr.bytesY)
 }
-
-// Kernel returns the hash-kernel family the table was built with.
-func (pr *PreparedY) Kernel() Kernel { return pr.kernel }
 
 // NNZY returns the non-zero count of the prepared Y.
 func (pr *PreparedY) NNZY() int { return pr.nnzY }
@@ -199,7 +183,7 @@ func (pr *PreparedY) OrderY() int { return pr.orderY }
 func (pr *PreparedY) NumFreeModes() int { return len(pr.fydims) }
 
 // MaxItemLen returns nnz_Fmax of the prepared Y (Eq. 6 input).
-func (pr *PreparedY) MaxItemLen() int { return pr.hty.MaxItemLen() }
+func (pr *PreparedY) MaxItemLen() int { return pr.hty.MaxItems }
 
 // NumBuckets returns the prepared key table's bucket/slot count.
 func (pr *PreparedY) NumBuckets() int { return pr.hty.NumBuckets() }

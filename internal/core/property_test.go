@@ -71,77 +71,6 @@ func tensorsAlmostEqual(a, b *coo.Tensor) bool {
 	return true
 }
 
-// TestKernelEquivalence: for a grid of random tensor shapes, mode choices,
-// algorithms, and thread counts, the chained (seed) and flat kernels must
-// produce identical sorted outputs — same coordinates, values equal up to
-// accumulation-order rounding.
-func TestKernelEquivalence(t *testing.T) {
-	type shape struct {
-		xd, yd []uint64
-		cx, cy []int
-	}
-	shapes := []shape{
-		{[]uint64{5, 6, 4, 3}, []uint64{4, 3, 7}, []int{2, 3}, []int{0, 1}},
-		{[]uint64{8, 9}, []uint64{9, 7}, []int{1}, []int{0}},
-		{[]uint64{4, 5, 3, 6}, []uint64{6, 2, 5}, []int{3, 1}, []int{0, 2}},
-		{[]uint64{3, 20}, []uint64{20}, []int{1}, []int{0}}, // scalar-ish free side
-		{[]uint64{6, 5}, []uint64{5, 6}, []int{0, 1}, []int{1, 0}},
-	}
-	for si, s := range shapes {
-		for trial := 0; trial < 3; trial++ {
-			x := randomSparse(s.xd, 20*len(s.xd)*(trial+1), int64(900+10*si+trial))
-			y := randomSparse(s.yd, 15*len(s.yd)*(trial+1), int64(990+10*si+trial))
-			for _, alg := range []Algorithm{AlgSparta, AlgCOOHtA, AlgTwoPhase} {
-				for _, threads := range []int{1, 4} {
-					ref, repC, err := Contract(x, y, s.cx, s.cy, Options{
-						Algorithm: alg, Kernel: KernelChained, Threads: threads,
-					})
-					if err != nil {
-						t.Fatalf("shape %d %v chained: %v", si, alg, err)
-					}
-					got, repF, err := Contract(x, y, s.cx, s.cy, Options{
-						Algorithm: alg, Kernel: KernelFlat, Threads: threads,
-					})
-					if err != nil {
-						t.Fatalf("shape %d %v flat: %v", si, alg, err)
-					}
-					if repC.Kernel != KernelChained || repF.Kernel != KernelFlat {
-						t.Fatalf("report kernel not recorded: %v/%v", repC.Kernel, repF.Kernel)
-					}
-					if ref.NNZ() != got.NNZ() {
-						t.Fatalf("shape %d %v threads=%d: nnz %d vs %d",
-							si, alg, threads, ref.NNZ(), got.NNZ())
-					}
-					for i := 0; i < ref.NNZ(); i++ {
-						for m := range ref.Inds {
-							if ref.Inds[m][i] != got.Inds[m][i] {
-								t.Fatalf("shape %d %v threads=%d: coordinate mismatch at %d",
-									si, alg, threads, i)
-							}
-						}
-						d := ref.Vals[i] - got.Vals[i]
-						if d < -1e-9 || d > 1e-9 {
-							t.Fatalf("shape %d %v threads=%d: value mismatch at %d: %v vs %v",
-								si, alg, threads, i, ref.Vals[i], got.Vals[i])
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestBadKernelRejected: out-of-range kernel selectors fail cleanly.
-func TestBadKernelRejected(t *testing.T) {
-	x := randomSparse([]uint64{4, 5}, 10, 1)
-	y := randomSparse([]uint64{5, 3}, 10, 2)
-	if _, _, err := Contract(x, y, []int{1}, []int{0}, Options{
-		Algorithm: AlgSparta, Kernel: Kernel(7),
-	}); err == nil {
-		t.Fatal("unknown kernel accepted")
-	}
-}
-
 // TestAdditivity: contracting (X1 ∪ X2) equals the element-wise sum of the
 // two partial contractions (bilinearity in the first argument).
 func TestAdditivity(t *testing.T) {
@@ -213,11 +142,11 @@ func TestLNOverflowRejected(t *testing.T) {
 }
 
 // TestFusedWritebackMatchesSeed: the sort-fused gather must produce EXACTLY
-// the tensor the seed pipeline produced — unfused worker-order gather
-// followed by the full quicksort stage ⑤. Equality is bitwise (coo.Equal),
-// not approximate: fused vs unfused move the same accumulated values, they
-// never recombine them. Swept across algorithms, kernels, thread counts, and
-// shapes including scalar outputs and free-side-only Y.
+// the tensor a pipeline with a separate stage ⑤ produces — AlgTwoPhase writes
+// Z in sub-tensor order and then runs the full sort over it. Equality is
+// bitwise (coo.Equal), not approximate: both move the same accumulated
+// values, they never recombine them. Swept across algorithms, thread counts,
+// and shapes including scalar outputs and free-side-only Y.
 func TestFusedWritebackMatchesSeed(t *testing.T) {
 	type shape struct {
 		xd, yd []uint64
@@ -234,36 +163,28 @@ func TestFusedWritebackMatchesSeed(t *testing.T) {
 	for si, s := range shapes {
 		x := randomSparse(s.xd, 40*len(s.xd), int64(1700+si))
 		y := randomSparse(s.yd, 30*len(s.yd), int64(1800+si))
-		for _, alg := range []Algorithm{AlgSPA, AlgCOOHtA, AlgSparta} {
-			for _, kern := range []Kernel{KernelFlat, KernelChained} {
-				for _, threads := range []int{1, 4} {
-					fused, repF, err := Contract(x, y, s.cx, s.cy, Options{
-						Algorithm: alg, Kernel: kern, Threads: threads,
-					})
-					if err != nil {
-						t.Fatalf("shape %d %v fused: %v", si, alg, err)
-					}
-					// Seed path: unfused gather, then the seed quicksort.
-					seed, repU, err := Contract(x, y, s.cx, s.cy, Options{
-						Algorithm: alg, Kernel: kern, Threads: threads,
-						UnfusedWriteback: true, SkipOutputSort: true,
-					})
-					if err != nil {
-						t.Fatalf("shape %d %v unfused: %v", si, alg, err)
-					}
-					seed.SortWith(threads, coo.SortQuick)
-					if !fused.IsSorted() {
-						t.Fatalf("shape %d %v %v threads=%d: fused Z not sorted",
-							si, alg, kern, threads)
-					}
-					if !fused.Equal(seed) {
-						t.Fatalf("shape %d %v %v threads=%d: fused Z differs from seed pipeline",
-							si, alg, kern, threads)
-					}
-					if repU.SubsortWall != 0 {
-						t.Fatalf("unfused path reported a fused subsort time: %v", repU.SubsortWall)
-					}
-					_ = repF // SubsortWall can legitimately round to 0 on tiny inputs
+		for _, threads := range []int{1, 4} {
+			seed, repS, err := Contract(x, y, s.cx, s.cy, Options{Algorithm: AlgTwoPhase, Threads: threads})
+			if err != nil {
+				t.Fatalf("shape %d two-phase: %v", si, err)
+			}
+			if repS.SubsortWall != 0 {
+				t.Fatalf("two-phase reported a fused subsort time: %v", repS.SubsortWall)
+			}
+			for _, alg := range []Algorithm{AlgSPA, AlgCOOHtA, AlgSparta} {
+				fused, repF, err := Contract(x, y, s.cx, s.cy, Options{Algorithm: alg, Threads: threads})
+				if err != nil {
+					t.Fatalf("shape %d %v fused: %v", si, alg, err)
+				}
+				if !fused.IsSorted() {
+					t.Fatalf("shape %d %v threads=%d: fused Z not sorted", si, alg, threads)
+				}
+				if !fused.Equal(seed) {
+					t.Fatalf("shape %d %v threads=%d: fused Z differs from the separately sorted pipeline",
+						si, alg, threads)
+				}
+				if repF.StageWall[StageSort] != 0 {
+					t.Fatalf("%v charged %v to a stage ⑤ it does not run", alg, repF.StageWall[StageSort])
 				}
 			}
 		}

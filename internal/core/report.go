@@ -8,25 +8,26 @@ import (
 	"sparta/internal/coo"
 )
 
-// Algorithm selects the SpTC variant, numbered like the artifact's
-// EXPERIMENT_MODES environment variable.
+// Algorithm selects the SpTC variant. The zero value is Sparta; the others
+// are the paper's baselines. (The artifact's EXPERIMENT_MODES numbering is
+// cmd/ttt's concern.)
 type Algorithm int
 
 const (
+	// AlgSparta is the full Sparta algorithm: hash-table Y and hash-table
+	// accumulator (Algorithm 2).
+	AlgSparta Algorithm = iota
 	// AlgSPA is SpTC-SPA: COO Y with linear index search plus the
-	// vector sparse accumulator (Algorithm 1). EXPERIMENT_MODES=0.
-	AlgSPA Algorithm = 0
+	// vector sparse accumulator (Algorithm 1).
+	AlgSPA
 	// AlgCOOHtA keeps the COO Y linear search but accumulates into the
-	// hash-table accumulator HtA. EXPERIMENT_MODES=1.
-	AlgCOOHtA Algorithm = 1
+	// hash-table accumulator HtA.
+	AlgCOOHtA
 	// AlgTwoPhase is the traditional symbolic+numeric SpTC the paper's
 	// §3.2 argues against: a structure-only pass counts the exact output
 	// size, then a second pass computes values into the exactly-sized Z
-	// with no thread-local buffers and no gather. EXPERIMENT_MODES=2.
-	AlgTwoPhase Algorithm = 2
-	// AlgSparta is the full Sparta algorithm: hash-table Y and hash-table
-	// accumulator (Algorithm 2). EXPERIMENT_MODES=3.
-	AlgSparta Algorithm = 3
+	// with no thread-local buffers and no gather.
+	AlgTwoPhase
 )
 
 // String names the algorithm the way the paper's figures do.
@@ -42,36 +43,6 @@ func (a Algorithm) String() string {
 		return "HtY+HtA"
 	default:
 		return fmt.Sprintf("Algorithm(%d)", int(a))
-	}
-}
-
-// Kernel selects the hash-kernel layout family used by the HtY-probing
-// algorithms (AlgSparta, AlgTwoPhase) and the HtA-accumulating ones
-// (AlgSparta, AlgCOOHtA, AlgTwoPhase). The zero value is the flat family —
-// the measured-faster default; the chained family is the seed implementation,
-// kept selectable for A/B duels (sptc-bench -exp kernels).
-type Kernel int
-
-const (
-	// KernelFlat uses the open-addressed flat kernels: HtYFlat (sort-then-pack
-	// build, CSR item arena, linear-probe key table) and HtAFlat
-	// (inline key slots, no chain nodes).
-	KernelFlat Kernel = 0
-	// KernelChained uses the seed kernels: bucket-locked chained HtY
-	// (or the two-pass chained build when Options.TwoPassHtY is set) and
-	// the index-chained HtA.
-	KernelChained Kernel = 1
-)
-
-// String names the kernel family.
-func (k Kernel) String() string {
-	switch k {
-	case KernelFlat:
-		return "flat"
-	case KernelChained:
-		return "chained"
-	default:
-		return fmt.Sprintf("Kernel(%d)", int(k))
 	}
 }
 
@@ -137,12 +108,11 @@ func (s Stage) String() string {
 // heterogeneous-memory planner places (Table 2).
 type Report struct {
 	Algorithm Algorithm
-	Kernel    Kernel // hash-kernel family the run used (AlgSparta/AlgTwoPhase/AlgCOOHtA)
 	Threads   int
 
 	// HtYBuild is the COO→HtY conversion wall time, separated from the
-	// rest of StageInput (X permute+sort) so kernel duels compare exactly
-	// the hash-table work. Zero when the build was skipped (HtYReused).
+	// rest of StageInput (X permute+sort). Zero when the build was skipped
+	// (HtYReused).
 	HtYBuild time.Duration
 	// HtYReused is true when this contraction skipped the COO→HtY build
 	// because a *PreparedY (possibly from the engine plan cache) supplied
@@ -152,9 +122,9 @@ type Report struct {
 	// XSort reports which engine sorted X in stage ① and, on the radix
 	// path, its partition/pass stats (feeds the sptc_sort_* skew metrics).
 	XSort coo.SortInfo
-	// SubsortWall is the residual stage-⑤ cost on the fused-writeback
-	// path: the per-run LN(Fy) sorts inside the gather, max across workers.
-	// Zero on the unfused path (where StageSort holds the full Z sort).
+	// SubsortWall is the residual stage-⑤ cost of the Zlocal-buffered
+	// algorithms: the per-run LN(Fy) sorts inside the gather, max across
+	// workers. Zero for AlgTwoPhase (where StageSort holds the full Z sort).
 	SubsortWall time.Duration
 
 	// StageWall approximates the wall-clock time of each stage. For the
@@ -177,13 +147,13 @@ type Report struct {
 	BucketsHtY       int
 
 	// Operation counters.
-	SearchSteps uint64 // COO-Y linear-search key comparisons (Alg 0/1)
-	ProbesHtY   uint64 // HtY bucket-entry probes (Alg 3)
+	SearchSteps uint64 // COO-Y linear-search key comparisons (SPA, COOY+HtA)
+	ProbesHtY   uint64 // HtY slot probes (Sparta, two-phase)
 	HitsY       uint64 // X non-zeros whose contract key exists in Y
 	MissY       uint64 // X non-zeros with no matching Y sub-tensor
 	Products    uint64 // scalar multiply-adds performed
-	SPACompares uint64 // SPA key-element comparisons (Alg 0)
-	ProbesHtA   uint64 // HtA chain probes (Alg 1/3)
+	SPACompares uint64 // SPA key-element comparisons (SPA)
+	ProbesHtA   uint64 // HtA slot probes (every HtA algorithm)
 	AccumHits   uint64 // accumulator add-into-existing
 	AccumMiss   uint64 // accumulator fresh inserts
 

@@ -61,8 +61,7 @@ func NewTensorStream(x *coo.Tensor, cmodesX []int, windowNNZ, threads int, inPla
 }
 
 // StreamOptions configures ContractStream. The embedded Options mean the
-// same as everywhere else (Algorithm must be AlgSparta and Kernel must
-// match the prepared table).
+// same as everywhere else (Algorithm must be AlgSparta).
 type StreamOptions struct {
 	Options
 	// SpillZ stages the output through a file-backed RunSpool instead of
@@ -98,9 +97,6 @@ func ContractStream(ctx context.Context, xs XStream, pr *PreparedY, opt StreamOp
 	}
 	if opt.Algorithm != AlgSparta {
 		return nil, nil, fmt.Errorf("core: streamed contraction supports only %v, got %v", AlgSparta, opt.Algorithm)
-	}
-	if opt.Kernel != pr.kernel {
-		return nil, nil, fmt.Errorf("core: prepared with kernel %v, contraction requested %v", pr.kernel, opt.Kernel)
 	}
 	dims := xs.Dims()
 	ncm := len(pr.cdims)

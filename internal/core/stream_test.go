@@ -9,54 +9,51 @@ import (
 )
 
 // TestContractStreamMatchesInMemory is the out-of-core driver's bitwise
-// oracle: for both hash kernels, a sweep of window sizes, and both Z sinks
-// (heap merge and file spool), the streamed result must equal the one-shot
-// in-memory contraction exactly — same coordinates, same values, same
-// order. This is the property the v2 window alignment exists to guarantee.
+// oracle: for a sweep of window sizes and both Z sinks (heap merge and file
+// spool), the streamed result must equal the one-shot in-memory contraction
+// exactly — same coordinates, same values, same order. This is the property the v2 window alignment exists to guarantee.
 func TestContractStreamMatchesInMemory(t *testing.T) {
 	x := randomSparse([]uint64{40, 9, 8}, 700, 31)
 	y := randomSparse([]uint64{8, 7}, 80, 32)
 	cmX, cmY := []int{2}, []int{0}
-	for _, kernel := range []Kernel{KernelFlat, KernelChained} {
-		opt := Options{Algorithm: AlgSparta, Kernel: kernel, Threads: 2}
-		pr, err := PrepareY(y, cmY, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _, err := pr.Contract(context.Background(), x, cmX, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, windowNNZ := range []int{0, 13, 100, 1 << 20} {
-			for _, spill := range []bool{false, true} {
-				xs, err := NewTensorStream(x, cmX, windowNNZ, 1, false)
-				if err != nil {
-					t.Fatal(err)
-				}
-				z, rep, err := ContractStream(context.Background(), xs, pr,
-					StreamOptions{Options: opt, SpillZ: spill, SpillDir: t.TempDir()})
-				if err != nil {
-					t.Fatalf("kernel %v window %d spill %v: %v", kernel, windowNNZ, spill, err)
-				}
-				if !z.Equal(want) {
-					t.Fatalf("kernel %v window %d spill %v: streamed output differs from in-memory",
-						kernel, windowNNZ, spill)
-				}
-				if !rep.Streamed {
-					t.Error("report not marked streamed")
-				}
-				if rep.SpilledZ != spill {
-					t.Errorf("report SpilledZ = %v, want %v", rep.SpilledZ, spill)
-				}
-				if windowNNZ == 13 && rep.Windows < 2 {
-					t.Errorf("window cap 13 ran in %d windows", rep.Windows)
-				}
-				if windowNNZ == 1<<20 && rep.Windows != 1 {
-					t.Errorf("uncapped stream ran in %d windows", rep.Windows)
-				}
-				if rep.NNZZ != want.NNZ() {
-					t.Errorf("report NNZZ = %d, want %d", rep.NNZZ, want.NNZ())
-				}
+	opt := Options{Algorithm: AlgSparta, Threads: 2}
+	pr, err := PrepareY(y, cmY, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := pr.Contract(context.Background(), x, cmX, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, windowNNZ := range []int{0, 13, 100, 1 << 20} {
+		for _, spill := range []bool{false, true} {
+			xs, err := NewTensorStream(x, cmX, windowNNZ, 1, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			z, rep, err := ContractStream(context.Background(), xs, pr,
+				StreamOptions{Options: opt, SpillZ: spill, SpillDir: t.TempDir()})
+			if err != nil {
+				t.Fatalf("window %d spill %v: %v", windowNNZ, spill, err)
+			}
+			if !z.Equal(want) {
+				t.Fatalf("window %d spill %v: streamed output differs from in-memory",
+					windowNNZ, spill)
+			}
+			if !rep.Streamed {
+				t.Error("report not marked streamed")
+			}
+			if rep.SpilledZ != spill {
+				t.Errorf("report SpilledZ = %v, want %v", rep.SpilledZ, spill)
+			}
+			if windowNNZ == 13 && rep.Windows < 2 {
+				t.Errorf("window cap 13 ran in %d windows", rep.Windows)
+			}
+			if windowNNZ == 1<<20 && rep.Windows != 1 {
+				t.Errorf("uncapped stream ran in %d windows", rep.Windows)
+			}
+			if rep.NNZZ != want.NNZ() {
+				t.Errorf("report NNZZ = %d, want %d", rep.NNZZ, want.NNZ())
 			}
 		}
 	}
@@ -72,7 +69,7 @@ func TestContractStreamMappedFile(t *testing.T) {
 	x := randomSparse([]uint64{4096, 6, 5}, 12000, 33)
 	y := randomSparse([]uint64{5, 9}, 70, 34)
 	cmX, cmY := []int{2}, []int{0}
-	opt := Options{Algorithm: AlgSparta, Kernel: KernelFlat, Threads: 2}
+	opt := Options{Algorithm: AlgSparta, Threads: 2}
 	pr, err := PrepareY(y, cmY, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +124,7 @@ func TestNewTensorStreamPermutes(t *testing.T) {
 	// still produce the in-memory result.
 	x := randomSparse([]uint64{5, 20, 6}, 300, 36)
 	y := randomSparse([]uint64{5, 8}, 40, 37)
-	opt := Options{Algorithm: AlgSparta, Kernel: KernelFlat}
+	opt := Options{Algorithm: AlgSparta}
 	pr, err := PrepareY(y, []int{0}, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +153,7 @@ func TestNewTensorStreamPermutes(t *testing.T) {
 func TestContractStreamErrors(t *testing.T) {
 	x := randomSparse([]uint64{10, 6, 5}, 120, 38)
 	y := randomSparse([]uint64{5, 4}, 30, 39)
-	opt := Options{Algorithm: AlgSparta, Kernel: KernelFlat}
+	opt := Options{Algorithm: AlgSparta}
 	pr, err := PrepareY(y, []int{0}, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -179,11 +176,6 @@ func TestContractStreamErrors(t *testing.T) {
 	bad.Algorithm = AlgSPA
 	if _, _, err := ContractStream(context.Background(), mkStream(), pr, StreamOptions{Options: bad}); err == nil {
 		t.Error("non-Sparta algorithm accepted")
-	}
-	bad = opt
-	bad.Kernel = KernelChained
-	if _, _, err := ContractStream(context.Background(), mkStream(), pr, StreamOptions{Options: bad}); err == nil {
-		t.Error("kernel mismatch with the prepared table accepted")
 	}
 
 	// Contract-dim mismatch between the stream and the prepared Y.

@@ -53,10 +53,7 @@ func contractTwoPhase(ctx context.Context, p *plan, opt Options, rep *Report) (*
 	rep.MaxSubNNZX = coo.MaxSubNNZ(ptrFX)
 	rep.BytesX = xw.Bytes()
 
-	hty, err := buildYTable(ctx, p, opt, threads, rep)
-	if err != nil {
-		return nil, err
-	}
+	hty := buildHtY(ctx, p, opt, threads, rep)
 	rep.StageWall[StageInput] = time.Since(t0)
 	rep.StageCPU[StageInput] = rep.StageWall[StageInput]
 	spInput.End()
@@ -66,15 +63,10 @@ func contractTwoPhase(ctx context.Context, p *plan, opt Options, rep *Report) (*
 	cCols := xw.Inds[p.nfx:]
 
 	// --- Symbolic phase: count exact output non-zeros per sub-tensor ----
-	// The symbolic accumulators follow the kernel selector like the
-	// numeric ones (makeWorkers); symWorkers reuses that switch.
 	spSym := tr.Start("symbolic phase", track)
 	t0 = time.Now()
 	counts := make([]int, nf)
-	symWorkers := makeWorkers(threads, p, Options{
-		Algorithm: AlgSparta, Kernel: opt.Kernel, HtACapHint: opt.HtACapHint,
-		Metrics: opt.Metrics,
-	})
+	symWorkers := makeWorkers(threads, p, Options{Algorithm: AlgSparta, Metrics: opt.Metrics})
 	symErr := parallel.ForChunkedWorkCtx(ctx, threads, nf, 0, int64(xw.NNZ()), func(tid, lo, hi int) {
 		var sp obs.Span
 		if !reqMode {
@@ -83,25 +75,14 @@ func contractTwoPhase(ctx context.Context, p *plan, opt Options, rep *Report) (*
 		defer sp.End()
 		w := symWorkers[tid]
 		for f := lo; f < hi; f++ {
-			if w.htaF != nil {
-				for i := ptrFX[f]; i < ptrFX[f+1]; i++ {
-					items, _ := hty.Lookup(p.radC.EncodeStrided(cCols, i))
-					for _, it := range items {
-						w.htaF.Add(it.LNFree, 0) // structure only; values ignored
-					}
+			for i := ptrFX[f]; i < ptrFX[f+1]; i++ {
+				items, _ := hty.Lookup(p.radC.EncodeStrided(cCols, i))
+				for _, it := range items {
+					w.hta.Add(it.LNFree, 0) // structure only; values ignored
 				}
-				counts[f] = w.htaF.Len()
-				w.htaF.Reset()
-			} else {
-				for i := ptrFX[f]; i < ptrFX[f+1]; i++ {
-					items, _ := hty.Lookup(p.radC.EncodeStrided(cCols, i))
-					for _, it := range items {
-						w.hta.Add(it.LNFree, 0)
-					}
-				}
-				counts[f] = w.hta.Len()
-				w.hta.Reset()
 			}
+			counts[f] = w.hta.Len()
+			w.hta.Reset()
 		}
 	})
 	rep.Symbolic = time.Since(t0)
@@ -125,10 +106,7 @@ func contractTwoPhase(ctx context.Context, p *plan, opt Options, rep *Report) (*
 	z.Vals = make([]float64, total)
 
 	// --- Numeric phase: recompute with values, write straight into Z ----
-	ws := makeWorkers(threads, p, Options{
-		Algorithm: AlgSparta, Kernel: opt.Kernel, HtACapHint: opt.HtACapHint,
-		Metrics: opt.Metrics,
-	})
+	ws := makeWorkers(threads, p, Options{Algorithm: AlgSparta, Metrics: opt.Metrics})
 	spNum := tr.Start("numeric phase", track)
 	numErr := parallel.ForChunkedWorkCtx(ctx, threads, nf, 0, int64(xw.NNZ()), func(tid, lo, hi int) {
 		var sp obs.Span
@@ -155,13 +133,7 @@ func contractTwoPhase(ctx context.Context, p *plan, opt Options, rep *Report) (*
 			// sub-tensor's exact offset.
 			pos := zoff[f]
 			xAt := ptrFX[f]
-			var keys []uint64
-			var vals []float64
-			if w.htaF != nil {
-				keys, vals = w.htaF.Keys(), w.htaF.Vals()
-			} else {
-				keys, vals = w.hta.Keys(), w.hta.Vals()
-			}
+			keys, vals := w.hta.Keys(), w.hta.Vals()
 			if invariant.Enabled {
 				// The numeric phase re-runs the exact index structure the
 				// symbolic phase counted; a mismatch would smear this
@@ -186,11 +158,7 @@ func contractTwoPhase(ctx context.Context, p *plan, opt Options, rep *Report) (*
 					"two-phase: sub-tensor %d wrote %d rows into a range sized %d",
 					f, pos-zoff[f], counts[f])
 			}
-			if w.htaF != nil {
-				w.htaF.Reset()
-			} else {
-				w.hta.Reset()
-			}
+			w.hta.Reset()
 			w.stamp(&w.writeNS)
 		}
 	})
@@ -200,12 +168,7 @@ func contractTwoPhase(ctx context.Context, p *plan, opt Options, rep *Report) (*
 	}
 	mergeWorkerStats(rep, ws)
 	for _, sw := range symWorkers {
-		var b uint64
-		if sw.htaF != nil {
-			b = sw.htaF.Bytes()
-		} else {
-			b = sw.hta.Bytes()
-		}
+		b := sw.hta.Bytes()
 		rep.BytesHtA += b
 		if b > rep.BytesHtAPerThr {
 			rep.BytesHtAPerThr = b

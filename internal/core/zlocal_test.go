@@ -75,28 +75,25 @@ func TestChunkedZlocalMatchesTwoPhase(t *testing.T) {
 			t.Fatal(err)
 		}
 		configs := []Options{
-			{Algorithm: AlgSparta, Kernel: KernelFlat},
-			{Algorithm: AlgSparta, Kernel: KernelChained},
+			{Algorithm: AlgSparta},
 			{Algorithm: AlgCOOHtA},
 			{Algorithm: AlgSPA}, // flushSPA
 		}
 		setChunkCap(t, 8)
 		for _, opt := range configs {
 			for _, threads := range []int{1, 2, 8} {
-				for _, unfused := range []bool{false, true} {
-					opt.Threads, opt.UnfusedWriteback = threads, unfused
-					z, rep, err := Contract(x, y, cmX, cmY, opt)
-					if err != nil {
-						t.Fatalf("%s: %v/%v threads=%d unfused=%v: %v", s.name, opt.Algorithm, opt.Kernel, threads, unfused, err)
-					}
-					if !z.Equal(want) {
-						t.Fatalf("%s: %v/%v threads=%d unfused=%v: output differs from two-phase",
-							s.name, opt.Algorithm, opt.Kernel, threads, unfused)
-					}
-					if floor := uint64(z.NNZ()) * 16; rep.BytesZLocal < floor {
-						t.Fatalf("%s: BytesZLocal %d below the %d bytes of keys and values buffered",
-							s.name, rep.BytesZLocal, floor)
-					}
+				opt.Threads = threads
+				z, rep, err := Contract(x, y, cmX, cmY, opt)
+				if err != nil {
+					t.Fatalf("%s: %v threads=%d: %v", s.name, opt.Algorithm, threads, err)
+				}
+				if !z.Equal(want) {
+					t.Fatalf("%s: %v threads=%d: output differs from two-phase",
+						s.name, opt.Algorithm, threads)
+				}
+				if floor := uint64(z.NNZ()) * 16; rep.BytesZLocal < floor {
+					t.Fatalf("%s: BytesZLocal %d below the %d bytes of keys and values buffered",
+						s.name, rep.BytesZLocal, floor)
 				}
 			}
 		}
@@ -330,8 +327,7 @@ func TestWorkerArenaLayout(t *testing.T) {
 		t.Errorf("workerSlot is %d bytes, not a multiple of %d", s, workerLine)
 	}
 	for _, opt := range []Options{
-		{Algorithm: AlgSparta, Kernel: KernelFlat},
-		{Algorithm: AlgSparta, Kernel: KernelChained},
+		{Algorithm: AlgSparta},
 		{Algorithm: AlgSPA},
 	} {
 		ws := makeWorkers(4, &plan{nfy: 2}, opt)
@@ -345,10 +341,8 @@ func TestWorkerArenaLayout(t *testing.T) {
 				}
 			}
 			switch {
-			case w.htaF != nil:
-				inside("HtAFlat header", unsafe.Pointer(w.htaF), unsafe.Sizeof(*w.htaF))
 			case w.hta != nil:
-				inside("HtA header", unsafe.Pointer(w.hta), unsafe.Sizeof(*w.hta))
+				inside("HtAFlat header", unsafe.Pointer(w.hta), unsafe.Sizeof(*w.hta))
 			case w.spa != nil:
 				inside("SPA header", unsafe.Pointer(w.spa), unsafe.Sizeof(*w.spa))
 			default:
@@ -398,11 +392,8 @@ func TestOutputLimit(t *testing.T) {
 	}
 	for _, threads := range []int{1, 2} {
 		for _, alg := range []Algorithm{AlgSparta, AlgCOOHtA, AlgSPA} {
-			for _, unfused := range []bool{false, true} {
-				_, _, err := Contract(x, y, cmX, cmY, Options{
-					Algorithm: alg, Threads: threads, UnfusedWriteback: unfused, MaxOutputNNZ: limit})
-				check(alg.String(), threads, true, err)
-			}
+			_, _, err := Contract(x, y, cmX, cmY, Options{Algorithm: alg, Threads: threads, MaxOutputNNZ: limit})
+			check(alg.String(), threads, true, err)
 		}
 		_, _, err := Contract(x, y, cmX, cmY, Options{Algorithm: AlgTwoPhase, Threads: threads, MaxOutputNNZ: limit})
 		check("two-phase", threads, false, err)

@@ -303,7 +303,6 @@ func (c *Coordinator) runShard(ctx context.Context, s int, p, y *coo.Tensor, job
 func (c *Coordinator) aggregate(reps []*core.Report, opt core.Options) *core.Report {
 	agg := &core.Report{
 		Algorithm: opt.Algorithm,
-		Kernel:    opt.Kernel,
 		Threads:   opt.Threads,
 		HtYReused: true,
 	}

@@ -26,8 +26,8 @@ import (
 )
 
 // Job carries the per-request contraction parameters an Executor needs
-// beyond the tensors themselves: the contract-mode pairing and the kernel /
-// thread / tracing options. Executors treat the X they receive as private
+// beyond the tensors themselves: the contract-mode pairing and the thread /
+// tracing options. Executors treat the X they receive as private
 // (the coordinator hands each shard a freshly scattered tensor), so
 // Options.InPlace is safe and set by the coordinator.
 type Job struct {

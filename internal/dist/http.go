@@ -86,7 +86,6 @@ func (h *HTTP) Contract(ctx context.Context, x, y *coo.Tensor, job Job) (*coo.Te
 	q.Set("y", yName)
 	q.Set("cx", modesCSV(job.CmodesX))
 	q.Set("cy", modesCSV(job.CmodesY))
-	q.Set("kernel", job.Options.Kernel.String())
 	if job.Options.Threads > 0 {
 		q.Set("threads", strconv.Itoa(job.Options.Threads))
 	}

@@ -13,8 +13,8 @@ import (
 )
 
 // The oracle suite: sharded scatter/gather must be bitwise identical to the
-// single-process contraction — same kernel, same thread count, any shard
-// count. Free-mode partitioning makes the per-shard output runs disjoint, so
+// single-process contraction — same thread count, any shard count. Free-mode
+// partitioning makes the per-shard output runs disjoint, so
 // the merge never re-sums floats across shards and the equality is exact
 // (tensor Equal + content fingerprint), not approximate.
 
@@ -77,7 +77,7 @@ func localFleet(t *testing.T, S int, cfg LocalConfig) *Coordinator {
 }
 
 // oneshot is the oracle: single-process PrepareY + Contract with the exact
-// same kernel and thread count as the sharded run under test.
+// same thread count as the sharded run under test.
 func oneshot(t *testing.T, tc contractCase, opt core.Options) *coo.Tensor {
 	t.Helper()
 	pr, err := core.PrepareY(tc.y, tc.cy, opt)
@@ -106,11 +106,10 @@ func requireIdentical(t *testing.T, label string, got, want *coo.Tensor) {
 }
 
 // TestShardOracleSweep is the randomized property sweep from the issue:
-// orders 2–5 × both kernels × S ∈ {1,2,4,8} × several thread counts, merged
+// orders 2–5 × S ∈ {1,2,4,8} × several thread counts, merged
 // sharded Z bitwise identical to the single-process contraction.
 func TestShardOracleSweep(t *testing.T) {
 	shardCounts := []int{1, 2, 4, 8}
-	kernels := []core.Kernel{core.KernelFlat, core.KernelChained}
 	threadCounts := []int{1, 4, 8}
 	casesPerOrder := 2
 	if testing.Short() {
@@ -122,24 +121,22 @@ func TestShardOracleSweep(t *testing.T) {
 	for order := 2; order <= 5; order++ {
 		for cse := 0; cse < casesPerOrder; cse++ {
 			tc := randomContractCase(rng, order, int64(1000*order+cse))
-			for _, kernel := range kernels {
-				for _, threads := range threadCounts {
-					opt := core.Options{Algorithm: core.AlgSparta, Kernel: kernel, Threads: threads}
-					want := oneshot(t, tc, opt)
-					for _, S := range shardCounts {
-						name := fmt.Sprintf("order=%d case=%d kernel=%v threads=%d S=%d", order, cse, kernel, threads, S)
-						c := localFleet(t, S, LocalConfig{})
-						z, rep, err := c.Contract(context.Background(), tc.x, tc.y, tc.cx, tc.cy, opt)
-						if err != nil {
-							t.Fatalf("%s (%s): %v", name, tc.label, err)
-						}
-						requireIdentical(t, name+" ("+tc.label+")", z, want)
-						if rep.Shards < 1 || rep.Shards > S {
-							t.Fatalf("%s: report claims %d shards dispatched", name, rep.Shards)
-						}
-						if rep.NNZZ != z.NNZ() {
-							t.Fatalf("%s: report NNZZ=%d, tensor has %d", name, rep.NNZZ, z.NNZ())
-						}
+			for _, threads := range threadCounts {
+				opt := core.Options{Algorithm: core.AlgSparta, Threads: threads}
+				want := oneshot(t, tc, opt)
+				for _, S := range shardCounts {
+					name := fmt.Sprintf("order=%d case=%d threads=%d S=%d", order, cse, threads, S)
+					c := localFleet(t, S, LocalConfig{})
+					z, rep, err := c.Contract(context.Background(), tc.x, tc.y, tc.cx, tc.cy, opt)
+					if err != nil {
+						t.Fatalf("%s (%s): %v", name, tc.label, err)
+					}
+					requireIdentical(t, name+" ("+tc.label+")", z, want)
+					if rep.Shards < 1 || rep.Shards > S {
+						t.Fatalf("%s: report claims %d shards dispatched", name, rep.Shards)
+					}
+					if rep.NNZZ != z.NNZ() {
+						t.Fatalf("%s: report NNZZ=%d, tensor has %d", name, rep.NNZZ, z.NNZ())
 					}
 				}
 			}
@@ -163,19 +160,17 @@ func TestShardOraclePermutedOutput(t *testing.T) {
 		x := gen.Random(s.xd, 700, 11)
 		y := gen.Random(s.yd, 350, 13)
 		for _, S := range []int{1, 4} {
-			for _, kernel := range []core.Kernel{core.KernelFlat, core.KernelChained} {
-				opt := core.Options{Algorithm: core.AlgSparta, Kernel: kernel, Threads: 2}
-				want, _, err := eng.Einsum(context.Background(), s.spec, x, y, opt)
-				if err != nil {
-					t.Fatalf("%s: oracle: %v", s.spec, err)
-				}
-				c := localFleet(t, S, LocalConfig{})
-				got, _, err := c.Einsum(context.Background(), s.spec, x, y, opt)
-				if err != nil {
-					t.Fatalf("%s S=%d: %v", s.spec, S, err)
-				}
-				requireIdentical(t, fmt.Sprintf("%s S=%d kernel=%v", s.spec, S, kernel), got, want)
+			opt := core.Options{Algorithm: core.AlgSparta, Threads: 2}
+			want, _, err := eng.Einsum(context.Background(), s.spec, x, y, opt)
+			if err != nil {
+				t.Fatalf("%s: oracle: %v", s.spec, err)
 			}
+			c := localFleet(t, S, LocalConfig{})
+			got, _, err := c.Einsum(context.Background(), s.spec, x, y, opt)
+			if err != nil {
+				t.Fatalf("%s S=%d: %v", s.spec, S, err)
+			}
+			requireIdentical(t, fmt.Sprintf("%s S=%d", s.spec, S), got, want)
 		}
 	}
 }
@@ -187,19 +182,17 @@ func TestShardOracleStreamedTier(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for order := 3; order <= 4; order++ {
 		tc := randomContractCase(rng, order, int64(77*order))
-		for _, kernel := range []core.Kernel{core.KernelFlat, core.KernelChained} {
-			opt := core.Options{Algorithm: core.AlgSparta, Kernel: kernel, Threads: 2}
-			want := oneshot(t, tc, opt)
-			for _, S := range []int{2, 4} {
-				c := localFleet(t, S, LocalConfig{WindowNNZ: 64})
-				z, rep, err := c.Contract(context.Background(), tc.x, tc.y, tc.cx, tc.cy, opt)
-				if err != nil {
-					t.Fatalf("streamed S=%d kernel=%v (%s): %v", S, kernel, tc.label, err)
-				}
-				requireIdentical(t, fmt.Sprintf("streamed S=%d kernel=%v (%s)", S, kernel, tc.label), z, want)
-				if !rep.Streamed {
-					t.Errorf("streamed S=%d: report does not mark the streamed tier", S)
-				}
+		opt := core.Options{Algorithm: core.AlgSparta, Threads: 2}
+		want := oneshot(t, tc, opt)
+		for _, S := range []int{2, 4} {
+			c := localFleet(t, S, LocalConfig{WindowNNZ: 64})
+			z, rep, err := c.Contract(context.Background(), tc.x, tc.y, tc.cx, tc.cy, opt)
+			if err != nil {
+				t.Fatalf("streamed S=%d (%s): %v", S, tc.label, err)
+			}
+			requireIdentical(t, fmt.Sprintf("streamed S=%d (%s)", S, tc.label), z, want)
+			if !rep.Streamed {
+				t.Errorf("streamed S=%d: report does not mark the streamed tier", S)
 			}
 		}
 	}

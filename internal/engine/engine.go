@@ -86,20 +86,8 @@ func modesString(modes []int) string {
 	return b.String()
 }
 
-// keyFor derives the plan-cache key for (y, cmodesY) under opt's build
-// settings. Exposed to tests through Fingerprint-level fuzzing only.
-func keyFor(fp Fingerprint, cmodesY []int, opt core.Options) planKey {
-	return planKey{
-		fp:      fp,
-		modes:   modesString(cmodesY),
-		kernel:  opt.Kernel,
-		buckets: opt.BucketsHtY,
-		twoPass: opt.TwoPassHtY,
-	}
-}
-
 // Prepare returns a prepared plan for contracting against cmodesY of y,
-// reusing a cached one when y's content fingerprint and the build settings
+// reusing a cached one when y's content fingerprint and the contract modes
 // match. The returned bool is true on a cache hit (the HtY build was
 // skipped). The fingerprint pass is O(nnz_Y) and runs on every call — it is
 // what makes the cache safe against mutated tensors — but it is far cheaper
@@ -124,7 +112,7 @@ func (e *Engine) PrepareCtx(ctx context.Context, y *coo.Tensor, cmodesY []int, o
 	}
 	sp := rt.StartPhase("cache lookup")
 	fp := FingerprintTensor(y, opt.Threads)
-	k := keyFor(fp, cmodesY, opt)
+	k := planKey{fp: fp, modes: modesString(cmodesY)}
 
 	e.mu.Lock()
 	pr, ok := e.cache.get(k)

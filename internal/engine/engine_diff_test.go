@@ -63,32 +63,14 @@ func randomCase(rng *rand.Rand, trial int) diffCase {
 	}
 }
 
-// kernelConfigs are the deterministic build configurations: the flat kernel
-// is always sort-then-pack; the chained kernel is deterministic only
-// with TwoPassHtY (the bucket-locked build appends in arrival order).
-var kernelConfigs = []struct {
-	name string
-	opt  func(o core.Options) core.Options
-}{
-	{"flat", func(o core.Options) core.Options {
-		o.Kernel = core.KernelFlat
-		return o
-	}},
-	{"chained2p", func(o core.Options) core.Options {
-		o.Kernel = core.KernelChained
-		o.TwoPassHtY = true
-		return o
-	}},
-}
-
 // TestPreparedDiff is the main equivalence sweep: ~200 randomized
-// contractions across orders 2-5, both kernels, and 1/4/8 threads. The
+// contractions across orders 2-5 and 1/4/8 threads. The
 // prepared path must be bitwise identical to the one-shot Contract, and
 // both must match the dense einsum oracle within accumulation tolerance.
 func TestPreparedDiff(t *testing.T) {
-	trials := 34 // x2 kernels x3 thread counts = 204 configurations
+	trials := 68 // x3 thread counts = 204 configurations
 	if testing.Short() {
-		trials = 6
+		trials = 12
 	}
 	rng := rand.New(rand.NewSource(99))
 	ctx := context.Background()
@@ -97,7 +79,7 @@ func TestPreparedDiff(t *testing.T) {
 		x := randomSparse(c.xd, c.nnzX, c.seed)
 		y := randomSparse(c.yd, c.nnzY, c.seed+500)
 
-		// Dense oracle once per case (thread- and kernel-independent).
+		// Dense oracle once per case (thread-independent).
 		dx, err := dense.FromCOO(x, 1<<22)
 		if err != nil {
 			t.Fatal(err)
@@ -111,53 +93,51 @@ func TestPreparedDiff(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		for _, kc := range kernelConfigs {
-			for _, threads := range []int{1, 4, 8} {
-				opt := kc.opt(core.Options{Algorithm: core.AlgSparta, Threads: threads})
+		for _, threads := range []int{1, 4, 8} {
+			opt := core.Options{Algorithm: core.AlgSparta, Threads: threads}
 
-				zRef, _, err := core.ContractCtx(ctx, x, y, c.cmodesX, c.cmodesY, opt)
-				if err != nil {
-					t.Fatalf("trial %d %s t=%d: one-shot: %v", trial, kc.name, threads, err)
-				}
-				pr, err := core.PrepareY(y, c.cmodesY, opt)
-				if err != nil {
-					t.Fatalf("trial %d %s t=%d: prepare: %v", trial, kc.name, threads, err)
-				}
-				zPrep, rep, err := pr.Contract(ctx, x, c.cmodesX, opt)
-				if err != nil {
-					t.Fatalf("trial %d %s t=%d: prepared: %v", trial, kc.name, threads, err)
-				}
-				if !zPrep.Equal(zRef) {
-					t.Fatalf("trial %d %s t=%d: prepared output differs from one-shot (case %+v)",
-						trial, kc.name, threads, c)
-				}
-				if rep.HtYReused {
-					t.Errorf("trial %d: first prepared use claims HtYReused", trial)
-				}
+			zRef, _, err := core.ContractCtx(ctx, x, y, c.cmodesX, c.cmodesY, opt)
+			if err != nil {
+				t.Fatalf("trial %d t=%d: one-shot: %v", trial, threads, err)
+			}
+			pr, err := core.PrepareY(y, c.cmodesY, opt)
+			if err != nil {
+				t.Fatalf("trial %d t=%d: prepare: %v", trial, threads, err)
+			}
+			zPrep, rep, err := pr.Contract(ctx, x, c.cmodesX, opt)
+			if err != nil {
+				t.Fatalf("trial %d t=%d: prepared: %v", trial, threads, err)
+			}
+			if !zPrep.Equal(zRef) {
+				t.Fatalf("trial %d t=%d: prepared output differs from one-shot (case %+v)",
+					trial, threads, c)
+			}
+			if rep.HtYReused {
+				t.Errorf("trial %d: first prepared use claims HtYReused", trial)
+			}
 
-				// Second use of the same plan: warm, still identical.
-				zWarm, repWarm, err := pr.Contract(ctx, x, c.cmodesX, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !zWarm.Equal(zRef) {
-					t.Fatalf("trial %d %s t=%d: warm prepared output differs", trial, kc.name, threads)
-				}
-				if !repWarm.HtYReused || repWarm.HtYBuild != 0 {
-					t.Errorf("trial %d: warm use not reported as reuse (%+v)", trial, repWarm.HtYReused)
-				}
+			// Second use of the same plan: warm, still identical.
+			zWarm, repWarm, err := pr.Contract(ctx, x, c.cmodesX, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !zWarm.Equal(zRef) {
+				t.Fatalf("trial %d t=%d: warm prepared output differs", trial, threads)
+			}
+			if !repWarm.HtYReused || repWarm.HtYBuild != 0 {
+				t.Errorf("trial %d: warm use not reported as reuse (%+v)", trial, repWarm.HtYReused)
+			}
 
-				got, err := dense.FromCOO(zRef, 1<<22)
-				if err != nil {
-					t.Fatal(err)
-				}
-				diff, err := dense.MaxAbsDiff(got, want)
-				if err != nil {
-					t.Fatalf("trial %d: oracle shape mismatch: Z dims %v", trial, zRef.Dims)
-				}
-				if diff > 1e-9 {
-					t.Fatalf("trial %d %s t=%d: max diff vs dense oracle %g", trial, kc.name, threads, diff)
-				}
+			got, err := dense.FromCOO(zRef, 1<<22)
+			if err != nil {
+				t.Fatal(err)
+			}
+			diff, err := dense.MaxAbsDiff(got, want)
+			if err != nil {
+				t.Fatalf("trial %d: oracle shape mismatch: Z dims %v", trial, zRef.Dims)
+			}
+			if diff > 1e-9 {
+				t.Fatalf("trial %d t=%d: max diff vs dense oracle %g", trial, threads, diff)
 			}
 		}
 	}

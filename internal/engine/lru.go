@@ -8,15 +8,12 @@ import (
 )
 
 // planKey identifies one cached prepared plan: the content fingerprint of Y
-// plus everything that changes the built table — the contract-mode spec and
-// the kernel/bucket build settings. Thread count is deliberately excluded
-// (it changes build speed, not the table).
+// plus the only other thing that changes the built table, the contract-mode
+// spec. Thread count is deliberately excluded (it changes build speed, not
+// the table).
 type planKey struct {
-	fp      Fingerprint
-	modes   string // canonical "2,0"-style encoding of cmodesY
-	kernel  core.Kernel
-	buckets int
-	twoPass bool
+	fp    Fingerprint
+	modes string // canonical "2,0"-style encoding of cmodesY
 }
 
 // lruEntry is one resident plan with its accounted size and last-touch

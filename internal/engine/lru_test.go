@@ -91,8 +91,8 @@ func TestEngineCacheDisabled(t *testing.T) {
 	}
 }
 
-// TestEngineKeySeparation: different build settings or mode specs must not
-// share cache entries, while a byte-identical clone must hit.
+// TestEngineKeySeparation: different mode specs must not share cache
+// entries, while a byte-identical clone must hit, at any thread count.
 func TestEngineKeySeparation(t *testing.T) {
 	eng := New(Config{})
 	y := randomSparse([]uint64{6, 5, 4}, 90, 1)
@@ -107,15 +107,10 @@ func TestEngineKeySeparation(t *testing.T) {
 	if _, hit, _ := eng.Prepare(y, []int{1}, base); hit {
 		t.Error("different cmodesY hit the cache")
 	}
-	chained := base
-	chained.Kernel = core.KernelChained
-	if _, hit, _ := eng.Prepare(y, []int{0}, chained); hit {
-		t.Error("different kernel hit the cache")
-	}
-	buckets := base
-	buckets.BucketsHtY = 4096
-	if _, hit, _ := eng.Prepare(y, []int{0}, buckets); hit {
-		t.Error("different bucket override hit the cache")
+	threaded := base
+	threaded.Threads = 3
+	if _, hit, _ := eng.Prepare(y, []int{0}, threaded); !hit {
+		t.Error("a different thread count missed the cache: it changes build speed, not the table")
 	}
 
 	// Mutating the tensor invalidates by content, not by pointer.

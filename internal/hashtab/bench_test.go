@@ -12,7 +12,7 @@ import (
 
 // benchY builds a 4-order random tensor shaped like the NIPS 2-mode
 // contraction workloads: ~nnz/8 distinct contract keys, so item lists
-// average 8 and bucket locks see real contention.
+// average 8.
 func benchY(nnz int) (*coo.Tensor, *lnum.Radix, *lnum.Radix) {
 	dims := []uint64{64, 64, 128, 128}
 	rng := rand.New(rand.NewSource(1))
@@ -29,29 +29,18 @@ func benchY(nnz int) (*coo.Tensor, *lnum.Radix, *lnum.Radix) {
 	return y, lnum.MustRadix(dims[:2]), lnum.MustRadix(dims[2:])
 }
 
-// BenchmarkHtYBuild compares the three COO→HtY conversion strategies —
-// bucket-locked chained, two-pass chained, and the flat sort-then-pack arena
-// — across thread counts, then times the flat build on the benchmark's
-// cold_build shape (NIPS preset at 300 k nnz, trailing three modes
-// contracted: ~290 k distinct keys), the number the ROADMAP ledger quotes.
+// BenchmarkHtYBuild times the sort-then-pack COO→HtY conversion across
+// thread counts, then on the benchmark's cold_build shape (NIPS preset at
+// 300 k nnz, trailing three modes contracted: ~290 k distinct keys), the
+// number the ROADMAP ledger quotes.
 func BenchmarkHtYBuild(b *testing.B) {
 	y, radC, radF := benchY(1 << 16)
-	builds := []struct {
-		name string
-		run  func(threads int)
-	}{
-		{"locked", func(th int) { BuildHtY(y, []int{0, 1}, []int{2, 3}, radC, radF, 0, th) }},
-		{"twopass", func(th int) { BuildHtY2P(y, []int{0, 1}, []int{2, 3}, radC, radF, 0, th) }},
-		{"flat", func(th int) { BuildHtYFlat(y, []int{0, 1}, []int{2, 3}, radC, radF, 0, th) }},
-	}
-	for _, bd := range builds {
-		for _, threads := range []int{1, 4, 8} {
-			b.Run(fmt.Sprintf("%s/threads=%d", bd.name, threads), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					bd.run(threads)
-				}
-			})
-		}
+	for _, threads := range []int{1, 4, 8} {
+		b.Run(fmt.Sprintf("flat/threads=%d", threads), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				BuildHtYFlat(y, []int{0, 1}, []int{2, 3}, radC, radF, 0, threads)
+			}
+		})
 	}
 	p, err := gen.FindPreset("NIPS")
 	if err != nil {
@@ -69,24 +58,15 @@ func BenchmarkHtYBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkHtYLookup compares the probe paths on the same key stream: the
-// chained bucket walk vs the flat linear probe.
+// BenchmarkHtYLookup times the linear probe on a half-hit key stream.
 func BenchmarkHtYLookup(b *testing.B) {
 	y, radC, radF := benchY(1 << 16)
-	chained := BuildHtY(y, []int{0, 1}, []int{2, 3}, radC, radF, 0, 0)
 	flat := BuildHtYFlat(y, []int{0, 1}, []int{2, 3}, radC, radF, 0, 0)
 	keys := make([]uint64, 1<<14)
 	rng := rand.New(rand.NewSource(2))
 	for i := range keys {
 		keys[i] = uint64(rng.Intn(1 << 13)) // half hits, half misses
 	}
-	b.Run("chained", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, k := range keys {
-				chained.Lookup(k)
-			}
-		}
-	})
 	b.Run("flat", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, k := range keys {
@@ -110,9 +90,9 @@ func addKeyStreams(n int) (hitHeavy, missHeavy []uint64) {
 	return
 }
 
-// BenchmarkHtAAdd compares the chained and open-addressed accumulators on
-// hit-heavy and miss-heavy key streams, with the per-sub-tensor Reset
-// included (it is part of the real per-sub-tensor cost).
+// BenchmarkHtAAdd times the accumulator on hit-heavy and miss-heavy key
+// streams, with the per-sub-tensor Reset included (it is part of the real
+// per-sub-tensor cost).
 func BenchmarkHtAAdd(b *testing.B) {
 	const n = 1 << 16
 	hitHeavy, missHeavy := addKeyStreams(n)
@@ -121,15 +101,6 @@ func BenchmarkHtAAdd(b *testing.B) {
 		keys []uint64
 	}{{"hit-heavy", hitHeavy}, {"miss-heavy", missHeavy}}
 	for _, st := range streams {
-		b.Run("chained/"+st.name, func(b *testing.B) {
-			h := NewHtA(1024)
-			for i := 0; i < b.N; i++ {
-				for _, k := range st.keys {
-					h.Add(k, 1)
-				}
-				h.Reset()
-			}
-		})
 		b.Run("flat/"+st.name, func(b *testing.B) {
 			h := NewHtAFlat(1024)
 			for i := 0; i < b.N; i++ {

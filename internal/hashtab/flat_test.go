@@ -10,9 +10,9 @@ import (
 	"sparta/internal/lnum"
 )
 
-// TestBuildHtYFlatMatchesLocked: the flat build must produce a table
-// equivalent to the chained one (same keys, same item multisets, same
-// stats) under both the YTable interface and its own accessors.
+// TestBuildHtYFlatMatchesLocked: over the whole contract-key space the table
+// must agree with a serially built map — same keys present, same item
+// multisets, same stats — at any thread count.
 func TestBuildHtYFlatMatchesLocked(t *testing.T) {
 	dims := []uint64{6, 7, 8, 9}
 	rng := rand.New(rand.NewSource(9))
@@ -26,25 +26,35 @@ func TestBuildHtYFlatMatchesLocked(t *testing.T) {
 	}
 	radC := lnum.MustRadix(dims[:2])
 	radF := lnum.MustRadix(dims[2:])
+	oracle := map[uint64]map[uint64]float64{}
+	maxItems := 0
+	counts := map[uint64]int{}
+	for i := 0; i < y.NNZ(); i++ {
+		ck := radC.EncodeStrided(y.Inds[:2], i)
+		if oracle[ck] == nil {
+			oracle[ck] = map[uint64]float64{}
+		}
+		oracle[ck][radF.EncodeStrided(y.Inds[2:], i)] += y.Vals[i]
+		counts[ck]++
+		maxItems = max(maxItems, counts[ck])
+	}
 	for _, threads := range []int{1, 4} {
-		a := BuildHtY(y, []int{0, 1}, []int{2, 3}, radC, radF, 0, threads)
 		b := BuildHtYFlat(y, []int{0, 1}, []int{2, 3}, radC, radF, 0, threads)
-		if a.NKeys != b.NumKeys() || a.NItems != b.NumItems() || a.MaxItems != b.MaxItemLen() {
-			t.Fatalf("threads=%d: stats differ: %d/%d/%d vs %d/%d/%d", threads,
-				a.NKeys, a.NItems, a.MaxItems, b.NumKeys(), b.NumItems(), b.MaxItemLen())
+		if b.NKeys != len(oracle) || b.NItems != y.NNZ() || b.MaxItems != maxItems {
+			t.Fatalf("threads=%d: stats differ: %d/%d/%d vs oracle %d/%d/%d", threads,
+				b.NKeys, b.NItems, b.MaxItems, len(oracle), y.NNZ(), maxItems)
 		}
 		for ck := uint64(0); ck < radC.Card(); ck++ {
-			ia, _ := a.Lookup(ck)
 			ib, _ := b.Lookup(ck)
-			if (ia == nil) != (ib == nil) {
+			if (oracle[ck] == nil) != (ib == nil) {
 				t.Fatalf("threads=%d key %d: presence differs", threads, ck)
 			}
-			if ia == nil {
-				continue
+			if len(ib) != counts[ck] {
+				t.Fatalf("threads=%d key %d: %d items, oracle %d", threads, ck, len(ib), counts[ck])
 			}
 			sum := map[uint64]float64{}
-			for _, it := range ia {
-				sum[it.LNFree] += it.Val
+			for fk, v := range oracle[ck] {
+				sum[fk] = v
 			}
 			for _, it := range ib {
 				sum[it.LNFree] -= it.Val
@@ -58,9 +68,8 @@ func TestBuildHtYFlatMatchesLocked(t *testing.T) {
 	}
 }
 
-// TestBuildHtYFlatDeterministic: unlike the lock-order-dependent chained
-// build, the flat arena must come out bit-identical for any thread count —
-// items of one key stay in original Y order.
+// TestBuildHtYFlatDeterministic: the arena must come out bit-identical for
+// any thread count — items of one key stay in original Y order.
 func TestBuildHtYFlatDeterministic(t *testing.T) {
 	dims := []uint64{3, 4, 50}
 	rng := rand.New(rand.NewSource(11))
@@ -99,7 +108,7 @@ func TestBuildHtYFlatEmptyAndSkewed(t *testing.T) {
 	radF := lnum.MustRadix(dims[1:])
 	empty := coo.MustNew(dims, 0)
 	h := BuildHtYFlat(empty, []int{0}, []int{1}, radC, radF, 0, 2)
-	if h.NumKeys() != 0 || h.NumItems() != 0 {
+	if h.NKeys != 0 || h.NItems != 0 {
 		t.Fatal("empty build broken")
 	}
 	if items, _ := h.Lookup(3); items != nil {
@@ -111,8 +120,8 @@ func TestBuildHtYFlatEmptyAndSkewed(t *testing.T) {
 		y.Append([]uint32{2, j}, float64(j))
 	}
 	h = BuildHtYFlat(y, []int{0}, []int{1}, radC, radF, 4, 3)
-	if h.NumKeys() != 1 || h.MaxItemLen() != 5 {
-		t.Fatalf("skewed build: keys=%d max=%d", h.NumKeys(), h.MaxItemLen())
+	if h.NKeys != 1 || h.MaxItems != 5 {
+		t.Fatalf("skewed build: keys=%d max=%d", h.NKeys, h.MaxItems)
 	}
 	items, _ := h.Lookup(2)
 	if len(items) != 5 {
@@ -143,8 +152,8 @@ func TestBuildHtYFlatBucketClamp(t *testing.T) {
 	if h.NumBuckets() != 128 {
 		t.Fatalf("buckets = %d, want 128 (smallest power of two > NKeys = 64)", h.NumBuckets())
 	}
-	if h.NumKeys() != 64 {
-		t.Fatalf("keys = %d", h.NumKeys())
+	if h.NKeys != 64 {
+		t.Fatalf("keys = %d", h.NKeys)
 	}
 	// Every key resolvable, misses terminate.
 	for i := uint64(0); i < 64; i++ {
@@ -225,9 +234,9 @@ func TestBuildHtYFlatMatchesOracle(t *testing.T) {
 			var ref *HtYFlat
 			for _, threads := range []int{1, 2, 8} {
 				h := BuildHtYFlat(y, tc.cmodes, tc.fmodes, radC, radF, tc.buckets, threads)
-				if h.NumKeys() != len(oracle) || h.NumItems() != tc.n || h.MaxItemLen() != maxLen {
+				if h.NKeys != len(oracle) || h.NItems != tc.n || h.MaxItems != maxLen {
 					t.Fatalf("threads=%d: keys/items/max = %d/%d/%d, oracle %d/%d/%d", threads,
-						h.NumKeys(), h.NumItems(), h.MaxItemLen(), len(oracle), tc.n, maxLen)
+						h.NKeys, h.NItems, h.MaxItems, len(oracle), tc.n, maxLen)
 				}
 				if h.NumBuckets() != wantBuckets {
 					t.Fatalf("threads=%d: %d buckets for %d keys (explicit %d), want %d",
@@ -304,7 +313,7 @@ func TestEstimateHtYBoundsFlatBytes(t *testing.T) {
 		est := EstimateHtYBytes(y.NNZ(), y.Order(), h.NumBuckets())
 		if got := h.Bytes(); got > est {
 			t.Errorf("dims %v: Bytes %d exceeds the Eq. 5 estimate %d (%d keys, %d slots)",
-				tc.dims, got, est, h.NumKeys(), h.NumBuckets())
+				tc.dims, got, est, h.NKeys, h.NumBuckets())
 		}
 	}
 }
@@ -380,32 +389,29 @@ func TestHtAFlatResetSparseAndDense(t *testing.T) {
 	}
 }
 
-// Property: HtAFlat equals a map accumulation (and the chained HtA) for
-// arbitrary insert sequences with resets interleaved.
+// Property: HtAFlat equals a map accumulation for arbitrary insert
+// sequences, with entries in first-insertion order.
 func TestQuickHtAFlatMatchesMap(t *testing.T) {
 	f := func(seed int64, raw uint8) bool {
 		n := int(raw)%300 + 1
 		rng := rand.New(rand.NewSource(seed))
 		h := NewHtAFlat(2)
-		c := NewHtA(2)
 		ref := map[uint64]float64{}
+		var order []uint64
 		for i := 0; i < n; i++ {
 			k := uint64(rng.Intn(40))
 			v := rng.NormFloat64()
 			h.Add(k, v)
-			c.Add(k, v)
+			if _, seen := ref[k]; !seen {
+				order = append(order, k)
+			}
 			ref[k] += v
 		}
-		if h.Len() != len(ref) || h.Len() != c.Len() {
+		if !slices.Equal(h.Keys(), order) {
 			return false
 		}
-		for i := 0; i < h.Len(); i++ {
-			k, v := h.Entry(i)
-			ck, cv := c.Entry(i)
-			if k != ck || v != cv { // identical insertion order and sums
-				return false
-			}
-			d := v - ref[k]
+		for i, k := range order {
+			d := h.Vals()[i] - ref[k]
 			if d < -1e-9 || d > 1e-9 {
 				return false
 			}

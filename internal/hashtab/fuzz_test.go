@@ -42,9 +42,9 @@ func FuzzHtYFlatLookup(f *testing.F) {
 		}
 
 		h := BuildHtYFlat(y, []int{0, 1}, []int{2}, radC, radF, 0, threads)
-		if h.NumKeys() != len(oracle) || h.NumItems() != y.NNZ() {
+		if h.NKeys != len(oracle) || h.NItems != y.NNZ() {
 			t.Fatalf("stats: keys=%d items=%d, oracle keys=%d nnz=%d",
-				h.NumKeys(), h.NumItems(), len(oracle), y.NNZ())
+				h.NKeys, h.NItems, len(oracle), y.NNZ())
 		}
 		maxLen := 0
 		for _, items := range oracle {
@@ -52,8 +52,8 @@ func FuzzHtYFlatLookup(f *testing.F) {
 				maxLen = len(items)
 			}
 		}
-		if h.MaxItemLen() != maxLen {
-			t.Fatalf("MaxItemLen = %d, oracle %d", h.MaxItemLen(), maxLen)
+		if h.MaxItems != maxLen {
+			t.Fatalf("MaxItemLen = %d, oracle %d", h.MaxItems, maxLen)
 		}
 		for ck := uint64(0); ck < radC.Card(); ck++ {
 			items, probes := h.Lookup(ck)

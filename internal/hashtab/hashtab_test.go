@@ -2,6 +2,7 @@ package hashtab
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -11,7 +12,7 @@ import (
 
 // buildTestY creates a 4-order tensor and its HtY with contract modes {0,1}
 // and free modes {2,3}.
-func buildTestY(t *testing.T, nnz int, threads int) (*coo.Tensor, *HtY, *lnum.Radix, *lnum.Radix) {
+func buildTestY(t *testing.T, nnz int, threads int) (*coo.Tensor, *HtYFlat, *lnum.Radix, *lnum.Radix) {
 	t.Helper()
 	dims := []uint64{6, 7, 8, 9}
 	rng := rand.New(rand.NewSource(42))
@@ -25,7 +26,7 @@ func buildTestY(t *testing.T, nnz int, threads int) (*coo.Tensor, *HtY, *lnum.Ra
 	}
 	radC := lnum.MustRadix(dims[:2])
 	radF := lnum.MustRadix(dims[2:])
-	hty := BuildHtY(y, []int{0, 1}, []int{2, 3}, radC, radF, 0, threads)
+	hty := BuildHtYFlat(y, []int{0, 1}, []int{2, 3}, radC, radF, 0, threads)
 	return y, hty, radC, radF
 }
 
@@ -92,7 +93,7 @@ func TestHtYMaxItems(t *testing.T) {
 	y.Append([]uint32{1, 1, 0}, 1)
 	radC := lnum.MustRadix([]uint64{2, 2})
 	radF := lnum.MustRadix([]uint64{4})
-	hty := BuildHtY(y, []int{0, 1}, []int{2}, radC, radF, 0, 1)
+	hty := BuildHtYFlat(y, []int{0, 1}, []int{2}, radC, radF, 0, 1)
 	if hty.MaxItems != 3 || hty.NKeys != 2 {
 		t.Fatalf("MaxItems=%d NKeys=%d", hty.MaxItems, hty.NKeys)
 	}
@@ -102,9 +103,10 @@ func TestHtYExplicitBuckets(t *testing.T) {
 	y, _, _, _ := buildTestY(t, 100, 1)
 	radC := lnum.MustRadix(y.Dims[:2])
 	radF := lnum.MustRadix(y.Dims[2:])
-	hty := BuildHtY(y, []int{0, 1}, []int{2, 3}, radC, radF, 5, 1)
-	if hty.NumBuckets() != 8 {
-		t.Fatalf("buckets = %d, want 8 (pow2 roundup)", hty.NumBuckets())
+	// At most 42 distinct keys, so 100 is above the free-slot clamp.
+	hty := BuildHtYFlat(y, []int{0, 1}, []int{2, 3}, radC, radF, 100, 1)
+	if hty.NumBuckets() != 128 {
+		t.Fatalf("buckets = %d, want 128 (pow2 roundup)", hty.NumBuckets())
 	}
 }
 
@@ -124,51 +126,55 @@ func TestHtYBytesVsEstimate(t *testing.T) {
 }
 
 func TestHtAAccumulates(t *testing.T) {
-	h := NewHtA(4)
+	h := NewHtAFlat(4)
 	h.Add(10, 1)
 	h.Add(20, 2)
 	h.Add(10, 3)
-	if h.Len() != 2 {
-		t.Fatalf("Len = %d", h.Len())
+	if !slices.Equal(h.Keys(), []uint64{10, 20}) || !slices.Equal(h.Vals(), []float64{4, 2}) {
+		t.Fatalf("keys=%v vals=%v", h.Keys(), h.Vals())
 	}
-	k, v := h.Entry(0)
-	if k != 10 || v != 4 {
-		t.Fatalf("entry 0 = %d %v", k, v)
-	}
-	if h.Hits != 1 || h.Misses != 2 {
-		t.Fatalf("hits=%d misses=%d", h.Hits, h.Misses)
+	// Every Add inspects at least the slot it lands on.
+	if h.Probes < h.Hits+h.Misses {
+		t.Fatalf("probes=%d for %d adds", h.Probes, h.Hits+h.Misses)
 	}
 }
 
 func TestHtAGrowth(t *testing.T) {
-	h := NewHtA(16)
+	h := NewHtAFlat(16)
+	before := h.Bytes()
 	const n = 10000
 	for i := 0; i < n; i++ {
 		h.Add(uint64(i*2654435761), float64(i))
+		if 2*h.Len() > len(h.table) {
+			t.Fatalf("load factor above 1/2 after %d inserts (%d slots)", h.Len(), len(h.table))
+		}
 	}
-	if h.Len() != n {
-		t.Fatalf("Len = %d", h.Len())
+	if h.Len() != n || h.Bytes() <= before {
+		t.Fatalf("Len = %d, bytes %d -> %d", h.Len(), before, h.Bytes())
 	}
-	// All keys still reachable after growth.
-	for i := 0; i < n; i++ {
-		h.Add(uint64(i*2654435761), 0)
-	}
-	if h.Len() != n {
-		t.Fatalf("Len after re-add = %d", h.Len())
-	}
-	if h.Misses != n || h.Hits != n {
-		t.Fatalf("hits=%d misses=%d", h.Hits, h.Misses)
+	// Every value survived the re-probes.
+	for i, v := range h.Vals() {
+		if v != float64(i) {
+			t.Fatalf("entry %d = %v after growth", i, v)
+		}
 	}
 }
 
 func TestHtAResetKeepsCapacity(t *testing.T) {
-	h := NewHtA(4)
+	h := NewHtAFlat(4)
 	for i := 0; i < 100; i++ {
 		h.Add(uint64(i), 1)
 	}
+	grown := h.Bytes()
 	h.Reset()
 	if h.Len() != 0 {
 		t.Fatal("reset did not clear")
+	}
+	if h.Bytes() != grown {
+		t.Fatalf("reset changed the footprint: %d -> %d", grown, h.Bytes())
+	}
+	if h.Misses != 100 {
+		t.Fatalf("reset touched the cumulative counters: misses=%d", h.Misses)
 	}
 	h.Add(7, 5)
 	if k, v := h.Entry(0); k != 7 || v != 5 {
@@ -177,42 +183,51 @@ func TestHtAResetKeepsCapacity(t *testing.T) {
 }
 
 func TestHtAInsertionOrder(t *testing.T) {
-	h := NewHtA(4)
+	h := NewHtAFlat(4)
 	keys := []uint64{42, 7, 99, 3}
 	for _, k := range keys {
 		h.Add(k, 1)
 	}
-	for i, want := range keys {
-		if k, _ := h.Entry(i); k != want {
-			t.Fatalf("entry %d = %d, want %d", i, k, want)
-		}
+	h.Add(99, 1) // a hit must not move its entry
+	if !slices.Equal(h.Keys(), keys) {
+		t.Fatalf("keys = %v, want %v", h.Keys(), keys)
 	}
 }
 
-// Property: HtA equals a map accumulation for arbitrary insert sequences.
+// Property: across interleaved resets, each accumulator generation equals a
+// map accumulation of the inserts since the last reset.
 func TestQuickHtAMatchesMap(t *testing.T) {
 	f := func(seed int64, raw uint8) bool {
 		n := int(raw)%300 + 1
 		rng := rand.New(rand.NewSource(seed))
-		h := NewHtA(2)
+		h := NewHtAFlat(2)
 		ref := map[uint64]float64{}
+		matches := func() bool {
+			if h.Len() != len(ref) {
+				return false
+			}
+			for i := 0; i < h.Len(); i++ {
+				k, v := h.Entry(i)
+				if d := v - ref[k]; d < -1e-9 || d > 1e-9 {
+					return false
+				}
+			}
+			return true
+		}
 		for i := 0; i < n; i++ {
+			if rng.Intn(50) == 0 {
+				if !matches() {
+					return false
+				}
+				h.Reset()
+				clear(ref)
+			}
 			k := uint64(rng.Intn(40))
 			v := rng.NormFloat64()
 			h.Add(k, v)
 			ref[k] += v
 		}
-		if h.Len() != len(ref) {
-			return false
-		}
-		for i := 0; i < h.Len(); i++ {
-			k, v := h.Entry(i)
-			d := v - ref[k]
-			if d < -1e-9 || d > 1e-9 {
-				return false
-			}
-		}
-		return true
+		return matches()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

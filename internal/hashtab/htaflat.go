@@ -5,24 +5,27 @@ import (
 	"sparta/internal/obs"
 )
 
-// HtAFlat is the open-addressed variant of the sparse accumulator HtA
-// (§3.4): same thread-private usage, same insertion-order keys/vals arrays
-// (so the Zlocal flush contract in package core is unchanged), but the
-// chained heads/next arrays are replaced by a flat linear-probe slot table
-// with the key inline. An Add is one probe sequence over a contiguous
-// slot slice — no chain-node indirection — kept below load factor 1/2.
-//
-// Each slot interleaves the key and its entry index in one 16-byte record,
-// so a probe (and the hit that follows it) touches a single cache line
-// instead of two parallel arrays.
-//
-// Keys must not be ^uint64(0) (the free-slot sentinel); LN keys never are,
-// because they are strictly below their radix cardinality.
+// htaSlot interleaves a key and its entry index in one 16-byte record, so a
+// probe (and the hit that follows it) touches a single cache line instead of
+// two parallel arrays.
 type htaSlot struct {
 	key uint64 // emptySlot when free
 	idx int32  // entry index in keys/vals when claimed
 }
 
+// HtAFlat is the hash-table-based sparse accumulator HtA of §3.4. It is
+// thread-private (one per worker, reused across sub-tensors), so it needs no
+// locking. Keys are the LN encoding of Y's free indices, taken directly from
+// HtY item lists — the paper's trick of pre-encoding FY once during input
+// processing so no index conversion happens inside the computation loop.
+//
+// Layout: a flat linear-probe slot table with the key inline, kept below
+// load factor 1/2, over keys/vals arrays that stay in insertion order, so
+// flushing to Zlocal is a linear scan. An Add is one probe sequence over a
+// contiguous slot slice.
+//
+// Keys must not be ^uint64(0) (the free-slot sentinel); LN keys never are,
+// because they are strictly below their radix cardinality.
 type HtAFlat struct {
 	table []htaSlot
 	mask  uint64
@@ -36,7 +39,7 @@ type HtAFlat struct {
 	Hits   uint64
 	Misses uint64
 	// Probes counts slot inspections, the random-read measure for the
-	// accumulation access profile (comparable to HtA's chain probes).
+	// accumulation access profile.
 	Probes uint64
 
 	// ProbeHist, when set, records each Add's probe-sequence length into a

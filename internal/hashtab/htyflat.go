@@ -65,9 +65,8 @@ type HtYFlat struct {
 //	        one slot per group, written by a single goroutine
 //
 // The sort is stable and everything after it is a function of the sorted
-// pairs alone, so the table is bitwise identical for any thread count
-// (unlike the lock-order-dependent chained build), duplicate coordinates in
-// Y included.
+// pairs alone, so the table is bitwise identical for any thread count,
+// duplicate coordinates in Y included.
 //
 // buckets <= 0 picks the default: next power of two >= 2*NKeys (load factor
 // <= 0.5). Explicit bucket counts are rounded up to a power of two and
@@ -240,22 +239,12 @@ func (h *HtYFlat) Lookup(key uint64) ([]YItem, int) {
 // NumBuckets returns the slot count of the key table.
 func (h *HtYFlat) NumBuckets() int { return len(h.table) }
 
-// NumKeys returns the number of distinct contract-index tuples (YTable).
-func (h *HtYFlat) NumKeys() int { return h.NKeys }
-
-// NumItems returns nnz_Y (YTable).
-func (h *HtYFlat) NumItems() int { return h.NItems }
-
-// MaxItemLen returns the largest item list (YTable).
-func (h *HtYFlat) MaxItemLen() int { return h.MaxItems }
-
 // Bytes reports the measured memory footprint: key table (16 per slot,
 // key+rank interleaved) plus the CSR arena (4 per offset, 16 per item).
-// Against the chained layout the per-item cost drops from Size_idx*N_Y +
-// Size_val + Size_ep bytes to a fixed 16 and the per-slot cost from 32 to 16,
-// so Eq. 5 (EstimateHtYBytes) upper-bounds this whenever 8*N_Y*nnz_Y >=
-// 8*slots + 4*(NKeys+1): always from order 5 up, and from order 3 up once
-// keys average two items.
+// Eq. 5 (EstimateHtYBytes) charges Size_idx*N_Y + Size_val + Size_ep bytes
+// per item against the fixed 16 here, so it upper-bounds this whenever
+// 8*N_Y*nnz_Y >= 8*slots + 4*(NKeys+1): always from order 5 up, and from
+// order 3 up once keys average two items.
 func (h *HtYFlat) Bytes() uint64 {
 	return uint64(len(h.table))*16 + uint64(len(h.itemOff))*4 + uint64(len(h.items))*16
 }

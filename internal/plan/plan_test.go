@@ -13,7 +13,7 @@ import (
 
 // contractPair runs a real contraction of x's trailing k modes against y's
 // leading k modes and returns the actual output nnz and product count.
-func contractPair(t *testing.T, x, y *coo.Tensor, k int, kernel core.Kernel) (nnzZ int, products uint64) {
+func contractPair(t *testing.T, x, y *coo.Tensor, k int) (nnzZ int, products uint64) {
 	t.Helper()
 	cx := make([]int, k)
 	cy := make([]int, k)
@@ -21,7 +21,7 @@ func contractPair(t *testing.T, x, y *coo.Tensor, k int, kernel core.Kernel) (nn
 		cx[i] = x.Order() - k + i
 		cy[i] = i
 	}
-	z, rep, err := core.Contract(x, y, cx, cy, core.Options{Algorithm: core.AlgSparta, Kernel: kernel})
+	z, rep, err := core.Contract(x, y, cx, cy, core.Options{Algorithm: core.AlgSparta})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func estimatePair(x, y *coo.Tensor, k int) (products, nnzZ float64) {
 }
 
 // TestEstimatorAccuracy: across random tensors of orders 2–5, uniform and
-// skewed, both kernels, the estimated products and output nnz must land
+// skewed, the estimated products and output nnz must land
 // within a bounded factor of the measured truth.
 func TestEstimatorAccuracy(t *testing.T) {
 	type tcase struct {
@@ -79,7 +79,6 @@ func TestEstimatorAccuracy(t *testing.T) {
 		{5, 3, 2, 2500, 900, 8, 0},
 		{5, 5, 4, 2500, 2500, 7, 1.0},
 	}
-	kernels := []core.Kernel{core.KernelFlat, core.KernelChained}
 	// Uniform placements are what the balls-into-bins model assumes;
 	// correlated skew earns a looser bound (heavy lists absorb most of it).
 	const uniformBound, skewBound = 4.0, 8.0
@@ -105,18 +104,16 @@ func TestEstimatorAccuracy(t *testing.T) {
 		if c.skew > 0 {
 			bound = skewBound
 		}
-		for _, kern := range kernels {
-			gotZ, gotP := contractPair(t, x, y, c.k, kern)
-			name := fmt.Sprintf("case %d (ox=%d oy=%d k=%d skew=%.1f kern=%v)", ci, c.ox, c.oy, c.k, c.skew, kern)
-			if gotP > 0 {
-				if r := estP / float64(gotP); r > bound || r < 1/bound {
-					t.Errorf("%s: products est %.0f vs actual %d (ratio %.2f)", name, estP, gotP, r)
-				}
+		gotZ, gotP := contractPair(t, x, y, c.k)
+		name := fmt.Sprintf("case %d (ox=%d oy=%d k=%d skew=%.1f)", ci, c.ox, c.oy, c.k, c.skew)
+		if gotP > 0 {
+			if r := estP / float64(gotP); r > bound || r < 1/bound {
+				t.Errorf("%s: products est %.0f vs actual %d (ratio %.2f)", name, estP, gotP, r)
 			}
-			if gotZ > 0 {
-				if r := estZ / float64(gotZ); r > bound || r < 1/bound {
-					t.Errorf("%s: nnzZ est %.0f vs actual %d (ratio %.2f)", name, estZ, gotZ, r)
-				}
+		}
+		if gotZ > 0 {
+			if r := estZ / float64(gotZ); r > bound || r < 1/bound {
+				t.Errorf("%s: nnzZ est %.0f vs actual %d (ratio %.2f)", name, estZ, gotZ, r)
 			}
 		}
 	}

@@ -170,25 +170,22 @@ func TestEvalChainPlannedSweep(t *testing.T) {
 			},
 		},
 	}
-	kernels := []Kernel{KernelFlat, KernelChained}
 	for _, sh := range shapes {
-		for _, k := range kernels {
-			for seed := int64(0); seed < 3; seed++ {
-				inputs := sh.build(1000*seed + 7)
-				base := Options{Algorithm: AlgSparta, Kernel: k}
-				off, err := EvalChain(sh.steps, inputs, base)
-				if err != nil {
-					t.Fatalf("%s/%v/%d off: %v", sh.name, k, seed, err)
-				}
-				autoOpt := base
-				autoOpt.Planner = PlannerAuto
-				auto, err := EvalChain(sh.steps, inputs, autoOpt)
-				if err != nil {
-					t.Fatalf("%s/%v/%d auto: %v", sh.name, k, seed, err)
-				}
-				if !off.Tensors["Z"].Equal(auto.Tensors["Z"]) {
-					t.Errorf("%s/%v/%d: planned output differs", sh.name, k, seed)
-				}
+		for seed := int64(0); seed < 3; seed++ {
+			inputs := sh.build(1000*seed + 7)
+			base := Options{Algorithm: AlgSparta}
+			off, err := EvalChain(sh.steps, inputs, base)
+			if err != nil {
+				t.Fatalf("%s/%d off: %v", sh.name, seed, err)
+			}
+			autoOpt := base
+			autoOpt.Planner = PlannerAuto
+			auto, err := EvalChain(sh.steps, inputs, autoOpt)
+			if err != nil {
+				t.Fatalf("%s/%d auto: %v", sh.name, seed, err)
+			}
+			if !off.Tensors["Z"].Equal(auto.Tensors["Z"]) {
+				t.Errorf("%s/%d: planned output differs", sh.name, seed)
 			}
 		}
 	}

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # run_all.sh — the paper-style grid runner: sweep the sptc-bench duel
-# experiments (kernels, sort, planner, ooc, shard) across scales and thread
+# experiments (planner, ooc, shard) across scales and thread
 # counts with a warmup pass per cell, collect every duel's JSON rows under an
 # artifact directory, and print one summary table at the end.
 #
@@ -16,7 +16,7 @@
 # so CI sees the failure but the surviving cells' artifacts still land.
 #
 # Knobs (environment):
-#   EXPS     comma-separated experiments   (default kernels,sort,planner,ooc,shard)
+#   EXPS     comma-separated experiments   (default planner,ooc,shard)
 #   SCALES   space-separated scales        (default "4000 20000")
 #   THREADS  space-separated thread counts (default "0" = all cores)
 #   REPEATS  measured runs per cell        (default 1; the duels already
@@ -25,7 +25,7 @@
 #   OUTDIR   artifact directory            (default bench_grid)
 set -euo pipefail
 
-EXPS="${EXPS:-kernels,sort,planner,ooc,shard}"
+EXPS="${EXPS:-planner,ooc,shard}"
 SCALES="${SCALES:-4000 20000}"
 THREADS="${THREADS:-0}"
 REPEATS="${REPEATS:-1}"

@@ -101,22 +101,13 @@ func MergeRuns(dims []uint64, runs []*Tensor) (*Tensor, error) { return coo.Merg
 // Algorithm selects the SpTC variant.
 type Algorithm = core.Algorithm
 
-// The three algorithms of the evaluation (numbers match the original
-// artifact's EXPERIMENT_MODES).
+// The algorithms of the evaluation: Sparta, the zero value, and the paper's
+// three baselines.
 const (
+	AlgSparta   = core.AlgSparta   // Sparta (Algorithm 2)
 	AlgSPA      = core.AlgSPA      // SpTC-SPA baseline (Algorithm 1)
 	AlgCOOHtA   = core.AlgCOOHtA   // COO Y + hash-table accumulator
 	AlgTwoPhase = core.AlgTwoPhase // traditional symbolic+numeric two-phase SpTC
-	AlgSparta   = core.AlgSparta   // Sparta (Algorithm 2)
-)
-
-// Kernel selects the hash-table layout family (HtY + HtA) used by the
-// accumulating algorithms. Both produce identical outputs.
-type Kernel = core.Kernel
-
-const (
-	KernelFlat    = core.KernelFlat    // open addressing, sort-then-pack HtY build (default)
-	KernelChained = core.KernelChained // the seed separate-chaining layout, kept for A/B
 )
 
 // Planner controls chain-level contraction-order planning: EvalChain with
