@@ -42,10 +42,12 @@ var perfPackages = []string{
 // cannot be relaxed by re-baselining; edit the list itself (with review)
 // to change the contract.
 var perfClean = []string{
-	"internal/hashtab.HtYFlat.Lookup", // ④ probe loop
-	"internal/sortx.lsdRange",         // ① LSD radix inner loop
-	"internal/sortx.insertionKP",      // ① small-run fallback inside SortPairs
-	"internal/core.gatherFused.func1", // ⑤ fused-writeback scatter closure
+	"internal/hashtab.HtYFlat.Lookup",      // ④ probe loop
+	"internal/sortx.lsdRange",              // ① LSD radix inner loop
+	"internal/sortx.insertionKP",           // ① small-run fallback inside SortPairs
+	"internal/core.gatherFused.func1",      // ⑤ fused-writeback scatter closure
+	"internal/core.worker.accumulateDense", // ③ direct-indexed accumulate loop
+	"internal/core.worker.flushDense",      // ④ occupancy-bitmap walk into Zlocal
 }
 
 // budgetRelPath is where the committed budget lives, relative to module root.

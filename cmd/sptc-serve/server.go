@@ -399,6 +399,10 @@ type contractReply struct {
 	ExecutionTier string `json:"execution_tier,omitempty"`
 	// Windows is the streamed window count (0 on the dram tier).
 	Windows int `json:"windows,omitempty"`
+	// DenseSubs is how many X sub-tensors the kernel accumulated in its
+	// direct-indexed array instead of the hash accumulator (0 when the
+	// free-Y space is large or sparsely filled; core.Report.DenseSubs).
+	DenseSubs uint64 `json:"dense_subs,omitempty"`
 	// Shards / ShardRetries report the scatter/gather fan-out when the server
 	// runs in sharded mode (-local-shards / -shards): how many shard legs
 	// were dispatched and how many failover attempts they consumed.
@@ -637,6 +641,7 @@ func (s *server) contract(w http.ResponseWriter, r *http.Request, req contractRe
 		WallNS:        (time.Since(start) + ordered).Nanoseconds(),
 		ExecutionTier: tier.String(),
 		Windows:       rep.Windows,
+		DenseSubs:     rep.DenseSubs,
 	})
 	return nil
 }
@@ -696,6 +701,7 @@ func (s *server) contractSharded(ctx context.Context, w http.ResponseWriter, r *
 		WallNS:        (time.Since(start) + ordered).Nanoseconds(),
 		ExecutionTier: "sharded",
 		Windows:       rep.Windows,
+		DenseSubs:     rep.DenseSubs,
 		Shards:        rep.Shards,
 		ShardRetries:  rep.ShardRetries,
 	})

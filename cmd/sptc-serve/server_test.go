@@ -82,6 +82,12 @@ func TestContractWarmCold(t *testing.T) {
 	if warm.CacheHits == 0 {
 		t.Error("warm request left cache_hits at 0")
 	}
+	// demoB's free-Y space is 35x20 cells at ~60 items a contract key: the
+	// kernel accumulates most sub-tensors in its direct-indexed array, the
+	// same ones on either request.
+	if cold.DenseSubs == 0 || warm.DenseSubs != cold.DenseSubs {
+		t.Errorf("dense_subs: cold %d, warm %d", cold.DenseSubs, warm.DenseSubs)
+	}
 }
 
 // TestConcurrentRequests hammers one warm route from many goroutines; all
@@ -304,6 +310,7 @@ func TestMetricsExposition(t *testing.T) {
 		`sptc_serve_requests_total{outcome="ok",route="contract"}`,
 		`sptc_engine_cache_total{outcome="hit"}`,
 		"sptc_serve_inflight",
+		"sptc_accum_dense_subtensors_total",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %s", want)

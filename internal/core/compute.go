@@ -164,7 +164,9 @@ type rangeMatch struct {
 // worker is the per-thread state of the computation stages. Exactly one of
 // hta/spa is non-nil, selected by Options.Algorithm and pointing into acc;
 // each algorithm's sub-tensor loop calls its accumulator's concrete Add (no
-// interface dispatch on the hottest call in the repo).
+// interface dispatch on the hottest call in the repo). dense is AlgSparta's
+// second accumulator, allocated by the first sub-tensor that qualifies for
+// it (dense.go) and kept for the rest of the contraction.
 //
 // The accumulator headers are stored in the worker rather than allocated
 // beside it: their entry counts and hit/probe counters are written on every
@@ -177,7 +179,8 @@ type worker struct {
 		hta hashtab.HtAFlat
 		spa spa.SPA
 	}
-	z zlocalBuf
+	dense denseAcc
+	z     zlocalBuf
 
 	// err is the first writeback failure (output over MaxOutputNNZ, a run
 	// too long for zsub); once set the drivers' sub-tensor loops skip this
@@ -185,6 +188,7 @@ type worker struct {
 	err error
 
 	scratch  []match
+	found    int // products of the matches in scratch: Σ len(items)
 	scratchR []rangeMatch
 	keyBuf   []uint32
 
@@ -197,6 +201,10 @@ type worker struct {
 	hits, miss                 uint64
 	products                   uint64
 	spaHits, spaMiss           uint64
+	// The dense path's account: sub-tensors that took it, the products they
+	// added (each one a hit or a miss, and one probe), and the cells they
+	// occupied first (the misses), counted at flush.
+	denseSubs, denseAdds, denseMiss uint64
 
 	// htyProbe records the probe length of each HtY lookup when metrics are
 	// configured (Options.Metrics); nil otherwise, guarded by one branch in
@@ -281,11 +289,12 @@ func (w *worker) stamp(stageNS *int64) {
 func (w *worker) stopClock() { w.stamp(&w.searchNS) }
 
 // searchHtY is stage ② of Algorithm 2 for X non-zeros [lo, hi): one HtY
-// probe each, the hits collected in w.scratch. It reports whether there are
-// any.
+// probe each, the hits collected in w.scratch and their products counted in
+// w.found. It reports whether there are any.
 func (w *worker) searchHtY(p *plan, xw *coo.Tensor, hty *hashtab.HtYFlat, lo, hi int) bool {
 	cCols := xw.Inds[p.nfx:]
 	w.scratch = w.scratch[:0]
+	found := 0
 	for i := lo; i < hi; i++ {
 		key := p.radC.EncodeStrided(cCols, i)
 		items, probes := hty.Lookup(key)
@@ -298,8 +307,10 @@ func (w *worker) searchHtY(p *plan, xw *coo.Tensor, hty *hashtab.HtYFlat, lo, hi
 			continue
 		}
 		w.hits++
+		found += len(items)
 		w.scratch = append(w.scratch, match{items: items, xv: xw.Vals[i]})
 	}
+	w.found = found
 	return len(w.scratch) > 0
 }
 
@@ -311,22 +322,32 @@ func (w *worker) accumulateHtY() {
 		for _, it := range m.items {
 			w.hta.Add(it.LNFree, it.Val*v)
 		}
-		w.products += uint64(len(m.items))
 	}
+	w.products += uint64(w.found)
 }
 
 // subSparta processes X sub-tensor f with Algorithm 2: HtY probes for the
-// index search, HtA for accumulation, Zlocal flush for writeback. The stage
-// clock times the three phases separately so Fig. 2-style breakdowns are
-// exact.
+// index search, HtA — or, when useDense says this sub-tensor's products fill
+// a small free-Y space, the direct-indexed array — for accumulation, Zlocal
+// flush for writeback. The stage clock times the three phases separately so
+// Fig. 2-style breakdowns are exact.
 func (w *worker) subSparta(p *plan, xw *coo.Tensor, hty *hashtab.HtYFlat, ptrFX []int, f int) {
 	if !w.searchHtY(p, xw, hty, ptrFX[f], ptrFX[f+1]) {
 		return
 	}
 	w.stamp(&w.searchNS)
-	w.accumulateHtY()
-	w.stamp(&w.accumNS)
-	w.flushHtA(f)
+	if card := p.radFY.Card(); useDense(card, w.found) {
+		if w.dense.vals == nil {
+			w.dense.init(card)
+		}
+		w.accumulateDense()
+		w.stamp(&w.accumNS)
+		w.flushDense(f)
+	} else {
+		w.accumulateHtY()
+		w.stamp(&w.accumNS)
+		w.flushHtA(f)
+	}
 	w.stamp(&w.writeNS)
 }
 

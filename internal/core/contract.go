@@ -518,10 +518,14 @@ func mergeWorkerStats(rep *Report, ws []*worker) {
 		rep.MissY += w.miss
 		rep.Products += w.products
 		if w.hta != nil {
-			rep.ProbesHtA += w.hta.Probes
-			rep.AccumHits += w.hta.Hits
-			rep.AccumMiss += w.hta.Misses
-			b := w.hta.Bytes()
+			// A dense add is one direct-indexed "probe"; its misses are the
+			// cells it occupied first, so hits + misses == products on
+			// either path.
+			rep.ProbesHtA += w.hta.Probes + w.denseAdds
+			rep.AccumHits += w.hta.Hits + w.denseAdds - w.denseMiss
+			rep.AccumMiss += w.hta.Misses + w.denseMiss
+			rep.DenseSubs += w.denseSubs
+			b := w.hta.Bytes() + w.dense.bytes()
 			rep.BytesHtA += b
 			if b > rep.BytesHtAPerThr {
 				rep.BytesHtAPerThr = b

@@ -74,6 +74,7 @@ func publishMetrics(reg *obs.Registry, rep *Report, ws, symWs []*worker) {
 	reg.Counter("sptc_y_lookups_total", "index-search outcomes", "outcome", "miss").Add(rep.MissY)
 	reg.Counter("sptc_accum_total", "accumulator Add outcomes", "outcome", "hit").Add(rep.AccumHits)
 	reg.Counter("sptc_accum_total", "accumulator Add outcomes", "outcome", "miss").Add(rep.AccumMiss)
+	reg.Counter("sptc_accum_dense_subtensors_total", "X sub-tensors accumulated in the direct-indexed array instead of HtA").Add(rep.DenseSubs)
 
 	byteGauges := []struct {
 		object string
@@ -108,6 +109,10 @@ func publishMetrics(reg *obs.Registry, rep *Report, ws, symWs []*worker) {
 		for _, w := range workers {
 			htyH.Merge(w.htyProbe)
 			if w.hta != nil {
+				// A direct-indexed add is a probe of length 1. The dense
+				// loops never touch the shard; their adds are booked here,
+				// in bulk (a nil shard ignores it).
+				w.hta.ProbeHist.ObserveN(1, w.denseAdds)
 				htaH.Merge(w.hta.ProbeHist)
 			}
 			if !numeric {

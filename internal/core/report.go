@@ -156,6 +156,11 @@ type Report struct {
 	ProbesHtA   uint64 // HtA slot probes (every HtA algorithm)
 	AccumHits   uint64 // accumulator add-into-existing
 	AccumMiss   uint64 // accumulator fresh inserts
+	// DenseSubs counts the X sub-tensors AlgSparta accumulated in the
+	// direct-indexed array instead of HtA (chosen per sub-tensor from the
+	// free-Y cardinality and the sub-tensor's products; DESIGN.md §9.4).
+	// Their adds are in ProbesHtA/AccumHits/AccumMiss like any other.
+	DenseSubs uint64
 
 	// Streamed is true when the contraction ran the out-of-core windowed
 	// driver (ContractStream) instead of materializing X's working set at

@@ -346,6 +346,7 @@ func (c *Coordinator) aggregate(reps []*core.Report, opt core.Options) *core.Rep
 		agg.ProbesHtA += r.ProbesHtA
 		agg.AccumHits += r.AccumHits
 		agg.AccumMiss += r.AccumMiss
+		agg.DenseSubs += r.DenseSubs
 		agg.Streamed = agg.Streamed || r.Streamed
 		agg.Windows += r.Windows
 		agg.SpilledZ = agg.SpilledZ || r.SpilledZ

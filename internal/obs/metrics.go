@@ -277,6 +277,18 @@ func (s *HistShard) Observe(v float64) {
 	s.sum += v
 }
 
+// ObserveN records n observations of the same value at once, for a loop
+// whose every iteration would observe v.
+func (s *HistShard) ObserveN(v float64, n uint64) {
+	if s == nil {
+		return
+	}
+	if i := bucketOf(s.bounds, v); uint(i) < uint(len(s.counts)) { // always: counts has len(bounds)+1 buckets
+		s.counts[i] += n
+	}
+	s.sum += v * float64(n)
+}
+
 // Counts exposes the per-bucket counts (len(bounds)+1 entries, overflow
 // last) — the layout Snapshot.Counts and stats.RenderHistogram use.
 func (s *HistShard) Counts() []uint64 {
