@@ -142,6 +142,8 @@ func TestShardWorkerEndpoint(t *testing.T) {
 		t.Errorf("bad X-Sptc-Report header: %v", err)
 	} else if rep.NNZZ != z.NNZ() {
 		t.Errorf("report NNZZ=%d, tensor has %d", rep.NNZZ, z.NNZ())
+	} else if rep.HtYBuildWalls.Sum() <= 0 {
+		t.Errorf("report lost the HtY build walls on the wire: %+v", rep.HtYBuildWalls)
 	}
 
 	// Unknown Y and malformed modes fail cleanly.

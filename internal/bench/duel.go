@@ -16,11 +16,13 @@ func Duel(w io.Writer, c Config) error {
 	wl := gen.Workload{Preset: mustPreset("NIPS"), Modes: 1}
 	fmt.Fprintf(w, "Stage-by-stage duel on %s (nnz %d)\n", wl.Name(), c.Scale)
 	tab := stats.NewTable("Algorithm", "Input", "Search", "Accum", "Write", "Sort", "Total", "Products", "AccumProbes")
+	var sparta *core.Report // the last row's, for its HtY build walls
 	for _, alg := range []core.Algorithm{core.AlgSPA, core.AlgCOOHtA, core.AlgTwoPhase, core.AlgSparta} {
 		_, rep, err := c.RunWorkload(wl, alg)
 		if err != nil {
 			return err
 		}
+		sparta = rep
 		tab.Row(alg.String(),
 			rep.StageWall[core.StageInput], rep.StageWall[core.StageSearch],
 			rep.StageWall[core.StageAccum], rep.StageWall[core.StageWrite],
@@ -28,5 +30,8 @@ func Duel(w io.Writer, c Config) error {
 			rep.Products, rep.ProbesHtA+rep.SPACompares)
 	}
 	tab.Render(w)
+	bw := sparta.HtYBuildWalls
+	fmt.Fprintf(w, "%s HtY build %v: encode %v, sort %v, group scans %v, pack beside fill %v (fill alone %v)\n",
+		core.AlgSparta, sparta.HtYBuild, bw.Encode, bw.Sort, bw.Group, bw.PackFill, bw.Fill)
 	return nil
 }

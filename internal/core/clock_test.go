@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sparta/internal/coo"
+	"sparta/internal/gen"
 	"sparta/internal/invariant"
 )
 
@@ -71,6 +72,42 @@ func TestStageWallsAccountForTheContraction(t *testing.T) {
 	}
 	if best < 0.9 {
 		t.Errorf("stage walls cover %.1f%% of the contraction's wall time at best, want >= 90%%", 100*best)
+	}
+}
+
+// TestHtYBuildWallsAccountForTheBuild is the same conservation check one
+// level down, on the benchmark's cold_build shape (NIPS preset, 300 k nnz,
+// modes 1–3 contracted): the four build walls — one clock read per boundary —
+// cover at least 95 % of Report.HtYBuild, and the fill's own time, taken
+// inside its goroutine, lies inside the pack‖fill wall.
+func TestHtYBuildWallsAccountForTheBuild(t *testing.T) {
+	if testing.Short() || raceEnabled || invariant.Enabled {
+		t.Skip("a wall-clock share; measured on the plain build only")
+	}
+	p, err := gen.FindPreset("NIPS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	y := gen.Generate(p, 300_000, 42)
+	x := gen.RandomSkewed(y.Dims, 1_000, p.Alpha, 43)
+	modes := []int{1, 2, 3}
+	best := 0.0
+	for try := 0; try < 8 && best < 0.95; try++ {
+		_, rep, err := Contract(x, y, modes, modes, Options{Threads: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := rep.HtYBuildWalls
+		if rep.HtYReused || rep.DistinctKeysY < 250_000 {
+			t.Fatalf("shape drifted: reused %v, %d distinct keys", rep.HtYReused, rep.DistinctKeysY)
+		}
+		if w.Encode <= 0 || w.Sort <= 0 || w.Group <= 0 || w.Fill <= 0 || w.Fill > w.PackFill {
+			t.Fatalf("build walls not all taken, or the fill outlasts pack‖fill: %+v", w)
+		}
+		best = max(best, float64(w.Sum())/float64(rep.HtYBuild))
+	}
+	if best < 0.95 {
+		t.Errorf("build walls cover %.1f%% of HtYBuild at best, want >= 95%%", 100*best)
 	}
 }
 

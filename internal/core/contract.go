@@ -320,6 +320,7 @@ func reportHtY(rep *Report, hty *hashtab.HtYFlat, nnzY, orderY int, bytesY uint6
 	rep.DistinctKeysY = hty.NKeys
 	rep.MaxSubNNZY = hty.MaxItems
 	rep.EstBytesHtY = hashtab.EstimateHtYBytes(nnzY, orderY, hty.NumBuckets())
+	rep.HtYBuildWalls = hty.Walls
 }
 
 // buildHtY runs the COO→HtY conversion and records the table stats plus

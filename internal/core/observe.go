@@ -66,7 +66,7 @@ func publishMetrics(reg *obs.Registry, rep *Report, ws, symWs []*worker) {
 			obs.TimeBuckets).Observe(rep.Symbolic.Seconds())
 	}
 
-	reg.Counter("sptc_hty_probes_total", "HtY slot inspections").Add(rep.ProbesHtY)
+	reg.Counter("sptc_hty_probes_total", "HtY 8-slot control words inspected").Add(rep.ProbesHtY)
 	reg.Counter("sptc_hta_probes_total", "HtA slot inspections").Add(rep.ProbesHtA)
 	reg.Counter("sptc_products_total", "scalar multiply-adds", "alg", alg).Add(rep.Products)
 	reg.Counter("sptc_search_steps_total", "baseline COO-Y linear search steps").Add(rep.SearchSteps)
@@ -95,7 +95,7 @@ func publishMetrics(reg *obs.Registry, rep *Report, ws, symWs []*worker) {
 			obs.TimeBuckets).Observe(rep.SubsortWall.Seconds())
 	}
 
-	htyH := reg.Histogram("sptc_hty_probe_length", "HtY probes per index-search lookup",
+	htyH := reg.Histogram("sptc_hty_probe_length", "HtY 8-slot control words inspected per index-search lookup",
 		obs.ProbeBuckets)
 	htaH := reg.Histogram("sptc_hta_probe_length", "HtA probe length per accumulate",
 		obs.ProbeBuckets)

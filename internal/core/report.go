@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"sparta/internal/coo"
+	"sparta/internal/hashtab"
 )
 
 // Algorithm selects the SpTC variant. The zero value is Sparta; the others
@@ -114,6 +115,11 @@ type Report struct {
 	// rest of StageInput (X permute+sort). Zero when the build was skipped
 	// (HtYReused).
 	HtYBuild time.Duration
+	// HtYBuildWalls is where the build of the table this contraction probed
+	// spent its time (encode / sort / group scans / pack beside fill). On a
+	// fresh build the four walls sum to HtYBuild within a few percent; on a
+	// reused table they still describe the build that made it.
+	HtYBuildWalls hashtab.BuildWalls
 	// HtYReused is true when this contraction skipped the COO→HtY build
 	// because a *PreparedY (possibly from the engine plan cache) supplied
 	// an already-built table. The "hty build" span is absent from traces
@@ -148,7 +154,7 @@ type Report struct {
 
 	// Operation counters.
 	SearchSteps uint64 // COO-Y linear-search key comparisons (SPA, COOY+HtA)
-	ProbesHtY   uint64 // HtY slot probes (Sparta, two-phase)
+	ProbesHtY   uint64 // HtY 8-slot control words inspected (Sparta, two-phase)
 	HitsY       uint64 // X non-zeros whose contract key exists in Y
 	MissY       uint64 // X non-zeros with no matching Y sub-tensor
 	Products    uint64 // scalar multiply-adds performed

@@ -317,8 +317,10 @@ func (c *Coordinator) aggregate(reps []*core.Report, opt core.Options) *core.Rep
 			}
 			agg.StageCPU[s] += r.StageCPU[s]
 		}
-		if r.HtYBuild > agg.HtYBuild {
-			agg.HtYBuild = r.HtYBuild
+		if r.HtYBuild >= agg.HtYBuild {
+			// The slowest shard's build with its own walls; >= so that
+			// shards that all reused their table still report one's.
+			agg.HtYBuild, agg.HtYBuildWalls = r.HtYBuild, r.HtYBuildWalls
 		}
 		agg.HtYReused = agg.HtYReused && r.HtYReused
 		if r.SubsortWall > agg.SubsortWall {

@@ -29,10 +29,22 @@ func benchY(nnz int) (*coo.Tensor, *lnum.Radix, *lnum.Radix) {
 	return y, lnum.MustRadix(dims[:2]), lnum.MustRadix(dims[2:])
 }
 
+// nipsColdBuild is the benchmark's cold_build operand pair (benchmark/inputs.go,
+// seed 42): Y the NIPS preset at 300 k nnz, X skewed over the same box, modes
+// 1–3 contracted — ~299 k distinct keys in Y, of which X's keys hit 0.3 %.
+func nipsColdBuild(b *testing.B) (x, y *coo.Tensor, radC, radF *lnum.Radix) {
+	p, err := gen.FindPreset("NIPS")
+	if err != nil {
+		b.Fatal(err)
+	}
+	y = gen.Generate(p, 300000, 42)
+	x = gen.RandomSkewed(y.Dims, 300000, p.Alpha, 43)
+	return x, y, lnum.MustRadix(y.Dims[1:]), lnum.MustRadix(y.Dims[:1])
+}
+
 // BenchmarkHtYBuild times the sort-then-pack COO→HtY conversion across
-// thread counts, then on the benchmark's cold_build shape (NIPS preset at
-// 300 k nnz, trailing three modes contracted: ~290 k distinct keys), the
-// number the ROADMAP ledger quotes.
+// thread counts, then on the benchmark's cold_build shape, the number the
+// ROADMAP ledger quotes.
 func BenchmarkHtYBuild(b *testing.B) {
 	y, radC, radF := benchY(1 << 16)
 	for _, threads := range []int{1, 4, 8} {
@@ -42,38 +54,70 @@ func BenchmarkHtYBuild(b *testing.B) {
 			}
 		})
 	}
-	p, err := gen.FindPreset("NIPS")
-	if err != nil {
-		b.Fatal(err)
-	}
-	nips := gen.Generate(p, 300000, 42)
-	nipsC, nipsF := lnum.MustRadix(nips.Dims[1:]), lnum.MustRadix(nips.Dims[:1])
+	_, nips, nipsC, nipsF := nipsColdBuild(b)
 	for _, threads := range []int{1, 2} {
 		b.Run(fmt.Sprintf("flat-nips300k/threads=%d", threads), func(b *testing.B) {
 			b.ReportAllocs()
+			var h *HtYFlat
 			for i := 0; i < b.N; i++ {
-				BuildHtYFlat(nips, []int{1, 2, 3}, []int{0}, nipsC, nipsF, 0, threads)
+				h = BuildHtYFlat(nips, []int{1, 2, 3}, []int{0}, nipsC, nipsF, 0, threads)
 			}
+			b.ReportMetric(float64(h.Bytes()), "table-bytes")
 		})
 	}
 }
 
-// BenchmarkHtYLookup times the linear probe on a half-hit key stream.
+var lookupSink float64
+
+// BenchmarkHtYLookup times Lookup per key in the three regimes the tables
+// meet: the 8-items-per-key table of benchY; hit-only streams — every key
+// present, its first item read, as on accum_dense (4 096 keys) and write_out
+// (1 449) — over tables from L1-sized to far past the last-level cache; and
+// cold_build's own stream, 300 k probes of a 299 k-key table that miss
+// 99.7 % of the time.
 func BenchmarkHtYLookup(b *testing.B) {
+	run := func(name string, h *HtYFlat, keys []uint64) {
+		b.Run(name, func(b *testing.B) {
+			sum := 0.0
+			for i := 0; i < b.N; i++ {
+				for _, k := range keys {
+					if items, _ := h.Lookup(k); len(items) > 0 {
+						sum += items[0].Val
+					}
+				}
+			}
+			lookupSink = sum
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(keys)), "ns/lookup")
+		})
+	}
+
 	y, radC, radF := benchY(1 << 16)
-	flat := BuildHtYFlat(y, []int{0, 1}, []int{2, 3}, radC, radF, 0, 0)
 	keys := make([]uint64, 1<<14)
 	rng := rand.New(rand.NewSource(2))
 	for i := range keys {
-		keys[i] = uint64(rng.Intn(1 << 13)) // half hits, half misses
+		keys[i] = uint64(rng.Intn(1 << 13)) // benchY's key range: 8 items per key, nearly every key present
 	}
-	b.Run("flat", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, k := range keys {
-				flat.Lookup(k)
-			}
+	run("flat", BuildHtYFlat(y, []int{0, 1}, []int{2, 3}, radC, radF, 0, 0), keys)
+
+	for _, nkeys := range []int{1449, 4096, 65536, 300000, 1 << 20} {
+		dims := []uint64{uint64(nkeys), 2}
+		y := coo.MustNew(dims, nkeys)
+		for k := 0; k < nkeys; k++ {
+			y.Append([]uint32{uint32(k), uint32(k & 1)}, float64(k))
 		}
-	})
+		h := BuildHtYFlat(y, []int{0}, []int{1}, lnum.MustRadix(dims[:1]), lnum.MustRadix(dims[1:]), 0, 0)
+		for i := range keys {
+			keys[i] = uint64(rng.Intn(nkeys))
+		}
+		run(fmt.Sprintf("hit-only/keys=%d", nkeys), h, keys)
+	}
+
+	x, nips, nipsC, nipsF := nipsColdBuild(b)
+	stream := make([]uint64, x.NNZ())
+	for i := range stream {
+		stream[i] = nipsC.EncodeStrided(x.Inds[1:], i)
+	}
+	run("cold-build-stream", BuildHtYFlat(nips, []int{1, 2, 3}, []int{0}, nipsC, nipsF, 0, 0), stream)
 }
 
 // addKeyStreams builds the two accumulation regimes of §3.4: hit-heavy

@@ -10,10 +10,10 @@ import (
 	"sparta/internal/lnum"
 )
 
-// TestBuildHtYFlatMatchesLocked: over the whole contract-key space the table
-// must agree with a serially built map — same keys present, same item
-// multisets, same stats — at any thread count.
-func TestBuildHtYFlatMatchesLocked(t *testing.T) {
+// TestBuildHtYFlatMatchesMapOverKeySpace: over the whole contract-key space
+// the table must agree with a serially built map — same keys present, same
+// item multisets, same stats — at any thread count.
+func TestBuildHtYFlatMatchesMapOverKeySpace(t *testing.T) {
 	dims := []uint64{6, 7, 8, 9}
 	rng := rand.New(rand.NewSource(9))
 	y := coo.MustNew(dims, 0)
@@ -134,10 +134,10 @@ func TestBuildHtYFlatEmptyAndSkewed(t *testing.T) {
 	}
 }
 
-// TestBuildHtYFlatBucketClamp: the slot table is sized from the distinct
-// keys, not nnz_Y — explicit bucket counts at or below NKeys are clamped so
-// the open-addressed table keeps a free slot, and duplicates do not inflate
-// the clamp.
+// TestBuildHtYFlatBucketClamp: the table is sized from the distinct keys,
+// not nnz_Y — explicit bucket counts at or below NKeys are clamped so the
+// table keeps a free slot (here 64 keys in 128: half the control bytes free),
+// and duplicates do not inflate the clamp.
 func TestBuildHtYFlatBucketClamp(t *testing.T) {
 	dims := []uint64{64, 3}
 	radC := lnum.MustRadix(dims[:1])
@@ -166,8 +166,9 @@ func TestBuildHtYFlatBucketClamp(t *testing.T) {
 // TestBuildHtYFlatMatchesOracle checks the sort-then-pack build against a
 // serially built map for the shapes that stress each of its steps, at thread
 // counts on both sides of the sorter's serial/parallel switch: presence,
-// stats, table sizing, items in original Y order inside each key, and an
-// arena that is bitwise identical whatever the thread count.
+// stats, table sizing (8*NKeys/7 slots rounded up to a power of two, one
+// group at least), items in original Y order inside each key, and control
+// words, entries and arena bitwise identical whatever the thread count.
 func TestBuildHtYFlatMatchesOracle(t *testing.T) {
 	type tcase struct {
 		name    string
@@ -226,7 +227,7 @@ func TestBuildHtYFlatMatchesOracle(t *testing.T) {
 			for _, items := range oracle {
 				maxLen = max(maxLen, len(items))
 			}
-			wantBuckets := NextPow2(2 * len(oracle))
+			wantBuckets := max(NextPow2((8*len(oracle)+6)/7), groupSlots)
 			if tc.buckets > 0 {
 				wantBuckets = NextPow2(max(tc.buckets, len(oracle)+1))
 			}
@@ -260,7 +261,7 @@ func TestBuildHtYFlatMatchesOracle(t *testing.T) {
 				}
 				if ref == nil {
 					ref = h
-				} else if !slices.Equal(h.itemOff, ref.itemOff) || !slices.Equal(h.items, ref.items) || !slices.Equal(h.table, ref.table) {
+				} else if !slices.Equal(h.ctrl, ref.ctrl) || !slices.Equal(h.ents, ref.ents) || !slices.Equal(h.items, ref.items) {
 					t.Fatalf("threads=%d: table differs bitwise from the threads=1 build", threads)
 				}
 			}
@@ -277,18 +278,20 @@ func pick[T any](v []T, modes []int) []T {
 	return out
 }
 
-// TestEstimateHtYBoundsFlatBytes: with the slot table sized from the distinct
-// keys, Eq. 5 fed the real slot count upper-bounds HtYFlat.Bytes whenever
-// 8*order*nnz_Y >= 8*slots + 4*(NKeys+1). That holds for every Y of order 5
-// or more, and from order 3 up once keys average two items (slots < 4*NKeys
-// <= 2*nnz_Y) — the regimes checked here. An all-distinct-key Y of low order
-// can still exceed the estimate, as it could before.
+// TestEstimateHtYBoundsFlatBytes: a slot costs 17 bytes (one control byte,
+// one 16-byte entry) against the 8 Eq. 5 charges per bucket, an item 16
+// against Eq. 5's 8*order + 16, so Eq. 5 fed the real slot count upper-bounds
+// HtYFlat.Bytes whenever 8*order*nnz_Y >= 9*slots. Default sizing keeps
+// slots < 16/7*NKeys, so 9*slots < 21*NKeys <= 24*nnz_Y: the bound holds for
+// every Y of order 3 or more past the one-group minimum, all-distinct keys
+// included — the regimes checked here.
 func TestEstimateHtYBoundsFlatBytes(t *testing.T) {
 	for _, tc := range []struct {
 		dims   []uint64
 		ncm, n int
 	}{
 		{[]uint64{32, 32, 64}, 2, 4000},            // order 3, ~4 items per key
+		{[]uint64{4096, 4096, 4}, 2, 30000},        // order 3, nearly all keys distinct
 		{[]uint64{64, 64, 128, 128}, 2, 120000},    // order 4, ~29 items per key
 		{[]uint64{40, 40, 40, 6, 6}, 3, 30000},     // order 5, nearly all keys distinct
 		{[]uint64{16, 16, 16, 16, 4, 4}, 4, 60000}, // order 6, 65536 keys at a power of two

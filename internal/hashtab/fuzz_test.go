@@ -7,11 +7,14 @@ import (
 	"sparta/internal/lnum"
 )
 
-// FuzzHtYFlatLookup drives the lock-free two-pass build with arbitrary
-// non-zero patterns and thread counts, then checks every possible contract
-// key's Lookup against a plain map oracle built serially: same presence,
-// same items, same (original Y) order, same stats. Duplicate coordinates,
-// single-key skew and empty tensors all fall out of the byte decoding.
+// FuzzHtYFlatLookup drives the build with arbitrary non-zero patterns and
+// thread counts, then checks every possible contract key's Lookup against a
+// plain map oracle built serially: same presence, same items, same (original
+// Y) order, same stats. Duplicate coordinates, single-key skew and empty
+// tensors all fall out of the byte decoding. The committed corpus adds two
+// 11-key tables of two groups: seed-4 overfills group 0 (spill to group 1)
+// with keys 8 and 24 under one tag and 25 one above it; seed-5 overfills
+// group 1 (wrap to group 0) with keys 1 and 31 a tag apart.
 func FuzzHtYFlatLookup(f *testing.F) {
 	f.Add([]byte{}, uint8(1))                          // empty tensor
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0}, uint8(3)) // one key, duplicates

@@ -5,6 +5,11 @@ import (
 	"sparta/internal/obs"
 )
 
+// emptySlot marks a free slot in the accumulator's key table. LN keys are
+// strictly below their radix cardinality, which itself fits in a uint64, so
+// ^uint64(0) can never be a real key (max key = card-1 <= 2^64-2).
+const emptySlot = ^uint64(0)
+
 // htaSlot interleaves a key and its entry index in one 16-byte record, so a
 // probe (and the hit that follows it) touches a single cache line instead of
 // two parallel arrays.

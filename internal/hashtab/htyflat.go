@@ -1,6 +1,11 @@
 package hashtab
 
 import (
+	"cmp"
+	"math/bits"
+	"slices"
+	"time"
+
 	"sparta/internal/coo"
 	"sparta/internal/invariant"
 	"sparta/internal/lnum"
@@ -8,39 +13,64 @@ import (
 	"sparta/internal/sortx"
 )
 
-// emptySlot marks a free slot in the open-addressed key tables. LN keys are
-// strictly below their radix cardinality, which itself fits in a uint64, so
-// ^uint64(0) can never be a real key (max key = card-1 <= 2^64-2).
-const emptySlot = ^uint64(0)
+// A control word covers one group of groupSlots slots, one byte each: ctrlFree
+// while the slot is free, otherwise the top 7 bits of hashKey(key) — the tag.
+// Tags stay below 0x80, so the high bit of a byte alone says "free" and a
+// tag can never match a free byte.
+const (
+	groupSlots = 8
+	ctrlFree   = 0x80
+	ctrlLSB    = 0x0101010101010101 // a byte value broadcast to all eight: b * ctrlLSB
+	ctrlMSB    = ctrlFree * ctrlLSB // the free bit of every byte
+)
 
-// ytSlot is one open-addressed slot of HtYFlat: the claiming key and its
-// dense rank interleaved in 16 bytes, so a probe and the rank read that
-// follows a hit touch a single cache line.
-type ytSlot struct {
-	key  uint64 // emptySlot when free
-	rank int32  // dense rank of the key (ascending key order)
+// ctrlTag is the control byte of an occupied slot whose key hashes to hk.
+// The home group comes from hk's low bits, so the two are independent.
+func ctrlTag(hk uint64) uint64 { return hk >> 57 }
+
+// yEnt is one occupied slot of HtYFlat: the claiming key and where its items
+// lie in the arena, 16 bytes, so a hit reads a single line before the arena.
+type yEnt struct {
+	key    uint64
+	off, n int32 // items[off : off+n]
 }
 
+// BuildWalls are the wall times of BuildHtYFlat's steps, one clock read per
+// boundary: Encode + Sort + Group + PackFill is the whole build. Pack and
+// fill run side by side, so Fill — the table fill alone, timed inside its
+// goroutine — is part of PackFill, not a fifth term.
+type BuildWalls struct {
+	Encode   time.Duration // columns gathered, (LN(Cy), pos) pairs written
+	Sort     time.Duration // radix sort of the pairs
+	Group    time.Duration // two scans: NKeys, then offsets and MaxItems
+	PackFill time.Duration // arena pack beside the table fill
+	Fill     time.Duration // the fill's own duration inside PackFill
+}
+
+// Sum is the build's wall time as its steps account for it.
+func (w BuildWalls) Sum() time.Duration { return w.Encode + w.Sort + w.Group + w.PackFill }
+
 // HtYFlat is the cache-friendly layout of the hash-table-represented second
-// input tensor: an open-addressed (linear-probe, power-of-two) key table over
-// a contiguous CSR-style item arena. A Lookup is one probe sequence over a
-// flat slot slice followed by a sub-slice of the arena — no mutexes, no
+// input tensor: an open-addressed, power-of-two table of 8-slot groups over
+// a contiguous CSR-style item arena. A Lookup scans control words — a miss
+// leaves them only for a tag collision, one occupied slot in 128 — and a hit
+// reads one 16-byte entry and then a sub-slice of the arena: no mutexes, no
 // per-entry slice headers, no pointer chasing, zero per-entry allocations.
 // The table is written by one goroutine during the build and read-only
 // afterwards, so no access is atomic.
 //
-// Layout:
+// Layout (DESIGN.md §9.5):
 //
-//	table[s]     {key, rank}: LN contract key claiming slot s (or emptySlot)
-//	             and its dense rank
-//	itemOff[r]   items of rank r live in items[itemOff[r]:itemOff[r+1]]
-//	items        all nnz_Y YItems, grouped by ascending key, original Y
-//	             order inside each group
+//	ctrl[g]   control word of group g: byte i is ctrlFree or the tag of the
+//	          key in slot 8g+i
+//	ents[s]   {key, off, n} of the key claiming slot s: its items are
+//	          items[off:off+n]; zero while the slot is free
+//	items     all nnz_Y YItems, grouped by ascending key, original Y
+//	          order inside each group
 type HtYFlat struct {
-	table []ytSlot
-
-	itemOff []int32
-	items   []YItem
+	ctrl  []uint64
+	ents  []yEnt
+	items []YItem
 
 	// NKeys is the number of distinct contract-index tuples.
 	NKeys int
@@ -48,6 +78,8 @@ type HtYFlat struct {
 	NItems int
 	// MaxItems is nnz_Fmax of Eq. 6: the largest item list.
 	MaxItems int
+	// Walls is where the build's time went.
+	Walls BuildWalls
 }
 
 // BuildHtYFlat converts Y (COO, any order) into an HtYFlat by sort-then-pack:
@@ -61,18 +93,20 @@ type HtYFlat struct {
 //	pack    item i of the arena is the free-key encode + value of the
 //	        non-zero at sorted position i — sequential writes, disjoint
 //	        ranges per thread
-//	insert  the key table is sized from the distinct-key count and receives
-//	        one slot per group, written by a single goroutine
+//	fill    the table is sized from the distinct-key count and receives one
+//	        control byte and one entry per key, in ascending key order, from
+//	        a single goroutine
 //
 // The sort is stable and everything after it is a function of the sorted
 // pairs alone, so the table is bitwise identical for any thread count,
-// duplicate coordinates in Y included.
+// duplicate coordinates in Y included. Walls records the four steps' times.
 //
-// buckets <= 0 picks the default: next power of two >= 2*NKeys (load factor
-// <= 0.5). Explicit bucket counts are rounded up to a power of two and
-// clamped to > NKeys so the open-addressed table always keeps a free slot
-// (probe sequences must terminate).
+// buckets <= 0 picks the default: the next power of two >= 8*NKeys/7 slots
+// (load factor <= 7/8), at least one group. Explicit bucket counts are
+// rounded up to a power of two and clamped to > NKeys so the table always
+// keeps a free slot (probe sequences must terminate).
 func BuildHtYFlat(y *coo.Tensor, cmodes, fmodes []int, radC, radF *lnum.Radix, buckets, threads int) *HtYFlat {
+	t0 := time.Now()
 	n := y.NNZ()
 	cCols := make([][]uint32, len(cmodes))
 	for k, m := range cmodes {
@@ -90,7 +124,9 @@ func BuildHtYFlat(y *coo.Tensor, cmodes, fmodes []int, radC, radF *lnum.Radix, b
 			kp[i] = sortx.KeyPos{Key: radC.EncodeStrided(cCols, i), Pos: int32(i)}
 		}
 	})
+	t1 := time.Now()
 	sortx.Sort(kp, radC.Card()-1, threads)
+	t2 := time.Now()
 
 	nkeys := 0
 	for i := range kp {
@@ -110,7 +146,7 @@ func BuildHtYFlat(y *coo.Tensor, cmodes, fmodes []int, radC, radF *lnum.Radix, b
 			maxItems = c
 		}
 	}
-	h := &HtYFlat{itemOff: itemOff, NKeys: nkeys, NItems: n, MaxItems: maxItems}
+	h := &HtYFlat{NKeys: nkeys, NItems: n, MaxItems: maxItems}
 	if invariant.Enabled {
 		invariant.Assertf(r == nkeys && int(itemOff[nkeys]) == n,
 			"HtYFlat: group scan closed %d groups ending at %d, want %d ending at nnz_Y = %d",
@@ -121,8 +157,9 @@ func BuildHtYFlat(y *coo.Tensor, cmodes, fmodes []int, radC, radF *lnum.Radix, b
 				itemOff[r-1], itemOff[r], kp[itemOff[r-1]].Key, kp[itemOff[r]].Key)
 		}
 	}
+	t3 := time.Now()
 
-	// The arena pack and the key-table fill read only the sorted pairs and
+	// The arena pack and the table fill read only the sorted pairs and
 	// write disjoint structures, so they are two tasks: with one thread they
 	// run back to back; with more, the fill (one goroutine's work) runs
 	// beside the pack, which takes the remaining threads.
@@ -130,7 +167,9 @@ func BuildHtYFlat(y *coo.Tensor, cmodes, fmodes []int, radC, radF *lnum.Radix, b
 	parallel.For(threads, 2, func(_, lo, hi int) {
 		for task := lo; task < hi; task++ {
 			if task == 0 {
-				h.fillTable(kp, buckets)
+				tf := time.Now()
+				h.fillTable(kp, itemOff, buckets)
+				h.Walls.Fill = time.Since(tf)
 				continue
 			}
 			parallel.For(max(threads-1, 1), n, func(_, lo, hi int) {
@@ -141,110 +180,139 @@ func BuildHtYFlat(y *coo.Tensor, cmodes, fmodes []int, radC, radF *lnum.Radix, b
 			})
 		}
 	})
+	t4 := time.Now()
+	h.Walls.Encode, h.Walls.Sort, h.Walls.Group, h.Walls.PackFill = t1.Sub(t0), t2.Sub(t1), t3.Sub(t2), t4.Sub(t3)
 	return h
 }
 
-// fillTable sizes the key table from the distinct-key count and claims one
-// slot per key group of the sorted pairs, rank = group number.
-func (h *HtYFlat) fillTable(kp []sortx.KeyPos, buckets int) {
+// fillTable sizes the table from the distinct-key count and gives each key
+// group of the sorted pairs — itemOff[r] is where group r starts — the first
+// free slot at or after its home group: one control byte, one entry.
+func (h *HtYFlat) fillTable(kp []sortx.KeyPos, itemOff []int32, buckets int) {
+	slots := NextPow2(buckets)
 	if buckets <= 0 {
-		buckets = NextPow2(2 * h.NKeys)
-		invariant.Assertf(2*h.NKeys <= buckets,
-			"HtYFlat: default sizing gives %d slots for %d keys (load factor > 1/2)", buckets, h.NKeys)
-	} else {
-		buckets = NextPow2(buckets)
+		slots = NextPow2((8*h.NKeys + 6) / 7)
 	}
-	if min := NextPow2(h.NKeys + 1); buckets < min {
-		buckets = min
+	slots = max(slots, NextPow2(h.NKeys+1), groupSlots)
+	invariant.Assertf(slots&(slots-1) == 0 && slots > h.NKeys && (buckets > 0 || 8*h.NKeys <= 7*slots),
+		"HtYFlat: %d slots for %d keys (need a power of two with a free slot, and load <= 7/8 by default)", slots, h.NKeys)
+	ctrl := make([]uint64, slots/groupSlots)
+	for g := range ctrl {
+		ctrl[g] = ctrlMSB
 	}
-	invariant.Assertf(buckets&(buckets-1) == 0 && buckets > h.NKeys,
-		"HtYFlat: %d buckets for %d keys (need power of two with a free slot)", buckets, h.NKeys)
-	table := make([]ytSlot, buckets)
-	for s := range table {
-		table[s].key = emptySlot
-	}
-	mask := uint64(buckets - 1)
-	for r, off := range h.itemOff[:h.NKeys] {
+	ents := make([]yEnt, slots)
+	gmask := uint64(len(ctrl) - 1)
+	for r, off := range itemOff[:h.NKeys] {
 		key := kp[off].Key
-		s := hashKey(key) & mask
-		for table[s].key != emptySlot {
-			s = (s + 1) & mask
+		hk := hashKey(key)
+		g := hk & gmask
+		free := ctrl[g] & ctrlMSB
+		for free == 0 {
+			g = (g + 1) & gmask
+			free = ctrl[g] & ctrlMSB
 		}
-		table[s] = ytSlot{key: key, rank: int32(r)}
+		shift := uint(bits.TrailingZeros64(free)) &^ 7 // bit offset of the group's first free byte
+		ctrl[g] ^= (ctrlFree ^ ctrlTag(hk)) << shift
+		ents[g*groupSlots+uint64(shift/8)] = yEnt{key: key, off: off, n: itemOff[r+1] - off}
 	}
+	h.ctrl, h.ents = ctrl, ents
 	if invariant.Enabled {
-		claimed := 0
-		for s := range table {
-			if table[s].key != emptySlot {
-				claimed++
+		// What Lookup relies on: one occupied control byte per key, each
+		// carrying its key's tag; a free byte somewhere, so every probe
+		// sequence ends; entries whose item ranges tile the arena in
+		// ascending key order.
+		occupied := make([]yEnt, 0, h.NKeys)
+		for s, e := range ents {
+			c := ctrl[s/groupSlots] >> (s % groupSlots * 8) & 0xff
+			if c == ctrlFree {
+				continue
 			}
+			invariant.Assertf(c == ctrlTag(hashKey(e.key)), "HtYFlat: slot %d holds key %d under tag %#x, want %#x",
+				s, e.key, c, ctrlTag(hashKey(e.key)))
+			occupied = append(occupied, e)
 		}
-		invariant.Assertf(claimed == h.NKeys, "HtYFlat: %d slots claimed for %d keys", claimed, h.NKeys)
+		invariant.Assertf(len(occupied) == h.NKeys && len(occupied) < len(ents),
+			"HtYFlat: %d of %d slots occupied for %d keys (need one per key and a free slot)",
+			len(occupied), len(ents), h.NKeys)
+		slices.SortFunc(occupied, func(a, b yEnt) int { return cmp.Compare(a.key, b.key) })
+		next := int32(0)
+		for i, e := range occupied {
+			invariant.Assertf(e.off == next && e.n > 0 && (i == 0 || occupied[i-1].key < e.key),
+				"HtYFlat: entry %d (key %d) covers items [%d, %d+%d), want them to start at %d",
+				i, e.key, e.off, e.off, e.n, next)
+			next += e.n
+		}
+		invariant.Assertf(int(next) == h.NItems, "HtYFlat: entries cover %d items, want nnz_Y = %d", next, h.NItems)
 	}
-	h.table = table
 }
 
 // Lookup returns the item list for an LN contract key, or nil, plus the
-// number of slot probes: one linear-probe sequence over the flat slot array,
-// then a contiguous arena sub-slice. The probe count is derived from the
-// displacement after the loop, keeping the loop body to one load and two
-// compares.
+// number of control words inspected. Starting at the key's home group it
+// reads one control word at a time: the bytes equal to the key's tag are
+// found with one SWAR zero-byte test, only their entries have their key
+// compared, and a word with a free byte ends the search — the build puts a
+// key in the first free slot at or after its home group, so it cannot lie
+// beyond one. The test may also flag a byte that differs from the tag by one
+// just above a true match (the subtraction's borrow); such a byte, like an
+// honest tag collision, fails the key compare and costs one entry read.
 //
 // The body is written for bounds-check elimination (the -perf lint gate
-// holds this function at zero escapes and zero bounds checks): the slot
-// index is masked against len(table)-1 so the prover sees every table
-// access in range, and the arena sub-slice is dominated by explicit range
-// guards on conditions the build makes impossible, replacing the compiler's
-// implicit checks on the hot path.
+// holds this function at zero escapes and zero bounds checks): the group
+// index is masked against len(ctrl)-1 so the prover sees every control-word
+// access in range, and the entry and arena accesses are dominated by
+// explicit range guards on conditions the build makes impossible, replacing
+// the compiler's implicit checks on the hot path.
 func (h *HtYFlat) Lookup(key uint64) ([]YItem, int) {
-	table := h.table
-	if len(table) == 0 {
+	ctrl, ents := h.ctrl, h.ents
+	if len(ctrl) == 0 {
 		return nil, 0
 	}
-	mask := uint64(len(table) - 1)
-	s0 := hashKey(key) & mask
-	s := s0
-	for {
-		k := table[s&mask].key
-		if k == key {
-			r := int(table[s&mask].rank)
-			probes := int((s-s0)&mask) + 1
-			itemOff, items := h.itemOff, h.items
-			if r < 0 || r >= len(itemOff) {
-				return nil, probes // impossible: ranks index itemOff[0:NKeys+1]
+	gmask := uint64(len(ctrl) - 1)
+	hk := hashKey(key)
+	tag := ctrlTag(hk) * ctrlLSB
+	g := hk & gmask
+	for probes := 1; ; probes++ {
+		w := ctrl[g&gmask]
+		x := w ^ tag
+		for m := (x - ctrlLSB) &^ x & ctrlMSB; m != 0; m &= m - 1 {
+			s := g*groupSlots + uint64(bits.TrailingZeros64(m))/8
+			if s >= uint64(len(ents)) {
+				return nil, probes // impossible: ents holds groupSlots entries per control word
 			}
-			off := itemOff[r:]
-			if len(off) < 2 {
-				return nil, probes // impossible: itemOff always has rank+1 entries
+			e := &ents[s]
+			if e.key != key {
+				continue
 			}
-			lo, hi := int(off[0]), int(off[1])
+			items := h.items
+			lo, hi := int(e.off), int(e.off)+int(e.n)
 			if lo < 0 || hi < lo || hi > len(items) {
-				return nil, probes // impossible: arena offsets prefix-sum the item counts
+				return nil, probes // impossible: entries tile the arena
 			}
 			return items[lo:hi], probes
 		}
-		if k == emptySlot {
-			return nil, int((s-s0)&mask) + 1
+		if w&ctrlMSB != 0 {
+			return nil, probes
 		}
 		if invariant.Enabled {
-			// A full probe cycle means no free slot — the load-factor
-			// clamp in BuildHtYFlat was violated.
-			invariant.Assertf((s+1)&mask != s0,
-				"HtYFlat.Lookup: probe sequence wrapped the whole table (%d slots) without a free slot", len(table))
+			// A full cycle means no free byte — the sizing clamp in
+			// fillTable was violated.
+			invariant.Assertf(probes < len(ctrl),
+				"HtYFlat.Lookup: inspected all %d control words without finding a free slot", len(ctrl))
 		}
-		s = (s + 1) & mask
+		g = (g + 1) & gmask
 	}
 }
 
-// NumBuckets returns the slot count of the key table.
-func (h *HtYFlat) NumBuckets() int { return len(h.table) }
+// NumBuckets returns the slot count of the table.
+func (h *HtYFlat) NumBuckets() int { return len(h.ents) }
 
-// Bytes reports the measured memory footprint: key table (16 per slot,
-// key+rank interleaved) plus the CSR arena (4 per offset, 16 per item).
-// Eq. 5 (EstimateHtYBytes) charges Size_idx*N_Y + Size_val + Size_ep bytes
-// per item against the fixed 16 here, so it upper-bounds this whenever
-// 8*N_Y*nnz_Y >= 8*slots + 4*(NKeys+1): always from order 5 up, and from
-// order 3 up once keys average two items.
+// Bytes reports the measured memory footprint: 8 per control word, 16 per
+// slot entry — 17 per slot — plus 16 per arena item. Eq. 5
+// (EstimateHtYBytes) charges 8 per slot and Size_idx*N_Y + Size_val +
+// Size_ep bytes per item against the fixed 16 here, so it upper-bounds this
+// whenever 8*N_Y*nnz_Y >= 9*slots. Default sizing keeps slots < 16/7*NKeys
+// (or one group), so that holds from order 3 up: 9*16/7*NKeys < 21*NKeys <=
+// 24*nnz_Y.
 func (h *HtYFlat) Bytes() uint64 {
-	return uint64(len(h.table))*16 + uint64(len(h.itemOff))*4 + uint64(len(h.items))*16
+	return uint64(len(h.ctrl))*8 + uint64(len(h.ents))*16 + uint64(len(h.items))*16
 }
