@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -85,7 +86,7 @@ type server struct {
 	coord *dist.Coordinator
 
 	mu      sync.RWMutex
-	tensors map[string]*coo.Tensor
+	tensors map[string]*operand
 
 	inflightN atomic.Int64 // backs the gauge (obs gauges have no atomic add)
 	gInflight *obs.Gauge
@@ -109,7 +110,7 @@ func newServer(cfg serverConfig) *server {
 		queueWait: cfg.QueueWait,
 		tracer:    cfg.Tracer,
 		accessW:   cfg.AccessLog,
-		tensors:   map[string]*coo.Tensor{},
+		tensors:   map[string]*operand{},
 		gInflight: reg.Gauge("sptc_serve_inflight", "contractions currently executing"),
 	}
 	if cfg.MaxInflight > 0 {
@@ -155,10 +156,64 @@ func shardExecutors(cfg serverConfig, reg *obs.Registry) []dist.Executor {
 // loadDemo installs two synthetic contractible tensors (demoA: 40x30x50,
 // demoB: 50x35x20; spec "abc,cde->abde") for smoke tests.
 func (s *server) loadDemo() {
+	s.put("demoA", gen.Random([]uint64{40, 30, 50}, 4000, 1))
+	s.put("demoB", gen.Random([]uint64{50, 35, 20}, 3000, 2))
+}
+
+// operand is a stored tensor with what the store has learned about it, so
+// that no request works it out again. An operand is immutable: a request
+// that prepares t as X publishes a new operand in its place (preparedX), and
+// a PUT replaces the whole thing.
+type operand struct {
+	t  *coo.Tensor
+	fp engine.Fingerprint // of t, taken once at PUT; row order does not change it
+	// px is stage ① of t as the X of a contraction over px.CmodesX(), nil
+	// until a request asks for one. Its rows are t's: px.Tensor() == t.
+	px *core.PreparedX
+}
+
+// put stores t under name, replacing whatever was there.
+func (s *server) put(name string, t *coo.Tensor) *operand {
+	op := &operand{t: t, fp: engine.FingerprintTensor(t, s.threads)}
 	s.mu.Lock()
-	s.tensors["demoA"] = gen.Random([]uint64{40, 30, 50}, 4000, 1)
-	s.tensors["demoB"] = gen.Random([]uint64{50, 35, 20}, 3000, 2)
+	s.tensors[name] = op
 	s.mu.Unlock()
+	return op
+}
+
+// preparedX returns x, stored under name, prepared as the X of a contraction
+// over cmodesX, and whether the store already held that. On a miss it runs
+// stage ① and leaves the result in the store in x's place — the tensor
+// swapped for the one with its rows in contraction order, not kept beside
+// it, so the store still holds one copy of each tensor plus 8 B a sub-tensor
+// of index — and the next request with the same contract modes starts at
+// stage ②. One prepared form per name: two specs that want different orders
+// of one X alternate and pay what every request paid before.
+//
+// Row order is not observable through the API — GET /tensors reports dims,
+// nnz and the order-independent fingerprint — and the reorder is stable, so
+// every later reply is bitwise what x would have given; a box too wide for
+// LN keys has no stable sorter and is prepared per request, never stored.
+// The swap is a compare-and-swap on the operand this request read: a PUT of
+// the same name in the meantime wins, and this request still computes from
+// what it read.
+func (s *server) preparedX(ctx context.Context, name string, x *operand, cmodesX []int, opt core.Options) (*core.PreparedX, bool, error) {
+	if x.px != nil && slices.Equal(x.px.CmodesX(), cmodesX) {
+		return x.px, true, nil
+	}
+	px, err := core.PrepareX(ctx, x.t, cmodesX, opt)
+	if err != nil {
+		return nil, false, err
+	}
+	if px.Stable() {
+		kept := &operand{t: px.Tensor(), fp: x.fp, px: px}
+		s.mu.Lock()
+		if s.tensors[name] == x {
+			s.tensors[name] = kept
+		}
+		s.mu.Unlock()
+	}
+	return px, false, nil
 }
 
 // handler builds the route table on top of the obs exposition mux, so
@@ -324,13 +379,13 @@ type tensorInfo struct {
 	Fingerprint string   `json:"fingerprint"`
 }
 
-func (s *server) infoFor(name string, t *coo.Tensor) tensorInfo {
+func infoFor(name string, op *operand) tensorInfo {
 	return tensorInfo{
 		Name:        name,
-		Order:       t.Order(),
-		Dims:        t.Dims,
-		NNZ:         t.NNZ(),
-		Fingerprint: engine.FingerprintTensor(t, s.threads).String(),
+		Order:       op.t.Order(),
+		Dims:        op.t.Dims,
+		NNZ:         op.t.NNZ(),
+		Fingerprint: op.fp.String(),
 	}
 }
 
@@ -351,17 +406,15 @@ func (s *server) handlePutTensor(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorReply{Error: err.Error()})
 		return
 	}
-	s.mu.Lock()
-	s.tensors[name] = t
-	s.mu.Unlock()
+	op := s.put(name, t)
 	s.countReq(r, "tensors", "ok")
-	writeJSON(w, http.StatusOK, s.infoFor(name, t))
+	writeJSON(w, http.StatusOK, infoFor(name, op))
 }
 
 func (s *server) handleGetTensor(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	s.mu.RLock()
-	t, ok := s.tensors[name]
+	op, ok := s.tensors[name]
 	s.mu.RUnlock()
 	if !ok {
 		s.countReq(r, "tensors", "not_found")
@@ -369,7 +422,7 @@ func (s *server) handleGetTensor(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.countReq(r, "tensors", "ok")
-	writeJSON(w, http.StatusOK, s.infoFor(name, t))
+	writeJSON(w, http.StatusOK, infoFor(name, op))
 }
 
 // contractRequest is the POST /contract body. Algorithm: "sparta"
@@ -393,6 +446,9 @@ type contractReply struct {
 	CacheHits   uint64   `json:"cache_hits"`
 	CacheMisses uint64   `json:"cache_misses"`
 	WallNS      int64    `json:"wall_ns"`
+	// XPrepared is true when the store already held X prepared for this
+	// spec's contract modes, so the request began at the first HtY probe.
+	XPrepared bool `json:"x_prepared,omitempty"`
 	// ExecutionTier reports which path ran: "dram" (in-memory fast path) or
 	// "streamed" (windowed out-of-core degrade tier). Clients watching for
 	// capacity pressure alert on the streamed fraction instead of on 503s.
@@ -509,7 +565,7 @@ func (s *server) contract(w http.ResponseWriter, r *http.Request, req contractRe
 	if err != nil {
 		return err
 	}
-	if err := ein.CheckRanks(req.Spec, x.Order(), y.Order()); err != nil {
+	if err := ein.CheckRanks(req.Spec, x.t.Order(), y.t.Order()); err != nil {
 		return err
 	}
 
@@ -542,16 +598,24 @@ func (s *server) contract(w http.ResponseWriter, r *http.Request, req contractRe
 	s.gInflight.Set(float64(s.inflightN.Add(1)))
 	defer func() { s.gInflight.Set(float64(s.inflightN.Add(-1))) }()
 
-	// Stage ① for X, once per operand: every tier below reads X in
-	// contraction order and finds it already there.
+	// Stage ① for X, once per operand: the DRAM tier contracts the prepared
+	// form itself, every other path reads its tensor and finds the rows in
+	// contraction order.
 	spO := rt.StartPhase("x order")
 	orderStart := time.Now()
-	x, err = s.keepInOrder(req.X, x, ein.CmodesX, threads)
+	px, hit, err := s.preparedX(ctx, req.X, x, ein.CmodesX, opt)
 	ordered := time.Since(orderStart) // contraction work: counted into wall_ns
 	spO.End()
 	if err != nil {
 		return err
 	}
+	outcome := "miss"
+	if hit {
+		outcome = "hit"
+	}
+	s.reg.Counter("sptc_serve_x_prepared_total", "contract requests by whether the store held X prepared for the spec",
+		"outcome", outcome).Inc()
+	rt.SetTag("x_prepared", strconv.FormatBool(hit))
 
 	// Sharded mode: AlgSparta requests scatter/gather across the shard fleet
 	// instead of running on the front engine. The front's DRAM admission gate
@@ -559,7 +623,7 @@ func (s *server) contract(w http.ResponseWriter, r *http.Request, req contractRe
 	// local executors size their own caches; remote workers run their own
 	// gates and shed upstream.
 	if s.coord != nil && alg == core.AlgSparta {
-		return s.contractSharded(ctx, w, r, req, x, y, opt, ordered)
+		return s.contractSharded(ctx, w, r, req, px.Tensor(), y.t, opt, ordered, hit)
 	}
 
 	// Gate 2: memory. Only the Sparta algorithm goes through the prepared
@@ -569,7 +633,7 @@ func (s *server) contract(w http.ResponseWriter, r *http.Request, req contractRe
 	// full working set does not, the windowed out-of-core driver runs
 	// instead, and only a table that cannot fit at all is refused.
 	spA := rt.StartPhase("admission")
-	release, tier, res, pr, aerr := s.admit(ctx, ein, x, y, opt)
+	release, tier, res, pr, aerr := s.admit(ctx, ein, x.t, y, opt)
 	spA.End()
 	if aerr != nil {
 		return aerr
@@ -591,9 +655,14 @@ func (s *server) contract(w http.ResponseWriter, r *http.Request, req contractRe
 		rep *core.Report
 	)
 	if tier == engine.TierStreamed {
-		z, rep, err = s.contractStreamed(ctx, x, pr, ein, res, opt)
+		z, rep, err = s.contractStreamed(ctx, px.Tensor(), pr, ein, res, opt)
 	} else {
-		z, rep, err = s.eng.Einsum(ctx, req.Spec, x, y, opt)
+		z, rep, err = s.eng.ContractX(ctx, px, y.t, y.fp, ein.CmodesY, opt)
+	}
+	if err == nil && !ein.IdentityOut {
+		if err = z.Permute(ein.OutPerm); err == nil {
+			z.Sort(threads)
+		}
 	}
 	spC.End()
 	switch {
@@ -636,6 +705,7 @@ func (s *server) contract(w http.ResponseWriter, r *http.Request, req contractRe
 		NNZ:           z.NNZ(),
 		Fingerprint:   engine.FingerprintTensor(z, threads).String(),
 		HtYReused:     rep.HtYReused,
+		XPrepared:     hit,
 		CacheHits:     st.Hits,
 		CacheMisses:   st.Misses,
 		WallNS:        (time.Since(start) + ordered).Nanoseconds(),
@@ -651,9 +721,9 @@ func (s *server) contract(w http.ResponseWriter, r *http.Request, req contractRe
 // identical to the one-shot path (internal/dist oracle suite). The scatter is
 // stable, so every partition of an X kept in contraction order is in that
 // order too. Called with the inflight slot already held, ctx carrying the
-// request's deadline and ordered the time keepInOrder took; returns an error
-// only for bad requests.
-func (s *server) contractSharded(ctx context.Context, w http.ResponseWriter, r *http.Request, req contractRequest, x, y *coo.Tensor, opt core.Options, ordered time.Duration) error {
+// request's deadline, ordered the time preparedX took and xPrepared whether
+// it was a hit; returns an error only for bad requests.
+func (s *server) contractSharded(ctx context.Context, w http.ResponseWriter, r *http.Request, req contractRequest, x, y *coo.Tensor, opt core.Options, ordered time.Duration, xPrepared bool) error {
 	rt := obs.ReqFrom(r.Context())
 	start := time.Now()
 	spC := rt.StartPhase("contract")
@@ -698,6 +768,7 @@ func (s *server) contractSharded(ctx context.Context, w http.ResponseWriter, r *
 		NNZ:           z.NNZ(),
 		Fingerprint:   engine.FingerprintTensor(z, opt.Threads).String(),
 		HtYReused:     rep.HtYReused,
+		XPrepared:     xPrepared,
 		WallNS:        (time.Since(start) + ordered).Nanoseconds(),
 		ExecutionTier: "sharded",
 		Windows:       rep.Windows,
@@ -760,7 +831,7 @@ func (s *server) handleShardContract(w http.ResponseWriter, r *http.Request) {
 		// The partition is request-local: let the contraction permute it in place.
 		InPlace: true,
 	}
-	pr, hit, err := s.eng.PrepareCtx(ctx, y, cy, opt)
+	pr, hit, err := s.eng.PrepareFP(ctx, y.t, y.fp, cy, opt)
 	if err != nil {
 		fail(http.StatusBadRequest, err.Error())
 		return
@@ -792,8 +863,8 @@ func (s *server) handleShardContract(w http.ResponseWriter, r *http.Request) {
 // contractStreamed runs the degrade tier: X (already resident) is permuted
 // to contraction order, sorted, and walked window by window against the
 // cached prepared table, so only one window's accumulators and staging are
-// ever hot — the request runs inside the budget instead of being shed. A
-// spec that permutes the output must re-sort Z afterwards, which
+// ever hot — the request runs inside the budget instead of being shed. The
+// caller re-sorts the Z of a spec that permutes the output, which
 // materializes heap copies of every column anyway, so Z spilling is only
 // honored for identity-output specs.
 func (s *server) contractStreamed(ctx context.Context, x *coo.Tensor, pr *core.PreparedY, ein *einsum.Plan, res hetmem.Residency, opt core.Options) (*coo.Tensor, *core.Report, error) {
@@ -801,20 +872,10 @@ func (s *server) contractStreamed(ctx context.Context, x *coo.Tensor, pr *core.P
 	if err != nil {
 		return nil, nil, err
 	}
-	z, rep, err := core.ContractStream(ctx, xs, pr, core.StreamOptions{
+	return core.ContractStream(ctx, xs, pr, core.StreamOptions{
 		Options: opt,
 		SpillZ:  res.SpillZ && ein.IdentityOut,
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if !ein.IdentityOut {
-		if err := z.Permute(ein.OutPerm); err != nil {
-			return nil, nil, err
-		}
-		z.Sort(opt.Threads)
-	}
-	return z, rep, nil
 }
 
 // admit runs the DRAM admission gate and assigns the execution tier. It
@@ -822,7 +883,7 @@ func (s *server) contractStreamed(ctx context.Context, x *coo.Tensor, pr *core.P
 // residency plan and the cached prepared Y the streamed tier needs. Requests
 // outside the prepared path, or with admission disabled, get TierDRAM with a
 // no-op release.
-func (s *server) admit(ctx context.Context, ein *einsum.Plan, x, y *coo.Tensor, opt core.Options) (release func(), tier engine.Tier, res hetmem.Residency, pr *core.PreparedY, err error) {
+func (s *server) admit(ctx context.Context, ein *einsum.Plan, x *coo.Tensor, y *operand, opt core.Options) (release func(), tier engine.Tier, res hetmem.Residency, pr *core.PreparedY, err error) {
 	release = func() {}
 	tier = engine.TierDRAM
 	if s.adm.DRAMBudget == 0 || opt.Algorithm != core.AlgSparta {
@@ -831,10 +892,11 @@ func (s *server) admit(ctx context.Context, ein *einsum.Plan, x, y *coo.Tensor, 
 	if err := ctx.Err(); err != nil {
 		return release, tier, res, nil, err
 	}
-	// Prepare the Y side through the engine's plan cache (the later Einsum
-	// call re-resolves the same cached plan — the fingerprint lookup is the
-	// cheap part) so its exact resident size goes into the estimate.
-	pr, _, err = s.eng.PrepareCtx(ctx, y, ein.CmodesY, opt)
+	// Prepare the Y side through the engine's plan cache (the DRAM tier's
+	// ContractX re-resolves the same cached plan — one map lookup, Y's
+	// fingerprint being known) so its exact resident size goes into the
+	// estimate.
+	pr, _, err = s.eng.PrepareFP(ctx, y.t, y.fp, ein.CmodesY, opt)
 	if err != nil {
 		return release, tier, res, nil, err
 	}
@@ -864,31 +926,4 @@ func (s *server) admit(ctx context.Context, ein *einsum.Plan, x, y *coo.Tensor, 
 		s.admMu.Unlock()
 	}
 	return release, tier, res, pr, nil
-}
-
-// keepInOrder returns x, stored under name, with its rows in the order a
-// contraction over cmodesX reads them, and leaves that tensor in the store in
-// x's place so the next request with the same contract modes pays for the
-// contraction only. Row order is not observable through the API — GET
-// /tensors reports dims, nnz and the order-independent fingerprint — and the
-// reorder is stable, so every later reply is bitwise what x would have given.
-// It replaces rather than caches: the old columns become garbage as a
-// per-request sorted copy would, and live memory does not grow. The swap is a
-// compare-and-swap on the pointer this request read: a PUT of the same name
-// in the meantime wins, and this request still computes from what it read.
-func (s *server) keepInOrder(name string, x *coo.Tensor, cmodesX []int, threads int) (*coo.Tensor, error) {
-	xo, info, err := core.InContractionOrder(x, cmodesX, threads)
-	if err != nil {
-		return nil, err
-	}
-	core.PublishXSort(s.reg, info, x.NNZ())
-	if xo == x {
-		return x, nil
-	}
-	s.mu.Lock()
-	if s.tensors[name] == x {
-		s.tensors[name] = xo
-	}
-	s.mu.Unlock()
-	return xo, nil
 }

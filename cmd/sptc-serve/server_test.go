@@ -150,11 +150,11 @@ func streamedBudget(t *testing.T, s *server, spec string) uint64 {
 		t.Fatal(err)
 	}
 	opt := core.Options{Algorithm: core.AlgSparta, Threads: s.threads}
-	pr, _, err := s.eng.Prepare(s.tensors["demoB"], ein.CmodesY, opt)
+	pr, _, err := s.eng.Prepare(s.stored("demoB").t, ein.CmodesY, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp := engine.EstimateFootprint(s.tensors["demoA"].NNZ(), pr)
+	fp := engine.EstimateFootprint(s.stored("demoA").t.NNZ(), pr)
 	return fp.HtY + (fp.Total(s.threads)-fp.HtY)/8
 }
 
@@ -310,6 +310,8 @@ func TestMetricsExposition(t *testing.T) {
 		`sptc_serve_requests_total{outcome="ok",route="contract"}`,
 		`sptc_engine_cache_total{outcome="hit"}`,
 		"sptc_serve_inflight",
+		`sptc_serve_x_prepared_total{outcome="miss"}`,
+		`sptc_serve_x_prepared_total{outcome="hit"}`,
 		"sptc_accum_dense_subtensors_total",
 	} {
 		if !strings.Contains(text, want) {

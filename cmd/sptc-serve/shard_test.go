@@ -101,9 +101,7 @@ func TestShardWorkerEndpoint(t *testing.T) {
 	s, ts := testServer(t, serverConfig{})
 	x := gen.Random([]uint64{20, 16}, 180, 5)
 	y := gen.Random([]uint64{16, 12}, 120, 6)
-	s.mu.Lock()
-	s.tensors["shardY"] = y
-	s.mu.Unlock()
+	s.put("shardY", y)
 
 	var body bytes.Buffer
 	if err := x.WriteBin(&body); err != nil {
@@ -144,6 +142,8 @@ func TestShardWorkerEndpoint(t *testing.T) {
 		t.Errorf("report NNZZ=%d, tensor has %d", rep.NNZZ, z.NNZ())
 	} else if rep.HtYBuildWalls.Sum() <= 0 {
 		t.Errorf("report lost the HtY build walls on the wire: %+v", rep.HtYBuildWalls)
+	} else if rep.XPrepared || strings.Contains(hdr, "x_prepared") {
+		t.Errorf("a shard's partition arrives with the request and is prepared by it; report says %s", hdr)
 	}
 
 	// Unknown Y and malformed modes fail cleanly.
@@ -183,10 +183,7 @@ func TestBinaryTensorUpload(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("binary PUT: status %d", resp.StatusCode)
 	}
-	s.mu.RLock()
-	got := s.tensors["bin"]
-	s.mu.RUnlock()
-	if got == nil || !got.Equal(y) {
+	if got := s.stored("bin"); got == nil || !got.t.Equal(y) {
 		t.Error("binary upload did not round-trip")
 	}
 }

@@ -119,8 +119,8 @@ func TestAccessLogTraceResolution(t *testing.T) {
 		t.Fatalf("access log has %d lines, want 2:\n%s", len(lines), logBuf.String())
 	}
 	wantSpans := []string{
-		"queue wait", "admission", "cache lookup", "contract",
-		"input processing", "x sort", "compute", "writeback gather", "request",
+		"queue wait", "x order", "admission", "cache lookup", "contract",
+		"input processing", "compute", "writeback gather", "request",
 	}
 	for i, ln := range lines {
 		var al accessLine
@@ -150,6 +150,15 @@ func TestAccessLogTraceResolution(t *testing.T) {
 		if _, ok := al.Phases["stage_input"]; !ok {
 			t.Errorf("access line %d: missing stage_input wall: %+v", i, al.Phases)
 		}
+		// Stage ① for X runs once per stored operand: the cold request
+		// prepares demoA, the warm one starts at the first HtY probe.
+		if got := al.Tags["x_prepared"]; got != strconv.FormatBool(warm) {
+			t.Errorf("access line %d: x_prepared = %q, want %v", i, got, warm)
+		}
+		if warm && 20*al.Phases["stage_input"] >= al.Phases["contract"] {
+			t.Errorf("warm request: stage_input %d ns is not under 5%% of the contract phase (%d ns)",
+				al.Phases["stage_input"], al.Phases["contract"])
+		}
 
 		// The ID must resolve to a complete span tree in the trace.
 		tree := td.spanTreeFor(al.RequestID)
@@ -164,6 +173,10 @@ func TestAccessLogTraceResolution(t *testing.T) {
 		}
 		if !warm && !tree["hty prepare"] {
 			t.Errorf("cold request %s: span tree missing the hty prepare phase", al.RequestID)
+		}
+		if tree["x sort"] == warm {
+			t.Errorf("request %s (line %d): \"x sort\" span present = %v, want it on the cold request only",
+				al.RequestID, i, tree["x sort"])
 		}
 	}
 }
@@ -252,10 +265,8 @@ func TestMalformedPutBody(t *testing.T) {
 // loadSlowPair installs a contraction big enough (~tens of ms) that a
 // mid-request cancel lands while the kernel is running.
 func loadSlowPair(s *server) contractRequest {
-	s.mu.Lock()
-	s.tensors["slowX"] = gen.Random([]uint64{300, 300}, 90_000, 11)
-	s.tensors["slowY"] = gen.Random([]uint64{300, 300}, 90_000, 12)
-	s.mu.Unlock()
+	s.put("slowX", gen.Random([]uint64{300, 300}, 90_000, 11))
+	s.put("slowY", gen.Random([]uint64{300, 300}, 90_000, 12))
 	return contractRequest{X: "slowX", Y: "slowY", Spec: "ab,bc->ac"}
 }
 

@@ -136,12 +136,28 @@ func (t *Tensor) SortableView() *Tensor {
 	if _, err := lnum.NewRadix(t.Dims); err != nil {
 		return t.Clone()
 	}
+	return t.alias()
+}
+
+// alias returns a tensor that shares t's columns and values but owns its
+// Dims and column headers.
+func (t *Tensor) alias() *Tensor {
 	return &Tensor{
 		Dims:    append([]uint64(nil), t.Dims...),
 		Inds:    append([][]uint32(nil), t.Inds...),
 		Vals:    t.Vals,
 		backing: t.backing,
 	}
+}
+
+// PermutedView returns t with its modes reordered as Permute would, in a
+// tensor of its own that shares t's columns and values; t is not touched.
+func (t *Tensor) PermutedView(perm []int) (*Tensor, error) {
+	v := t.alias()
+	if err := v.Permute(perm); err != nil {
+		return nil, err
+	}
+	return v, nil
 }
 
 // Permute reorders modes so that new mode m is old mode perm[m]. Only slice

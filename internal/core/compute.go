@@ -210,7 +210,11 @@ type worker struct {
 	// configured (Options.Metrics); nil otherwise, guarded by one branch in
 	// the search loops. Thread-private like the rest of the worker, merged
 	// into the registry by publishMetrics after the parallel section.
-	htyProbe *obs.HistShard
+	// Lengths below len(probeTally) — all of them, on a table at its design
+	// load — are counted in probeTally[length], one increment a lookup, and
+	// reach the shard in bulk when stopClock ends the chunk of sub-tensors.
+	htyProbe   *obs.HistShard
+	probeTally [16]uint64
 }
 
 // workerLine is the isolation unit of the worker arena: two 64-byte cache
@@ -286,7 +290,18 @@ func (w *worker) stamp(stageNS *int64) {
 	w.mark = t
 }
 
-func (w *worker) stopClock() { w.stamp(&w.searchNS) }
+func (w *worker) stopClock() {
+	w.stamp(&w.searchNS)
+	if w.htyProbe == nil {
+		return
+	}
+	for length, n := range w.probeTally {
+		if n > 0 {
+			w.htyProbe.ObserveN(float64(length), n)
+			w.probeTally[length] = 0
+		}
+	}
+}
 
 // searchHtY is stage ② of Algorithm 2 for X non-zeros [lo, hi): one HtY
 // probe each, the hits collected in w.scratch and their products counted in
@@ -300,7 +315,11 @@ func (w *worker) searchHtY(p *plan, xw *coo.Tensor, hty *hashtab.HtYFlat, lo, hi
 		items, probes := hty.Lookup(key)
 		w.probesHtY += uint64(probes)
 		if w.htyProbe != nil {
-			w.htyProbe.Observe(float64(probes))
+			if uint(probes) < uint(len(w.probeTally)) {
+				w.probeTally[probes]++
+			} else {
+				w.htyProbe.Observe(float64(probes))
+			}
 		}
 		if items == nil {
 			w.miss++

@@ -68,6 +68,8 @@ func Contract(x, y *coo.Tensor, cmodesX, cmodesY []int, opt Options) (*coo.Tenso
 // ctx.Err(). Partially computed state is discarded. A Background context
 // costs nothing on the hot path.
 func ContractCtx(ctx context.Context, x, y *coo.Tensor, cmodesX, cmodesY []int, opt Options) (*coo.Tensor, *Report, error) {
+	// Everything is validated before PrepareX may sort the caller's tensor
+	// (Options.InPlace).
 	p, err := newPlan(x, y, cmodesX, cmodesY)
 	if err != nil {
 		return nil, nil, err
@@ -76,14 +78,18 @@ func ContractCtx(ctx context.Context, x, y *coo.Tensor, cmodesX, cmodesY []int, 
 	if err != nil {
 		return nil, nil, err
 	}
+	px, err := PrepareX(ctx, x, cmodesX, opt)
+	if err != nil {
+		return nil, nil, err
+	}
 	if opt.Algorithm == AlgTwoPhase {
-		z, err := contractTwoPhase(ctx, p, opt, rep)
+		z, err := contractTwoPhase(ctx, p, px, opt, rep)
 		if err != nil {
 			return nil, nil, err
 		}
 		return z, rep, nil
 	}
-	return contractMain(ctx, p, nil, opt, rep)
+	return contractMain(ctx, p, px, nil, opt, rep)
 }
 
 // checkOptions validates the algorithm and planner selectors and builds the
@@ -123,12 +129,13 @@ func traceTarget(ctx context.Context, opt Options) (tr *obs.Tracer, track int, r
 	return opt.Tracer, 0, false
 }
 
-// contractMain runs stages ①–⑤ for the Zlocal-buffered algorithms. When
-// prep is non-nil the COO→HtY conversion is skipped entirely — the prepared
-// table is probed instead and the report is marked HtYReused (no "hty
-// build" span is opened).
-func contractMain(ctx context.Context, p *plan, prep *PreparedY, opt Options, rep *Report) (*coo.Tensor, *Report, error) {
+// contractMain runs stages ①–⑤ for the Zlocal-buffered algorithms on a
+// prepared X; what is left of stage ① here is Y's half. When prep is non-nil
+// that is skipped too — the prepared table is probed instead and the report
+// is marked HtYReused (no "hty build" span is opened).
+func contractMain(ctx context.Context, p *plan, px *PreparedX, prep *PreparedY, opt Options, rep *Report) (*coo.Tensor, *Report, error) {
 	threads := rep.Threads
+	xw, ptrFX := px.view, px.ptrFX
 
 	// ① Input processing -------------------------------------------------
 	// Spans pair with the stage timers; error paths leave a span un-ended,
@@ -136,24 +143,6 @@ func contractMain(ctx context.Context, p *plan, prep *PreparedY, opt Options, re
 	tr, track, reqMode := traceTarget(ctx, opt)
 	spInput := tr.Start("input processing", track)
 	t0 := time.Now()
-	xw := p.x
-	if !opt.InPlace {
-		xw = xw.SortableView()
-	}
-	if err := xw.Permute(p.permX); err != nil {
-		return nil, nil, err
-	}
-	spXSort := tr.Start("x sort", track)
-	rep.XSort = xw.SortWith(threads, coo.SortAuto)
-	spXSort.End()
-	ptrFX, err := xw.SubPtrPar(p.nfx, threads)
-	if err != nil {
-		return nil, nil, err
-	}
-	rep.NF = len(ptrFX) - 1
-	rep.MaxSubNNZX = coo.MaxSubNNZ(ptrFX)
-	rep.BytesX = xw.Bytes()
-
 	var hty *hashtab.HtYFlat
 	var yw *coo.Tensor
 	var ptrCY []int
@@ -172,6 +161,7 @@ func contractMain(ctx context.Context, p *plan, prep *PreparedY, opt Options, re
 			return nil, nil, err
 		}
 		yw.Sort(threads)
+		var err error
 		if ptrCY, err = yw.SubPtrPar(p.ncm, threads); err != nil {
 			return nil, nil, err
 		}
@@ -181,6 +171,7 @@ func contractMain(ctx context.Context, p *plan, prep *PreparedY, opt Options, re
 	}
 	rep.StageWall[StageInput] = time.Since(t0)
 	rep.StageCPU[StageInput] = rep.StageWall[StageInput]
+	px.fillReport(rep)
 	spInput.End()
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err

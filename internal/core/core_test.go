@@ -317,13 +317,6 @@ func TestAlgorithmsAgreeRandom(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // TestContractLeavesInputsUntouched: without InPlace, stage ① works on a
 // header-only view of X (and of Y for the COO-Y baselines), so nothing
 // downstream may write through it. The caller's tensors must come back

@@ -17,14 +17,13 @@ var stageKey = [NumStages]string{
 	StageSort:   "sort",
 }
 
-// PublishXSort records the radix-sort engine telemetry of one X sort (stage
+// publishXSort records the radix-sort engine telemetry of one X sort (stage
 // ①): partition count plus a skew ratio — largest MSD partition over the
 // perfectly balanced share, so 1.0 means the MSD digit spreads the keys
 // evenly and 256.0 means one digit value held every key. Pass counters
-// expose how much the constant-digit skip saves. Exported for sptc-serve,
-// which sorts a stored X once, ahead of the contractions that then find it
-// in order.
-func PublishXSort(reg *obs.Registry, info coo.SortInfo, nnzX int) {
+// expose how much the constant-digit skip saves. PrepareX calls it where the
+// sort runs, so a contraction on an X prepared earlier adds nothing.
+func publishXSort(reg *obs.Registry, info coo.SortInfo, nnzX int) {
 	if reg == nil || !info.Radix {
 		return
 	}
@@ -89,7 +88,6 @@ func publishMetrics(reg *obs.Registry, rep *Report, ws, symWs []*worker) {
 	}
 	reg.Gauge("sptc_output_nnz", "non-zeros of the last output tensor Z").Set(float64(rep.NNZZ))
 
-	PublishXSort(reg, rep.XSort, rep.NNZX)
 	if rep.SubsortWall > 0 {
 		reg.Histogram("sptc_fused_subsort_seconds", "per-run LN(Fy) sort time inside the fused writeback",
 			obs.TimeBuckets).Observe(rep.SubsortWall.Seconds())

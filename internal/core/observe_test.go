@@ -3,9 +3,13 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
+	"sparta/internal/coo"
+	"sparta/internal/hashtab"
 	"sparta/internal/obs"
 )
 
@@ -109,5 +113,73 @@ func TestContractUnconfigured(t *testing.T) {
 	}
 	if z.NNZ() == 0 || rep == nil {
 		t.Fatal("contraction under nil observability failed")
+	}
+}
+
+// TestProbeTallyMatchesPerLookupObserve: searchHtY counts probe lengths below
+// 16 in the worker's tally and folds them into the shard when the chunk ends;
+// the histogram that reaches the registry — every bucket and the sum — is the
+// one a per-lookup Observe gives. The table is built at its smallest legal
+// size (one free slot), so misses walk long runs of full groups and the
+// lengths fall on both sides of 16.
+func TestProbeTallyMatchesPerLookupObserve(t *testing.T) {
+	const slots = 1 << 12
+	rng := rand.New(rand.NewSource(7))
+	y := coo.MustNew([]uint64{4 * slots, 8}, 0)
+	for _, c := range rng.Perm(4 * slots)[:slots-1] {
+		y.Append([]uint32{uint32(c), uint32(rng.Intn(8))}, 1)
+	}
+	x := coo.MustNew([]uint64{1, 4 * slots}, 0)
+	for c := 0; c < 4*slots; c++ {
+		x.Append([]uint32{0, uint32(c)}, 1)
+	}
+	radC, err := y.RadixOf([]int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	radFY, err := y.RadixOf([]int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hty := hashtab.BuildHtYFlat(y, []int{0}, []int{1}, radC, radFY, slots, 1)
+	if hty.NumBuckets() != slots || hty.NKeys != slots-1 {
+		t.Fatalf("table has %d slots for %d keys, want %d for %d", hty.NumBuckets(), hty.NKeys, slots, slots-1)
+	}
+
+	reg := obs.NewRegistry()
+	want := reg.Histogram("want", "", obs.ProbeBuckets)
+	short, long := 0, 0
+	for i := 0; i < x.NNZ(); i++ {
+		_, probes := hty.Lookup(radC.EncodeStrided(x.Inds[1:], i))
+		want.Observe(float64(probes))
+		if probes < 16 {
+			short++
+		} else {
+			long++
+		}
+	}
+	if short == 0 || long == 0 {
+		t.Fatalf("%d lookups probed < 16 control words and %d >= 16: the table should give both", short, long)
+	}
+
+	p := &plan{nfx: 1, ncm: 1, nfy: 1, radC: radC, radFY: radFY}
+	w := makeWorkers(1, p, Options{Metrics: reg})[0]
+	for lo := 0; lo < x.NNZ(); lo += 1000 { // several chunks: the tally is folded and cleared each time
+		w.startClock()
+		w.searchHtY(p, x, hty, lo, min(lo+1000, x.NNZ()))
+		w.stopClock()
+	}
+	got := reg.Histogram("got", "", obs.ProbeBuckets)
+	got.Merge(w.htyProbe)
+	snaps := reg.Snapshot()
+	g, wnt := findSnap(snaps, "got", ""), findSnap(snaps, "want", "")
+	if g.Sum != wnt.Sum || g.Count != wnt.Count || !slices.Equal(g.Counts, wnt.Counts) {
+		t.Errorf("tallied histogram: counts %v sum %v\nper-lookup Observe: counts %v sum %v", g.Counts, g.Sum, wnt.Counts, wnt.Sum)
+	}
+	if w.probeTally != [len(w.probeTally)]uint64{} {
+		t.Errorf("stopClock left lengths in the tally: %v", w.probeTally)
+	}
+	if uint64(wnt.Sum) != w.probesHtY {
+		t.Errorf("histogram sum %v, probesHtY %d", wnt.Sum, w.probesHtY)
 	}
 }

@@ -18,16 +18,15 @@ import (
 
 // plan holds the mode bookkeeping for one contraction Z = X ×_{cx}^{cy} Y.
 type plan struct {
-	x, y *coo.Tensor // inputs after (optional) clone; x gets permuted
+	y *coo.Tensor // X arrives as a *PreparedX
 
 	nfx, nfy int // number of free modes of X and Y
 	ncm      int // number of contract-mode pairs
 
-	permX []int // X permutation: free modes first, contract modes last
 	permY []int // Y permutation: contract modes first (used by COO-Y algorithms)
 
-	// After permX is applied, X's modes are [free... contract...]. These
-	// radices are built over the *paired* contract dims and Y's free dims.
+	// A prepared X's modes are [free... contract...]. These radices are
+	// built over the *paired* contract dims and Y's free dims.
 	radC  *lnum.Radix // contract-key encoder (shared by X probes and Y build)
 	radFY *lnum.Radix // Y free-index encoder (HtA keys, Z decode)
 
@@ -70,14 +69,11 @@ func newPlan(x, y *coo.Tensor, cmodesX, cmodesY []int) (*plan, error) {
 	}
 
 	p := &plan{
-		x:   x,
 		y:   y,
 		ncm: len(cmodesX),
 		nfx: x.Order() - len(cmodesX),
 		nfy: y.Order() - len(cmodesY),
 	}
-
-	p.permX = contractionPerm(inX, cmodesX)
 
 	// Y: contract modes first in pairing order, then free modes.
 	p.permY = append(p.permY, cmodesY...)
@@ -100,7 +96,7 @@ func newPlan(x, y *coo.Tensor, cmodesX, cmodesY []int) (*plan, error) {
 		return nil, fmt.Errorf("core: Y free modes: %w", err)
 	}
 
-	for _, m := range p.permX[:p.nfx] {
+	for _, m := range contractionPerm(inX, cmodesX)[:p.nfx] {
 		p.zdims = append(p.zdims, x.Dims[m])
 	}
 	p.zdims = append(p.zdims, fydims...)
@@ -124,46 +120,6 @@ func contractionPerm(inX []bool, cmodesX []int) []int {
 		}
 	}
 	return append(perm, cmodesX...)
-}
-
-// InContractionOrder returns x with its rows in the order a contraction over
-// cmodesX reads them — sorted under contractionPerm — so that stage ① of any
-// such contraction finds nothing to move. It is x itself when the rows are
-// already in that order; otherwise a tensor in x's own mode order with fresh
-// columns, x untouched. The reorder is stable: rows with equal coordinates
-// keep their relative order, which is all a contraction's floating-point
-// sums depend on, so results from the reordered tensor are bitwise those
-// from x. The SortInfo says what the reorder cost (Stats.Sorted: nothing).
-// An index box too wide for LN keys has no stable sorter and is returned as
-// it is.
-func InContractionOrder(x *coo.Tensor, cmodesX []int, threads int) (*coo.Tensor, coo.SortInfo, error) {
-	if x == nil {
-		return nil, coo.SortInfo{}, fmt.Errorf("core: nil X tensor")
-	}
-	inX, err := modeSet(x.Order(), cmodesX, "X")
-	if err != nil {
-		return nil, coo.SortInfo{}, err
-	}
-	if _, err := x.Radix(); err != nil {
-		return x, coo.SortInfo{}, nil
-	}
-	perm := contractionPerm(inX, cmodesX)
-	xs := x.SortableView()
-	if err := xs.Permute(perm); err != nil {
-		return nil, coo.SortInfo{}, err
-	}
-	info := xs.SortWith(threads, coo.SortAuto)
-	if info.Stats.Sorted {
-		return x, info, nil
-	}
-	back := make([]int, len(perm))
-	for m, from := range perm {
-		back[from] = m
-	}
-	if err := xs.Permute(back); err != nil {
-		return nil, coo.SortInfo{}, err
-	}
-	return xs, info, nil
 }
 
 // modeSet validates a contract-mode list and returns its membership mask.

@@ -92,15 +92,47 @@ func PrepareY(y *coo.Tensor, cmodesY []int, opt Options) (*PreparedY, error) {
 }
 
 // Contract computes Z = X ×_{cmodesX} Y against the prepared table:
-// cmodesX[k] of X pairs with the k-th prepared contract mode of Y. Only
-// AlgSparta is supported (the baseline algorithms probe COO Y directly and
-// have nothing to reuse). The first Contract on a fresh PreparedY charges
-// the build time to Report.HtYBuild exactly like the one-shot path; every
-// later call reports HtYReused=true with HtYBuild=0 and opens no "hty
-// build" span. Output is bitwise identical to the one-shot Contract with
-// the same options, because the same table, radices, and stage ②–⑤ code
-// run in both paths.
+// cmodesX[k] of X pairs with the k-th prepared contract mode of Y. It is
+// PrepareX followed by ContractX; a caller that contracts one X more than
+// once keeps the PreparedX and calls ContractX itself.
 func (pr *PreparedY) Contract(ctx context.Context, x *coo.Tensor, cmodesX []int, opt Options) (*coo.Tensor, *Report, error) {
+	// Everything is validated before PrepareX may sort the caller's tensor
+	// (Options.InPlace).
+	p, rep, err := pr.planFor(x, cmodesX, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	px, err := PrepareX(ctx, x, cmodesX, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	return pr.contract(ctx, p, px, opt, rep)
+}
+
+// ContractX runs stages ②–⑤ for a prepared X against the prepared table:
+// neither input is scanned before the first HtY probe. Only AlgSparta is
+// supported (the baseline algorithms probe COO Y directly and have nothing
+// to reuse). The first contraction on a fresh PreparedY charges the build
+// time to Report.HtYBuild exactly like the one-shot path; every later one
+// reports HtYReused=true with HtYBuild=0 and opens no "hty build" span —
+// and the same holds for px, Report.XPrepared and the X share of
+// StageInput. Output is bitwise identical to the one-shot Contract with the
+// same options, because the same rows, table, radices, and stage ②–⑤ code
+// run in both paths.
+func (pr *PreparedY) ContractX(ctx context.Context, px *PreparedX, opt Options) (*coo.Tensor, *Report, error) {
+	if px == nil {
+		return nil, nil, fmt.Errorf("core: nil prepared X")
+	}
+	p, rep, err := pr.planFor(px.t, px.cmodesX, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	return pr.contract(ctx, p, px, opt, rep)
+}
+
+// planFor validates a contraction of x over cmodesX against the prepared Y
+// and returns its plan and report skeleton.
+func (pr *PreparedY) planFor(x *coo.Tensor, cmodesX []int, opt Options) (*plan, *Report, error) {
 	if opt.Algorithm != AlgSparta {
 		return nil, nil, fmt.Errorf("core: prepared contraction supports only %v, got %v", AlgSparta, opt.Algorithm)
 	}
@@ -112,7 +144,12 @@ func (pr *PreparedY) Contract(ctx context.Context, x *coo.Tensor, cmodesX []int,
 	if err != nil {
 		return nil, nil, err
 	}
-	z, rep, err := contractMain(ctx, p, pr, opt, rep)
+	return p, rep, nil
+}
+
+// contract runs the validated contraction p of px against the table.
+func (pr *PreparedY) contract(ctx context.Context, p *plan, px *PreparedX, opt Options, rep *Report) (*coo.Tensor, *Report, error) {
+	z, rep, err := contractMain(ctx, p, px, pr, opt, rep)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -148,15 +185,13 @@ func (pr *PreparedY) newPlanX(x *coo.Tensor, cmodesX []int) (*plan, error) {
 		}
 	}
 	p := &plan{
-		x:     x,
 		ncm:   len(cmodesX),
 		nfx:   x.Order() - len(cmodesX),
 		nfy:   len(pr.fydims),
 		radC:  pr.radC,
 		radFY: pr.radFY,
 	}
-	p.permX = contractionPerm(inX, cmodesX)
-	for _, m := range p.permX[:p.nfx] {
+	for _, m := range contractionPerm(inX, cmodesX)[:p.nfx] {
 		p.zdims = append(p.zdims, x.Dims[m])
 	}
 	p.zdims = append(p.zdims, pr.fydims...)
@@ -200,4 +235,120 @@ func (pr *PreparedY) Bytes() uint64 {
 // EstBytesHtY returns the Eq. 5 size estimate for the prepared table.
 func (pr *PreparedY) EstBytesHtY() uint64 {
 	return hashtab.EstimateHtYBytes(pr.nnzY, pr.orderY, pr.hty.NumBuckets())
+}
+
+// PreparedX is X's half of stage ①, done once: its rows permuted to
+// contraction order (free modes first, contract modes last), sorted, and
+// indexed by sub-tensor. Stages ②–⑤ read nothing else of X, so a caller that
+// contracts one X repeatedly over the same modes (a serving loop, a chain
+// step re-run) keeps the PreparedX and every later ContractX starts at the
+// first HtY probe.
+//
+// It holds one copy of the rows: Tensor() is X in contraction row order in
+// X's own mode order, the kernel's view is the same columns under the
+// contraction permutation, and the index is 8 B per sub-tensor. A PreparedX
+// is immutable after PrepareX returns and safe for concurrent contractions,
+// as long as nobody writes the tensor it shares columns with.
+type PreparedX struct {
+	t       *coo.Tensor // rows in contraction order, X's mode order
+	view    *coo.Tensor // t's columns, free modes first, contract modes last
+	cmodesX []int
+	ptrFX   []int // sub-tensor f spans view rows [ptrFX[f], ptrFX[f+1])
+	maxSub  int   // nnz_Fmax of X
+
+	sort coo.SortInfo
+	// wall is what PrepareX took. The first contraction reports it (and
+	// sort) as the one-shot path would; the rest report XPrepared.
+	wall time.Duration
+	uses atomic.Uint64
+}
+
+// PrepareX runs stage ① for X over cmodesX: permute, sort (the "x sort"
+// span, on the request's track when ctx carries one), sub-tensor index. Only
+// opt.Threads, opt.InPlace, opt.Tracer and opt.Metrics (the sptc_sort_*
+// telemetry of the sort) are consulted. X is read but not written unless
+// opt.InPlace, which permutes and sorts the caller's tensor instead of
+// gathering into fresh columns. An X whose rows are already in contraction
+// order is used as it is: Tensor() == x and only the index is allocated.
+func PrepareX(ctx context.Context, x *coo.Tensor, cmodesX []int, opt Options) (*PreparedX, error) {
+	if x == nil {
+		return nil, fmt.Errorf("core: nil X tensor")
+	}
+	inX, err := modeSet(x.Order(), cmodesX, "X")
+	if err != nil {
+		return nil, err
+	}
+	threads := opt.Threads
+	if threads < 1 {
+		threads = parallel.DefaultThreads()
+	}
+	t0 := time.Now()
+	perm := contractionPerm(inX, cmodesX)
+	view := x
+	if !opt.InPlace {
+		view = x.SortableView()
+	}
+	if err := view.Permute(perm); err != nil {
+		return nil, err
+	}
+	tr, track, _ := traceTarget(ctx, opt)
+	sp := tr.Start("x sort", track)
+	info := view.SortWith(threads, coo.SortAuto)
+	sp.End()
+	publishXSort(opt.Metrics, info, x.NNZ())
+	ptrFX, err := view.SubPtrPar(x.Order()-len(cmodesX), threads)
+	if err != nil {
+		return nil, err
+	}
+	px := &PreparedX{
+		t:       x,
+		view:    view,
+		cmodesX: append([]int(nil), cmodesX...),
+		ptrFX:   ptrFX,
+		maxSub:  coo.MaxSubNNZ(ptrFX),
+		sort:    info,
+	}
+	if moved := x.NNZ() > 1 && !info.Stats.Sorted; moved || opt.InPlace {
+		back := make([]int, len(perm))
+		for m, from := range perm {
+			back[from] = m
+		}
+		if px.t, err = view.PermutedView(back); err != nil {
+			return nil, err
+		}
+	}
+	px.wall = time.Since(t0)
+	return px, nil
+}
+
+// Tensor returns X with its rows in contraction order, in X's own mode
+// order: x itself when nothing had to move, else a tensor sharing the
+// prepared columns. Contracting it over CmodesX finds stage ① already done.
+func (px *PreparedX) Tensor() *coo.Tensor { return px.t }
+
+// CmodesX returns the contract modes X was prepared for; callers must not
+// modify the slice.
+func (px *PreparedX) CmodesX() []int { return px.cmodesX }
+
+// Stable reports whether rows with equal coordinates kept their relative
+// order, which is all a contraction's floating-point sums depend on: only
+// then may Tensor() stand in for x wherever results must stay bitwise the
+// same. False only for an index box too wide for LN keys, whose only sorter
+// is the tuple quicksort.
+func (px *PreparedX) Stable() bool { return px.sort.Radix || px.t.NNZ() < 2 }
+
+// fillReport records X's side of stage ① in a contraction's report: the
+// first one on a fresh PreparedX reports the reorder and its wall time as the
+// one-shot path always has, every later one XPrepared.
+func (px *PreparedX) fillReport(rep *Report) {
+	rep.NF = len(px.ptrFX) - 1
+	rep.MaxSubNNZX = px.maxSub
+	rep.BytesX = px.view.Bytes()
+	if px.uses.Add(1) == 1 {
+		rep.XSort = px.sort
+		rep.StageWall[StageInput] += px.wall
+		rep.StageCPU[StageInput] += px.wall
+		return
+	}
+	rep.XPrepared = true
 }

@@ -125,8 +125,13 @@ type Report struct {
 	// an already-built table. The "hty build" span is absent from traces
 	// of such runs and HtYBuild is zero.
 	HtYReused bool
+	// XPrepared is true when this contraction skipped X's half of stage ①
+	// — permute, sort, sub-tensor index — because a *PreparedX that an
+	// earlier contraction already used supplied it. No "x sort" span belongs
+	// to such a run, XSort is zero and StageInput holds Y's half only.
+	XPrepared bool `json:"x_prepared,omitempty"`
 	// XSort reports which engine sorted X in stage ① and, on the radix
-	// path, its partition/pass stats (feeds the sptc_sort_* skew metrics).
+	// path, its partition/pass stats.
 	XSort coo.SortInfo
 	// SubsortWall is the residual stage-⑤ cost of the Zlocal-buffered
 	// algorithms: the per-run LN(Fy) sorts inside the gather, max across

@@ -28,34 +28,18 @@ import (
 // contractTwoPhase runs Z = X × Y with HtY + HtA data structures but
 // two-phase output allocation. Inputs are pre-validated by Contract. Both
 // parallel phases checkpoint ctx between chunk claims.
-func contractTwoPhase(ctx context.Context, p *plan, opt Options, rep *Report) (*coo.Tensor, error) {
+func contractTwoPhase(ctx context.Context, p *plan, px *PreparedX, opt Options, rep *Report) (*coo.Tensor, error) {
 	threads := rep.Threads
 	tr, track, reqMode := traceTarget(ctx, opt)
+	xw, ptrFX := px.view, px.ptrFX
 
-	// ① Input processing — identical to Sparta's.
+	// ① Input processing — X arrives prepared, Y's half is Sparta's.
 	spInput := tr.Start("input processing", track)
 	t0 := time.Now()
-	xw := p.x
-	if !opt.InPlace {
-		xw = xw.SortableView()
-	}
-	if err := xw.Permute(p.permX); err != nil {
-		return nil, err
-	}
-	spXSort := tr.Start("x sort", track)
-	rep.XSort = xw.SortWith(threads, coo.SortAuto)
-	spXSort.End()
-	ptrFX, err := xw.SubPtrPar(p.nfx, threads)
-	if err != nil {
-		return nil, err
-	}
-	rep.NF = len(ptrFX) - 1
-	rep.MaxSubNNZX = coo.MaxSubNNZ(ptrFX)
-	rep.BytesX = xw.Bytes()
-
 	hty := buildHtY(ctx, p, opt, threads, rep)
 	rep.StageWall[StageInput] = time.Since(t0)
 	rep.StageCPU[StageInput] = rep.StageWall[StageInput]
+	px.fillReport(rep)
 	spInput.End()
 
 	// chunk < 1 defers the chunk size to ForChunked's own heuristic.

@@ -9,6 +9,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"strconv"
 	"strings"
 	"sync"
@@ -96,13 +97,24 @@ func (e *Engine) Prepare(y *coo.Tensor, cmodesY []int, opt core.Options) (*core.
 	return e.PrepareCtx(context.Background(), y, cmodesY, opt)
 }
 
-// PrepareCtx is Prepare with request-trace awareness: when ctx carries an
-// obs.ReqTrace (serving requests do), the fingerprint+lookup and the HtY
-// build become "cache lookup" / "hty prepare" phases of the request's span
-// tree, and the plan fingerprint plus hit/miss outcome are tagged on it —
-// that is how a slow POST /contract is attributed to a plan-cache miss
-// rather than queue wait.
+// PrepareCtx is Prepare with cancellation and request-trace awareness; it
+// fingerprints y and calls PrepareFP.
 func (e *Engine) PrepareCtx(ctx context.Context, y *coo.Tensor, cmodesY []int, opt core.Options) (*core.PreparedY, bool, error) {
+	return e.PrepareFP(ctx, y, Fingerprint{}, cmodesY, opt)
+}
+
+// PrepareFP is the plan lookup for a caller that already knows y's content
+// fingerprint: a non-zero fp is trusted to be FingerprintTensor(y) and y is
+// not scanned on a hit; the zero Fingerprint means "compute it". Only a
+// holder that knows y has not been written since it was fingerprinted (a
+// store of immutable tensors) may pass one.
+//
+// When ctx carries an obs.ReqTrace (serving requests do), the lookup and the
+// HtY build become "cache lookup" / "hty prepare" phases of the request's
+// span tree, and the plan fingerprint plus hit/miss outcome are tagged on it
+// — that is how a slow POST /contract is attributed to a plan-cache miss
+// rather than queue wait.
+func (e *Engine) PrepareFP(ctx context.Context, y *coo.Tensor, fp Fingerprint, cmodesY []int, opt core.Options) (*core.PreparedY, bool, error) {
 	rt := obs.ReqFrom(ctx)
 	if e.cache == nil {
 		sp := rt.StartPhase("hty prepare")
@@ -111,7 +123,9 @@ func (e *Engine) PrepareCtx(ctx context.Context, y *coo.Tensor, cmodesY []int, o
 		return pr, false, err
 	}
 	sp := rt.StartPhase("cache lookup")
-	fp := FingerprintTensor(y, opt.Threads)
+	if fp.IsZero() {
+		fp = FingerprintTensor(y, opt.Threads)
+	}
 	k := planKey{fp: fp, modes: modesString(cmodesY)}
 
 	e.mu.Lock()
@@ -149,16 +163,36 @@ func (e *Engine) PrepareCtx(ctx context.Context, y *coo.Tensor, cmodesY []int, o
 // when the algorithm supports it (AlgSparta); the baseline algorithms fall
 // through to the one-shot path, so the Engine is a drop-in front end for
 // every variant. Report.HtYReused tells the caller whether the warm path
-// ran.
+// ran. It prepares X and fingerprints Y per call; ContractX is the entry for
+// a caller that keeps either.
 func (e *Engine) Contract(ctx context.Context, x, y *coo.Tensor, cmodesX, cmodesY []int, opt core.Options) (*coo.Tensor, *core.Report, error) {
 	if opt.Algorithm != core.AlgSparta {
 		return core.ContractCtx(ctx, x, y, cmodesX, cmodesY, opt)
 	}
-	pr, hit, err := e.PrepareCtx(ctx, y, cmodesY, opt)
+	px, err := core.PrepareX(ctx, x, cmodesX, opt)
 	if err != nil {
 		return nil, nil, err
 	}
-	z, rep, err := pr.Contract(ctx, x, cmodesX, opt)
+	return e.ContractX(ctx, px, y, Fingerprint{}, cmodesY, opt)
+}
+
+// ContractX is Contract for an X prepared earlier (core.PrepareX) and a Y
+// whose fingerprint may be known (PrepareFP's rule; zero = compute it): on a
+// plan-cache hit neither input is scanned before the first HtY probe. The
+// baseline algorithms have nothing to reuse and contract px.Tensor()
+// one-shot, finding its rows in order.
+func (e *Engine) ContractX(ctx context.Context, px *core.PreparedX, y *coo.Tensor, fpY Fingerprint, cmodesY []int, opt core.Options) (*coo.Tensor, *core.Report, error) {
+	if px == nil {
+		return nil, nil, errors.New("engine: nil prepared X")
+	}
+	if opt.Algorithm != core.AlgSparta {
+		return core.ContractCtx(ctx, px.Tensor(), y, px.CmodesX(), cmodesY, opt)
+	}
+	pr, hit, err := e.PrepareFP(ctx, y, fpY, cmodesY, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	z, rep, err := pr.ContractX(ctx, px, opt)
 	if err != nil {
 		return nil, nil, err
 	}

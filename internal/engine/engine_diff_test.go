@@ -186,6 +186,74 @@ func TestEngineWarmSkipsBuild(t *testing.T) {
 	}
 }
 
+// TestContractXScansNeitherInput: the entry for a caller that keeps its
+// operands prepared. ContractX on a kept PreparedX with a known fingerprint
+// of Y is bitwise Contract, opens neither an "x sort" nor an "hty build" span
+// once both halves are warm, and trusts the fingerprint it is handed — a
+// planted one keys the plan, which is the proof that Y was not hashed again.
+// The zero fingerprint means "compute it", so the wrappers stay safe against
+// mutated tensors.
+func TestContractXScansNeitherInput(t *testing.T) {
+	ctx := context.Background()
+	x := randomSparse([]uint64{9, 7, 6}, 150, 3)
+	y := randomSparse([]uint64{9, 8, 5}, 120, 4)
+	cx, cy := []int{0}, []int{0}
+	opt := core.Options{Threads: 2}
+	eng := New(Config{})
+	want, _, err := eng.Contract(ctx, x, y, cx, cy, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	px, err := core.PrepareX(ctx, x, cx, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := FingerprintTensor(y, 1)
+	for use := 1; use <= 2; use++ {
+		tr := obs.NewTracer()
+		o := opt
+		o.Tracer = tr
+		z, rep, err := eng.ContractX(ctx, px, y, fp, cy, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !z.Equal(want) || !rep.HtYReused || rep.XPrepared != (use == 2) {
+			t.Errorf("use %d: equal %v, HtYReused %v, XPrepared %v", use, z.Equal(want), rep.HtYReused, rep.XPrepared)
+		}
+		if traceHas(t, tr, "x sort") || traceHas(t, tr, "hty build") {
+			t.Errorf("use %d: a contraction on prepared operands opened a stage-① span", use)
+		}
+	}
+	if s := eng.Stats(); s.Hits != 2 || s.Misses != 1 {
+		t.Errorf("stats = %+v: the known fingerprint should find the plan Contract cached", s)
+	}
+
+	planted := Fingerprint{Hi: 1, Lo: 2}
+	if _, hit, err := eng.PrepareFP(ctx, y, planted, cy, opt); err != nil || hit {
+		t.Fatalf("planted fingerprint: hit %v, %v", hit, err)
+	}
+	if _, hit, err := eng.PrepareFP(ctx, y, planted, cy, opt); err != nil || !hit {
+		t.Fatalf("planted fingerprint, second lookup: hit %v, %v (Y was fingerprinted again)", hit, err)
+	}
+	if _, hit, err := eng.PrepareFP(ctx, y, Fingerprint{}, cy, opt); err != nil || !hit {
+		t.Fatalf("zero fingerprint: hit %v, %v, want the plan stored under Y's own", hit, err)
+	}
+
+	// The baselines have nothing to reuse: they contract px.Tensor().
+	ref, _, err := core.ContractCtx(ctx, x, y, cx, cy, core.Options{Algorithm: core.AlgSPA, Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	z, rep, err := eng.ContractX(ctx, px, y, fp, cy, core.Options{Algorithm: core.AlgSPA, Threads: 2})
+	if err != nil || !z.Equal(ref) || rep.Algorithm != core.AlgSPA {
+		t.Errorf("baseline through ContractX: %v, equal %v", err, err == nil && z.Equal(ref))
+	}
+	if _, _, err := eng.ContractX(ctx, nil, y, fp, cy, opt); err == nil {
+		t.Error("nil PreparedX accepted")
+	}
+}
+
 func traceHas(t *testing.T, tr *obs.Tracer, name string) bool {
 	t.Helper()
 	var buf bytes.Buffer
