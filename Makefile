@@ -33,7 +33,7 @@ perf-baseline:
 # (the parallel HtY build and open-addressed tables live or die by this).
 # The bench experiments run -short under race — at full tilt they exceed
 # the test timeout on small machines — while the hot packages (hashtab,
-# core, engine, plan, sortx, obs, dist), which have no expensive short-mode
+# core, engine, plan, sortx, obs, dist, cmd/sptc-serve), which have no expensive short-mode
 # skips, always race-run in full, once plain and once with the -tags assert
 # invariant checks compiled in (probe bounds, load factor, arena-offset
 # monotonicity, DP split partitions, estimator non-negativity, LRU recency

@@ -120,6 +120,9 @@ func mustContract(t *testing.T, url string, req contractRequest) contractReply {
 var (
 	reqLead  = contractRequest{X: "x", Y: "yl", Spec: specLead}
 	reqTrail = contractRequest{X: "x", Y: "yt", Spec: specTrail}
+	// reqLeadOut is reqLead with its output modes permuted, which keeps a
+	// streamed Z on the heap.
+	reqLeadOut = contractRequest{X: "x", Y: "yl", Spec: "abcd,abe->ecd"}
 )
 
 // holdsOneCopy fails the test unless the operand stored under name holds its
@@ -388,5 +391,35 @@ func TestKeptOrderReachesEveryTier(t *testing.T) {
 	}
 	if !kept.IsSorted() {
 		t.Error("the streamed tier did not leave X in contraction order")
+	}
+	windowsShareTheStoredRows(t, streamedURL, fresh, reqLeadOut, x.Bytes())
+}
+
+// windowsShareTheStoredRows fails the test unless a warm streamed request
+// allocates less than half a copy of the stored X more than the same warm
+// request on the DRAM tier: the windows are slices of the stored operand's
+// prepared rows, where adapting the stored X into a window stream used to
+// clone, permute and re-sort it on every request. req must permute its
+// output, so that Z is not spilled: the spool's file buffers would swamp the
+// comparison.
+func windowsShareTheStoredRows(t *testing.T, streamedURL, dramURL string, req contractRequest, xBytes uint64) {
+	t.Helper()
+	allocOf := func(url, tier string) uint64 {
+		t.Helper()
+		mustContract(t, url, req) // X prepared, HtY cached
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		rep := mustContract(t, url, req)
+		runtime.ReadMemStats(&m1)
+		if rep.ExecutionTier != tier || !rep.XPrepared || !rep.HtYReused {
+			t.Fatalf("%s: tier %q, x_prepared %v, hty_reused %v on a warm request", url, rep.ExecutionTier, rep.XPrepared, rep.HtYReused)
+		}
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	dram, streamed := allocOf(dramURL, "dram"), allocOf(streamedURL, "streamed")
+	t.Logf("warm request allocates %d B on the dram tier, %d B streamed; X is %d B", dram, streamed, xBytes)
+	if streamed > dram+xBytes/2 {
+		t.Errorf("a streamed request allocates %d B more than a dram one, X is %d B: the windows copy the stored rows",
+			streamed-dram, xBytes)
 	}
 }

@@ -425,8 +425,9 @@ func (s *server) handleGetTensor(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, infoFor(name, op))
 }
 
-// contractRequest is the POST /contract body. Algorithm: "sparta"
-// (default), "spa", "coohta", "twophase".
+// contractRequest is the POST /contract body. The server contracts with
+// Sparta only: Algorithm is decoded to refuse it, so that no request reaches
+// the paper's baselines, which have no memory gate in front of them.
 type contractRequest struct {
 	X         string `json:"x"`
 	Y         string `json:"y"`
@@ -449,8 +450,8 @@ type contractReply struct {
 	// XPrepared is true when the store already held X prepared for this
 	// spec's contract modes, so the request began at the first HtY probe.
 	XPrepared bool `json:"x_prepared,omitempty"`
-	// ExecutionTier reports which path ran: "dram" (in-memory fast path) or
-	// "streamed" (windowed out-of-core degrade tier). Clients watching for
+	// ExecutionTier reports which path ran: "dram" (in-memory fast path),
+	// "streamed" (windowed degrade tier) or "sharded". Clients watching for
 	// capacity pressure alert on the streamed fraction instead of on 503s.
 	ExecutionTier string `json:"execution_tier,omitempty"`
 	// Windows is the streamed window count (0 on the dram tier).
@@ -464,20 +465,6 @@ type contractReply struct {
 	// were dispatched and how many failover attempts they consumed.
 	Shards       int `json:"shards,omitempty"`
 	ShardRetries int `json:"shard_retries,omitempty"`
-}
-
-func parseAlgorithm(name string) (core.Algorithm, error) {
-	switch name {
-	case "", "sparta":
-		return core.AlgSparta, nil
-	case "spa":
-		return core.AlgSPA, nil
-	case "coohta":
-		return core.AlgCOOHtA, nil
-	case "twophase":
-		return core.AlgTwoPhase, nil
-	}
-	return 0, fmt.Errorf("unknown algorithm %q", name)
 }
 
 // acquireSlot takes an inflight slot, waiting up to queueWait. It reports
@@ -532,11 +519,7 @@ func (s *server) handleContract(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorReply{Error: "bad JSON: " + err.Error()})
 		return
 	}
-	alg, err := parseAlgorithm(req.Algorithm)
-	if err == nil {
-		err = s.contract(w, r, req, alg)
-	}
-	if err != nil {
+	if err := s.contract(w, r, req); err != nil {
 		s.countReq(r, "contract", "bad_request")
 		writeJSON(w, http.StatusBadRequest, errorReply{Error: err.Error()})
 	}
@@ -545,7 +528,10 @@ func (s *server) handleContract(w http.ResponseWriter, r *http.Request) {
 // contract runs the admission gates and the contraction; it returns an
 // error only for bad requests (the caller writes 400), and writes every
 // other reply itself.
-func (s *server) contract(w http.ResponseWriter, r *http.Request, req contractRequest, alg core.Algorithm) error {
+func (s *server) contract(w http.ResponseWriter, r *http.Request, req contractRequest) error {
+	if req.Algorithm != "" {
+		return fmt.Errorf("field \"algorithm\" is not accepted: the server contracts with %v only", core.AlgSparta)
+	}
 	rt := obs.ReqFrom(r.Context())
 	rt.SetTag("spec", req.Spec)
 	rt.SetTag("x", req.X)
@@ -576,15 +562,14 @@ func (s *server) contract(w http.ResponseWriter, r *http.Request, req contractRe
 		defer cancel()
 	}
 
+	// The server's own -threads bounds every request: the worker arena is
+	// sized by the thread count before anything else sees it.
 	threads := req.Threads
-	if threads < 1 {
+	if threads < 1 || threads > s.threads {
 		threads = s.threads
 	}
-	opt := core.Options{
-		Algorithm: alg,
-		Threads:   threads,
-		Metrics:   s.reg,
-	}
+	rt.SetTag("threads", strconv.Itoa(threads))
+	opt := core.Options{Threads: threads, Metrics: s.reg}
 
 	// Gate 1: concurrency. Queue briefly, then shed.
 	spQ := rt.StartPhase("queue wait")
@@ -598,9 +583,9 @@ func (s *server) contract(w http.ResponseWriter, r *http.Request, req contractRe
 	s.gInflight.Set(float64(s.inflightN.Add(1)))
 	defer func() { s.gInflight.Set(float64(s.inflightN.Add(-1))) }()
 
-	// Stage ① for X, once per operand: the DRAM tier contracts the prepared
-	// form itself, every other path reads its tensor and finds the rows in
-	// contraction order.
+	// Stage ① for X, once per operand: every tier contracts the prepared
+	// form (the sharded one scatters its rows, which are in contraction
+	// order).
 	spO := rt.StartPhase("x order")
 	orderStart := time.Now()
 	px, hit, err := s.preparedX(ctx, req.X, x, ein.CmodesX, opt)
@@ -617,32 +602,18 @@ func (s *server) contract(w http.ResponseWriter, r *http.Request, req contractRe
 		"outcome", outcome).Inc()
 	rt.SetTag("x_prepared", strconv.FormatBool(hit))
 
-	// Sharded mode: AlgSparta requests scatter/gather across the shard fleet
-	// instead of running on the front engine. The front's DRAM admission gate
-	// does not apply — each shard sees only its partition (~1/S of X) and
-	// local executors size their own caches; remote workers run their own
-	// gates and shed upstream.
-	if s.coord != nil && alg == core.AlgSparta {
-		return s.contractSharded(ctx, w, r, req, px.Tensor(), y.t, opt, ordered, hit)
-	}
-
-	// Gate 2: memory. Only the Sparta algorithm goes through the prepared
-	// path, so only it has the footprint model; the baselines run ungated
-	// (they exist for A/B comparison, not production serving). Oversized
-	// requests no longer shed outright: when the prepared table fits but the
-	// full working set does not, the windowed out-of-core driver runs
-	// instead, and only a table that cannot fit at all is refused.
+	// Gate 2: memory, which picks the tier.
 	spA := rt.StartPhase("admission")
-	release, tier, res, pr, aerr := s.admit(ctx, ein, x.t, y, opt)
+	tier, release, err := s.admit(ctx, ein, x.t, y, opt)
 	spA.End()
-	if aerr != nil {
-		return aerr
+	if err != nil {
+		return err
 	}
 	defer release()
-	rt.SetTag("execution_tier", tier.String())
+	rt.SetTag("execution_tier", tier.name)
 	s.reg.Counter("sptc_serve_tier_total", "contract requests by execution tier",
-		"tier", tier.String()).Inc()
-	if tier == engine.TierShed {
+		"tier", tier.name).Inc()
+	if tier.name == engine.TierShed.String() {
 		s.shed(w, r, "shed_memory",
 			"estimated footprint exceeds DRAM budget (prepared table ht_Y alone does not fit)")
 		return nil
@@ -654,17 +625,25 @@ func (s *server) contract(w http.ResponseWriter, r *http.Request, req contractRe
 		z   *coo.Tensor
 		rep *core.Report
 	)
-	if tier == engine.TierStreamed {
-		z, rep, err = s.contractStreamed(ctx, px.Tensor(), pr, ein, res, opt)
-	} else {
+	switch tier.name {
+	case "sharded":
+		z, rep, err = s.coord.Contract(ctx, px.Tensor(), y.t, ein.CmodesX, ein.CmodesY, opt)
+	case engine.TierStreamed.String():
+		// A spec that permutes the output re-sorts Z below, which copies
+		// every column to the heap anyway, so Z spills only for
+		// identity-output specs.
+		z, rep, err = core.ContractStreamX(ctx, px, tier.res.WindowNNZ, tier.pr, core.StreamOptions{
+			Options: opt,
+			SpillZ:  tier.res.SpillZ && ein.IdentityOut,
+		})
+	default:
 		z, rep, err = s.eng.ContractX(ctx, px, y.t, y.fp, ein.CmodesY, opt)
 	}
-	if err == nil && !ein.IdentityOut {
-		if err = z.Permute(ein.OutPerm); err == nil {
-			z.Sort(threads)
-		}
+	if err == nil {
+		err = ein.Output(z, true, threads)
 	}
 	spC.End()
+	var se *dist.ShardError
 	switch {
 	case err == nil:
 	case errors.Is(err, context.DeadlineExceeded):
@@ -676,6 +655,12 @@ func (s *server) contract(w http.ResponseWriter, r *http.Request, req contractRe
 		// The client is gone; status is moot but 499-style close is not
 		// expressible, so use 503.
 		writeJSON(w, http.StatusServiceUnavailable, errorReply{Error: err.Error()})
+		return nil
+	case errors.As(err, &se):
+		// Every failover attempt for some shard failed: the fleet cannot
+		// serve this request right now. Named shed reason, retryable 503.
+		s.shed(w, r, "shed_shards",
+			fmt.Sprintf("shard %s failed after %d attempts: %v", se.Shard, se.Attempts, se.Err))
 		return nil
 	default:
 		return err
@@ -709,68 +694,7 @@ func (s *server) contract(w http.ResponseWriter, r *http.Request, req contractRe
 		CacheHits:     st.Hits,
 		CacheMisses:   st.Misses,
 		WallNS:        (time.Since(start) + ordered).Nanoseconds(),
-		ExecutionTier: tier.String(),
-		Windows:       rep.Windows,
-		DenseSubs:     rep.DenseSubs,
-	})
-	return nil
-}
-
-// contractSharded runs one request through the coordinator: partition X,
-// fan out to the shard executors, merge the sorted runs. Output is bitwise
-// identical to the one-shot path (internal/dist oracle suite). The scatter is
-// stable, so every partition of an X kept in contraction order is in that
-// order too. Called with the inflight slot already held, ctx carrying the
-// request's deadline, ordered the time preparedX took and xPrepared whether
-// it was a hit; returns an error only for bad requests.
-func (s *server) contractSharded(ctx context.Context, w http.ResponseWriter, r *http.Request, req contractRequest, x, y *coo.Tensor, opt core.Options, ordered time.Duration, xPrepared bool) error {
-	rt := obs.ReqFrom(r.Context())
-	start := time.Now()
-	spC := rt.StartPhase("contract")
-	z, rep, err := s.coord.Einsum(obs.WithReq(ctx, rt), req.Spec, x, y, opt)
-	spC.End()
-	var se *dist.ShardError
-	switch {
-	case err == nil:
-	case errors.Is(err, context.DeadlineExceeded):
-		s.countReq(r, "contract", "timeout")
-		writeJSON(w, http.StatusGatewayTimeout, errorReply{Error: err.Error()})
-		return nil
-	case errors.Is(err, context.Canceled):
-		s.countReq(r, "contract", "canceled")
-		writeJSON(w, http.StatusServiceUnavailable, errorReply{Error: err.Error()})
-		return nil
-	case errors.As(err, &se):
-		// Every failover attempt for some shard failed: the fleet cannot
-		// serve this request right now. Named shed reason, retryable 503.
-		s.shed(w, r, "shed_shards",
-			fmt.Sprintf("shard %s failed after %d attempts: %v", se.Shard, se.Attempts, se.Err))
-		return nil
-	default:
-		return err
-	}
-
-	rt.AddPhase("stage_input", rep.StageWall[core.StageInput])
-	rt.AddPhase("stage_search", rep.StageWall[core.StageSearch])
-	rt.AddPhase("stage_accum", rep.StageWall[core.StageAccum])
-	rt.AddPhase("stage_write", rep.StageWall[core.StageWrite])
-	rt.AddPhase("stage_sort", rep.StageWall[core.StageSort])
-	rt.SetTag("hty_reused", strconv.FormatBool(rep.HtYReused))
-	rt.SetTag("nnz_z", strconv.Itoa(z.NNZ()))
-
-	s.countReq(r, "contract", "ok")
-	s.reg.Histogram("sptc_serve_contract_seconds", "contraction wall time",
-		[]float64{0.001, 0.01, 0.1, 1, 10}).Observe((time.Since(start) + ordered).Seconds())
-	writeJSON(w, http.StatusOK, contractReply{
-		RequestID:     rt.ID(),
-		Spec:          req.Spec,
-		OutDims:       z.Dims,
-		NNZ:           z.NNZ(),
-		Fingerprint:   engine.FingerprintTensor(z, opt.Threads).String(),
-		HtYReused:     rep.HtYReused,
-		XPrepared:     xPrepared,
-		WallNS:        (time.Since(start) + ordered).Nanoseconds(),
-		ExecutionTier: "sharded",
+		ExecutionTier: tier.name,
 		Windows:       rep.Windows,
 		DenseSubs:     rep.DenseSubs,
 		Shards:        rep.Shards,
@@ -814,6 +738,7 @@ func (s *server) handleShardContract(w http.ResponseWriter, r *http.Request) {
 			fail(http.StatusBadRequest, "bad threads value")
 			return
 		}
+		threads = min(threads, s.threads)
 	}
 	x, err := coo.ReadBin(r.Body)
 	if err != nil {
@@ -825,9 +750,8 @@ func (s *server) handleShardContract(w http.ResponseWriter, r *http.Request) {
 	rt := obs.ReqFrom(ctx)
 	rt.SetTag("y", yName)
 	opt := core.Options{
-		Algorithm: core.AlgSparta,
-		Threads:   threads,
-		Metrics:   s.reg,
+		Threads: threads,
+		Metrics: s.reg,
 		// The partition is request-local: let the contraction permute it in place.
 		InPlace: true,
 	}
@@ -860,70 +784,66 @@ func (s *server) handleShardContract(w http.ResponseWriter, r *http.Request) {
 	_ = z.WriteBin(w)
 }
 
-// contractStreamed runs the degrade tier: X (already resident) is permuted
-// to contraction order, sorted, and walked window by window against the
-// cached prepared table, so only one window's accumulators and staging are
-// ever hot — the request runs inside the budget instead of being shed. The
-// caller re-sorts the Z of a spec that permutes the output, which
-// materializes heap copies of every column anyway, so Z spilling is only
-// honored for identity-output specs.
-func (s *server) contractStreamed(ctx context.Context, x *coo.Tensor, pr *core.PreparedY, ein *einsum.Plan, res hetmem.Residency, opt core.Options) (*coo.Tensor, *core.Report, error) {
-	xs, err := core.NewTensorStream(x, ein.CmodesX, res.WindowNNZ, opt.Threads, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	return core.ContractStream(ctx, xs, pr, core.StreamOptions{
-		Options: opt,
-		SpillZ:  res.SpillZ && ein.IdentityOut,
-	})
+// tier is how an admitted request runs: name is the reply's execution_tier
+// ("dram", "streamed", "sharded", or "shed" for one that does not run), and
+// the streamed tier carries the window size and Z spill the residency plan
+// picked and the cached table it contracts against.
+type tier struct {
+	name string
+	res  hetmem.Residency
+	pr   *core.PreparedY
 }
 
-// admit runs the DRAM admission gate and assigns the execution tier. It
-// returns a release func (always non-nil) plus, on the prepared path, the
-// residency plan and the cached prepared Y the streamed tier needs. Requests
-// outside the prepared path, or with admission disabled, get TierDRAM with a
-// no-op release.
-func (s *server) admit(ctx context.Context, ein *einsum.Plan, x *coo.Tensor, y *operand, opt core.Options) (release func(), tier engine.Tier, res hetmem.Residency, pr *core.PreparedY, err error) {
+// admit runs the DRAM admission gate and assigns the execution tier: the
+// in-memory path when everything fits (or admission is off), the windowed
+// one when the prepared table fits but the full working set does not, and
+// shedding only for a table that cannot fit at all. A server that fronts a
+// shard fleet shards every request instead: each shard sees only its
+// partition (~1/S of X), local executors size their own caches and remote
+// workers run their own gates and shed upstream. release is always non-nil.
+func (s *server) admit(ctx context.Context, ein *einsum.Plan, x *coo.Tensor, y *operand, opt core.Options) (t tier, release func(), err error) {
 	release = func() {}
-	tier = engine.TierDRAM
-	if s.adm.DRAMBudget == 0 || opt.Algorithm != core.AlgSparta {
-		return release, tier, res, nil, nil
+	if s.coord != nil {
+		return tier{name: "sharded"}, release, nil
+	}
+	if s.adm.DRAMBudget == 0 {
+		return tier{name: engine.TierDRAM.String()}, release, nil
 	}
 	if err := ctx.Err(); err != nil {
-		return release, tier, res, nil, err
+		return t, release, err
 	}
 	// Prepare the Y side through the engine's plan cache (the DRAM tier's
 	// ContractX re-resolves the same cached plan — one map lookup, Y's
 	// fingerprint being known) so its exact resident size goes into the
 	// estimate.
-	pr, _, err = s.eng.PrepareFP(ctx, y.t, y.fp, ein.CmodesY, opt)
+	pr, _, err := s.eng.PrepareFP(ctx, y.t, y.fp, ein.CmodesY, opt)
 	if err != nil {
-		return release, tier, res, nil, err
+		return t, release, err
 	}
 	fp := engine.EstimateFootprint(x.NNZ(), pr)
 	s.admMu.Lock()
-	tier, res = s.adm.Plan(fp, opt.Threads, x.NNZ(), s.admitted)
-	// A fully contracted X has one sub-tensor spanning everything and cannot
-	// be windowed; it either fits whole or must still be shed.
-	if tier == engine.TierStreamed && len(ein.CmodesX) >= x.Order() {
-		tier = engine.TierShed
+	planned, res := s.adm.Plan(fp, opt.Threads, x.NNZ(), s.admitted)
+	// A fully contracted X is one sub-tensor spanning everything, so one
+	// window, which bounds nothing: it either fits whole or is shed.
+	if planned == engine.TierStreamed && len(ein.CmodesX) >= x.Order() {
+		planned = engine.TierShed
 	}
-	if tier == engine.TierShed {
+	t = tier{name: planned.String(), res: res, pr: pr}
+	if planned == engine.TierShed {
 		s.admMu.Unlock()
-		return release, tier, res, pr, nil
+		return t, release, nil
 	}
 	// Streamed requests account only their windowed resident demand — the
 	// point of the degrade tier is that concurrent work can still fit.
 	total := fp.Total(opt.Threads)
-	if tier == engine.TierStreamed {
+	if planned == engine.TierStreamed {
 		total = fp.WindowedTotal(opt.Threads, res.WindowNNZ, x.NNZ())
 	}
 	s.admitted += total
 	s.admMu.Unlock()
-	release = func() {
+	return t, func() {
 		s.admMu.Lock()
 		s.admitted -= total
 		s.admMu.Unlock()
-	}
-	return release, tier, res, pr, nil
+	}, nil
 }

@@ -141,31 +141,46 @@ func TestShedTinyBudget(t *testing.T) {
 }
 
 // streamedBudget picks a DRAM budget between the prepared table's size and
-// the full footprint of the demo contraction, so admission lands on the
-// streamed tier: HtY fits, the unwindowed working set does not.
-func streamedBudget(t *testing.T, s *server, spec string) uint64 {
+// the full footprint of req on s, so admission lands on the streamed tier:
+// HtY fits, the unwindowed working set does not.
+func streamedBudget(t *testing.T, s *server, req contractRequest) uint64 {
 	t.Helper()
-	ein, err := einsum.Parse(spec)
+	ein, err := einsum.Parse(req.Spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt := core.Options{Algorithm: core.AlgSparta, Threads: s.threads}
-	pr, _, err := s.eng.Prepare(s.stored("demoB").t, ein.CmodesY, opt)
+	pr, _, err := s.eng.Prepare(s.stored(req.Y).t, ein.CmodesY, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp := engine.EstimateFootprint(s.stored("demoA").t.NNZ(), pr)
+	fp := engine.EstimateFootprint(s.stored(req.X).t.NNZ(), pr)
 	return fp.HtY + (fp.Total(s.threads)-fp.HtY)/8
 }
 
 // TestStreamedTier: a budget that holds the prepared table but not the full
 // working set degrades to the windowed out-of-core driver instead of
 // shedding — 200, tagged "streamed", and bit-identical to the in-memory
-// result.
+// result — for specs that contract X's trailing mode and, with the stored X
+// reordered once, its leading ones. The windows are the stored operand's
+// rows, not a copy of them.
 func TestStreamedTier(t *testing.T) {
-	_, ts0 := testServer(t, serverConfig{})
-	for _, spec := range []string{"abc,cde->abde", "abc,cde->deab"} {
-		req := contractRequest{X: "demoA", Y: "demoB", Spec: spec}
+	x, yl, _ := orderTensors(10)
+	load := func(s *server) {
+		s.loadDemo()
+		s.put("x", x)
+		s.put("yl", yl)
+	}
+	s0 := newServer(serverConfig{})
+	load(s0)
+	ts0 := httptest.NewServer(s0.handler())
+	t.Cleanup(ts0.Close)
+	for _, req := range []contractRequest{
+		{X: "demoA", Y: "demoB", Spec: "abc,cde->abde"},
+		{X: "demoA", Y: "demoB", Spec: "abc,cde->deab"},
+		reqLeadOut,
+	} {
+		spec := req.Spec
 		resp, base, bad := postContract(t, ts0.URL, req)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: baseline status %d (%s)", spec, resp.StatusCode, bad.Error)
@@ -175,8 +190,11 @@ func TestStreamedTier(t *testing.T) {
 		}
 
 		probe := newServer(serverConfig{})
-		probe.loadDemo()
-		s, ts := testServer(t, serverConfig{DRAMBudget: streamedBudget(t, probe, spec)})
+		load(probe)
+		s := newServer(serverConfig{DRAMBudget: streamedBudget(t, probe, req)})
+		load(s)
+		ts := httptest.NewServer(s.handler())
+		t.Cleanup(ts.Close)
 		resp, got, bad := postContract(t, ts.URL, req)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: streamed tier shed instead of degrading: status %d (%s)",
@@ -195,6 +213,63 @@ func TestStreamedTier(t *testing.T) {
 		if n := s.reg.Counter("sptc_serve_tier_total", "", "tier", "streamed").Value(); n == 0 {
 			t.Error("streamed tier counter not incremented")
 		}
+		if req == reqLeadOut { // Z is small enough to see a copy of X in the allocations
+			windowsShareTheStoredRows(t, ts.URL, ts0.URL, req, x.Bytes())
+		}
+	}
+}
+
+// TestServerServesSpartaOnly: a request that names an algorithm — any
+// algorithm — is refused with a 400 that names the field, so nothing reaches
+// the paper's baselines, which run with no memory gate.
+func TestServerServesSpartaOnly(t *testing.T) {
+	_, ts := testServer(t, serverConfig{})
+	for _, alg := range []string{"spa", "coohta", "twophase", "sparta"} {
+		resp, _, bad := postContract(t, ts.URL, contractRequest{X: "demoA", Y: "demoB", Spec: "abc,cde->abde", Algorithm: alg})
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(bad.Error, `"algorithm"`) {
+			t.Errorf("algorithm %q: status %d (%q), want 400 naming the field", alg, resp.StatusCode, bad.Error)
+		}
+	}
+	if resp, rep, bad := postContract(t, ts.URL, contractRequest{X: "demoA", Y: "demoB", Spec: "abc,cde->abde"}); resp.StatusCode != http.StatusOK || rep.NNZ == 0 {
+		t.Fatalf("request without the field: status %d (%s)", resp.StatusCode, bad.Error)
+	}
+}
+
+// TestRequestThreadsAreClamped: a request's thread count is bounded by the
+// server's -threads before it sizes anything — 4096 on a two-thread server
+// runs two, on POST /contract (the access log's threads tag) and on
+// /shard/contract (the Report in X-Sptc-Report).
+func TestRequestThreadsAreClamped(t *testing.T) {
+	var log bytes.Buffer
+	s := newServer(serverConfig{Threads: 2, AccessLog: &log})
+	s.loadDemo()
+	h := s.handler()
+
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/contract",
+		strings.NewReader(`{"x":"demoA","y":"demoB","spec":"abc,cde->abde","threads":4096}`)))
+	var al accessLine
+	if rec.Code != http.StatusOK {
+		t.Fatalf("POST /contract: status %d: %s", rec.Code, rec.Body)
+	}
+	if err := json.Unmarshal(log.Bytes(), &al); err != nil || al.Tags["threads"] != "2" {
+		t.Errorf("access line %s (%v): want the tag threads=2", log.Bytes(), err)
+	}
+
+	x := gen.Random([]uint64{20, 16}, 180, 5)
+	s.put("shardY", gen.Random([]uint64{16, 12}, 120, 6))
+	var body bytes.Buffer
+	if err := x.WriteBin(&body); err != nil {
+		t.Fatal(err)
+	}
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/shard/contract?y=shardY&cx=1&cy=0&threads=4096", &body))
+	var rep core.Report
+	if rec.Code != http.StatusOK {
+		t.Fatalf("POST /shard/contract: status %d: %s", rec.Code, rec.Body)
+	}
+	if err := json.Unmarshal([]byte(rec.Header().Get("X-Sptc-Report")), &rep); err != nil || rep.Threads != 2 {
+		t.Errorf("shard report threads %d (%v), want 2", rep.Threads, err)
 	}
 }
 

@@ -41,24 +41,8 @@ func EinsumCtx(ctx context.Context, spec string, x, y *Tensor, opt Options) (*Te
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := finishEinsumOutput(ein, z, opt); err != nil {
+	if err := ein.Output(z, !opt.SkipOutputSort, opt.Threads); err != nil {
 		return nil, nil, err
 	}
 	return z, rep, nil
-}
-
-// finishEinsumOutput applies the spec's output-mode permutation (and the
-// re-sort it necessitates) to a naturally-ordered Z. Shared by the one-shot
-// path above and the prepared/engine paths.
-func finishEinsumOutput(ein *einsum.Plan, z *Tensor, opt Options) error {
-	if ein.IdentityOut {
-		return nil
-	}
-	if err := z.Permute(ein.OutPerm); err != nil {
-		return err
-	}
-	if !opt.SkipOutputSort {
-		z.Sort(opt.Threads)
-	}
-	return nil
 }

@@ -259,13 +259,6 @@ type WindowStream struct {
 	next   int
 }
 
-// StreamSorted builds a WindowStream over an in-memory sorted tensor with
-// windows capped at windowNNZ non-zeros, cut only at mode-0 index changes.
-// The caller guarantees t is sorted (it typically just sorted it).
-func StreamSorted(t *Tensor, windowNNZ int) *WindowStream {
-	return &WindowStream{t: t, bounds: groupCapped(t.ChunkBoundaries(1), windowNNZ)}
-}
-
 // groupCapped merges adjacent chunks [b[i], b[i+1]) into windows of at most
 // limit non-zeros, keeping every output boundary one of the input
 // boundaries. A single chunk above the limit stays whole. limit <= 0 yields

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -319,6 +320,44 @@ func TestRunSpoolRoundTrip(t *testing.T) {
 	// The spool is consumed; a second Materialize must refuse.
 	if _, err := sp.Materialize(); err == nil {
 		t.Fatal("Materialize after Materialize should error")
+	}
+}
+
+// TestRunSpoolRunsSplitAMode0Index: runs cut anywhere between two rows —
+// streaming a prepared X ends a window at any sub-tensor boundary,
+// mode 0 or not — still materialize, with only the run starts where mode 0
+// changes in the window index.
+func TestRunSpoolRunsSplitAMode0Index(t *testing.T) {
+	ten := sortedRandom(t, []uint64{50, 6, 4}, 2000, 27)
+	sp, err := NewRunSpool(t.TempDir(), ten.Dims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	starts := []int{0}
+	for lo := 0; lo < ten.NNZ(); lo += 37 {
+		hi := min(lo+37, ten.NNZ())
+		r := &Tensor{Dims: ten.Dims, Inds: make([][]uint32, ten.Order()), Vals: ten.Vals[lo:hi]}
+		for m := range ten.Inds {
+			r.Inds[m] = ten.Inds[m][lo:hi]
+		}
+		if err := sp.Append(r); err != nil {
+			t.Fatal(err)
+		}
+		if lo > 0 && ten.Inds[0][lo] != ten.Inds[0][lo-1] {
+			starts = append(starts, lo)
+		}
+	}
+	m, err := sp.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if !m.Tensor().Equal(ten) {
+		t.Fatal("materialized tensor differs from the spooled runs")
+	}
+	if got := m.chunks[:len(m.chunks)-1]; !slices.Equal(got, starts) {
+		t.Errorf("window index %v, want the mode-0 run starts %v", got, starts)
 	}
 }
 

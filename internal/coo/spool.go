@@ -25,6 +25,7 @@ type RunSpool struct {
 	f     *os.File
 	w     *bufio.Writer
 	runs  []int    // nnz of each appended run
+	wins  []uint64 // run starts that are mode-0 changes: the window index
 	last  []uint32 // final coordinate tuple of the last appended run
 	first []uint32 // scratch: first tuple of the incoming run
 	nnz   int
@@ -84,6 +85,12 @@ func (s *RunSpool) Append(run *Tensor) error {
 	if err := writeColumn(s.w, run.Vals); err != nil {
 		return err
 	}
+	// The materialized file's window index is the run starts where mode 0
+	// changes. (first and last hold an index per mode, at least one: the
+	// length tests are for the bounds-check prover.)
+	if s.nnz == 0 || len(s.first) == 0 || len(s.last) == 0 || s.first[0] != s.last[0] {
+		s.wins = append(s.wins, uint64(s.nnz))
+	}
 	run.Index(n-1, s.last)
 	s.runs = append(s.runs, n)
 	s.nnz += n
@@ -114,7 +121,9 @@ func tupleLess(a, b []uint32) bool {
 }
 
 // Materialize assembles the spooled runs into a sorted v2 SPTN file (window
-// index = the run boundaries) and opens it as a Mapped view. The spool and
+// index = the run boundaries that are mode-0 changes: a run may end inside a
+// mode-0 index, when the runs are cut at sub-tensor boundaries below mode 0)
+// and opens it as a Mapped view. The spool and
 // the materialized file are both unlinked before returning — the mapping is
 // the only remaining reference, and Close (or a dropped handle) releases
 // the storage. The spool is consumed: only Close may follow.
@@ -146,11 +155,7 @@ func (s *RunSpool) Materialize() (*Mapped, error) {
 			return fail(err)
 		}
 	}
-	nwin := uint64(len(s.runs))
-	if s.nnz == 0 {
-		nwin = 0
-	}
-	for _, v := range []uint64{uint64(s.nnz), nwin} {
+	for _, v := range []uint64{uint64(s.nnz), uint64(len(s.wins))} {
 		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
 			return fail(err)
 		}
@@ -158,12 +163,8 @@ func (s *RunSpool) Materialize() (*Mapped, error) {
 	if err := binary.Write(bw, binary.LittleEndian, s.dims); err != nil {
 		return fail(err)
 	}
-	start := 0
-	for _, n := range s.runs {
-		if err := binary.Write(bw, binary.LittleEndian, uint64(start)); err != nil {
-			return fail(err)
-		}
-		start += n
+	if err := binary.Write(bw, binary.LittleEndian, s.wins); err != nil {
+		return fail(err)
 	}
 
 	// Run r's bytes start at sum of earlier run sizes; within a run, column

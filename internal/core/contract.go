@@ -132,100 +132,167 @@ func traceTarget(ctx context.Context, opt Options) (tr *obs.Tracer, track int, r
 // contractMain runs stages ①–⑤ for the Zlocal-buffered algorithms on a
 // prepared X; what is left of stage ① here is Y's half. When prep is non-nil
 // that is skipped too — the prepared table is probed instead and the report
-// is marked HtYReused (no "hty build" span is opened).
+// is marked HtYReused (no "hty build" span is opened) unless this is the
+// table's first use. Stages ②–④ run over all of px as one window.
 func contractMain(ctx context.Context, p *plan, px *PreparedX, prep *PreparedY, opt Options, rep *Report) (*coo.Tensor, *Report, error) {
 	threads := rep.Threads
-	xw, ptrFX := px.view, px.ptrFX
 
 	// ① Input processing -------------------------------------------------
 	// Spans pair with the stage timers; error paths leave a span un-ended,
 	// which the tracer simply never records (End is what appends events).
-	tr, track, reqMode := traceTarget(ctx, opt)
+	tr, track, _ := traceTarget(ctx, opt)
 	spInput := tr.Start("input processing", track)
 	t0 := time.Now()
-	var hty *hashtab.HtYFlat
-	var yw *coo.Tensor
-	var ptrCY []int
+	var y ySide
 	if prep != nil {
-		hty = prep.hty
+		y.hty = prep.hty
 		rep.HtYReused = true
 		prep.fillReport(rep)
 	} else if opt.Algorithm == AlgSparta {
-		hty = buildHtY(ctx, p, opt, threads, rep)
+		y.hty = buildHtY(ctx, p, opt, threads, rep)
 	} else {
-		yw = p.y
+		y.yw = p.y
 		if !opt.InPlace {
-			yw = yw.SortableView()
+			y.yw = y.yw.SortableView()
 		}
-		if err := yw.Permute(p.permY); err != nil {
+		if err := y.yw.Permute(p.permY); err != nil {
 			return nil, nil, err
 		}
-		yw.Sort(threads)
+		y.yw.Sort(threads)
 		var err error
-		if ptrCY, err = yw.SubPtrPar(p.ncm, threads); err != nil {
+		if y.ptrCY, err = y.yw.SubPtrPar(p.ncm, threads); err != nil {
 			return nil, nil, err
 		}
-		rep.BytesY = yw.Bytes()
-		rep.DistinctKeysY = len(ptrCY) - 1
-		rep.MaxSubNNZY = coo.MaxSubNNZ(ptrCY)
+		rep.BytesY = y.yw.Bytes()
+		rep.DistinctKeysY = len(y.ptrCY) - 1
+		rep.MaxSubNNZY = coo.MaxSubNNZ(y.ptrCY)
 	}
 	rep.StageWall[StageInput] = time.Since(t0)
 	rep.StageCPU[StageInput] = rep.StageWall[StageInput]
 	px.fillReport(rep)
 	spInput.End()
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
 
-	// ②③④ Computation; chunk < 1 defers the chunk size to ForChunked's
-	// own heuristic (the single source of truth for chunking). -----------
-	nf := rep.NF
-	if err := checkSubTensorCount(nf); err != nil {
-		return nil, nil, err
-	}
-	ws := makeWorkers(threads, p, opt)
-	spCompute := tr.Start("compute", track)
-	cerr := parallel.ForChunkedWorkCtx(ctx, threads, nf, 0, int64(xw.NNZ()), func(tid, lo, hi int) {
-		var sp obs.Span
-		if !reqMode {
-			sp = tr.Start("subtensor chunk", tid+1)
-		}
-		w := ws[tid]
-		w.startClock()
-		for f := lo; f < hi && w.err == nil; f++ {
-			switch opt.Algorithm {
-			case AlgSparta:
-				w.subSparta(p, xw, hty, ptrFX, f)
-			case AlgCOOHtA:
-				w.subCOOHtA(p, xw, yw, ptrFX, ptrCY, f)
-			case AlgSPA:
-				w.subSPA(p, xw, yw, ptrFX, ptrCY, f)
-			}
-		}
-		w.stopClock()
-		sp.End()
-	})
-	spCompute.End()
-	if cerr != nil {
-		return nil, nil, cerr
-	}
-	if err := writebackErr(ws); err != nil {
-		return nil, nil, err
-	}
-	mergeWorkerStats(rep, ws)
-
-	// ④ Writeback: gather thread-local Zlocal into Z ---------------------
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	spGather := tr.Start("writeback gather", track)
-	t0 = time.Now()
-	z, err := gatherFused(p, xw, ptrFX, ws, rep)
+	z, err := runStages(ctx, p, y, px.windows(0), nil, opt, rep)
 	if err != nil {
 		return nil, nil, err
 	}
-	gatherTime := time.Since(t0)
-	spGather.End()
+	if prep != nil {
+		prep.chargeBuild(rep)
+	}
+	return z, rep, nil
+}
+
+// ySide is what stage ② searches: HtY for Sparta, the sorted COO Y and its
+// contract-key index for the baselines.
+type ySide struct {
+	hty   *hashtab.HtYFlat
+	yw    *coo.Tensor
+	ptrCY []int
+}
+
+// window is runStages' unit of input: X's rows under the contraction
+// permutation (free modes first) and the index of the sub-tensors it runs.
+// The entries of ptrFX are row offsets into view, so a window of a PreparedX
+// is a sub-slice of its index over its shared columns, and a file window is
+// the window's own rows with their own index.
+type window struct {
+	view  *coo.Tensor
+	ptrFX []int
+}
+
+// runStages is stages ②–④, the one loop every tier runs. It builds the
+// workers once; for each window next yields (view nil: no more) it runs the
+// window's sub-tensors in ascending order, each search → accumulate → write
+// on one worker, and gathers their Zlocal runs into one sorted run; it merges
+// and publishes the workers' accounts once at the end. With a nil sink next
+// yields one window and its run is Z, exactly as gatherFused made it.
+// Otherwise each run goes to the sink, which returns Z: windows end at
+// sub-tensor boundaries, so the runs are disjoint and ascending and their
+// concatenation is the one-window Z, bitwise.
+func runStages(ctx context.Context, p *plan, y ySide, next func() (window, error), sink *zSink, opt Options, rep *Report) (*coo.Tensor, error) {
+	threads := rep.Threads
+	tr, track, reqMode := traceTarget(ctx, opt)
+	ws := makeWorkers(threads, p, opt)
+	var z *coo.Tensor
+	var gatherTime time.Duration
+	for {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		win, err := next()
+		if err != nil {
+			return nil, err
+		}
+		if win.view == nil {
+			break
+		}
+		nf := len(win.ptrFX) - 1
+		if err := checkSubTensorCount(nf); err != nil {
+			return nil, err
+		}
+		// chunk < 1 defers the chunk size to ForChunked's own heuristic (the
+		// single source of truth for chunking).
+		spCompute := tr.Start("compute", track)
+		cerr := parallel.ForChunkedWorkCtx(ctx, threads, nf, 0, int64(win.ptrFX[nf]-win.ptrFX[0]), func(tid, lo, hi int) {
+			var sp obs.Span
+			if !reqMode {
+				sp = tr.Start("subtensor chunk", tid+1)
+			}
+			w := ws[tid]
+			w.startClock()
+			for f := lo; f < hi && w.err == nil; f++ {
+				switch opt.Algorithm {
+				case AlgSparta:
+					w.subSparta(p, win.view, y.hty, win.ptrFX, f)
+				case AlgCOOHtA:
+					w.subCOOHtA(p, win.view, y.yw, win.ptrFX, y.ptrCY, f)
+				case AlgSPA:
+					w.subSPA(p, win.view, y.yw, win.ptrFX, y.ptrCY, f)
+				}
+			}
+			w.stopClock()
+			sp.End()
+		})
+		spCompute.End()
+		if cerr != nil {
+			return nil, cerr
+		}
+		if err := writebackErr(ws); err != nil {
+			return nil, err
+		}
+
+		// ④ Writeback: gather thread-local Zlocal into the window's run.
+		spGather := tr.Start("writeback gather", track)
+		t0 := time.Now()
+		run, err := gatherFused(p, win.view, win.ptrFX, ws, rep)
+		if err != nil {
+			return nil, err
+		}
+		gatherTime += time.Since(t0)
+		spGather.End()
+		if sink == nil {
+			z = run
+			break
+		}
+		for _, w := range ws {
+			w.z.reset()
+		}
+		if err := sink.append(run); err != nil {
+			return nil, err
+		}
+		rep.Windows++
+	}
+	mergeWorkerStats(rep, ws)
+	if sink != nil {
+		spMerge := tr.Start("z merge", track)
+		t0 := time.Now()
+		var err error
+		if z, err = sink.finish(); err != nil {
+			return nil, err
+		}
+		gatherTime += time.Since(t0)
+		spMerge.End()
+	}
 	rep.StageWall[StageWrite] += gatherTime
 	rep.StageCPU[StageWrite] += gatherTime
 	rep.NNZZ = z.NNZ()
@@ -240,7 +307,7 @@ func contractMain(ctx context.Context, p *plan, px *PreparedX, prep *PreparedY, 
 	// sort time is reported as rep.SubsortWall, charged to StageWrite where
 	// it ran.
 	publishMetrics(opt.Metrics, rep, ws, nil)
-	return z, rep, nil
+	return z, nil
 }
 
 // ErrOutputTooLarge is what errors.Is matches for every MaxOutputNNZ

@@ -307,11 +307,11 @@ func TestDenseStreamedAndPrepared(t *testing.T) {
 				t.Errorf("pick=%d prepared call %d: no sub-tensor took the dense path", pick, call)
 			}
 		}
-		xs, err := NewTensorStream(x, cmX, 100, 1, false)
+		px, err := PrepareX(context.Background(), x, cmX, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		z, rep, err := ContractStream(context.Background(), xs, pr, StreamOptions{Options: opt})
+		z, rep, err := ContractStreamX(context.Background(), px, 100, pr, StreamOptions{Options: opt})
 		if err != nil {
 			t.Fatal(err)
 		}

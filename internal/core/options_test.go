@@ -152,13 +152,13 @@ func TestZeroOptionsIsSparta(t *testing.T) {
 	if err != nil {
 		t.Fatalf("PreparedY.Contract rejected the zero Options: %v", err)
 	}
-	xs, err := NewTensorStream(x, cx, 50, 1, false)
+	px, err := PrepareX(context.Background(), x, cx, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	zs, _, err := ContractStream(context.Background(), xs, pr, StreamOptions{})
+	zs, _, err := ContractStreamX(context.Background(), px, 50, pr, StreamOptions{})
 	if err != nil {
-		t.Fatalf("ContractStream rejected the zero Options: %v", err)
+		t.Fatalf("ContractStreamX rejected the zero Options: %v", err)
 	}
 	if !zp.Equal(z) || !zs.Equal(z) {
 		t.Fatal("prepared or streamed output differs from one-shot under the zero Options")

@@ -131,29 +131,24 @@ func TestPrepareX(t *testing.T) {
 		t.Fatal("contracting the reordered tensor changed the output")
 	}
 
-	// The streamed tier permutes with the same rule, so it finds the kept
-	// order too: its windows concatenate to xo's rows exactly.
-	xs, err := NewTensorStream(xo, cx, 64, 2, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	at := 0
+	// The streamed tier windows the prepared form itself: its windows are
+	// xo's columns, and their row ranges tile them in order.
+	next, at := again.windows(64), 0
 	for {
-		win, err := xs.Next()
+		win, err := next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if win == nil {
+		if win.view == nil {
 			break
 		}
-		for i := 0; i < win.NNZ(); i, at = i+1, at+1 {
-			if win.Vals[i] != view.Vals[at] {
-				t.Fatalf("streamed row %d carries %v, kept order has %v", at, win.Vals[i], view.Vals[at])
-			}
+		if win.view != again.view || win.ptrFX[0] != at {
+			t.Fatalf("window at row %d: not a range of the prepared rows", at)
 		}
+		at = win.ptrFX[len(win.ptrFX)-1]
 	}
 	if at != xo.NNZ() {
-		t.Fatalf("stream yielded %d rows of %d", at, xo.NNZ())
+		t.Fatalf("windows cover %d rows of %d", at, xo.NNZ())
 	}
 
 	if _, err := PrepareX(ctx, x, []int{4}, opt); err == nil {

@@ -106,7 +106,7 @@ func (pr *PreparedY) Contract(ctx context.Context, x *coo.Tensor, cmodesX []int,
 	if err != nil {
 		return nil, nil, err
 	}
-	return pr.contract(ctx, p, px, opt, rep)
+	return contractMain(ctx, p, px, pr, opt, rep)
 }
 
 // ContractX runs stages ②–⑤ for a prepared X against the prepared table:
@@ -127,7 +127,7 @@ func (pr *PreparedY) ContractX(ctx context.Context, px *PreparedX, opt Options) 
 	if err != nil {
 		return nil, nil, err
 	}
-	return pr.contract(ctx, p, px, opt, rep)
+	return contractMain(ctx, p, px, pr, opt, rep)
 }
 
 // planFor validates a contraction of x over cmodesX against the prepared Y
@@ -147,19 +147,14 @@ func (pr *PreparedY) planFor(x *coo.Tensor, cmodesX []int, opt Options) (*plan, 
 	return p, rep, nil
 }
 
-// contract runs the validated contraction p of px against the table.
-func (pr *PreparedY) contract(ctx context.Context, p *plan, px *PreparedX, opt Options, rep *Report) (*coo.Tensor, *Report, error) {
-	z, rep, err := contractMain(ctx, p, px, pr, opt, rep)
-	if err != nil {
-		return nil, nil, err
-	}
+// chargeBuild reports the table's build on the first contraction that uses
+// it: that call conceptually ran the build, so it reports it the way the
+// one-shot path would.
+func (pr *PreparedY) chargeBuild(rep *Report) {
 	if pr.uses.Add(1) == 1 {
-		// First use: this call conceptually ran the build, so report it
-		// the way the one-shot path would.
 		rep.HtYReused = false
 		rep.HtYBuild = pr.build
 	}
-	return z, rep, nil
 }
 
 // newPlanX builds the contraction plan for an X against the prepared Y,
@@ -208,12 +203,6 @@ func (pr *PreparedY) fillReport(rep *Report) {
 	reportHtY(rep, pr.hty, pr.nnzY, pr.orderY, pr.bytesY)
 }
 
-// NNZY returns the non-zero count of the prepared Y.
-func (pr *PreparedY) NNZY() int { return pr.nnzY }
-
-// OrderY returns the mode count of the prepared Y.
-func (pr *PreparedY) OrderY() int { return pr.orderY }
-
 // NumFreeModes returns the number of free (kept) Y modes.
 func (pr *PreparedY) NumFreeModes() int { return len(pr.fydims) }
 
@@ -223,18 +212,10 @@ func (pr *PreparedY) MaxItemLen() int { return pr.hty.MaxItems }
 // NumBuckets returns the prepared key table's bucket/slot count.
 func (pr *PreparedY) NumBuckets() int { return pr.hty.NumBuckets() }
 
-// BuildTime returns the wall time of the COO→HtY conversion.
-func (pr *PreparedY) BuildTime() time.Duration { return pr.build }
-
 // Bytes reports the resident footprint of the prepared plan: the hash table
 // plus the radix/dim bookkeeping. The engine's LRU cache budgets on this.
 func (pr *PreparedY) Bytes() uint64 {
 	return pr.hty.Bytes() + uint64(len(pr.cdims)+len(pr.fydims))*8 + 160
-}
-
-// EstBytesHtY returns the Eq. 5 size estimate for the prepared table.
-func (pr *PreparedY) EstBytesHtY() uint64 {
-	return hashtab.EstimateHtYBytes(pr.nnzY, pr.orderY, pr.hty.NumBuckets())
 }
 
 // PreparedX is X's half of stage ①, done once: its rows permuted to
@@ -336,6 +317,32 @@ func (px *PreparedX) CmodesX() []int { return px.cmodesX }
 // same. False only for an index box too wide for LN keys, whose only sorter
 // is the tuple quicksort.
 func (px *PreparedX) Stable() bool { return px.sort.Radix || px.t.NNZ() < 2 }
+
+// windows yields px's sub-tensors in ascending order as windows of at most
+// limit rows — the greedy grouping coo.Mapped.Stream applies to a file's
+// chunks, here over px.ptrFX: a sub-tensor larger than limit is a window of
+// its own, and limit <= 0 (or an empty X) is one window of everything.
+func (px *PreparedX) windows(limit int) func() (window, error) {
+	ptr := px.ptrFX
+	lo, nf := 0, len(ptr)-1
+	return func() (window, error) {
+		if lo < 0 {
+			return window{}, nil
+		}
+		hi := min(lo+1, nf)
+		if limit <= 0 {
+			hi = nf
+		}
+		for hi < nf && ptr[hi+1]-ptr[lo] <= limit {
+			hi++
+		}
+		win := window{view: px.view, ptrFX: ptr[lo : hi+1]}
+		if lo = hi; hi == nf {
+			lo = -1
+		}
+		return win, nil
+	}
+}
 
 // fillReport records X's side of stage ① in a contraction's report: the
 // first one on a fresh PreparedX reports the reorder and its wall time as the

@@ -173,10 +173,11 @@ type Report struct {
 	// Their adds are in ProbesHtA/AccumHits/AccumMiss like any other.
 	DenseSubs uint64
 
-	// Streamed is true when the contraction ran the out-of-core windowed
-	// driver (ContractStream) instead of materializing X's working set at
-	// once; Windows is how many X windows it walked and SpilledZ whether
-	// the output was staged through a file-backed spool rather than heap.
+	// Streamed is true when the contraction walked X in windows
+	// (ContractStream, ContractStreamX) instead of materializing X's working
+	// set at once; Windows is how many X windows it walked and SpilledZ
+	// whether the output was staged through a file-backed spool rather than
+	// heap.
 	Streamed bool
 	Windows  int
 	SpilledZ bool

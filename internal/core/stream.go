@@ -6,14 +6,13 @@ import (
 	"time"
 
 	"sparta/internal/coo"
-	"sparta/internal/hashtab"
-	"sparta/internal/parallel"
 )
 
 // XStream yields sorted X windows in contraction mode order (free modes
-// first, contract modes last). Implementations: coo.WindowStream (both the
-// mmap-backed and in-memory variants) — every window boundary must be a
-// mode-0 index change, which is what makes per-window outputs disjoint.
+// first, contract modes last): a mapped file's coo.WindowStream — every
+// window boundary must be a mode-0 index change, which is what makes
+// per-window outputs disjoint. A resident X streams through ContractStreamX
+// instead, as windows of its PreparedX.
 type XStream interface {
 	// Dims returns the streamed tensor's mode sizes, already permuted to
 	// contraction order.
@@ -22,46 +21,10 @@ type XStream interface {
 	NNZ() int
 	// Next returns the next sorted window view, or (nil, nil) at the end.
 	Next() (*coo.Tensor, error)
-	// Reset rewinds the stream to the first window.
-	Reset() error
 }
 
-// NewTensorStream adapts an in-memory X to an XStream: permute to
-// contraction order (free modes first, cmodesX last), sort, and cut into
-// windows of at most windowNNZ non-zeros at mode-0 boundaries. This is the
-// serving path's degrade tier — X is already resident, but streaming bounds
-// the HtA/Zlocal/Z working set to one window. inPlace reuses the caller's
-// tensor like Options.InPlace does.
-func NewTensorStream(x *coo.Tensor, cmodesX []int, windowNNZ, threads int, inPlace bool) (XStream, error) {
-	if x == nil {
-		return nil, fmt.Errorf("core: nil X tensor")
-	}
-	if len(cmodesX) == 0 {
-		return nil, fmt.Errorf("core: contraction needs at least one contract-mode pair")
-	}
-	if len(cmodesX) >= x.Order() {
-		return nil, fmt.Errorf("core: streamed contraction needs at least one free X mode")
-	}
-	inX, err := modeSet(x.Order(), cmodesX, "X")
-	if err != nil {
-		return nil, err
-	}
-	xw := x
-	if !inPlace {
-		xw = x.Clone()
-	}
-	if err := xw.Permute(contractionPerm(inX, cmodesX)); err != nil {
-		return nil, err
-	}
-	if threads < 1 {
-		threads = parallel.DefaultThreads()
-	}
-	xw.SortWith(threads, coo.SortAuto)
-	return coo.StreamSorted(xw, windowNNZ), nil
-}
-
-// StreamOptions configures ContractStream. The embedded Options mean the
-// same as everywhere else (Algorithm must be AlgSparta).
+// StreamOptions configures ContractStream and ContractStreamX. The embedded
+// Options mean the same as everywhere else (Algorithm must be AlgSparta).
 type StreamOptions struct {
 	Options
 	// SpillZ stages the output through a file-backed RunSpool instead of
@@ -74,20 +37,44 @@ type StreamOptions struct {
 	SpillDir string
 }
 
-// ContractStream computes Z = X ×^{prepared} Y walking X window by window:
-// only HtY, one window of X, and one window's accumulators are ever hot at
-// once — the out-of-core execution tier that turns the paper's
-// heterogeneous-memory placement priority into an actual capability.
+// ContractStreamX computes Z = X ×^{prepared} Y walking the prepared X in
+// windows of at most windowNNZ rows (a sub-tensor larger than that is a
+// window of its own; windowNNZ <= 0 is one window): only HtY, X, and one
+// window's accumulators and output run are hot at once — the serving path's
+// degrade tier, where X is resident but its working set is not. The windows
+// are sub-slices of px's index over its columns: nothing of X is copied,
+// sorted or scanned again.
 //
-// Output is bitwise identical to PreparedY.Contract with the same options:
-// window boundaries fall only on mode-0 index changes, so no free-prefix
-// sub-tensor is ever split, each sub-tensor runs through the same
-// subSparta/gatherFused code in the same order, and the per-window sorted
-// runs are disjoint and ascending — their concatenation IS the in-memory
-// output, and stage ⑤ stays dead.
+// Output is bitwise identical to PreparedY.ContractX with the same options:
+// a window may end at any sub-tensor boundary, every sub-tensor runs through
+// the same stage ②–④ code, and the per-window sorted runs are disjoint and
+// ascending, so their concatenation IS the in-memory output. A fully
+// contracted X is one sub-tensor, so one window.
+func ContractStreamX(ctx context.Context, px *PreparedX, windowNNZ int, pr *PreparedY, opt StreamOptions) (*coo.Tensor, *Report, error) {
+	if px == nil {
+		return nil, nil, fmt.Errorf("core: nil prepared X")
+	}
+	if pr == nil {
+		return nil, nil, fmt.Errorf("core: nil prepared Y")
+	}
+	p, rep, err := pr.planFor(px.t, px.cmodesX, opt.Options)
+	if err != nil {
+		return nil, nil, err
+	}
+	px.fillReport(rep)
+	return pr.stream(ctx, p, px.windows(windowNNZ), opt, rep)
+}
+
+// ContractStream computes Z = X ×^{prepared} Y walking a stream of X windows
+// from a file (coo.Mapped.Stream): only HtY, one window of X, and one
+// window's accumulators are ever hot at once — the out-of-core execution
+// tier that turns the paper's heterogeneous-memory placement priority into an
+// actual capability. Each window is bounds-checked and indexed as its pages
+// fault in. Output is bitwise identical to PreparedY.Contract with the same
+// options, for ContractStreamX's reason.
 //
-// The contraction must keep at least one free X mode; a fully contracted X
-// has a single sub-tensor spanning everything and cannot be windowed.
+// The contraction must keep at least one free X mode: windows end at mode-0
+// changes, which are sub-tensor boundaries only when mode 0 is free.
 func ContractStream(ctx context.Context, xs XStream, pr *PreparedY, opt StreamOptions) (*coo.Tensor, *Report, error) {
 	if xs == nil {
 		return nil, nil, fmt.Errorf("core: nil X stream")
@@ -95,215 +82,104 @@ func ContractStream(ctx context.Context, xs XStream, pr *PreparedY, opt StreamOp
 	if pr == nil {
 		return nil, nil, fmt.Errorf("core: nil prepared Y")
 	}
-	if opt.Algorithm != AlgSparta {
-		return nil, nil, fmt.Errorf("core: streamed contraction supports only %v, got %v", AlgSparta, opt.Algorithm)
-	}
 	dims := xs.Dims()
-	ncm := len(pr.cdims)
-	nfx := len(dims) - ncm
+	nfx := len(dims) - len(pr.cdims)
 	if nfx < 1 {
 		return nil, nil, fmt.Errorf("core: streamed contraction needs at least one free X mode (fully contracted X must run in memory)")
 	}
-	for k := 0; k < ncm; k++ {
-		if dims[nfx+k] != pr.cdims[k] {
-			return nil, nil, fmt.Errorf("core: contract pair %d: streamed X mode %d has size %d but prepared Y mode has size %d",
-				k, nfx+k, dims[nfx+k], pr.cdims[k])
-		}
+	// The stream is in contraction order: its trailing modes pair with the
+	// table's contract modes. planFor validates only the dims of the X it is
+	// given; the report's NNZX is the stream's.
+	cmodesX := make([]int, len(pr.cdims))
+	for k := range cmodesX {
+		cmodesX[k] = nfx + k
 	}
-	p := &plan{ncm: ncm, nfx: nfx, nfy: len(pr.fydims), radC: pr.radC, radFY: pr.radFY}
-	p.zdims = append(append(make([]uint64, 0, nfx+p.nfy), dims[:nfx]...), pr.fydims...)
-
-	rep, err := checkOptions(opt.Options, xs.NNZ(), pr.nnzY)
+	p, rep, err := pr.planFor(&coo.Tensor{Dims: dims}, cmodesX, opt.Options)
 	if err != nil {
 		return nil, nil, err
 	}
-	threads := rep.Threads
+	rep.NNZX = xs.NNZ()
+	rep.BytesX = uint64(xs.NNZ()) * uint64(4*len(dims)+8)
+	next := func() (window, error) {
+		for {
+			t0 := time.Now()
+			win, err := xs.Next()
+			if err != nil || win == nil {
+				return window{}, err
+			}
+			if win.NNZ() == 0 {
+				continue
+			}
+			// mmap'd files skip full validation at open; check each window's
+			// indices as its pages fault in, so a corrupt file errors
+			// instead of producing garbage output.
+			if err := win.Validate(); err != nil {
+				return window{}, fmt.Errorf("core: streamed X window: %w", err)
+			}
+			ptrFX, err := win.SubPtrPar(nfx, rep.Threads)
+			if err != nil {
+				return window{}, err
+			}
+			rep.NF += len(ptrFX) - 1
+			rep.MaxSubNNZX = max(rep.MaxSubNNZX, coo.MaxSubNNZ(ptrFX))
+			d := time.Since(t0)
+			rep.StageWall[StageInput] += d
+			rep.StageCPU[StageInput] += d
+			return window{view: win, ptrFX: ptrFX}, nil
+		}
+	}
+	return pr.stream(ctx, p, next, opt, rep)
+}
+
+// stream runs the validated contraction p against the table over the windows
+// next yields, into the sink opt asks for.
+func (pr *PreparedY) stream(ctx context.Context, p *plan, next func() (window, error), opt StreamOptions, rep *Report) (*coo.Tensor, *Report, error) {
 	rep.Streamed = true
 	rep.HtYReused = true
-	rep.BytesX = uint64(xs.NNZ()) * uint64(4*len(dims)+8)
 	pr.fillReport(rep)
-
-	tr, track, _ := traceTarget(ctx, opt.Options)
-	ws := makeWorkers(threads, p, opt.Options)
-	var sink zSink
+	sink := &zSink{dims: p.zdims}
 	if opt.SpillZ {
-		if sink, err = newSpillSink(opt.SpillDir, p.zdims); err != nil {
+		var err error
+		if sink.spool, err = coo.NewRunSpool(opt.SpillDir, p.zdims); err != nil {
 			return nil, nil, err
 		}
-	} else {
-		sink = &heapSink{dims: p.zdims}
+		defer sink.spool.Close() // Materialize closes it too; Close is idempotent
 	}
-	defer sink.abort()
-
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		t0 := time.Now()
-		win, err := xs.Next()
-		if err != nil {
-			return nil, nil, err
-		}
-		if win == nil {
-			break
-		}
-		if win.NNZ() == 0 {
-			continue
-		}
-		// mmap'd files skip full validation at open; check each window's
-		// indices as its pages fault in, so a corrupt file errors instead
-		// of producing garbage output.
-		if err := validateWindow(win, dims); err != nil {
-			return nil, nil, err
-		}
-		ptrFX, err := win.SubPtrPar(nfx, threads)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := checkSubTensorCount(len(ptrFX) - 1); err != nil {
-			return nil, nil, err
-		}
-		rep.NF += len(ptrFX) - 1
-		if ms := coo.MaxSubNNZ(ptrFX); ms > rep.MaxSubNNZX {
-			rep.MaxSubNNZX = ms
-		}
-		d := time.Since(t0)
-		rep.StageWall[StageInput] += d
-		rep.StageCPU[StageInput] += d
-
-		sp := tr.Start("x window", track)
-		cerr := parallel.ForChunkedWorkCtx(ctx, threads, len(ptrFX)-1, 0, int64(win.NNZ()), func(tid, lo, hi int) {
-			w := ws[tid]
-			w.startClock()
-			for f := lo; f < hi && w.err == nil; f++ {
-				w.subSparta(p, win, pr.hty, ptrFX, f)
-			}
-			w.stopClock()
-		})
-		if cerr != nil {
-			sp.End()
-			return nil, nil, cerr
-		}
-		if err := writebackErr(ws); err != nil {
-			sp.End()
-			return nil, nil, err
-		}
-		t0 = time.Now()
-		run, err := gatherFused(p, win, ptrFX, ws, rep)
-		for _, w := range ws {
-			w.z.reset()
-		}
-		if err != nil {
-			sp.End()
-			return nil, nil, err
-		}
-		d = time.Since(t0)
-		rep.StageWall[StageWrite] += d
-		rep.StageCPU[StageWrite] += d
-		if err := sink.append(run); err != nil {
-			sp.End()
-			return nil, nil, err
-		}
-		rep.Windows++
-		sp.End()
-	}
-	mergeWorkerStats(rep, ws)
-
-	spM := tr.Start("z merge", track)
-	t0 := time.Now()
-	z, err := sink.finish()
-	d := time.Since(t0)
-	spM.End()
+	z, err := runStages(ctx, p, ySide{hty: pr.hty}, next, sink, opt.Options, rep)
 	if err != nil {
 		return nil, nil, err
 	}
-	rep.StageWall[StageWrite] += d
-	rep.StageCPU[StageWrite] += d
-	rep.NNZZ = z.NNZ()
-	rep.BytesZ = z.Bytes()
 	rep.SpilledZ = opt.SpillZ
-	if p.nfy > 0 && rep.MaxSubNNZY > 0 {
-		rep.EstBytesHtAPerTh = hashtab.EstimateHtABytes(
-			hashtab.NextPow2(rep.MaxSubNNZY), rep.MaxSubNNZX, rep.MaxSubNNZY, p.nfy)
-	}
-	if pr.uses.Add(1) == 1 {
-		rep.HtYReused = false
-		rep.HtYBuild = pr.build
-	}
-	publishMetrics(opt.Metrics, rep, ws, nil)
+	pr.chargeBuild(rep)
 	return z, rep, nil
 }
 
-// validateWindow bounds-checks one window's indices against the mode sizes;
-// the per-window slice of the full-tensor validation mmap loading defers.
-func validateWindow(win *coo.Tensor, dims []uint64) error {
-	for m, col := range win.Inds {
-		d := dims[m]
-		for _, v := range col {
-			if uint64(v) >= d {
-				return fmt.Errorf("core: streamed X window: index %d out of range for mode %d (size %d)", v, m, d)
-			}
-		}
+// zSink collects the per-window sorted output runs, which arrive disjoint and
+// ascending. Without a spool they stay on the heap and are concatenated at
+// the end — the tier for outputs that fit the budget even when X does not.
+// With one they go through a file-backed coo.RunSpool whose materialized
+// file comes back as an mmap view, so Z is never heap-resident.
+type zSink struct {
+	dims  []uint64
+	runs  []*coo.Tensor
+	spool *coo.RunSpool
+}
+
+func (s *zSink) append(run *coo.Tensor) error {
+	if s.spool != nil {
+		return s.spool.Append(run)
 	}
-	return nil
-}
-
-// zSink collects the per-window sorted output runs. abort is idempotent and
-// safe after finish.
-type zSink interface {
-	append(run *coo.Tensor) error
-	finish() (*coo.Tensor, error)
-	abort()
-}
-
-// heapSink accumulates runs in memory and merges at the end — the tier for
-// outputs that fit the budget even when X does not.
-type heapSink struct {
-	dims []uint64
-	runs []*coo.Tensor
-	done bool
-}
-
-func (s *heapSink) append(run *coo.Tensor) error {
 	s.runs = append(s.runs, run)
 	return nil
 }
 
-func (s *heapSink) finish() (*coo.Tensor, error) {
-	s.done = true
-	return coo.MergeRuns(s.dims, s.runs)
-}
-
-func (s *heapSink) abort() { s.runs = nil }
-
-// spillSink stages runs through a file-backed RunSpool and hands back an
-// mmap view, so Z is never heap-resident.
-type spillSink struct {
-	spool *coo.RunSpool
-	done  bool
-}
-
-func newSpillSink(dir string, dims []uint64) (*spillSink, error) {
-	sp, err := coo.NewRunSpool(dir, dims)
-	if err != nil {
-		return nil, err
+func (s *zSink) finish() (*coo.Tensor, error) {
+	if s.spool == nil {
+		return coo.MergeRuns(s.dims, s.runs)
 	}
-	return &spillSink{spool: sp}, nil
-}
-
-func (s *spillSink) append(run *coo.Tensor) error { return s.spool.Append(run) }
-
-func (s *spillSink) finish() (*coo.Tensor, error) {
-	s.done = true
 	m, err := s.spool.Materialize()
 	if err != nil {
 		return nil, err
 	}
 	return m.Tensor(), nil
-}
-
-func (s *spillSink) abort() {
-	if !s.done {
-		_ = s.spool.Close()
-	}
 }

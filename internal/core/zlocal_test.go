@@ -235,11 +235,11 @@ func TestStreamChunkedZlocal(t *testing.T) {
 		}
 		stream := func(x *coo.Tensor) (*coo.Tensor, *Report) {
 			t.Helper()
-			xs, err := NewTensorStream(x, cmX, block.NNZ(), 1, false)
+			px, err := PrepareX(context.Background(), x, cmX, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			z, rep, err := ContractStream(context.Background(), xs, pr, StreamOptions{Options: opt})
+			z, rep, err := ContractStreamX(context.Background(), px, block.NNZ(), pr, StreamOptions{Options: opt})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -405,11 +405,11 @@ func TestOutputLimit(t *testing.T) {
 		}
 		// Windows of ~40 outputs: the bound trips in the third window, so
 		// the account has to carry across resets.
-		xs, err := NewTensorStream(x, cmX, 20, 1, false)
+		px, err := PrepareX(context.Background(), x, cmX, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, err = ContractStream(context.Background(), xs, pr, StreamOptions{Options: opt})
+		_, _, err = ContractStreamX(context.Background(), px, 20, pr, StreamOptions{Options: opt})
 		check("streamed", threads, true, err)
 	}
 

@@ -73,7 +73,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 // Shards returns the executor count.
 func (c *Coordinator) Shards() int { return len(c.execs) }
 
-// Ring exposes the routing ring (fingerprint-affinity lookups, tests).
+// Ring exposes the routing ring (tests).
 func (c *Coordinator) Ring() *Ring { return c.ring }
 
 // Close closes every executor, returning the first error.
@@ -85,14 +85,6 @@ func (c *Coordinator) Close() error {
 		}
 	}
 	return first
-}
-
-// OwnerOf returns the executor index the engine's 128-bit content
-// fingerprint routes to — plan affinity for callers that pin whole requests
-// (rather than partitions) to the shard holding the warm PreparedY. The two
-// fingerprint lanes are folded to the ring's 64-bit key space.
-func (c *Coordinator) OwnerOf(hi, lo uint64) int {
-	return c.ring.Owner(mix64(hi ^ mix64(lo)))
 }
 
 // shardResult is one fan-out leg's outcome.
@@ -234,8 +226,7 @@ func (c *Coordinator) Contract(ctx context.Context, x, y *coo.Tensor, cmodesX, c
 
 // Einsum is Contract with an Einstein-summation spec, mirroring
 // engine.Einsum (including the output permutation and re-sort) so a
-// Coordinator satisfies the same Contractor seam sptc-serve and EvalChainOn
-// call through.
+// Coordinator satisfies the Contractor seam EvalChainOn calls through.
 func (c *Coordinator) Einsum(ctx context.Context, spec string, x, y *coo.Tensor, opt core.Options) (*coo.Tensor, *core.Report, error) {
 	ein, err := einsum.Parse(spec)
 	if err != nil {
@@ -248,13 +239,8 @@ func (c *Coordinator) Einsum(ctx context.Context, spec string, x, y *coo.Tensor,
 	if err != nil {
 		return nil, nil, err
 	}
-	if !ein.IdentityOut {
-		if err := z.Permute(ein.OutPerm); err != nil {
-			return nil, nil, err
-		}
-		if !opt.SkipOutputSort {
-			z.Sort(opt.Threads)
-		}
+	if err := ein.Output(z, !opt.SkipOutputSort, opt.Threads); err != nil {
+		return nil, nil, err
 	}
 	return z, rep, nil
 }

@@ -18,11 +18,10 @@ type LocalConfig struct {
 	// MaxInflight bounds concurrent contractions on this shard (per-shard
 	// backpressure; 0 = unbounded). Blocked callers respect ctx.
 	MaxInflight int
-	// WindowNNZ, when >0, runs the shard through the windowed streaming
-	// driver (core.ContractStream) with this window size — the oracle
-	// suite's streamed-tier case. Shards whose X cannot be streamed (no
-	// free mode) fall back to the in-memory driver; both produce bitwise
-	// identical output.
+	// WindowNNZ, when >0, streams the shard's prepared X in windows of at
+	// most this many rows (core.ContractStreamX) — the oracle suite's
+	// streamed-tier case. A fully contracted X is one window; the output is
+	// bitwise the in-memory path's either way.
 	WindowNNZ int
 	// Metrics, when non-nil, receives the shard engine's cache counters.
 	Metrics *obs.Registry
@@ -57,9 +56,6 @@ func NewLocal(name string, cfg LocalConfig) *Local {
 // Name implements Executor.
 func (l *Local) Name() string { return l.name }
 
-// Engine exposes the shard's plan cache for stats scraping.
-func (l *Local) Engine() *engine.Engine { return l.eng }
-
 // Contract implements Executor: prepare (or reuse) the HtY through the
 // shard's plan cache, then contract the shard's X against it.
 func (l *Local) Contract(ctx context.Context, x, y *coo.Tensor, job Job) (*coo.Tensor, *core.Report, error) {
@@ -76,14 +72,19 @@ func (l *Local) Contract(ctx context.Context, x, y *coo.Tensor, job Job) (*coo.T
 	if err != nil {
 		return nil, nil, err
 	}
+	var z *coo.Tensor
+	var rep *core.Report
 	if l.windowNNZ > 0 {
-		if xs, serr := core.NewTensorStream(x, job.CmodesX, l.windowNNZ, opt.Threads, opt.InPlace); serr == nil {
-			return core.ContractStream(ctx, xs, pr, core.StreamOptions{Options: opt})
+		// The partition is the shard's own (the coordinator sets InPlace):
+		// prepare it where it lies and stream windows of the prepared rows.
+		px, perr := core.PrepareX(ctx, x, job.CmodesX, opt)
+		if perr != nil {
+			return nil, nil, perr
 		}
-		// Unstreamable shard (e.g. fully contracted X): in-memory fallback,
-		// bitwise identical by the stream driver's own invariant.
+		z, rep, err = core.ContractStreamX(ctx, px, l.windowNNZ, pr, core.StreamOptions{Options: opt})
+	} else {
+		z, rep, err = pr.Contract(ctx, x, job.CmodesX, opt)
 	}
-	z, rep, err := pr.Contract(ctx, x, job.CmodesX, opt)
 	if err != nil {
 		return nil, nil, err
 	}

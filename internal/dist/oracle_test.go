@@ -218,6 +218,26 @@ func TestShardOracleFullContraction(t *testing.T) {
 	}
 }
 
+// TestShardOracleStreamedFullContraction: a fully contracted shard on the
+// streamed tier is one window of its prepared X, not an in-memory fallback,
+// and still the oneshot scalar.
+func TestShardOracleStreamedFullContraction(t *testing.T) {
+	x := gen.Random([]uint64{16, 12}, 150, 3)
+	y := gen.Random([]uint64{16, 12}, 140, 4)
+	tc := contractCase{x: x, y: y, cx: []int{0, 1}, cy: []int{0, 1}, label: "streamed full contraction"}
+	opt := core.Options{Algorithm: core.AlgSparta, Threads: 2}
+	want := oneshot(t, tc, opt)
+	c := localFleet(t, 4, LocalConfig{WindowNNZ: 16})
+	z, rep, err := c.Contract(context.Background(), x, y, tc.cx, tc.cy, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdentical(t, tc.label, z, want)
+	if !rep.Streamed || rep.Windows != 1 || rep.Shards != 1 {
+		t.Errorf("streamed %v in %d windows on %d shards, want one window on one shard", rep.Streamed, rep.Windows, rep.Shards)
+	}
+}
+
 // TestShardWarmPlanReuse: the second request through the same fleet must hit
 // every shard's plan cache (HtYReused aggregates with AND across shards).
 func TestShardWarmPlanReuse(t *testing.T) {

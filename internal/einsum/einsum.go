@@ -7,6 +7,8 @@ package einsum
 import (
 	"fmt"
 	"strings"
+
+	"sparta/internal/coo"
 )
 
 // Plan is the parsed form of an einsum spec.
@@ -134,6 +136,23 @@ func (p *Plan) CheckRanks(spec string, orderX, orderY int) error {
 	}
 	if len(p.Y) != orderY {
 		return fmt.Errorf("einsum: spec %q gives Y %d modes, tensor has %d", spec, len(p.Y), orderY)
+	}
+	return nil
+}
+
+// Output puts z, a contraction's result in the natural order (X's free modes
+// then Y's), into the spec's output order: it permutes the modes and, unless
+// sorted is false, re-sorts the rows the permutation left out of order. An
+// identity output is left as it is.
+func (p *Plan) Output(z *coo.Tensor, sorted bool, threads int) error {
+	if p.IdentityOut {
+		return nil
+	}
+	if err := z.Permute(p.OutPerm); err != nil {
+		return err
+	}
+	if sorted {
+		z.Sort(threads)
 	}
 	return nil
 }

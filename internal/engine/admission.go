@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"sparta/internal/core"
+	"sparta/internal/hashtab"
 	"sparta/internal/hetmem"
 )
 
@@ -34,19 +35,9 @@ func EstimateFootprint(nnzX int, pr *core.PreparedY) Footprint {
 	maxY := pr.MaxItemLen()
 	return Footprint{
 		HtY:          pr.Bytes(),
-		HtAPerThread: hetmemEq6(pr.NumBuckets(), nnzX, maxY, pr.NumFreeModes()),
+		HtAPerThread: hashtab.EstimateHtABytes(pr.NumBuckets(), nnzX, maxY, pr.NumFreeModes()),
 		ZLocal:       uint64(nnzX) * uint64(maxY) * zlEntryBytes,
 	}
-}
-
-// hetmemEq6 mirrors hashtab.EstimateHtABytes without importing it here
-// (identical constants); kept local so the admission formula is readable in
-// one place: Size_ep*#Buckets + nnzFmaxX*nnzFmaxY*(Size_idx*|F_Y| + Size_val
-// + Size_ep).
-func hetmemEq6(buckets, nnzFmaxX, nnzFmaxY, freeModesY int) uint64 {
-	const sizeEP, sizeIdx, sizeVal = 8, 8, 8
-	return uint64(buckets)*sizeEP +
-		uint64(nnzFmaxX)*uint64(nnzFmaxY)*(sizeIdx*uint64(freeModesY)+sizeVal+sizeEP)
 }
 
 // Total is the summed demand across threads.

@@ -10,6 +10,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strconv"
 	"strings"
 	"sync"
@@ -178,15 +179,15 @@ func (e *Engine) Contract(ctx context.Context, x, y *coo.Tensor, cmodesX, cmodes
 
 // ContractX is Contract for an X prepared earlier (core.PrepareX) and a Y
 // whose fingerprint may be known (PrepareFP's rule; zero = compute it): on a
-// plan-cache hit neither input is scanned before the first HtY probe. The
-// baseline algorithms have nothing to reuse and contract px.Tensor()
-// one-shot, finding its rows in order.
+// plan-cache hit neither input is scanned before the first HtY probe. Only
+// AlgSparta is supported, as in PreparedY.ContractX: the baselines have no
+// prepared form to reuse.
 func (e *Engine) ContractX(ctx context.Context, px *core.PreparedX, y *coo.Tensor, fpY Fingerprint, cmodesY []int, opt core.Options) (*coo.Tensor, *core.Report, error) {
 	if px == nil {
 		return nil, nil, errors.New("engine: nil prepared X")
 	}
 	if opt.Algorithm != core.AlgSparta {
-		return core.ContractCtx(ctx, px.Tensor(), y, px.CmodesX(), cmodesY, opt)
+		return nil, nil, fmt.Errorf("engine: prepared contraction supports only %v, got %v", core.AlgSparta, opt.Algorithm)
 	}
 	pr, hit, err := e.PrepareFP(ctx, y, fpY, cmodesY, opt)
 	if err != nil {
@@ -219,13 +220,8 @@ func (e *Engine) Einsum(ctx context.Context, spec string, x, y *coo.Tensor, opt 
 	if err != nil {
 		return nil, nil, err
 	}
-	if !ein.IdentityOut {
-		if err := z.Permute(ein.OutPerm); err != nil {
-			return nil, nil, err
-		}
-		if !opt.SkipOutputSort {
-			z.Sort(opt.Threads)
-		}
+	if err := ein.Output(z, !opt.SkipOutputSort, opt.Threads); err != nil {
+		return nil, nil, err
 	}
 	return z, rep, nil
 }

@@ -240,14 +240,14 @@ func TestContractXScansNeitherInput(t *testing.T) {
 		t.Fatalf("zero fingerprint: hit %v, %v, want the plan stored under Y's own", hit, err)
 	}
 
-	// The baselines have nothing to reuse: they contract px.Tensor().
-	ref, _, err := core.ContractCtx(ctx, x, y, cx, cy, core.Options{Algorithm: core.AlgSPA, Threads: 2})
-	if err != nil {
-		t.Fatal(err)
+	// The baselines have no prepared form: ContractX refuses them, as
+	// PreparedY.ContractX does, without touching the plan cache.
+	before := eng.Stats()
+	if _, _, err := eng.ContractX(ctx, px, y, fp, cy, core.Options{Algorithm: core.AlgSPA, Threads: 2}); err == nil {
+		t.Error("baseline algorithm accepted by ContractX")
 	}
-	z, rep, err := eng.ContractX(ctx, px, y, fp, cy, core.Options{Algorithm: core.AlgSPA, Threads: 2})
-	if err != nil || !z.Equal(ref) || rep.Algorithm != core.AlgSPA {
-		t.Errorf("baseline through ContractX: %v, equal %v", err, err == nil && z.Equal(ref))
+	if s := eng.Stats(); s != before {
+		t.Errorf("a refused baseline looked up a plan: stats %+v -> %+v", before, s)
 	}
 	if _, _, err := eng.ContractX(ctx, nil, y, fp, cy, opt); err == nil {
 		t.Error("nil PreparedX accepted")

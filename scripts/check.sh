@@ -12,8 +12,9 @@ set -eu
 cd "$(dirname "$0")/.."
 GO="${GO:-go}"
 # The packages that race-run in full: no expensive short-mode skips, and the
-# lock-free builds, open-addressed tables and worker arenas live here.
-hot="./internal/hashtab ./internal/core ./internal/engine ./internal/plan ./internal/sortx ./internal/obs ./internal/dist"
+# lock-free builds, open-addressed tables and worker arenas live here, plus
+# the server, whose tiers share stored operands across concurrent requests.
+hot="./internal/hashtab ./internal/core ./internal/engine ./internal/plan ./internal/sortx ./internal/obs ./internal/dist ./cmd/sptc-serve"
 $GO build ./...
 (cd benchmark && $GO vet . && $GO test .)
 unformatted="$(gofmt -l .)"

@@ -72,19 +72,15 @@ type Mapped = coo.Mapped
 // files on little-endian unix hosts; a heap fallback elsewhere).
 func OpenMapped(path string) (*Mapped, error) { return coo.OpenMapped(path) }
 
-// XStream yields sorted X windows for ContractStream; see Mapped.Stream and
-// NewTensorStream for the two producers.
+// XStream yields sorted X windows for ContractStream: Mapped.Stream cuts a
+// sorted file, already in contraction mode order, into windows at mode-0
+// changes, and ContractStream bounds-checks and indexes each window as its
+// pages fault in.
 type XStream = core.XStream
 
 // StreamOptions configures ContractStream (Options plus the Z spill
 // controls).
 type StreamOptions = core.StreamOptions
-
-// NewTensorStream adapts an in-memory X to an XStream: permute to
-// contraction order, sort, and cut into sub-tensor-aligned windows.
-func NewTensorStream(x *Tensor, cmodesX []int, windowNNZ, threads int, inPlace bool) (XStream, error) {
-	return core.NewTensorStream(x, cmodesX, windowNNZ, threads, inPlace)
-}
 
 // ContractStream computes Z walking X window by window against a prepared
 // Y, keeping only one window's working set hot; output is bitwise identical
