@@ -33,11 +33,11 @@ perf-baseline:
 # (the parallel HtY build and open-addressed tables live or die by this).
 # The bench experiments run -short under race — at full tilt they exceed
 # the test timeout on small machines — while the hot packages (hashtab,
-# core, engine, plan, sortx, obs, dist, cmd/sptc-serve), which have no expensive short-mode
+# core, engine, plan, sortx, obs, dist, lnum, cmd/sptc-serve), which have no expensive short-mode
 # skips, always race-run in full, once plain and once with the -tags assert
 # invariant checks compiled in (probe bounds, load factor, arena-offset
 # monotonicity, DP split partitions, estimator non-negativity, LRU recency
-# generations; see internal/invariant). The commands and the hot-package
+# generations, LN key ranges; see internal/invariant). The commands and the hot-package
 # list live in scripts/check.sh, which also runs without make.
 verify:
 	GO="$(GO)" ./scripts/check.sh

@@ -46,6 +46,8 @@ var perfClean = []string{
 	"internal/sortx.lsdRange",              // ① LSD radix inner loop
 	"internal/sortx.insertionKP",           // ① small-run fallback inside SortPairs
 	"internal/core.gatherFused.func1",      // ⑤ fused-writeback scatter closure
+	"internal/lnum.Radix.DecodeColumns",    // ④ free-Y column decode of a run
+	"internal/lnum.decodeBlockCols",        // ④ its multi-mode block pass
 	"internal/core.worker.accumulateDense", // ③ direct-indexed accumulate loop
 	"internal/core.worker.flushDense",      // ④ occupancy-bitmap walk into Zlocal
 }

@@ -272,6 +272,11 @@ var clockOrigin = time.Now()
 // clock-budget test can count the reads; library code never assigns it.
 var stageNow = func() int64 { return int64(time.Since(clockOrigin)) }
 
+// gatherNow is the clock each writeback gather goroutine reads once at the
+// start and once at the end of its busy interval. A variable of its own so a
+// test can stub it without touching the stage clock's read budget.
+var gatherNow = func() int64 { return int64(time.Since(clockOrigin)) }
+
 // The stage clock. A worker times a chunk of sub-tensors with one chain of
 // readings: startClock opens the first search interval, each stamp closes
 // the open interval into a stage and opens the next at the same reading, so

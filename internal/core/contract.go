@@ -214,7 +214,7 @@ func runStages(ctx context.Context, p *plan, y ySide, next func() (window, error
 	tr, track, reqMode := traceTarget(ctx, opt)
 	ws := makeWorkers(threads, p, opt)
 	var z *coo.Tensor
-	var gatherTime time.Duration
+	var gatherWall, gatherCPU time.Duration
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -264,11 +264,12 @@ func runStages(ctx context.Context, p *plan, y ySide, next func() (window, error
 		// ④ Writeback: gather thread-local Zlocal into the window's run.
 		spGather := tr.Start("writeback gather", track)
 		t0 := time.Now()
-		run, err := gatherFused(p, win.view, win.ptrFX, ws, rep)
+		run, cpu, err := gatherFused(p, win.view, win.ptrFX, ws, rep)
 		if err != nil {
 			return nil, err
 		}
-		gatherTime += time.Since(t0)
+		gatherWall += time.Since(t0)
+		gatherCPU += cpu
 		spGather.End()
 		if sink == nil {
 			z = run
@@ -290,11 +291,13 @@ func runStages(ctx context.Context, p *plan, y ySide, next func() (window, error
 		if z, err = sink.finish(); err != nil {
 			return nil, err
 		}
-		gatherTime += time.Since(t0)
+		merge := time.Since(t0)
+		gatherWall += merge
+		gatherCPU += merge
 		spMerge.End()
 	}
-	rep.StageWall[StageWrite] += gatherTime
-	rep.StageCPU[StageWrite] += gatherTime
+	rep.StageWall[StageWrite] += gatherWall
+	rep.StageCPU[StageWrite] += gatherCPU
 	rep.NNZZ = z.NNZ()
 	rep.BytesZ = z.Bytes()
 	if p.nfy > 0 {
@@ -408,7 +411,14 @@ func buildHtY(ctx context.Context, p *plan, opt Options, threads int, rep *Repor
 // free-Y columns. Every f is processed by exactly one worker, so the per-f
 // counts never collide. Stage ⑤ on this path is the per-run sorts, reported
 // as rep.SubsortWall (max across workers, as stage walls are).
-func gatherFused(p *plan, xw *coo.Tensor, ptrFX []int, ws []*worker, rep *Report) (*coo.Tensor, error) {
+//
+// The scatter is column-major: a run is three column writes — its values
+// copied, each free-X column filled with the run's constant, its keys decoded
+// into the free-Y columns by one Radix.DecodeColumns call. The returned
+// duration is the gather's CPU time: Z's allocation on the calling goroutine
+// plus each scatter goroutine's busy interval, one clock pair per goroutine.
+func gatherFused(p *plan, xw *coo.Tensor, ptrFX []int, ws []*worker, rep *Report) (*coo.Tensor, time.Duration, error) {
+	allocStart := time.Now()
 	nf := len(ptrFX) - 1
 	counts := make([]int, nf)
 	for _, w := range ws {
@@ -421,7 +431,7 @@ func gatherFused(p *plan, xw *coo.Tensor, ptrFX []int, ws []*worker, rep *Report
 	offsets, total := parallel.PrefixSum(counts)
 	z, err := coo.New(p.zdims, 0)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	z.Vals = make([]float64, total)
 	for m := range z.Inds {
@@ -434,7 +444,7 @@ func gatherFused(p *plan, xw *coo.Tensor, ptrFX []int, ws []*worker, rep *Report
 	}
 	xCols := xw.Inds[:p.nfx]
 	zIndsX := z.Inds[:p.nfx]
-	zIndsY := z.Inds[p.nfx:]
+	zIndsY := z.Inds[p.nfx : p.nfx+p.nfy] // empty for a scalar Z's placeholder mode
 	zVals := z.Vals
 	radFY := p.radFY
 	// Per-worker scratch lives out here so the scatter closure itself stays
@@ -442,21 +452,19 @@ func gatherFused(p *plan, xw *coo.Tensor, ptrFX []int, ws []*worker, rep *Report
 	// escapes and zero bounds checks. The guards on impossible conditions
 	// below (runs tiling Zlocal, offsets tiling [0,total)) exist for the
 	// bounds-check prover and replace the compiler's implicit panics.
-	bufs := make([][]uint32, len(ws))
-	for i := range bufs {
-		bufs[i] = make([]uint32, p.nfy)
-	}
 	sks := make([][]uint64, len(ws))
 	svs := make([][]float64, len(ws))
 	subsortNS := make([]int64, len(ws))
+	busyNS := make([]int64, len(ws))
+	cpu := time.Since(allocStart) // Z's allocation, on the calling goroutine
 	parallel.For(len(ws), len(ws), func(_, wlo, whi int) {
-		if wlo < 0 || whi > len(ws) || whi > len(bufs) ||
-			whi > len(sks) || whi > len(svs) || whi > len(subsortNS) {
-			return // impossible: parallel.For splits [0,len(ws))
+		if wlo < 0 || wlo >= whi || whi > len(ws) || whi > len(sks) ||
+			whi > len(svs) || whi > len(subsortNS) || whi > len(busyNS) {
+			return // impossible: parallel.For splits [0,len(ws)) into non-empty ranges
 		}
+		start := gatherNow()
 		for wi := wlo; wi < whi; wi++ {
 			w := ws[wi]
-			buf := bufs[wi]
 			chunks, used := w.z.chunks, w.z.used
 			if used < 0 || used > len(chunks) {
 				continue // impossible: used counts the live prefix of chunks
@@ -528,32 +536,22 @@ func gatherFused(p *plan, xw *coo.Tensor, ptrFX []int, ws []*worker, rep *Report
 							run[j] = v
 						}
 					}
-					// Free-Y columns decode per item.
-					for j, ln := range runK {
-						radFY.Decode(ln, buf)
-						zp := pos + j
-						for m, v := range buf {
-							if m >= len(zIndsY) {
-								continue // impossible: buf has one entry per free-Y mode
-							}
-							dst := zIndsY[m]
-							if uint(zp) >= uint(len(dst)) {
-								continue // impossible: Z columns span total
-							}
-							dst[zp] = v
-						}
-					}
+					// Free-Y columns decode from the run's keys, one column
+					// at a time.
+					radFY.DecodeColumns(runK, zIndsY, pos)
 					k = end
 				}
 			}
 		}
+		busyNS[wlo] = gatherNow() - start
 	})
-	for _, ns := range subsortNS {
+	for i, ns := range subsortNS {
 		if d := time.Duration(ns); d > rep.SubsortWall {
 			rep.SubsortWall = d
 		}
+		cpu += time.Duration(busyNS[i])
 	}
-	return z, nil
+	return z, cpu, nil
 }
 
 // mergeWorkerStats folds per-thread timing and counters into the report:

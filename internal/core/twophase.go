@@ -99,7 +99,6 @@ func contractTwoPhase(ctx context.Context, p *plan, px *PreparedX, opt Options, 
 		}
 		defer sp.End()
 		w := ws[tid]
-		buf := make([]uint32, p.nfy)
 		w.startClock()
 		defer w.stopClock()
 		for f := lo; f < hi; f++ {
@@ -114,7 +113,7 @@ func contractTwoPhase(ctx context.Context, p *plan, px *PreparedX, opt Options, 
 			w.stamp(&w.accumNS)
 
 			// ④ writeback: straight into the pre-sized Z at this
-			// sub-tensor's exact offset.
+			// sub-tensor's exact offset, column by column.
 			pos := zoff[f]
 			xAt := ptrFX[f]
 			keys, vals := w.hta.Keys(), w.hta.Vals()
@@ -126,22 +125,16 @@ func contractTwoPhase(ctx context.Context, p *plan, px *PreparedX, opt Options, 
 					"two-phase: sub-tensor %d produced %d keys numerically but %d symbolically",
 					f, len(keys), counts[f])
 			}
-			for k := range keys {
-				for m := 0; m < p.nfx; m++ {
-					z.Inds[m][pos] = xw.Inds[m][xAt]
+			end := pos + len(keys)
+			for m := 0; m < p.nfx; m++ {
+				v := xw.Inds[m][xAt]
+				col := z.Inds[m][pos:end]
+				for j := range col {
+					col[j] = v
 				}
-				p.radFY.Decode(keys[k], buf)
-				for m := 0; m < p.nfy; m++ {
-					z.Inds[p.nfx+m][pos] = buf[m]
-				}
-				z.Vals[pos] = vals[k]
-				pos++
 			}
-			if invariant.Enabled {
-				invariant.Assertf(pos-zoff[f] == counts[f],
-					"two-phase: sub-tensor %d wrote %d rows into a range sized %d",
-					f, pos-zoff[f], counts[f])
-			}
+			p.radFY.DecodeColumns(keys, z.Inds[p.nfx:p.nfx+p.nfy], pos)
+			copy(z.Vals[pos:end], vals)
 			w.hta.Reset()
 			w.stamp(&w.writeNS)
 		}

@@ -39,7 +39,8 @@ func TestNewRadixBoundaryFit(t *testing.T) {
 
 // FuzzLNRoundTrip cross-checks NewRadix's overflow verdict against a
 // math/big oracle, then round-trips Encode/Decode/At/EncodeStrided for
-// in-range tuples. Seed corpus sits right on the 2^64 boundary.
+// in-range tuples and checks DecodeColumns against math/big division. Seed
+// corpus sits right on the 2^64 boundary.
 func FuzzLNRoundTrip(f *testing.F) {
 	f.Add(uint64(3), uint64(4), uint64(5), uint32(2), uint32(3), uint32(4))
 	f.Add(uint64(1)<<32, uint64(1)<<32, uint64(1), uint32(0), uint32(0), uint32(0))       // exactly 2^64: overflow
@@ -93,6 +94,30 @@ func FuzzLNRoundTrip(f *testing.F) {
 		cols := [][]uint32{{idx[0]}, {idx[1]}, {idx[2]}}
 		if got := r.EncodeStrided(cols, 0); got != ln {
 			t.Fatalf("EncodeStrided = %d, Encode = %d", got, ln)
+		}
+
+		// The column decode of every leading sub-radix, against math/big
+		// long division. A coordinate of a mode wider than 2^32 keeps its
+		// low 32 bits, as Decode's does.
+		for k := 1; k <= len(dims); k++ {
+			rk := MustRadix(dims[:k])
+			keys := []uint64{ln % rk.Card(), rk.Card() - 1, 0}
+			const at = 2
+			out := make([][]uint32, k)
+			for m := range out {
+				out[m] = make([]uint32, at+len(keys))
+			}
+			rk.DecodeColumns(keys, out, at)
+			for j, key := range keys {
+				rem := new(big.Int).SetUint64(key)
+				for m := k - 1; m >= 0; m-- {
+					mod := new(big.Int)
+					rem.DivMod(rem, new(big.Int).SetUint64(dims[m]), mod)
+					if got, want := out[m][at+j], uint32(mod.Uint64()); got != want {
+						t.Fatalf("DecodeColumns over %v: key %d mode %d = %d, big.Int says %d", dims[:k], key, m, got, want)
+					}
+				}
+			}
 		}
 	})
 }

@@ -110,16 +110,110 @@ func (r *Radix) EncodeStrided(idx [][]uint32, at int) uint64 {
 	return ln
 }
 
-// Decode inverts Encode into dst, which must have Order() entries.
+// Decode inverts Encode into dst, which must have Order() entries. The
+// leading mode is the final quotient, so a tuple of k modes costs k-1
+// divisions, the arithmetic DecodeColumns uses.
 func (r *Radix) Decode(ln uint64, dst []uint32) {
 	if len(dst) != len(r.dims) {
 		panic(fmt.Sprintf("lnum: Decode arity %d, want %d", len(dst), len(r.dims)))
 	}
-	for m := len(r.dims) - 1; m >= 0; m-- {
-		d := r.dims[m]
+	if len(dst) == 0 {
+		return
+	}
+	dims := r.dims[:len(dst)]
+	for m := len(dst) - 1; m > 0; m-- {
+		d := dims[m]
 		dst[m] = uint32(ln % d)
 		ln /= d
 	}
+	dst[0] = uint32(ln)
+}
+
+// decodeBlock is how many keys DecodeColumns carries through the modes at a
+// time; their running quotients live in a stack array of this length.
+const decodeBlock = 256
+
+// errColumns is DecodeColumns' panic value for columns that cannot take the
+// run: a constant error, so the hot loop boxes nothing.
+var errColumns = errors.New("lnum: DecodeColumns needs Order() columns reaching at+len(lns)")
+
+// DecodeColumns inverts Encode for a run of keys straight into mode-major
+// columns: lns[j] decodes into cols[0][at+j], ..., cols[Order()-1][at+j].
+// Each column is written as one sequential stream. The leading mode is the
+// final quotient, so a key costs Order()-1 divisions: one mode is a plain
+// conversion. With Order() 0 it writes nothing, whatever cols holds.
+// cols[m] for m < Order() must reach at+len(lns); violations panic.
+func (r *Radix) DecodeColumns(lns []uint64, cols [][]uint32, at int) {
+	dims := r.dims
+	if len(dims) == 0 {
+		return
+	}
+	if len(cols) < len(dims) {
+		panic(errColumns)
+	}
+	cols = cols[:len(dims)]
+	if invariant.Enabled {
+		for _, ln := range lns {
+			invariant.Assertf(ln < r.card,
+				"lnum: key %d out of range for cardinality %d; decode would truncate the leading mode", ln, r.card)
+		}
+	}
+	if len(dims) == 1 {
+		dst := column(cols[0], at, len(lns))
+		for j, ln := range lns {
+			dst[j] = uint32(ln)
+		}
+		return
+	}
+	var rest [decodeBlock]uint64
+	for len(lns) > decodeBlock {
+		decodeBlockCols(dims, lns[:decodeBlock], cols, at, &rest)
+		lns = lns[decodeBlock:]
+		at += decodeBlock
+	}
+	decodeBlockCols(dims, lns, cols, at, &rest)
+}
+
+// decodeBlockCols is DecodeColumns for at most decodeBlock keys and at least
+// two modes, one mode at a time from the last: each pass writes one column
+// and leaves the quotients in rest for the next; the leading column is what
+// remains.
+func decodeBlockCols(dims []uint64, blk []uint64, cols [][]uint32, at int, rest *[decodeBlock]uint64) {
+	if len(blk) > len(rest) || len(dims) < 2 || len(cols) != len(dims) {
+		panic(errColumns)
+	}
+	q := rest[:len(blk)]
+	m := len(dims) - 1
+	d := dims[m]
+	dst := column(cols[m], at, len(blk))
+	for j, v := range blk {
+		dst[j] = uint32(v % d)
+		q[j] = v / d
+	}
+	for m--; m > 0; m-- {
+		d := dims[m]
+		dst := column(cols[m], at, len(q))
+		for j, v := range q {
+			dst[j] = uint32(v % d)
+			q[j] = v / d
+		}
+	}
+	dst = column(cols[0], at, len(q))
+	for j, v := range q {
+		dst[j] = uint32(v)
+	}
+}
+
+// column is col[at:at+n], or a panic with errColumns when col is too short.
+func column(col []uint32, at, n int) []uint32 {
+	if uint(at) > uint(len(col)) {
+		panic(errColumns)
+	}
+	col = col[at:]
+	if uint(n) > uint(len(col)) {
+		panic(errColumns)
+	}
+	return col[:n]
 }
 
 // At extracts the m-th tuple element of an encoded value without decoding

@@ -1,6 +1,7 @@
 package lnum
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -191,5 +192,149 @@ func TestQuickMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// decodeCase is one radix DecodeColumns is checked over, with the keys that
+// must be among those decoded.
+type decodeCase struct {
+	name string
+	dims []uint64
+	keys []uint64
+}
+
+func decodeCases() []decodeCase {
+	rng := rand.New(rand.NewSource(34))
+	var cs []decodeCase
+	// Orders 0-5 over random small dims, 700 keys: two whole blocks of the
+	// multi-mode path and a tail.
+	for order := 0; order <= 5; order++ {
+		dims := make([]uint64, order)
+		for m := range dims {
+			dims[m] = uint64(rng.Intn(40)) + 1
+		}
+		cs = append(cs, decodeCase{name: fmt.Sprintf("order %d", order), dims: dims})
+	}
+	const max32 = math.MaxUint32
+	cs = append(cs,
+		decodeCase{name: "one mode of 2^32-1", dims: []uint64{max32}},
+		decodeCase{name: "2^32-1 after a small mode", dims: []uint64{3, max32}},
+		decodeCase{name: "2^32-1 between small modes", dims: []uint64{5, max32, 7}},
+		// The boundary radices of TestNewRadixBoundaryFit: card 2^64-2^32 and
+		// a single mode of 2^64-1, whose coordinates keep their low 32 bits.
+		decodeCase{name: "card 2^64-2^32", dims: []uint64{1 << 32, max32},
+			keys: []uint64{1<<32*max32 - 1, 1<<32*max32 - 2, 1 << 32, max32}},
+		decodeCase{name: "one mode of 2^64-1", dims: []uint64{math.MaxUint64},
+			keys: []uint64{math.MaxUint64 - 1, max32, 1 << 32}},
+	)
+	for i := range cs {
+		card := MustRadix(cs[i].dims).Card()
+		cs[i].keys = append(cs[i].keys, 0, card-1)
+		for len(cs[i].keys) < 700 {
+			cs[i].keys = append(cs[i].keys, rng.Uint64()%card)
+		}
+	}
+	return cs
+}
+
+// TestDecodeColumnsMatchesDecode: decoding a run of keys into columns at an
+// offset writes exactly what Decode writes key by key, and nothing outside
+// [at, at+len(keys)).
+func TestDecodeColumnsMatchesDecode(t *testing.T) {
+	const sentinel = 0xDEADBEEF
+	for _, c := range decodeCases() {
+		r := MustRadix(c.dims)
+		for _, at := range []int{1, 3, 257} {
+			// An order-0 radix gets one placeholder column, as a scalar Z
+			// has, which it must leave alone.
+			cols := make([][]uint32, max(len(c.dims), 1))
+			for m := range cols {
+				cols[m] = make([]uint32, at+len(c.keys)+2)
+				for i := range cols[m] {
+					cols[m][i] = sentinel
+				}
+			}
+			r.DecodeColumns(c.keys, cols, at)
+			dec := make([]uint32, len(c.dims))
+			for j, ln := range c.keys {
+				r.Decode(ln, dec)
+				for m, want := range dec {
+					if got := cols[m][at+j]; got != want {
+						t.Fatalf("%s at %d: key %d mode %d = %d, Decode says %d", c.name, at, ln, m, got, want)
+					}
+				}
+			}
+			for m, col := range cols {
+				for i, v := range col {
+					inRun := i >= at && i < at+len(c.keys) && m < len(c.dims)
+					if !inRun && v != sentinel {
+						t.Fatalf("%s at %d: column %d row %d written outside the run", c.name, at, m, i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDecodeColumnsRejectsShortColumns: too few columns, a column that ends
+// inside the run, and a negative offset panic with errColumns instead of
+// writing part of the run.
+func TestDecodeColumnsRejectsShortColumns(t *testing.T) {
+	r := MustRadix([]uint64{4, 5})
+	keys := []uint64{1, 2, 3}
+	for _, c := range []struct {
+		name string
+		cols [][]uint32
+		at   int
+	}{
+		{"one column for two modes", [][]uint32{make([]uint32, 8)}, 0},
+		{"column ends inside the run", [][]uint32{make([]uint32, 8), make([]uint32, 4)}, 2},
+		{"negative offset", [][]uint32{make([]uint32, 8), make([]uint32, 8)}, -1},
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != errColumns {
+					t.Errorf("%s: recovered %v, want errColumns", c.name, got)
+				}
+			}()
+			r.DecodeColumns(keys, c.cols, c.at)
+		}()
+	}
+}
+
+// BenchmarkDecodeColumns decodes a run of 4096 keys into columns, beside the
+// per-key Decode loop it replaces in the writeback, for 1-4 modes.
+func BenchmarkDecodeColumns(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	const n = 4096
+	for order := 1; order <= 4; order++ {
+		dims := []uint64{40000, 300, 17, 1000}[:order]
+		r := MustRadix(dims)
+		keys := make([]uint64, n)
+		for i := range keys {
+			keys[i] = rng.Uint64() % r.Card()
+		}
+		cols := make([][]uint32, order)
+		for m := range cols {
+			cols[m] = make([]uint32, n)
+		}
+		b.Run(fmt.Sprintf("modes=%d/columns", order), func(b *testing.B) {
+			b.SetBytes(8 * n)
+			for i := 0; i < b.N; i++ {
+				r.DecodeColumns(keys, cols, 0)
+			}
+		})
+		b.Run(fmt.Sprintf("modes=%d/per-key-Decode", order), func(b *testing.B) {
+			b.SetBytes(8 * n)
+			buf := make([]uint32, order)
+			for i := 0; i < b.N; i++ {
+				for j, ln := range keys {
+					r.Decode(ln, buf)
+					for m, v := range buf {
+						cols[m][j] = v
+					}
+				}
+			}
+		})
 	}
 }

@@ -13,8 +13,9 @@ cd "$(dirname "$0")/.."
 GO="${GO:-go}"
 # The packages that race-run in full: no expensive short-mode skips, and the
 # lock-free builds, open-addressed tables and worker arenas live here, plus
-# the server, whose tiers share stored operands across concurrent requests.
-hot="./internal/hashtab ./internal/core ./internal/engine ./internal/plan ./internal/sortx ./internal/obs ./internal/dist ./cmd/sptc-serve"
+# the server, whose tiers share stored operands across concurrent requests,
+# and the LN codec, whose -tags assert range checks guard every key decode.
+hot="./internal/hashtab ./internal/core ./internal/engine ./internal/plan ./internal/sortx ./internal/obs ./internal/dist ./internal/lnum ./cmd/sptc-serve"
 $GO build ./...
 (cd benchmark && $GO vet . && $GO test .)
 unformatted="$(gofmt -l .)"
