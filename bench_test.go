@@ -74,7 +74,7 @@ func BenchmarkFig4(b *testing.B) {
 // subset; sptc-bench -exp fig5 runs all ten).
 func BenchmarkFig5(b *testing.B) {
 	for _, id := range []int{1, 4, 10} {
-		bx, by, spec, err := gen.Hubbard(id, 42)
+		bx, by, spec, err := gen.Hubbard(id, 0, 42)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -5,8 +5,8 @@
 //	sptc-bench -exp fig4 -scale 20000   # larger synthetic datasets
 //
 // Experiments: fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 table2 table3 table4
-// headline ablation duel all. See DESIGN.md §4 for the experiment index
-// and EXPERIMENTS.md for paper-vs-measured results.
+// headline scaling ablation search duel twophase all. See DESIGN.md §4 for
+// the experiment index and EXPERIMENTS.md for paper-vs-measured results.
 //
 // Observability (DESIGN.md §8):
 //
@@ -59,12 +59,7 @@ var experiments = []struct {
 	{"ablation", "design-choice ablations", bench.Ablation},
 	{"search", "Y index-search structure comparison (COO/CSF/HtY)", bench.SearchAblation},
 	{"duel", "stage-by-stage algorithm comparison on one workload", bench.Duel},
-	{"planner", "contraction-order duel: written chains vs cost-based planner", runPlanner},
 	{"twophase", "symbolic+numeric two-phase SpTC vs Sparta's dynamic allocation", bench.TwoPhase},
-	{"ooc", "out-of-core duel: mmap-streamed windows vs in-memory driver", runOOC},
-	{"shard", "shard duel: scatter/gather across S workers vs one-shot", runShard},
-	{"formats", "storage formats: COO vs CSF vs HiCOO footprint and scan", bench.Formats},
-	{"reorder", "frequency index reordering: block density and Sparta time", bench.Reorder},
 }
 
 func main() {
@@ -78,11 +73,9 @@ func main() {
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/pprof, /debug/vars on this address")
 		hold        = flag.Duration("hold", 0, "keep serving -metrics-addr this long after the experiments finish")
 	)
-	commit := flag.String("commit", "", "git revision recorded in -json metadata (default: the binary's stamped vcs.revision)")
-	flag.StringVar(&duelJSON, "json", "", "for -exp planner/ooc/shard: also write the duel rows to this JSON file")
 	flag.Parse()
 
-	cfg := bench.Config{Scale: *scale, Threads: *threads, Seed: *seed, DRAMFraction: *dramFrac, Commit: *commit}
+	cfg := bench.Config{Scale: *scale, Threads: *threads, Seed: *seed, DRAMFraction: *dramFrac}
 	if *tracePath != "" {
 		cfg.Tracer = obs.NewTracer()
 	}
@@ -171,24 +164,6 @@ func printHistograms(w io.Writer, reg *obs.Registry) {
 		fmt.Fprintln(w)
 		stats.RenderHistogram(w, s.Name+s.Labels, s.Bounds, s.Counts)
 	}
-}
-
-// duelJSON is the -json flag: when set, the planner, ooc and shard
-// experiments also persist their rows (this is how the BENCH_*.json files
-// at the repo root are produced: sptc-bench -exp planner -json BENCH_3.json
-// and so on — see `make bench-json`).
-var duelJSON string
-
-func runPlanner(w io.Writer, cfg bench.Config) error {
-	return bench.PlannerJSON(w, cfg, duelJSON)
-}
-
-func runOOC(w io.Writer, cfg bench.Config) error {
-	return bench.OOCJSON(w, cfg, duelJSON)
-}
-
-func runShard(w io.Writer, cfg bench.Config) error {
-	return bench.ShardJSON(w, cfg, duelJSON)
 }
 
 func runTable3(w io.Writer, cfg bench.Config) error {

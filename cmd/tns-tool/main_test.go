@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"os"
@@ -70,6 +71,34 @@ func TestSubcommands(t *testing.T) {
 	if err := run([]string{"diff", tns, bin}); err != nil {
 		t.Fatalf("diff identical: %v", err)
 	}
+
+	// The v2 legs the streamed tier reads: .bin (v1) -> .sptn (v2), and
+	// .tns -> sorted .sptn in one step; both must hold x's non-zeros.
+	sptn := filepath.Join(dir, "x.sptn")
+	if err := run([]string{"convert", "-o", sptn, bin}); err != nil {
+		t.Fatalf("convert to .sptn: %v", err)
+	}
+	sortedSptn := filepath.Join(dir, "sorted.sptn")
+	if err := run([]string{"sort", "-o", sortedSptn, tns}); err != nil {
+		t.Fatalf("sort to .sptn: %v", err)
+	}
+	for _, f := range []string{sptn, sortedSptn} {
+		if v := binVersion(t, f); v != 2 {
+			t.Fatalf("%s: format version %d, want 2", filepath.Base(f), v)
+		}
+	}
+	if err := run([]string{"diff", bin, sptn}); err != nil {
+		t.Fatalf("diff .bin .sptn: %v", err)
+	}
+	if err := run([]string{"diff", sptn, sortedSptn}); err != nil {
+		t.Fatalf("diff .sptn sorted .sptn: %v", err)
+	}
+	if err := run([]string{"stat", sptn}); err != nil {
+		t.Fatalf("stat .sptn: %v", err)
+	}
+	if s, err := load(sortedSptn); err != nil || !s.IsSorted() {
+		t.Fatalf("sort -o .sptn: unsorted or unreadable (%v)", err)
+	}
 	y := x.Clone()
 	y.Vals[0] += 1
 	other := filepath.Join(dir, "y.tns")
@@ -80,6 +109,20 @@ func TestSubcommands(t *testing.T) {
 	if err := run([]string{"diff", "-tol", "2", tns, other}); err != nil {
 		t.Fatalf("diff with tolerance: %v", err)
 	}
+}
+
+// binVersion reads the format version of a binary tensor file: the
+// little-endian uint32 after the 4-byte magic (coo/binio.go).
+func binVersion(t *testing.T, path string) uint32 {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b) < 8 {
+		t.Fatalf("%s: %d bytes, no header", path, len(b))
+	}
+	return binary.LittleEndian.Uint32(b[4:8])
 }
 
 func TestErrors(t *testing.T) {

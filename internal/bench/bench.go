@@ -36,9 +36,6 @@ type Config struct {
 	// distinct contraction once.
 	Tracer  *obs.Tracer
 	Metrics *obs.Registry
-	// Commit labels JSON duel outputs with the source revision (sptc-bench
-	// -commit; empty falls back to the binary's stamped vcs.revision).
-	Commit string
 }
 
 // Default returns the standard laptop-scale configuration.

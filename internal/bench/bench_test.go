@@ -2,6 +2,7 @@ package bench
 
 import (
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -62,8 +63,6 @@ func TestExperimentsRunEndToEnd(t *testing.T) {
 		"fig9":     Fig9,
 		"duel":     Duel,
 		"twophase": TwoPhase,
-		"formats":  Formats,
-		"reorder":  Reorder,
 		"search":   SearchAblation,
 	}
 	for name, f := range exps {
@@ -131,6 +130,22 @@ func TestScalingAndAblationRun(t *testing.T) {
 	for _, want := range []string{"Ablation 1", "Ablation 2"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in ablation output", want)
+		}
+	}
+}
+
+func TestScalingLadder(t *testing.T) {
+	for _, tc := range []struct {
+		scale int
+		want  []int
+	}{
+		{8000, []int{1000, 2000, 4000, 8000}},
+		{600, []int{75, 150, 300, 600}},
+		{4, []int{1, 1, 2, 4}},
+		{0, []int{1, 1, 1, 1}},
+	} {
+		if got := scalingLadder(tc.scale); !slices.Equal(got, tc.want) {
+			t.Errorf("scalingLadder(%d) = %v, want %v", tc.scale, got, tc.want)
 		}
 	}
 }

@@ -104,13 +104,13 @@ func Headline(w io.Writer, c Config) error {
 
 // Fig5 compares element-wise Sparta against the block-sparse (ITensor-style)
 // contraction on the ten Hubbard-2D pairs — the paper's Figure 5 (7.1×
-// average speedup for Sparta).
+// average speedup for Sparta). X follows c.Scale as in Table4.
 func Fig5(w io.Writer, c Config) error {
 	fmt.Fprintln(w, "Figure 5: Sparta vs block-sparse (ITensor-style) on Hubbard-2D")
 	tab := stats.NewTable("SpTC", "nnzX", "nnzY", "Block time", "Sparta time", "Speedup")
 	var sp []float64
 	for id := 1; id <= len(gen.HubbardSpecs); id++ {
-		bx, by, spec, err := gen.Hubbard(id, c.Seed)
+		bx, by, spec, err := gen.Hubbard(id, c.Scale, c.Seed)
 		if err != nil {
 			return err
 		}

@@ -23,13 +23,9 @@ func Scaling(w io.Writer, c Config) error {
 		{Preset: mustPreset("NIPS"), Modes: 2},
 		{Preset: mustPreset("Uracil"), Modes: 3},
 	}
-	scales := []int{1000, 2000, 4000, 8000}
-	if c.Scale > 8000 {
-		scales = append(scales, c.Scale)
-	}
 	tab := stats.NewTable("Workload", "nnz", "SpTC-SPA", "Sparta", "Speedup", "SPA search steps", "HtY probes")
 	for _, wl := range workloads {
-		for _, sc := range scales {
+		for _, sc := range scalingLadder(c.Scale) {
 			cfg := c
 			cfg.Scale = sc
 			_, repS, err := cfg.RunWorkload(wl, core.AlgSPA)
@@ -48,4 +44,15 @@ func Scaling(w io.Writer, c Config) error {
 	tab.Render(w)
 	fmt.Fprintln(w, "(SPA search steps grow superlinearly in nnz; HtY probes stay ~ nnzX — the Eq. 3 vs Eq. 4 gap)")
 	return nil
+}
+
+// scalingLadder is Scaling's dataset sizes: scale/8, /4, /2 and scale
+// itself (-scale 8000 gives 1000…8000). Each is at least 1, because
+// gen.Generate reads a target of 0 as the preset's full size.
+func scalingLadder(scale int) []int {
+	var ladder []int
+	for _, div := range []int{8, 4, 2, 1} {
+		ladder = append(ladder, max(1, scale/div))
+	}
+	return ladder
 }

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"math"
 	"testing"
 
 	"sparta/internal/coo"
@@ -147,16 +148,16 @@ func TestHubbardSpecsTable4(t *testing.T) {
 			}
 		}
 	}
-	if _, _, _, err := Hubbard(0, 1); err == nil {
+	if _, _, _, err := Hubbard(0, 0, 1); err == nil {
 		t.Error("id 0 accepted")
 	}
-	if _, _, _, err := Hubbard(11, 1); err == nil {
+	if _, _, _, err := Hubbard(11, 0, 1); err == nil {
 		t.Error("id 11 accepted")
 	}
 }
 
 func TestHubbardGeneration(t *testing.T) {
-	x, y, spec, err := Hubbard(1, 42)
+	x, y, spec, err := Hubbard(1, 0, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,9 +189,52 @@ func TestHubbardGeneration(t *testing.T) {
 		t.Fatalf("X nnz = %d, want within 50%% of %d", nnz, want)
 	}
 	// Deterministic.
-	x2, _, _, _ := Hubbard(1, 42)
+	x2, _, _, _ := Hubbard(1, 0, 42)
 	if x2.NNZ(HubbardCutoff) != nnz {
 		t.Fatal("Hubbard generation not deterministic")
+	}
+}
+
+// TestHubbardScaled checks that a scale below the table's XNNZ shrinks X's
+// block count and non-zeros in proportion while keeping dims and the
+// in-block fill of the full-size pair, and that a scale at or above XNNZ is
+// the full-size pair itself.
+func TestHubbardScaled(t *testing.T) {
+	full, _, spec, err := Hubbard(1, 0, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, y, _, err := Hubbard(1, 2000, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xd := small.Dims()
+	for m := range xd {
+		if xd[m] != spec.XDims[m] {
+			t.Fatalf("scaled X dims = %v", xd)
+		}
+	}
+	frac := 2000 / float64(spec.XNNZ)
+	if want := frac * float64(full.NumBlocks()); math.Abs(float64(small.NumBlocks())-want) > 1 {
+		t.Fatalf("scaled X blocks = %d, want %.1f", small.NumBlocks(), want)
+	}
+	if nnz := small.NNZ(HubbardCutoff); nnz < 1000 || nnz > 3000 {
+		t.Fatalf("scaled X nnz = %d, want within 50%% of 2000", nnz)
+	}
+	fullFill := float64(full.NNZ(HubbardCutoff)) / float64(full.DenseElems())
+	smallFill := float64(small.NNZ(HubbardCutoff)) / float64(small.DenseElems())
+	if smallFill < fullFill/2 || smallFill > fullFill*2 {
+		t.Fatalf("scaled in-block fill %.4f, full %.4f", smallFill, fullFill)
+	}
+	if y.NNZ(HubbardCutoff) == 0 || y.NumBlocks() > spec.YBlocks {
+		t.Fatalf("Y scaled with X: %d blocks", y.NumBlocks())
+	}
+	same, _, _, err := Hubbard(1, spec.XNNZ, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if same.NumBlocks() != full.NumBlocks() || same.NNZ(HubbardCutoff) != full.NNZ(HubbardCutoff) {
+		t.Fatal("scale = XNNZ differs from the full-size pair")
 	}
 }
 

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"sparta/internal/blocksparse"
@@ -60,26 +61,38 @@ func hubbardPartition(d uint64) []uint64 {
 	return parts
 }
 
-// Hubbard synthesizes the SpTC pair for Table 4 row id (1-based) at full
-// paper scale. Blocks are distinct random sector tuples; inside each block,
-// elements exceed the 1e-8 cutoff with the probability that makes the
-// expected post-cutoff non-zero count match the table.
-func Hubbard(id int, seed int64) (x, y *blocksparse.Tensor, spec HubbardSpec, err error) {
+// Hubbard synthesizes the SpTC pair for Table 4 row id (1-based). Blocks
+// are distinct random sector tuples; inside each block, elements exceed the
+// 1e-8 cutoff with the probability that makes the expected post-cutoff
+// non-zero count match the table.
+//
+// scale caps X's non-zero target, as sptc-bench's -scale does for presets:
+// below the row's XNNZ, X keeps its dims, block extents and in-block
+// density and draws only scale/XNNZ of its blocks. scale <= 0 or
+// scale >= XNNZ is the paper's size. Y (360 non-zeros) is never scaled.
+func Hubbard(id, scale int, seed int64) (x, y *blocksparse.Tensor, spec HubbardSpec, err error) {
 	if id < 1 || id > len(HubbardSpecs) {
 		return nil, nil, HubbardSpec{}, fmt.Errorf("gen: Hubbard id %d out of range [1,%d]", id, len(HubbardSpecs))
 	}
 	spec = HubbardSpecs[id-1]
+	frac := 1.0
+	if scale > 0 && scale < spec.XNNZ {
+		frac = float64(scale) / float64(spec.XNNZ)
+	}
 	rng := rand.New(rand.NewSource(seed + int64(id)*7919))
-	if x, err = hubbardTensor(spec.XDims, spec.XBlocks, spec.XNNZ, rng); err != nil {
+	if x, err = hubbardTensor(spec.XDims, spec.XBlocks, spec.XNNZ, frac, rng); err != nil {
 		return nil, nil, spec, err
 	}
-	if y, err = hubbardTensor(spec.YDims, spec.YBlocks, spec.YNNZ, rng); err != nil {
+	if y, err = hubbardTensor(spec.YDims, spec.YBlocks, spec.YNNZ, 1, rng); err != nil {
 		return nil, nil, spec, err
 	}
 	return x, y, spec, nil
 }
 
-func hubbardTensor(dims []uint64, nblocks, nnz int, rng *rand.Rand) (*blocksparse.Tensor, error) {
+// hubbardTensor draws frac of the row's blocks (after capping them at the
+// partition's sector-tuple space) with frac of its non-zeros, so the
+// in-block fill does not depend on frac.
+func hubbardTensor(dims []uint64, nblocks, nnz int, frac float64, rng *rand.Rand) (*blocksparse.Tensor, error) {
 	parts := make([][]uint64, len(dims))
 	secCount := make([]int, len(dims))
 	possible := 1.0
@@ -94,6 +107,10 @@ func hubbardTensor(dims []uint64, nblocks, nnz int, rng *rand.Rand) (*blockspars
 	// reported next to the targets by sptc-bench -exp table4).
 	if float64(nblocks) > possible {
 		nblocks = int(possible)
+	}
+	if frac < 1 {
+		nblocks = max(1, int(math.Round(frac*float64(nblocks))))
+		nnz = max(1, int(math.Round(frac*float64(nnz))))
 	}
 	t, err := blocksparse.New(parts)
 	if err != nil {

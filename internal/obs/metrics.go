@@ -408,8 +408,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				return err
 			}
 			// Merged-shard quantile estimates, exported as a sibling series
-			// (summary-style quantile label) so dashboards and the loadgen
-			// cross-check read pXX without reconstructing bucket math.
+			// (summary-style quantile label) so dashboards read pXX without
+			// reconstructing bucket math.
 			if s.Count > 0 {
 				for _, eq := range exportQuantiles {
 					if _, err := fmt.Fprintf(w, "%s_quantile%s %s\n",

@@ -5,21 +5,18 @@ package obs
 // in); a pXX estimate interpolates linearly inside the bucket holding the
 // target rank — the same estimator Prometheus's histogram_quantile applies
 // server-side, computed here so /metrics can export p50/p95/p99 directly
-// and the load generator can cross-check its client-side histogram against
-// the server's without a query engine in between.
+// without a query engine in between.
 //
 // Accuracy is bounded by bucket resolution: the estimate lands in the same
 // bucket as the exact order statistic, so the worst-case relative error is
 // one bucket's relative width (LatencyBuckets grow by 7% per bucket).
-// Crucially, two histograms with the same bounds and near-identical data
-// produce near-identical estimates, which is what the client/server
-// agreement check in sptc-loadgen leans on.
+// Two histograms with the same bounds and near-identical data produce
+// near-identical estimates.
 
-// LatencyBuckets is the request-latency bucket layout shared by the server's
-// RED histograms and sptc-loadgen's client-side histogram: log-spaced at
-// 7% growth from 50µs to >120s. The growth rate is the cross-check's error
-// budget: a sparse tail can shift an interpolated quantile by a full bucket,
-// so one bucket must stay under the 10% client/server agreement gate.
+// LatencyBuckets is the request-latency bucket layout of the server's RED
+// histograms: log-spaced at 7% growth from 50µs to >120s. The growth rate
+// is the quantile estimate's error budget: a sparse tail can shift an
+// interpolated quantile by a full bucket.
 var LatencyBuckets = func() []float64 {
 	var b []float64
 	for v := 50e-6; ; v *= 1.07 {

@@ -104,8 +104,8 @@ func TestLatencyBucketsShape(t *testing.T) {
 	}
 	for i := 1; i < len(LatencyBuckets); i++ {
 		ratio := LatencyBuckets[i] / LatencyBuckets[i-1]
-		// One bucket's width is the client/server cross-check's error
-		// budget; it must stay under the 10% agreement gate.
+		// One bucket's width is the quantile estimate's error budget
+		// (TestQuantileAgainstSortOracle's 8% tolerance).
 		if ratio <= 1 || ratio > 1.0701 {
 			t.Fatalf("bucket %d growth %.4f outside (1, 1.07]", i, ratio)
 		}

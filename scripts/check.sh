@@ -4,17 +4,16 @@
 # compiles against the library's signatures but has its own go.mod, so the
 # root build never sees it), gofmt -l (must list nothing), vet, the sptc-lint
 # analyzer suite, the hot-path escape/BCE budget (sptc-lint -perf vs
-# lint/hotpath_budget.json), and the race-detector test sweep (-short for the
-# bench experiments, full for the hot packages — see the Makefile note), then
+# lint/hotpath_budget.json), the race detector over the whole module, then
 # the hot packages again with -tags assert so the internal/invariant checks
 # are compiled in.
 set -eu
 cd "$(dirname "$0")/.."
 GO="${GO:-go}"
-# The packages that race-run in full: no expensive short-mode skips, and the
-# lock-free builds, open-addressed tables and worker arenas live here, plus
-# the server, whose tiers share stored operands across concurrent requests,
-# and the LN codec, whose -tags assert range checks guard every key decode.
+# The packages that run again with -tags assert: the lock-free builds,
+# open-addressed tables and worker arenas live here, plus the server, whose
+# tiers share stored operands across concurrent requests, and the LN codec,
+# whose -tags assert range checks guard every key decode.
 hot="./internal/hashtab ./internal/core ./internal/engine ./internal/plan ./internal/sortx ./internal/obs ./internal/dist ./internal/lnum ./cmd/sptc-serve"
 $GO build ./...
 (cd benchmark && $GO vet . && $GO test .)
@@ -27,6 +26,5 @@ fi
 $GO vet ./...
 $GO run ./cmd/sptc-lint ./...
 $GO run ./cmd/sptc-lint -perf
-$GO test -race -short ./...
-$GO test -race $hot
+$GO test -race ./...
 $GO test -race -tags assert $hot

@@ -37,8 +37,6 @@ import (
 	"sparta/internal/engine"
 	"sparta/internal/gen"
 	"sparta/internal/hetmem"
-	"sparta/internal/hicoo"
-	"sparta/internal/reorder"
 )
 
 // Tensor is a sparse tensor in coordinate (COO) format. See NewTensor,
@@ -254,31 +252,12 @@ func BlockContractCtx(ctx context.Context, x, y *BlockTensor, cmodesX, cmodesY [
 
 // Hubbard generates the SpTC pair of Table 4 row id (1..10) at paper scale.
 func Hubbard(id int, seed int64) (x, y *BlockTensor, spec gen.HubbardSpec, err error) {
-	return gen.Hubbard(id, seed)
+	return gen.Hubbard(id, 0, seed)
 }
 
 // HubbardCutoff is the element-wise truncation the paper applies to the
 // Hubbard tensors (1e-8).
 const HubbardCutoff = gen.HubbardCutoff
-
-// ---------------------------------------------------------------------------
-// Formats and reordering
-
-// HiCOO is a block-compressed sparse tensor (hierarchical COO): one byte
-// per mode per non-zero inside 2^bits-wide blocks. See CompressHiCOO.
-type HiCOO = hicoo.Tensor
-
-// CompressHiCOO converts a duplicate-free COO tensor to HiCOO with
-// 2^bits-wide blocks (1 <= bits <= 8). Expand back with its ToCOO method.
-func CompressHiCOO(t *Tensor, bits uint) (*HiCOO, error) { return hicoo.FromCOO(t, bits) }
-
-// Relabeling is a per-mode index bijection from ReorderByFrequency.
-type Relabeling = reorder.Relabeling
-
-// ReorderByFrequency builds the frequency relabeling of t: on each mode,
-// the index value with the most non-zeros becomes 0, and so on. Apply it
-// with Relabeling.Apply (then re-Sort); restore labels with Undo.
-func ReorderByFrequency(t *Tensor) *Relabeling { return reorder.ByFrequency(t) }
 
 // ---------------------------------------------------------------------------
 // Heterogeneous memory

@@ -120,30 +120,6 @@ func TestFacadeHetmem(t *testing.T) {
 	}
 }
 
-func TestFacadeFormatsAndReorder(t *testing.T) {
-	x := Random([]uint64{40, 40}, 200, 21)
-	h, err := CompressHiCOO(x, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back := h.ToCOO()
-	back.Sort(0)
-	if !back.Equal(x) {
-		t.Fatal("HiCOO round trip via facade broken")
-	}
-	r := ReorderByFrequency(x)
-	xr := x.Clone()
-	if err := r.Apply(xr); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Undo(xr); err != nil {
-		t.Fatal(err)
-	}
-	if !xr.Equal(x) {
-		t.Fatal("relabel round trip via facade broken")
-	}
-}
-
 func TestFacadeTwoPhase(t *testing.T) {
 	x := Random([]uint64{12, 10}, 50, 22)
 	y := Random([]uint64{10, 9}, 50, 23)
