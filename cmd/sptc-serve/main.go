@@ -1,6 +1,7 @@
-// Command sptc-serve is an HTTP contraction service over the prepared-plan
-// engine: upload tensors, contract them with einsum specs, and let the plan
-// cache absorb the stage-① HtY build across requests that share a Y side.
+// Command sptc-serve is an HTTP contraction service over a store of
+// prepared operands: upload tensors, contract them with einsum specs, and
+// let the store keep each operand's stage ① — X's sorted rows and Y's HtY —
+// so that requests that reuse an operand start at the first HtY probe.
 //
 //	sptc-serve -addr :8080 -demo
 //	curl -X PUT --data-binary @y.tns localhost:8080/tensors/y
@@ -16,6 +17,10 @@
 //	GET  /healthz          liveness
 //	GET  /metrics          Prometheus text (plus /debug/pprof, /debug/vars)
 //	GET  /debug/trace      Chrome trace of request span trees (with -trace)
+//
+// A stored operand keeps one prepared form per role, for the contract modes
+// asked for last, and a PUT of its name drops them (DESIGN.md §10): the
+// reply's x_prepared and hty_reused say whether a request found them.
 //
 // Every tensor/contract request carries a request ID (adopted from
 // X-Request-ID or generated) that is echoed in the response header, keyed
@@ -33,12 +38,11 @@
 //     placement priority, and requests whose objects would not fit entirely
 //     in DRAM are shed with 503 rather than thrashing. 0 disables the gate.
 //
-// Sharded mode (DESIGN.md §15): -local-shards N scatter/gathers every Sparta
-// contraction across N in-process executors; -shards lists remote worker
-// URLs (other sptc-serve instances) to fan out to instead. Either way the
-// merged output is bitwise identical to the one-shot contraction, and a
-// request whose shard exhausts its failover attempts is shed with a named
-// reason (shed_shards).
+// Sharded mode (DESIGN.md §15): -shards lists worker URLs (other sptc-serve
+// instances) to scatter every contraction across, gathering a merged output
+// that is bitwise identical to the one-shot contraction; a request whose
+// shard exhausts its failover attempts is shed with a named reason
+// (shed_shards).
 //
 // -demo preloads two synthetic tensors (demoA, demoB; contractible with
 // "abc,cde->abde") so smoke tests need no uploads.
@@ -66,8 +70,6 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
 		threads      = flag.Int("threads", 0, "worker threads per contraction (<1 = GOMAXPROCS)")
-		cacheEntries = flag.Int("cache-entries", 0, "plan cache entry cap (0 = default, negative = disable)")
-		cacheBytes   = flag.String("cache-bytes", "0", "plan cache byte budget (0 = none; accepts K/M/G suffixes)")
 		dramBudget   = flag.String("dram-budget", "0", "DRAM admission budget in bytes (0 = admission disabled; accepts K/M/G suffixes)")
 		maxInflight  = flag.Int("max-inflight", runtime.GOMAXPROCS(0), "max concurrent contractions")
 		queueWait    = flag.Duration("queue-wait", 2*time.Second, "max time a request waits for an inflight slot before 503")
@@ -76,17 +78,11 @@ func main() {
 		traceLimit   = flag.Int("trace-limit", 1<<20, "max buffered trace events before new spans are dropped (0 = unbounded)")
 		accessLog    = flag.String("access-log", "", "structured access log destination: a path, 'stdout', or 'stderr' ('' = off)")
 		shardURLs    = flag.String("shards", "", "comma-separated remote worker base URLs for sharded execution ('' = off)")
-		localShards  = flag.Int("local-shards", 0, "shard Sparta contractions across N in-process executors (0 = off)")
 		shardTimeout = flag.Duration("shard-timeout", 0, "per-shard attempt timeout in sharded mode (0 = request timeout only)")
 		shardRetries = flag.Int("shard-retries", 0, "executor attempts per shard including the primary (0 = primary plus one failover)")
 	)
 	flag.Parse()
 
-	cb, err := parseBytes(*cacheBytes)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sptc-serve: -cache-bytes: %v\n", err)
-		os.Exit(2)
-	}
 	db, err := parseBytes(*dramBudget)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sptc-serve: -dram-budget: %v\n", err)
@@ -125,15 +121,12 @@ func main() {
 	}
 	srv := newServer(serverConfig{
 		Threads:      *threads,
-		CacheEntries: *cacheEntries,
-		CacheBytes:   cb,
 		DRAMBudget:   db,
 		MaxInflight:  *maxInflight,
 		QueueWait:    *queueWait,
 		Tracer:       tracer,
 		AccessLog:    accessW,
 		ShardURLs:    urls,
-		LocalShards:  *localShards,
 		ShardTimeout: *shardTimeout,
 		ShardRetries: *shardRetries,
 	})

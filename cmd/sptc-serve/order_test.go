@@ -24,23 +24,33 @@ import (
 const (
 	specLead  = "abcd,abe->cde" // X's modes 0,1 contracted: rows must move
 	specTrail = "abcd,cdf->abf" // X's modes 2,3 contracted: another order
+	// yb has X's shape, so both of X's mode pairs contract with it: the two
+	// specs switch X's order and Y's contract modes together.
+	specBothLead  = "abcd,abef->cdef"
+	specBothTrail = "abcd,efcd->abef"
 )
+
+func drawTensor(rng *rand.Rand, dims []uint64, nnz int) *coo.Tensor {
+	t := coo.MustNew(dims, nnz)
+	idx := make([]uint32, len(dims))
+	for i := 0; i < nnz; i++ {
+		for m, d := range dims {
+			idx[m] = uint32(rng.Intn(int(d)))
+		}
+		t.Append(idx, rng.Float64()+0.25)
+	}
+	return t
+}
 
 func orderTensors(seed int64) (x, yLead, yTrail *coo.Tensor) {
 	rng := rand.New(rand.NewSource(seed))
-	draw := func(dims []uint64, nnz int) *coo.Tensor {
-		t := coo.MustNew(dims, nnz)
-		idx := make([]uint32, len(dims))
-		for i := 0; i < nnz; i++ {
-			for m, d := range dims {
-				idx[m] = uint32(rng.Intn(int(d)))
-			}
-			t.Append(idx, rng.Float64()+0.25)
-		}
-		return t
-	}
-	x = draw([]uint64{12, 9, 14, 6}, 6000) // 9072 cells: about a third of the rows repeat a coordinate
-	return x, draw([]uint64{12, 9, 7}, 400), draw([]uint64{14, 6, 5}, 300)
+	x = drawTensor(rng, []uint64{12, 9, 14, 6}, 6000) // 9072 cells: about a third of the rows repeat a coordinate
+	return x, drawTensor(rng, []uint64{12, 9, 7}, 400), drawTensor(rng, []uint64{14, 6, 5}, 300)
+}
+
+// yBoth is the yb that orderServer stores beside orderTensors(seed).
+func yBoth(seed int64) *coo.Tensor {
+	return drawTensor(rand.New(rand.NewSource(-seed)), []uint64{12, 9, 14, 6}, 400)
 }
 
 func putTensor(t *testing.T, url, name string, ten *coo.Tensor) {
@@ -77,7 +87,8 @@ func getTensor(t *testing.T, url, name string) string {
 	return string(body)
 }
 
-// orderServer is a server holding x, yLead and yTrail of orderTensors(seed).
+// orderServer is a server holding x, yLead and yTrail of orderTensors(seed)
+// as x, yl and yt, and yBoth(seed) as yb.
 func orderServer(t *testing.T, cfg serverConfig, seed int64) (*server, string) {
 	t.Helper()
 	s, ts := testServer(t, cfg)
@@ -85,6 +96,7 @@ func orderServer(t *testing.T, cfg serverConfig, seed int64) (*server, string) {
 	putTensor(t, ts.URL, "x", x)
 	putTensor(t, ts.URL, "yl", yl)
 	putTensor(t, ts.URL, "yt", yt)
+	putTensor(t, ts.URL, "yb", yBoth(seed))
 	return s, ts.URL
 }
 
@@ -100,6 +112,10 @@ func (s *server) radixPasses() uint64 {
 
 func (s *server) xPrepared(outcome string) uint64 {
 	return s.reg.Counter("sptc_serve_x_prepared_total", "", "outcome", outcome).Value()
+}
+
+func (s *server) yPrepared(outcome string) uint64 {
+	return s.reg.Counter("sptc_serve_y_prepared_total", "", "outcome", outcome).Value()
 }
 
 // replyKey is what two replies are compared by.
@@ -122,7 +138,9 @@ var (
 	reqTrail = contractRequest{X: "x", Y: "yt", Spec: specTrail}
 	// reqLeadOut is reqLead with its output modes permuted, which keeps a
 	// streamed Z on the heap.
-	reqLeadOut = contractRequest{X: "x", Y: "yl", Spec: "abcd,abe->ecd"}
+	reqLeadOut   = contractRequest{X: "x", Y: "yl", Spec: "abcd,abe->ecd"}
+	reqBothLead  = contractRequest{X: "x", Y: "yb", Spec: specBothLead}
+	reqBothTrail = contractRequest{X: "x", Y: "yb", Spec: specBothTrail}
 )
 
 // holdsOneCopy fails the test unless the operand stored under name holds its
@@ -199,25 +217,29 @@ func TestKeptOrderIsInvisible(t *testing.T) {
 	}
 }
 
-// TestAlternatingSpecsStayCorrect: two specs that want different orders of
-// one X take turns. The store keeps one prepared form per name, so each
-// switch prepares what the other left, every reply is the fresh server's,
-// and — the form being swapped in, not added — live memory does not grow
-// with the number of switches.
+// TestAlternatingSpecsStayCorrect: specs that want different orders of one X
+// and different contract modes of one Y take turns. The store keeps one
+// prepared form of each per name, so each switch prepares what the other
+// left — X's rows and Y's table alike — while a Y always asked for the same
+// modes keeps its table across the X switches. Every reply is the fresh
+// server's, and — the forms being swapped in, not added — live memory does
+// not grow with the number of switches.
 func TestAlternatingSpecsStayCorrect(t *testing.T) {
+	specs := []contractRequest{reqLead, reqTrail, reqBothLead, reqBothTrail}
 	_, fresh := orderServer(t, serverConfig{}, 6)
-	wantLead, wantTrail := replyKey(mustContract(t, fresh, reqLead)), replyKey(mustContract(t, fresh, reqTrail))
+	want := map[string]string{}
+	for _, req := range specs {
+		want[req.Spec] = replyKey(mustContract(t, fresh, req))
+	}
 	s, url := orderServer(t, serverConfig{}, 6)
 	round := func(i int) {
 		t.Helper()
-		for _, c := range []struct {
-			req  contractRequest
-			want string
-		}{{reqLead, wantLead}, {reqTrail, wantTrail}} {
-			got := mustContract(t, url, c.req)
-			if replyKey(got) != c.want || got.XPrepared {
-				t.Errorf("round %d, %s: replied %s (x_prepared %v), want %s from a fresh prepare",
-					i, c.req.Spec, replyKey(got), got.XPrepared, c.want)
+		for _, req := range specs {
+			got := mustContract(t, url, req)
+			reused := i > 0 && req.Y != "yb" // yb's two specs contract different modes
+			if replyKey(got) != want[req.Spec] || got.XPrepared || got.HtYReused != reused {
+				t.Errorf("round %d, %s: replied %s (x_prepared %v, hty_reused %v), want %s from a fresh X prepare and hty_reused %v",
+					i, req.Spec, replyKey(got), got.XPrepared, got.HtYReused, want[req.Spec], reused)
 			}
 			holdsOneCopy(t, s, "x")
 		}
@@ -228,44 +250,56 @@ func TestAlternatingSpecsStayCorrect(t *testing.T) {
 		runtime.ReadMemStats(&m)
 		return m.HeapAlloc
 	}
-	for i := 0; i < 3; i++ {
+	const warmup, more = 3, 12
+	for i := 0; i < warmup; i++ {
 		round(i)
 	}
 	before := liveHeap()
-	const more = 12
-	for i := 3; i < 3+more; i++ {
+	for i := warmup; i < warmup+more; i++ {
 		round(i)
 	}
-	// A copy leaked per switch would be 2 × more × X; allow two for noise.
-	if after, x := liveHeap(), s.stored("x").t.Bytes(); after > before+2*x {
-		t.Errorf("live heap grew %d B over %d switches of a %d B X", after-before, 2*more, x)
+	// A copy leaked per switch would be 2 × more × (X + yb's table); allow
+	// two for noise.
+	x, py := s.stored("x").t.Bytes(), s.stored("yb").py.Bytes()
+	if after := liveHeap(); after > before+2*(x+py) {
+		t.Errorf("live heap grew %d B over %d switches of a %d B X and a %d B table of Y", after-before, 2*more, x, py)
 	}
 	if hit := s.xPrepared("hit"); hit != 0 {
 		t.Errorf("%d alternating requests counted as prepared-X hits", hit)
 	}
+	const rounds = warmup + more
+	if hit, miss := s.yPrepared("hit"), s.yPrepared("miss"); hit != 2*(rounds-1) || miss != 2+2*rounds {
+		t.Errorf("sptc_serve_y_prepared_total: %d hits, %d misses, want %d and %d", hit, miss, 2*(rounds-1), 2+2*rounds)
+	}
 }
 
 // TestKeptOrderNeverResurrectsAReplacedTensor races eight requests on one X
-// (two specs, so they prepare each other's result) against a PUT that
-// replaces X. The swap into the store is conditional on the operand the
-// request read, so whatever the interleaving the store ends up holding the
-// PUT's tensor with no prepared form of the old one beside it, and every
-// reply is right for the tensor it read. The deterministic half pins the
+// and one Y (two specs, so they prepare each other's order of X) against a
+// storm of PUTs that replace both. Every swap into the store is conditional
+// on the operand the request read, so whatever the interleaving every reply
+// is right for the tensors it read, and the store ends up holding the last
+// PUTs' tensors with no prepared form of a replaced one beside them: the
+// next request answers for the last tensors. The deterministic half pins the
 // interleaving that matters: a PUT lands while a request is in flight.
 func TestKeptOrderNeverResurrectsAReplacedTensor(t *testing.T) {
-	older, _, _ := orderTensors(7)
-	newer, _, _ := orderTensors(8)
-	expect := map[string]bool{}
-	for _, seed := range []int64{7, 8} {
-		_, fresh := orderServer(t, serverConfig{}, 7)
-		x, _, _ := orderTensors(seed)
-		putTensor(t, fresh, "x", x)
-		expect[replyKey(mustContract(t, fresh, reqLead))] = true
-		expect[replyKey(mustContract(t, fresh, reqTrail))] = true
+	seeds := []int64{7, 8}
+	xs, yls := map[int64]*coo.Tensor{}, map[int64]*coo.Tensor{}
+	for _, seed := range seeds {
+		xs[seed], yls[seed], _ = orderTensors(seed)
+	}
+	expect, last := map[string]bool{}, ""
+	for _, sx := range seeds {
+		for _, sy := range seeds {
+			_, fresh := orderServer(t, serverConfig{}, 7)
+			putTensor(t, fresh, "x", xs[sx])
+			putTensor(t, fresh, "yl", yls[sy])
+			last = replyKey(mustContract(t, fresh, reqLead))
+			expect[last] = true
+			expect[replyKey(mustContract(t, fresh, reqTrail))] = true
+		}
 	}
 
 	s, url := orderServer(t, serverConfig{}, 7)
-	putTensor(t, url, "x", older)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -281,32 +315,66 @@ func TestKeptOrderNeverResurrectsAReplacedTensor(t *testing.T) {
 				return
 			}
 			if got := replyKey(rep); !expect[got] {
-				t.Errorf("request %d replied %s, which neither stored tensor gives", i, got)
+				t.Errorf("request %d replied %s, which no stored pair of tensors gives", i, got)
 			}
 		}(i)
 	}
-	putTensor(t, url, "x", newer)
+	for i := 0; i < 6; i++ { // ends on seed 8, the last pair expect saw
+		seed := seeds[i%2]
+		putTensor(t, url, "x", xs[seed])
+		putTensor(t, url, "yl", yls[seed])
+	}
 	wg.Wait()
-	wantFP := engine.FingerprintTensor(newer, 1)
-	if got := holdsOneCopy(t, s, "x"); got.fp != wantFP {
-		t.Error("the store holds a reordered copy of the tensor the PUT replaced")
+	for name, want := range map[string]*coo.Tensor{"x": xs[8], "yl": yls[8]} {
+		if got := holdsOneCopy(t, s, name); got.fp != engine.FingerprintTensor(want, 1) {
+			t.Errorf("the store holds a prepared copy of an %s the PUTs replaced", name)
+		}
+	}
+	if got := replyKey(mustContract(t, url, reqLead)); got != last {
+		t.Errorf("after the storm the server replied %s, the last PUTs give %s: a replaced table survived", got, last)
 	}
 
 	// A request reads the operand, a PUT replaces it, the request prepares
 	// what it read: the PUT wins, and the request still gets its own rows.
-	putTensor(t, url, "x", older)
+	putTensor(t, url, "x", xs[7])
 	read := s.stored("x")
-	putTensor(t, url, "x", newer)
+	putTensor(t, url, "x", xs[8])
 	put := s.stored("x")
-	px, hit, err := s.preparedX(context.Background(), "x", read, []int{0, 1}, core.Options{Threads: 2})
+	kept, hit, err := s.preparedX(context.Background(), "x", read, []int{0, 1}, core.Options{Threads: 2})
 	if err != nil || hit {
 		t.Fatalf("preparedX: hit %v, %v", hit, err)
 	}
-	if engine.FingerprintTensor(px.Tensor(), 1) != read.fp {
+	if engine.FingerprintTensor(kept.px.Tensor(), 1) != read.fp {
 		t.Error("the in-flight request was handed rows of a tensor it did not read")
 	}
-	if s.stored("x") != put || put.px != nil || put.fp != wantFP {
-		t.Error("a prepared form of the replaced tensor survived the PUT")
+	if s.stored("x") != put || put.px != nil || put.fp != engine.FingerprintTensor(xs[8], 1) {
+		t.Error("a prepared form of the replaced X survived the PUT")
+	}
+
+	// The same for Y: the request's table is the Y it read, and the PUT's
+	// operand holds none.
+	putTensor(t, url, "yl", yls[7])
+	readY := s.stored("yl")
+	putTensor(t, url, "yl", yls[8])
+	putY := s.stored("yl")
+	opt := core.Options{Threads: 2}
+	py, err := s.preparedY(context.Background(), "yl", readY, []int{0, 1}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own, err := core.PrepareY(yls[7], []int{0, 1}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := py.Contract(context.Background(), xs[7], []int{0, 1}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _, err := own.Contract(context.Background(), xs[7], []int{0, 1}, opt); err != nil || !got.Equal(want) {
+		t.Errorf("the in-flight request was handed a table of a Y it did not read (%v)", err)
+	}
+	if s.stored("yl") != putY || putY.py != nil {
+		t.Error("a prepared table of the replaced Y survived the PUT")
 	}
 }
 
@@ -336,13 +404,14 @@ func TestGetAnswersFromTheStoredFingerprint(t *testing.T) {
 	if got := getTensor(t, url, "yl"); !strings.Contains(got, planted.String()) {
 		t.Errorf("GET recomputed the fingerprint: %s", got)
 	}
-	// A plan is looked up under the stored fingerprint: the planted one has
-	// none, so this request builds, and the next finds it.
+	// Y's table lives on the stored operand, not under its fingerprint: the
+	// planted operand has none, so this request builds it, and the next
+	// finds it.
 	if rep := mustContract(t, url, reqLead); rep.HtYReused || replyKey(rep) != replyKey(first) {
-		t.Errorf("POST /contract fingerprinted Y again (hty_reused %v) or changed its answer", rep.HtYReused)
+		t.Errorf("POST /contract found a table the operand does not hold (hty_reused %v) or changed its answer", rep.HtYReused)
 	}
 	if rep := mustContract(t, url, reqLead); !rep.HtYReused {
-		t.Error("the plan built under the stored fingerprint was not found again")
+		t.Error("the table the last request built was not kept on the operand")
 	}
 }
 
@@ -353,14 +422,17 @@ func TestKeptOrderReachesEveryTier(t *testing.T) {
 	_, fresh := orderServer(t, serverConfig{}, 9)
 	want := replyKey(mustContract(t, fresh, reqLead))
 
-	sharded, shardedURL := orderServer(t, serverConfig{LocalShards: 2}, 9)
+	w1, w1s := testServer(t, serverConfig{})
+	w2, w2s := testServer(t, serverConfig{})
+	sharded, shardedURL := orderServer(t, serverConfig{ShardURLs: []string{w1s.URL, w2s.URL}}, 9)
 	if got := replyKey(mustContract(t, shardedURL, reqLead)); got != want {
 		t.Errorf("sharded tier replied %s, want %s", got, want)
 	}
-	passes := sharded.radixPasses()
-	if got := mustContract(t, shardedURL, reqLead); replyKey(got) != want || !got.XPrepared || passes == 0 || sharded.radixPasses() != passes {
-		t.Errorf("second sharded request: reply %s (want %s), x_prepared %v, radix passes %d -> %d",
-			replyKey(got), want, got.XPrepared, passes, sharded.radixPasses())
+	passes := func() [3]uint64 { return [3]uint64{sharded.radixPasses(), w1.radixPasses(), w2.radixPasses()} }
+	first := passes()
+	if got := mustContract(t, shardedURL, reqLead); replyKey(got) != want || !got.XPrepared || first[0] == 0 || passes() != first {
+		t.Errorf("second sharded request: reply %s (want %s), x_prepared %v, radix passes (front, workers) %v -> %v",
+			replyKey(got), want, got.XPrepared, first, passes())
 	}
 
 	// A budget that holds the prepared table and an eighth of the rest.

@@ -29,12 +29,10 @@ import (
 // serverConfig sizes one server instance (all fields optional; zero values
 // mean "default/disabled" as documented on the flags).
 type serverConfig struct {
-	Threads      int
-	CacheEntries int
-	CacheBytes   uint64
-	DRAMBudget   uint64
-	MaxInflight  int
-	QueueWait    time.Duration
+	Threads     int
+	DRAMBudget  uint64
+	MaxInflight int
+	QueueWait   time.Duration
 	// Tracer, when non-nil, records one span tree per request on a private
 	// track (exported at /debug/trace and by -trace on shutdown).
 	Tracer *obs.Tracer
@@ -42,14 +40,9 @@ type serverConfig struct {
 	// request (request ID, status, outcome, per-phase walls, tags).
 	AccessLog io.Writer
 
-	// ShardURLs lists remote worker base URLs; when non-empty, AlgSparta
-	// contractions run sharded across them (DESIGN.md §15). Mutually
-	// exclusive with LocalShards.
+	// ShardURLs lists remote worker base URLs; when non-empty, contractions
+	// run sharded across them (DESIGN.md §15).
 	ShardURLs []string
-	// LocalShards, when >0, runs AlgSparta contractions sharded across this
-	// many in-process executors (each with a private plan cache) — the
-	// single-box scatter/gather mode.
-	LocalShards int
 	// ShardTimeout caps each shard attempt (0 = no per-attempt timeout).
 	ShardTimeout time.Duration
 	// ShardRetries is the executor attempt count per shard including the
@@ -57,10 +50,10 @@ type serverConfig struct {
 	ShardRetries int
 }
 
-// server is the HTTP front end: a tensor store, the caching engine, and the
-// two admission gates. All handler state is safe for concurrent use.
+// server is the HTTP front end: a tensor store that keeps each operand's
+// stage ① beside it, and the two admission gates. All handler state is safe
+// for concurrent use.
 type server struct {
-	eng     *engine.Engine
 	reg     *obs.Registry
 	adm     engine.Admission
 	threads int
@@ -81,8 +74,8 @@ type server struct {
 	admMu    sync.Mutex
 	admitted uint64
 
-	// coord, when non-nil, executes AlgSparta contractions sharded across
-	// in-process or remote workers instead of through s.eng directly.
+	// coord, when non-nil, executes contractions sharded across remote
+	// workers instead of in this process.
 	coord *dist.Coordinator
 
 	mu      sync.RWMutex
@@ -99,11 +92,6 @@ func newServer(cfg serverConfig) *server {
 		threads = parallel.DefaultThreads()
 	}
 	s := &server{
-		eng: engine.New(engine.Config{
-			CacheEntries: cfg.CacheEntries,
-			CacheBytes:   cfg.CacheBytes,
-			Metrics:      reg,
-		}),
 		reg:       reg,
 		adm:       engine.Admission{DRAMBudget: cfg.DRAMBudget},
 		threads:   threads,
@@ -116,8 +104,13 @@ func newServer(cfg serverConfig) *server {
 	if cfg.MaxInflight > 0 {
 		s.inflight = make(chan struct{}, cfg.MaxInflight)
 	}
-	if execs := shardExecutors(cfg, reg); len(execs) > 0 {
-		// Executor names are generated unique, so NewCoordinator cannot fail.
+	if len(cfg.ShardURLs) > 0 {
+		execs := make([]dist.Executor, len(cfg.ShardURLs))
+		for i, u := range cfg.ShardURLs {
+			execs[i] = dist.NewHTTP(u, dist.HTTPConfig{})
+		}
+		// Executor names are the URLs; NewCoordinator fails only on a
+		// duplicate, which then runs unsharded.
 		s.coord, _ = dist.NewCoordinator(dist.Config{
 			Executors:    execs,
 			ShardTimeout: cfg.ShardTimeout,
@@ -126,31 +119,6 @@ func newServer(cfg serverConfig) *server {
 		})
 	}
 	return s
-}
-
-// shardExecutors builds the shard fleet from the config: remote HTTP workers
-// when URLs are given, otherwise LocalShards in-process executors. Each local
-// shard gets a private plan cache sized like the front engine's.
-func shardExecutors(cfg serverConfig, reg *obs.Registry) []dist.Executor {
-	if len(cfg.ShardURLs) > 0 {
-		execs := make([]dist.Executor, len(cfg.ShardURLs))
-		for i, u := range cfg.ShardURLs {
-			execs[i] = dist.NewHTTP(u, dist.HTTPConfig{})
-		}
-		return execs
-	}
-	if cfg.LocalShards <= 0 {
-		return nil
-	}
-	execs := make([]dist.Executor, cfg.LocalShards)
-	for i := range execs {
-		execs[i] = dist.NewLocal(fmt.Sprintf("local-%d", i), dist.LocalConfig{
-			CacheEntries: cfg.CacheEntries,
-			CacheBytes:   cfg.CacheBytes,
-			Metrics:      reg,
-		})
-	}
-	return execs
 }
 
 // loadDemo installs two synthetic contractible tensors (demoA: 40x30x50,
@@ -162,14 +130,18 @@ func (s *server) loadDemo() {
 
 // operand is a stored tensor with what the store has learned about it, so
 // that no request works it out again. An operand is immutable: a request
-// that prepares t as X publishes a new operand in its place (preparedX), and
-// a PUT replaces the whole thing.
+// that prepares t as X or as Y publishes a new operand in its place
+// (preparedX, preparedY), and a PUT replaces the whole thing.
 type operand struct {
 	t  *coo.Tensor
 	fp engine.Fingerprint // of t, taken once at PUT; row order does not change it
 	// px is stage ① of t as the X of a contraction over px.CmodesX(), nil
 	// until a request asks for one. Its rows are t's: px.Tensor() == t.
 	px *core.PreparedX
+	// py is stage ① of t as the Y of a contraction over cmodesY — its HtY —
+	// nil until a request asks for one.
+	py      *core.PreparedY
+	cmodesY []int
 }
 
 // put stores t under name, replacing whatever was there.
@@ -181,39 +153,87 @@ func (s *server) put(name string, t *coo.Tensor) *operand {
 	return op
 }
 
-// preparedX returns x, stored under name, prepared as the X of a contraction
-// over cmodesX, and whether the store already held that. On a miss it runs
-// stage ① and leaves the result in the store in x's place — the tensor
-// swapped for the one with its rows in contraction order, not kept beside
-// it, so the store still holds one copy of each tensor plus 8 B a sub-tensor
-// of index — and the next request with the same contract modes starts at
-// stage ②. One prepared form per name: two specs that want different orders
-// of one X alternate and pay what every request paid before.
+// publish stores kept under name in place of read, the operand a request
+// read there: a compare-and-swap, so a PUT of the same name in the meantime
+// wins, and the request still computes from what it read.
+func (s *server) publish(name string, read, kept *operand) {
+	s.mu.Lock()
+	if s.tensors[name] == read {
+		s.tensors[name] = kept
+	}
+	s.mu.Unlock()
+}
+
+// preparedX returns x, stored under name, as an operand whose px prepares it
+// as the X of a contraction over cmodesX, and whether the store already held
+// that. On a miss it runs stage ① and leaves the result in the store in x's
+// place — the tensor swapped for the one with its rows in contraction order,
+// not kept beside it, so the store still holds one copy of each tensor plus
+// 8 B a sub-tensor of index — and the next request with the same contract
+// modes starts at stage ②. One prepared form per name: two specs that want
+// different orders of one X alternate and pay what every request paid
+// before.
 //
 // Row order is not observable through the API — GET /tensors reports dims,
 // nnz and the order-independent fingerprint — and the reorder is stable, so
 // every later reply is bitwise what x would have given; a box too wide for
 // LN keys has no stable sorter and is prepared per request, never stored.
-// The swap is a compare-and-swap on the operand this request read: a PUT of
-// the same name in the meantime wins, and this request still computes from
-// what it read.
-func (s *server) preparedX(ctx context.Context, name string, x *operand, cmodesX []int, opt core.Options) (*core.PreparedX, bool, error) {
+// The prepared Y, if any, rides across the swap: the stable reorder keeps
+// the relative order of duplicate coordinates, the only rows whose order
+// its table records.
+func (s *server) preparedX(ctx context.Context, name string, x *operand, cmodesX []int, opt core.Options) (*operand, bool, error) {
 	if x.px != nil && slices.Equal(x.px.CmodesX(), cmodesX) {
-		return x.px, true, nil
+		return x, true, nil
 	}
 	px, err := core.PrepareX(ctx, x.t, cmodesX, opt)
 	if err != nil {
 		return nil, false, err
 	}
+	kept := &operand{t: px.Tensor(), fp: x.fp, px: px, py: x.py, cmodesY: x.cmodesY}
 	if px.Stable() {
-		kept := &operand{t: px.Tensor(), fp: x.fp, px: px}
-		s.mu.Lock()
-		if s.tensors[name] == x {
-			s.tensors[name] = kept
-		}
-		s.mu.Unlock()
+		s.publish(name, x, kept)
 	}
-	return px, false, nil
+	return kept, false, nil
+}
+
+// preparedY returns y, stored under name, prepared as the Y of a contraction
+// over cmodesY — stage ①'s HtY build — by the rule preparedX follows: one
+// table per name, for the contract modes asked for last, published in y's
+// place beside its rows and prepared X, and gone when a PUT replaces the
+// name. A stored tensor cannot change, so the table needs no fingerprint to
+// be found again; two specs that contract different modes of one Y
+// alternate and rebuild it on each switch. The table's first contraction
+// reports the build and every later one hty_reused (core.PreparedY).
+//
+// The lookup, and the build on a miss, are the request's "y prepare" phase;
+// the outcome is its y_prepared tag and sptc_serve_y_prepared_total.
+func (s *server) preparedY(ctx context.Context, name string, y *operand, cmodesY []int, opt core.Options) (*core.PreparedY, error) {
+	rt := obs.ReqFrom(ctx)
+	sp := rt.StartPhase("y prepare")
+	py, hit := y.py, y.py != nil && slices.Equal(y.cmodesY, cmodesY)
+	var err error
+	if !hit {
+		py, err = core.PrepareY(y.t, cmodesY, opt)
+	}
+	sp.End()
+	if err != nil {
+		return nil, err
+	}
+	if !hit {
+		s.publish(name, y, &operand{t: y.t, fp: y.fp, px: y.px, py: py, cmodesY: slices.Clone(cmodesY)})
+	}
+	s.reg.Counter("sptc_serve_y_prepared_total", "requests by whether the store held Y prepared for the spec",
+		"outcome", outcomeOf(hit)).Inc()
+	rt.SetTag("y_prepared", strconv.FormatBool(hit))
+	return py, nil
+}
+
+// outcomeOf names a store lookup's outcome for the prepared-operand counters.
+func outcomeOf(hit bool) string {
+	if hit {
+		return "hit"
+	}
+	return "miss"
 }
 
 // handler builds the route table on top of the obs exposition mux, so
@@ -443,10 +463,10 @@ type contractReply struct {
 	OutDims     []uint64 `json:"out_dims"`
 	NNZ         int      `json:"nnz"`
 	Fingerprint string   `json:"fingerprint"`
-	HtYReused   bool     `json:"hty_reused"`
-	CacheHits   uint64   `json:"cache_hits"`
-	CacheMisses uint64   `json:"cache_misses"`
-	WallNS      int64    `json:"wall_ns"`
+	// HtYReused is false on the first contraction of the stored Y's table
+	// for these contract modes, which built it, and true on every later one.
+	HtYReused bool  `json:"hty_reused"`
+	WallNS    int64 `json:"wall_ns"`
 	// XPrepared is true when the store already held X prepared for this
 	// spec's contract modes, so the request began at the first HtY probe.
 	XPrepared bool `json:"x_prepared,omitempty"`
@@ -461,8 +481,8 @@ type contractReply struct {
 	// free-Y space is large or sparsely filled; core.Report.DenseSubs).
 	DenseSubs uint64 `json:"dense_subs,omitempty"`
 	// Shards / ShardRetries report the scatter/gather fan-out when the server
-	// runs in sharded mode (-local-shards / -shards): how many shard legs
-	// were dispatched and how many failover attempts they consumed.
+	// runs in sharded mode (-shards): how many shard legs were dispatched and
+	// how many failover attempts they consumed.
 	Shards       int `json:"shards,omitempty"`
 	ShardRetries int `json:"shard_retries,omitempty"`
 }
@@ -587,24 +607,32 @@ func (s *server) contract(w http.ResponseWriter, r *http.Request, req contractRe
 	// form (the sharded one scatters its rows, which are in contraction
 	// order).
 	spO := rt.StartPhase("x order")
-	orderStart := time.Now()
-	px, hit, err := s.preparedX(ctx, req.X, x, ein.CmodesX, opt)
-	ordered := time.Since(orderStart) // contraction work: counted into wall_ns
+	stage1 := time.Now()
+	x, hit, err := s.preparedX(ctx, req.X, x, ein.CmodesX, opt)
 	spO.End()
 	if err != nil {
 		return err
 	}
-	outcome := "miss"
-	if hit {
-		outcome = "hit"
+	px := x.px
+	if req.Y == req.X {
+		y = x // so that Y's table is published beside the X just swapped in
 	}
 	s.reg.Counter("sptc_serve_x_prepared_total", "contract requests by whether the store held X prepared for the spec",
-		"outcome", outcome).Inc()
+		"outcome", outcomeOf(hit)).Inc()
 	rt.SetTag("x_prepared", strconv.FormatBool(hit))
+
+	// Stage ① for Y, once per operand, unless the shards build their own.
+	var py *core.PreparedY
+	if s.coord == nil {
+		if py, err = s.preparedY(ctx, req.Y, y, ein.CmodesY, opt); err != nil {
+			return err
+		}
+	}
+	prepared := time.Since(stage1) // contraction work: counted into wall_ns
 
 	// Gate 2: memory, which picks the tier.
 	spA := rt.StartPhase("admission")
-	tier, release, err := s.admit(ctx, ein, x.t, y, opt)
+	tier, release, err := s.admit(ctx, ein, x.t, py, opt)
 	spA.End()
 	if err != nil {
 		return err
@@ -632,12 +660,12 @@ func (s *server) contract(w http.ResponseWriter, r *http.Request, req contractRe
 		// A spec that permutes the output re-sorts Z below, which copies
 		// every column to the heap anyway, so Z spills only for
 		// identity-output specs.
-		z, rep, err = core.ContractStreamX(ctx, px, tier.res.WindowNNZ, tier.pr, core.StreamOptions{
+		z, rep, err = core.ContractStreamX(ctx, px, tier.res.WindowNNZ, py, core.StreamOptions{
 			Options: opt,
 			SpillZ:  tier.res.SpillZ && ein.IdentityOut,
 		})
 	default:
-		z, rep, err = s.eng.ContractX(ctx, px, y.t, y.fp, ein.CmodesY, opt)
+		z, rep, err = py.ContractX(ctx, px, opt)
 	}
 	if err == nil {
 		err = ein.Output(z, true, threads)
@@ -679,10 +707,9 @@ func (s *server) contract(w http.ResponseWriter, r *http.Request, req contractRe
 		rt.SetTag("windows", strconv.Itoa(rep.Windows))
 	}
 
-	st := s.eng.Stats()
 	s.countReq(r, "contract", "ok")
 	s.reg.Histogram("sptc_serve_contract_seconds", "contraction wall time",
-		[]float64{0.001, 0.01, 0.1, 1, 10}).Observe((time.Since(start) + ordered).Seconds())
+		[]float64{0.001, 0.01, 0.1, 1, 10}).Observe((time.Since(start) + prepared).Seconds())
 	writeJSON(w, http.StatusOK, contractReply{
 		RequestID:     rt.ID(),
 		Spec:          req.Spec,
@@ -691,9 +718,7 @@ func (s *server) contract(w http.ResponseWriter, r *http.Request, req contractRe
 		Fingerprint:   engine.FingerprintTensor(z, threads).String(),
 		HtYReused:     rep.HtYReused,
 		XPrepared:     hit,
-		CacheHits:     st.Hits,
-		CacheMisses:   st.Misses,
-		WallNS:        (time.Since(start) + ordered).Nanoseconds(),
+		WallNS:        (time.Since(start) + prepared).Nanoseconds(),
 		ExecutionTier: tier.name,
 		Windows:       rep.Windows,
 		DenseSubs:     rep.DenseSubs,
@@ -755,12 +780,12 @@ func (s *server) handleShardContract(w http.ResponseWriter, r *http.Request) {
 		// The partition is request-local: let the contraction permute it in place.
 		InPlace: true,
 	}
-	pr, hit, err := s.eng.PrepareFP(ctx, y.t, y.fp, cy, opt)
+	py, err := s.preparedY(ctx, yName, y, cy, opt)
 	if err != nil {
 		fail(http.StatusBadRequest, err.Error())
 		return
 	}
-	z, rep, err := pr.Contract(ctx, x, cx, opt)
+	z, rep, err := py.Contract(ctx, x, cx, opt)
 	if err != nil {
 		s.countReq(r, "shard", "error")
 		status := http.StatusInternalServerError
@@ -769,10 +794,6 @@ func (s *server) handleShardContract(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, status, errorReply{Error: err.Error()})
 		return
-	}
-	if hit {
-		rep.HtYReused = true
-		rep.HtYBuild = 0
 	}
 	rt.SetTag("nnz_z", strconv.Itoa(z.NNZ()))
 	s.countReq(r, "shard", "ok")
@@ -787,21 +808,20 @@ func (s *server) handleShardContract(w http.ResponseWriter, r *http.Request) {
 // tier is how an admitted request runs: name is the reply's execution_tier
 // ("dram", "streamed", "sharded", or "shed" for one that does not run), and
 // the streamed tier carries the window size and Z spill the residency plan
-// picked and the cached table it contracts against.
+// picked.
 type tier struct {
 	name string
 	res  hetmem.Residency
-	pr   *core.PreparedY
 }
 
 // admit runs the DRAM admission gate and assigns the execution tier: the
 // in-memory path when everything fits (or admission is off), the windowed
-// one when the prepared table fits but the full working set does not, and
+// one when the prepared table py fits but the full working set does not, and
 // shedding only for a table that cannot fit at all. A server that fronts a
 // shard fleet shards every request instead: each shard sees only its
-// partition (~1/S of X), local executors size their own caches and remote
-// workers run their own gates and shed upstream. release is always non-nil.
-func (s *server) admit(ctx context.Context, ein *einsum.Plan, x *coo.Tensor, y *operand, opt core.Options) (t tier, release func(), err error) {
+// partition (~1/S of X), and the workers run their own gates and shed
+// upstream. release is always non-nil.
+func (s *server) admit(ctx context.Context, ein *einsum.Plan, x *coo.Tensor, py *core.PreparedY, opt core.Options) (t tier, release func(), err error) {
 	release = func() {}
 	if s.coord != nil {
 		return tier{name: "sharded"}, release, nil
@@ -812,15 +832,7 @@ func (s *server) admit(ctx context.Context, ein *einsum.Plan, x *coo.Tensor, y *
 	if err := ctx.Err(); err != nil {
 		return t, release, err
 	}
-	// Prepare the Y side through the engine's plan cache (the DRAM tier's
-	// ContractX re-resolves the same cached plan — one map lookup, Y's
-	// fingerprint being known) so its exact resident size goes into the
-	// estimate.
-	pr, _, err := s.eng.PrepareFP(ctx, y.t, y.fp, ein.CmodesY, opt)
-	if err != nil {
-		return t, release, err
-	}
-	fp := engine.EstimateFootprint(x.NNZ(), pr)
+	fp := engine.EstimateFootprint(x.NNZ(), py)
 	s.admMu.Lock()
 	planned, res := s.adm.Plan(fp, opt.Threads, x.NNZ(), s.admitted)
 	// A fully contracted X is one sub-tensor spanning everything, so one
@@ -828,7 +840,7 @@ func (s *server) admit(ctx context.Context, ein *einsum.Plan, x *coo.Tensor, y *
 	if planned == engine.TierStreamed && len(ein.CmodesX) >= x.Order() {
 		planned = engine.TierShed
 	}
-	t = tier{name: planned.String(), res: res, pr: pr}
+	t = tier{name: planned.String(), res: res}
 	if planned == engine.TierShed {
 		s.admMu.Unlock()
 		return t, release, nil

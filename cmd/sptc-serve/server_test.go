@@ -79,14 +79,31 @@ func TestContractWarmCold(t *testing.T) {
 		t.Errorf("warm output differs: cold %s/%d, warm %s/%d",
 			cold.Fingerprint, cold.NNZ, warm.Fingerprint, warm.NNZ)
 	}
-	if warm.CacheHits == 0 {
-		t.Error("warm request left cache_hits at 0")
-	}
 	// demoB's free-Y space is 35x20 cells at ~60 items a contract key: the
 	// kernel accumulates most sub-tensors in its direct-indexed array, the
 	// same ones on either request.
 	if cold.DenseSubs == 0 || warm.DenseSubs != cold.DenseSubs {
 		t.Errorf("dense_subs: cold %d, warm %d", cold.DenseSubs, warm.DenseSubs)
+	}
+
+	// One stored tensor as both operands: its table is kept beside the X
+	// the first request swapped into the store, not lost with the operand
+	// that request read, and it rides across the swaps a request for the
+	// other order of demoA makes.
+	self := contractRequest{X: "demoA", Y: "demoA", Spec: "abc,abd->cd"}
+	want := map[string]string{req.Spec: replyKey(cold)}
+	for i, c := range []struct {
+		req    contractRequest
+		reused bool
+	}{{self, false}, {self, true}, {req, true}, {self, true}} {
+		rep := mustContract(t, ts.URL, c.req)
+		if _, ok := want[c.req.Spec]; !ok {
+			want[c.req.Spec] = replyKey(rep)
+		}
+		if rep.HtYReused != c.reused || replyKey(rep) != want[c.req.Spec] {
+			t.Errorf("request %d (%s): hty_reused %v (want %v), reply %s (want %s)",
+				i+1, c.req.Spec, rep.HtYReused, c.reused, replyKey(rep), want[c.req.Spec])
+		}
 	}
 }
 
@@ -150,7 +167,7 @@ func streamedBudget(t *testing.T, s *server, req contractRequest) uint64 {
 		t.Fatal(err)
 	}
 	opt := core.Options{Algorithm: core.AlgSparta, Threads: s.threads}
-	pr, _, err := s.eng.Prepare(s.stored(req.Y).t, ein.CmodesY, opt)
+	pr, err := core.PrepareY(s.stored(req.Y).t, ein.CmodesY, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +400,8 @@ func TestMetricsExposition(t *testing.T) {
 	text := buf.String()
 	for _, want := range []string{
 		`sptc_serve_requests_total{outcome="ok",route="contract"}`,
-		`sptc_engine_cache_total{outcome="hit"}`,
+		`sptc_serve_y_prepared_total{outcome="miss"}`,
+		`sptc_serve_y_prepared_total{outcome="hit"}`,
 		"sptc_serve_inflight",
 		`sptc_serve_x_prepared_total{outcome="miss"}`,
 		`sptc_serve_x_prepared_total{outcome="hit"}`,

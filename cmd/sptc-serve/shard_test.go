@@ -13,49 +13,10 @@ import (
 	"sparta/internal/gen"
 )
 
-// TestShardedLocalMode runs the same contraction through a plain server and
-// a -local-shards server; the sharded reply must carry the identical output
-// fingerprint (the serve-level face of the dist oracle suite).
-func TestShardedLocalMode(t *testing.T) {
-	_, plain := testServer(t, serverConfig{})
-	_, sharded := testServer(t, serverConfig{LocalShards: 4})
-	req := contractRequest{X: "demoA", Y: "demoB", Spec: "abc,cde->abde"}
-
-	resp, want, _ := postContract(t, plain.URL, req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("plain server: status %d", resp.StatusCode)
-	}
-	resp, got, bad := postContract(t, sharded.URL, req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sharded server: status %d: %s", resp.StatusCode, bad.Error)
-	}
-	if got.Fingerprint != want.Fingerprint || got.NNZ != want.NNZ {
-		t.Errorf("sharded output differs: plain %s/%d, sharded %s/%d",
-			want.Fingerprint, want.NNZ, got.Fingerprint, got.NNZ)
-	}
-	if got.ExecutionTier != "sharded" {
-		t.Errorf("execution_tier = %q, want sharded", got.ExecutionTier)
-	}
-	if got.Shards < 1 || got.Shards > 4 {
-		t.Errorf("reply claims %d shards", got.Shards)
-	}
-
-	// Warm pass: every shard's plan cache now holds the HtY.
-	resp, warm, _ := postContract(t, sharded.URL, req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("warm sharded request: status %d", resp.StatusCode)
-	}
-	if !warm.HtYReused {
-		t.Error("warm sharded request did not reuse the shards' HtY plans")
-	}
-	if warm.Fingerprint != want.Fingerprint {
-		t.Errorf("warm sharded output drifted: %s != %s", warm.Fingerprint, want.Fingerprint)
-	}
-}
-
 // TestShardedRemoteWorkers fans out across two real worker servers over HTTP:
 // Y replicates via the binary PUT path, partitions flow through
-// /shard/contract, and the merged output still matches the one-shot server.
+// /shard/contract, and the merged output still matches the one-shot server,
+// cold and warm — once every worker's store holds Y's table.
 func TestShardedRemoteWorkers(t *testing.T) {
 	_, plain := testServer(t, serverConfig{})
 	_, w1 := testServer(t, serverConfig{})
@@ -67,13 +28,21 @@ func TestShardedRemoteWorkers(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("plain server: status %d", resp.StatusCode)
 	}
-	resp, got, bad := postContract(t, coord.URL, req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("coordinator: status %d: %s", resp.StatusCode, bad.Error)
-	}
-	if got.Fingerprint != want.Fingerprint || got.NNZ != want.NNZ {
-		t.Errorf("remote-sharded output differs: plain %s/%d, sharded %s/%d",
-			want.Fingerprint, want.NNZ, got.Fingerprint, got.NNZ)
+	for i, warm := range []bool{false, true} {
+		resp, got, bad := postContract(t, coord.URL, req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("coordinator request %d: status %d: %s", i, resp.StatusCode, bad.Error)
+		}
+		if got.Fingerprint != want.Fingerprint || got.NNZ != want.NNZ {
+			t.Errorf("request %d: remote-sharded output differs: plain %s/%d, sharded %s/%d",
+				i, want.Fingerprint, want.NNZ, got.Fingerprint, got.NNZ)
+		}
+		if got.ExecutionTier != "sharded" || got.Shards < 1 || got.Shards > 2 {
+			t.Errorf("request %d: execution_tier %q over %d shards, want sharded over 1–2", i, got.ExecutionTier, got.Shards)
+		}
+		if got.HtYReused != warm {
+			t.Errorf("request %d: hty_reused %v, want %v", i, got.HtYReused, warm)
+		}
 	}
 }
 

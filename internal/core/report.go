@@ -121,9 +121,11 @@ type Report struct {
 	// reused table they still describe the build that made it.
 	HtYBuildWalls hashtab.BuildWalls
 	// HtYReused is true when this contraction skipped the COO→HtY build
-	// because a *PreparedY (possibly from the engine plan cache) supplied
-	// an already-built table. The "hty build" span is absent from traces
-	// of such runs and HtYBuild is zero.
+	// because a *PreparedY that an earlier contraction already used — kept
+	// by the caller, by the engine plan cache, or on sptc-serve's stored
+	// operand — supplied the table. The first contraction on a fresh
+	// PreparedY reports the build instead. The "hty build" span is absent
+	// from traces of such runs and HtYBuild is zero.
 	HtYReused bool
 	// XPrepared is true when this contraction skipped X's half of stage ①
 	// — permute, sort, sub-tensor index — because a *PreparedX that an

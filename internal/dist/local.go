@@ -6,15 +6,10 @@ import (
 	"sparta/internal/coo"
 	"sparta/internal/core"
 	"sparta/internal/engine"
-	"sparta/internal/obs"
 )
 
 // LocalConfig sizes one in-process shard executor.
 type LocalConfig struct {
-	// CacheEntries / CacheBytes size the shard's private plan cache
-	// (engine.Config semantics: 0 = default, negative entries = disabled).
-	CacheEntries int
-	CacheBytes   uint64
 	// MaxInflight bounds concurrent contractions on this shard (per-shard
 	// backpressure; 0 = unbounded). Blocked callers respect ctx.
 	MaxInflight int
@@ -23,8 +18,6 @@ type LocalConfig struct {
 	// streamed-tier case. A fully contracted X is one window; the output is
 	// bitwise the in-memory path's either way.
 	WindowNNZ int
-	// Metrics, when non-nil, receives the shard engine's cache counters.
-	Metrics *obs.Registry
 }
 
 // Local is an in-process shard: a private plan-cache engine plus a counting
@@ -38,15 +31,7 @@ type Local struct {
 
 // NewLocal builds an in-process shard executor.
 func NewLocal(name string, cfg LocalConfig) *Local {
-	l := &Local{
-		name: name,
-		eng: engine.New(engine.Config{
-			CacheEntries: cfg.CacheEntries,
-			CacheBytes:   cfg.CacheBytes,
-			Metrics:      cfg.Metrics,
-		}),
-		windowNNZ: cfg.WindowNNZ,
-	}
+	l := &Local{name: name, eng: engine.New(engine.Config{}), windowNNZ: cfg.WindowNNZ}
 	if cfg.MaxInflight > 0 {
 		l.sem = make(chan struct{}, cfg.MaxInflight)
 	}

@@ -3,14 +3,14 @@
 // paper charges to every call) and Contract (stages ②–⑤ against the
 // prepared table), and caches prepared plans in an LRU keyed by a content
 // fingerprint of Y plus the contract-mode spec. Tensor-network chains and
-// serving workloads that contract many X's against one Y skip the HtY build
-// on every warm call (Report.HtYReused).
+// other library callers that contract many X's against one Y skip the HtY
+// build on every warm call (Report.HtYReused). sptc-serve keeps its prepared
+// operands on its own immutable store instead and uses only this package's
+// fingerprint, footprint estimate and admission plan.
 package engine
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"strconv"
 	"strings"
 	"sync"
@@ -98,56 +98,29 @@ func (e *Engine) Prepare(y *coo.Tensor, cmodesY []int, opt core.Options) (*core.
 	return e.PrepareCtx(context.Background(), y, cmodesY, opt)
 }
 
-// PrepareCtx is Prepare with cancellation and request-trace awareness; it
-// fingerprints y and calls PrepareFP.
+// PrepareCtx is Prepare that builds nothing once ctx is done.
 func (e *Engine) PrepareCtx(ctx context.Context, y *coo.Tensor, cmodesY []int, opt core.Options) (*core.PreparedY, bool, error) {
-	return e.PrepareFP(ctx, y, Fingerprint{}, cmodesY, opt)
-}
-
-// PrepareFP is the plan lookup for a caller that already knows y's content
-// fingerprint: a non-zero fp is trusted to be FingerprintTensor(y) and y is
-// not scanned on a hit; the zero Fingerprint means "compute it". Only a
-// holder that knows y has not been written since it was fingerprinted (a
-// store of immutable tensors) may pass one.
-//
-// When ctx carries an obs.ReqTrace (serving requests do), the lookup and the
-// HtY build become "cache lookup" / "hty prepare" phases of the request's
-// span tree, and the plan fingerprint plus hit/miss outcome are tagged on it
-// — that is how a slow POST /contract is attributed to a plan-cache miss
-// rather than queue wait.
-func (e *Engine) PrepareFP(ctx context.Context, y *coo.Tensor, fp Fingerprint, cmodesY []int, opt core.Options) (*core.PreparedY, bool, error) {
-	rt := obs.ReqFrom(ctx)
+	if err := ctx.Err(); err != nil {
+		return nil, false, err
+	}
 	if e.cache == nil {
-		sp := rt.StartPhase("hty prepare")
 		pr, err := core.PrepareY(y, cmodesY, opt)
-		sp.End()
 		return pr, false, err
 	}
-	sp := rt.StartPhase("cache lookup")
-	if fp.IsZero() {
-		fp = FingerprintTensor(y, opt.Threads)
-	}
-	k := planKey{fp: fp, modes: modesString(cmodesY)}
-
+	k := planKey{fp: FingerprintTensor(y, opt.Threads), modes: modesString(cmodesY)}
 	e.mu.Lock()
 	pr, ok := e.cache.get(k)
 	e.mu.Unlock()
-	sp.End()
-	rt.SetTag("plan_fp", fp.String())
 	if ok {
-		rt.SetTag("plan_cache", "hit")
 		e.hits.Add(1)
 		e.publishCache("hit")
 		return pr, true, nil
 	}
-	rt.SetTag("plan_cache", "miss")
 
 	// Miss: build outside the lock, then insert. If another goroutine
 	// prepared the same key meanwhile, its table wins and ours is dropped —
 	// both are equivalent, and converging on one keeps reuse exact.
-	spB := rt.StartPhase("hty prepare")
 	pr, err := core.PrepareY(y, cmodesY, opt)
-	spB.End()
 	if err != nil {
 		return nil, false, err
 	}
@@ -164,36 +137,18 @@ func (e *Engine) PrepareFP(ctx context.Context, y *coo.Tensor, fp Fingerprint, c
 // when the algorithm supports it (AlgSparta); the baseline algorithms fall
 // through to the one-shot path, so the Engine is a drop-in front end for
 // every variant. Report.HtYReused tells the caller whether the warm path
-// ran. It prepares X and fingerprints Y per call; ContractX is the entry for
-// a caller that keeps either.
+// ran. X is prepared and Y fingerprinted on every call: a caller that keeps
+// either keeps its core.PreparedX / core.PreparedY and calls
+// PreparedY.ContractX itself.
 func (e *Engine) Contract(ctx context.Context, x, y *coo.Tensor, cmodesX, cmodesY []int, opt core.Options) (*coo.Tensor, *core.Report, error) {
 	if opt.Algorithm != core.AlgSparta {
 		return core.ContractCtx(ctx, x, y, cmodesX, cmodesY, opt)
 	}
-	px, err := core.PrepareX(ctx, x, cmodesX, opt)
+	pr, hit, err := e.PrepareCtx(ctx, y, cmodesY, opt)
 	if err != nil {
 		return nil, nil, err
 	}
-	return e.ContractX(ctx, px, y, Fingerprint{}, cmodesY, opt)
-}
-
-// ContractX is Contract for an X prepared earlier (core.PrepareX) and a Y
-// whose fingerprint may be known (PrepareFP's rule; zero = compute it): on a
-// plan-cache hit neither input is scanned before the first HtY probe. Only
-// AlgSparta is supported, as in PreparedY.ContractX: the baselines have no
-// prepared form to reuse.
-func (e *Engine) ContractX(ctx context.Context, px *core.PreparedX, y *coo.Tensor, fpY Fingerprint, cmodesY []int, opt core.Options) (*coo.Tensor, *core.Report, error) {
-	if px == nil {
-		return nil, nil, errors.New("engine: nil prepared X")
-	}
-	if opt.Algorithm != core.AlgSparta {
-		return nil, nil, fmt.Errorf("engine: prepared contraction supports only %v, got %v", core.AlgSparta, opt.Algorithm)
-	}
-	pr, hit, err := e.PrepareFP(ctx, y, fpY, cmodesY, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	z, rep, err := pr.ContractX(ctx, px, opt)
+	z, rep, err := pr.Contract(ctx, x, cmodesX, opt)
 	if err != nil {
 		return nil, nil, err
 	}

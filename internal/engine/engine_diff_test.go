@@ -186,13 +186,11 @@ func TestEngineWarmSkipsBuild(t *testing.T) {
 	}
 }
 
-// TestContractXScansNeitherInput: the entry for a caller that keeps its
-// operands prepared. ContractX on a kept PreparedX with a known fingerprint
-// of Y is bitwise Contract, opens neither an "x sort" nor an "hty build" span
-// once both halves are warm, and trusts the fingerprint it is handed — a
-// planted one keys the plan, which is the proof that Y was not hashed again.
-// The zero fingerprint means "compute it", so the wrappers stay safe against
-// mutated tensors.
+// TestContractXScansNeitherInput: the route for a caller that keeps its
+// operands prepared — the plan cache's table from Prepare and a kept
+// core.PreparedX, contracted with PreparedY.ContractX — is bitwise Contract
+// and opens neither an "x sort" nor an "hty build" span once both halves are
+// warm. The baselines have no prepared form, so ContractX refuses them.
 func TestContractXScansNeitherInput(t *testing.T) {
 	ctx := context.Background()
 	x := randomSparse([]uint64{9, 7, 6}, 150, 3)
@@ -205,16 +203,19 @@ func TestContractXScansNeitherInput(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	pr, hit, err := eng.PrepareCtx(ctx, y, cy, opt)
+	if err != nil || !hit {
+		t.Fatalf("Prepare after Contract: hit %v, %v, want the plan Contract cached", hit, err)
+	}
 	px, err := core.PrepareX(ctx, x, cx, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp := FingerprintTensor(y, 1)
 	for use := 1; use <= 2; use++ {
 		tr := obs.NewTracer()
 		o := opt
 		o.Tracer = tr
-		z, rep, err := eng.ContractX(ctx, px, y, fp, cy, o)
+		z, rep, err := pr.ContractX(ctx, px, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,31 +226,13 @@ func TestContractXScansNeitherInput(t *testing.T) {
 			t.Errorf("use %d: a contraction on prepared operands opened a stage-① span", use)
 		}
 	}
-	if s := eng.Stats(); s.Hits != 2 || s.Misses != 1 {
-		t.Errorf("stats = %+v: the known fingerprint should find the plan Contract cached", s)
+	if s := eng.Stats(); s.Hits != 1 || s.Misses != 1 {
+		t.Errorf("stats = %+v, want the one miss of Contract and the one hit of Prepare", s)
 	}
-
-	planted := Fingerprint{Hi: 1, Lo: 2}
-	if _, hit, err := eng.PrepareFP(ctx, y, planted, cy, opt); err != nil || hit {
-		t.Fatalf("planted fingerprint: hit %v, %v", hit, err)
-	}
-	if _, hit, err := eng.PrepareFP(ctx, y, planted, cy, opt); err != nil || !hit {
-		t.Fatalf("planted fingerprint, second lookup: hit %v, %v (Y was fingerprinted again)", hit, err)
-	}
-	if _, hit, err := eng.PrepareFP(ctx, y, Fingerprint{}, cy, opt); err != nil || !hit {
-		t.Fatalf("zero fingerprint: hit %v, %v, want the plan stored under Y's own", hit, err)
-	}
-
-	// The baselines have no prepared form: ContractX refuses them, as
-	// PreparedY.ContractX does, without touching the plan cache.
-	before := eng.Stats()
-	if _, _, err := eng.ContractX(ctx, px, y, fp, cy, core.Options{Algorithm: core.AlgSPA, Threads: 2}); err == nil {
+	if _, _, err := pr.ContractX(ctx, px, core.Options{Algorithm: core.AlgSPA, Threads: 2}); err == nil {
 		t.Error("baseline algorithm accepted by ContractX")
 	}
-	if s := eng.Stats(); s != before {
-		t.Errorf("a refused baseline looked up a plan: stats %+v -> %+v", before, s)
-	}
-	if _, _, err := eng.ContractX(ctx, nil, y, fp, cy, opt); err == nil {
+	if _, _, err := pr.ContractX(ctx, nil, opt); err == nil {
 		t.Error("nil PreparedX accepted")
 	}
 }

@@ -10,10 +10,9 @@ import (
 )
 
 // Request-scoped tracing: one ReqTrace per served request threads through
-// context into the engine and core so every request yields its own span tree
-// — queue wait, admission, cache lookup, HtY prepare, the contraction stages
-// — on a private trace track, tagged with the request ID and plan
-// fingerprint. The same ReqTrace accumulates per-phase wall times and string
+// context into core so every request yields its own span tree — queue wait,
+// x order, y prepare, admission, the contraction stages — on a private trace
+// track, tagged with the request ID and what the request found prepared. The same ReqTrace accumulates per-phase wall times and string
 // tags for the structured access log, so the Chrome trace and the log line
 // describe the identical request: the log's request_id resolves to the
 // trace's "request" span and its children.
@@ -120,7 +119,7 @@ type PhaseSpan struct {
 	startNS int64
 }
 
-// StartPhase opens a named phase (e.g. "queue wait", "cache lookup").
+// StartPhase opens a named phase (e.g. "queue wait", "y prepare").
 func (rt *ReqTrace) StartPhase(name string) PhaseSpan {
 	if rt == nil {
 		return PhaseSpan{}

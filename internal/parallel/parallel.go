@@ -52,27 +52,58 @@ func ClampWork(threads, n int, work int64) int {
 	return Clamp(threads, n)
 }
 
+// join waits for a set of worker goroutines and keeps the first value any
+// of them panicked with, so that the goroutine that started them re-raises
+// it once every worker has returned. A panic left in a worker would end the
+// process; re-raised on the caller it unwinds the caller's defers and
+// reaches whatever recovers there (net/http's per-connection recovery, for a
+// server). The other workers run to the end.
+type join struct {
+	wg     sync.WaitGroup
+	caught atomic.Bool
+	val    any // set by the worker that won caught, read after wg.Wait
+}
+
+// done marks a worker finished. Each worker defers exactly one call,
+// func() { j.done(recover()) }(), so a panic is recovered where it happens.
+func (j *join) done(r any) {
+	if r != nil && j.caught.CompareAndSwap(false, true) {
+		j.val = r
+	}
+	j.wg.Done()
+}
+
+// wait blocks until every worker is done, then re-raises the first panic, if
+// any, on the calling goroutine.
+func (j *join) wait() {
+	j.wg.Wait()
+	if j.caught.Load() {
+		panic(j.val)
+	}
+}
+
 // For splits [0,n) into `threads` contiguous ranges and runs body(tid, lo, hi)
 // on each in its own goroutine. Static partitioning preserves the locality of
 // sorted inputs, which is what the computation stages rely on (each thread
-// owns a contiguous run of X sub-tensors).
+// owns a contiguous run of X sub-tensors). A panic in body is re-raised on
+// the caller after every range has finished.
 func For(threads, n int, body func(tid, lo, hi int)) {
 	threads = Clamp(threads, n)
 	if threads == 1 {
 		body(0, 0, n)
 		return
 	}
-	var wg sync.WaitGroup
-	wg.Add(threads)
+	var j join
+	j.wg.Add(threads)
 	for t := 0; t < threads; t++ {
 		lo := n * t / threads
 		hi := n * (t + 1) / threads
 		go func(tid, lo, hi int) {
-			defer wg.Done()
+			defer func() { j.done(recover()) }()
 			body(tid, lo, hi)
 		}(t, lo, hi)
 	}
-	wg.Wait()
+	j.wait()
 }
 
 // ForChunked schedules [0,n) in fixed-size chunks pulled from a shared
@@ -87,7 +118,8 @@ func ForChunked(threads, n, chunk int, body func(tid, lo, hi int)) {
 // chunks run to completion (bodies never observe a torn range), and the call
 // returns ctx.Err(). The chunks already executed are NOT rolled back — the
 // caller owns discarding partial state. A Background context costs nothing
-// on the claim path (its Done channel is nil).
+// on the claim path (its Done channel is nil). A panic in body is re-raised
+// on the caller after the other workers have run out of chunks.
 func ForChunkedCtx(ctx context.Context, threads, n, chunk int, body func(tid, lo, hi int)) error {
 	threads = Clamp(threads, n)
 	if chunk < 1 {
@@ -118,11 +150,11 @@ func ForChunkedCtx(ctx context.Context, threads, n, chunk int, body func(tid, lo
 	// same size, so the claimed range is a pure function of the returned
 	// counter value and no lock is needed.
 	var next int64
-	var wg sync.WaitGroup
-	wg.Add(threads)
+	var j join
+	j.wg.Add(threads)
 	for t := 0; t < threads; t++ {
 		go func(tid int) {
-			defer wg.Done()
+			defer func() { j.done(recover()) }()
 			for {
 				if done != nil {
 					select {
@@ -143,7 +175,7 @@ func ForChunkedCtx(ctx context.Context, threads, n, chunk int, body func(tid, lo
 			}
 		}(t)
 	}
-	wg.Wait()
+	j.wait()
 	return ctx.Err()
 }
 
@@ -162,9 +194,10 @@ func ForChunkedWorkCtx(ctx context.Context, threads, n, chunk int, work int64, b
 // Fanout is a depth-budgeted goroutine spawner for divide-and-conquer
 // algorithms (parallel quicksort). Spawn returns true and runs f
 // asynchronously while budget remains; otherwise the caller should recurse
-// serially. Wait blocks until every spawned task (transitively) finished.
+// serially. Wait blocks until every spawned task (transitively) finished,
+// then re-raises the first panic a task raised.
 type Fanout struct {
-	wg     sync.WaitGroup
+	j      join
 	budget int64
 	mu     sync.Mutex
 }
@@ -188,21 +221,22 @@ func (fo *Fanout) Spawn(f func()) bool {
 	}
 	fo.budget--
 	fo.mu.Unlock()
-	fo.wg.Add(1)
+	fo.j.wg.Add(1)
 	go func() {
 		defer func() {
 			fo.mu.Lock()
 			fo.budget++
 			fo.mu.Unlock()
-			fo.wg.Done()
+			fo.j.done(recover())
 		}()
 		f()
 	}()
 	return true
 }
 
-// Wait blocks until all spawned work has completed.
-func (fo *Fanout) Wait() { fo.wg.Wait() }
+// Wait blocks until all spawned work has completed, then re-raises on the
+// caller the first panic a spawned task raised.
+func (fo *Fanout) Wait() { fo.j.wait() }
 
 // PrefixSum computes the exclusive prefix sum of counts and returns the
 // total. Used by the writeback stage to assign each thread-local Zlocal a

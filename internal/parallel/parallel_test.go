@@ -1,9 +1,11 @@
 package parallel
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestClamp(t *testing.T) {
@@ -172,6 +174,53 @@ func TestFanout(t *testing.T) {
 	fo.Wait()
 	if count != 127 {
 		t.Fatalf("count = %d, want 127", count)
+	}
+}
+
+// TestWorkerPanicReachesCaller: a panic in one worker of For, ForChunkedCtx
+// or a Fanout task is re-raised on the calling goroutine, where recover sees
+// the value, and only after every other worker has returned.
+func TestWorkerPanicReachesCaller(t *testing.T) {
+	const threads = 4
+	cases := map[string]func(body func(i int)){
+		"For": func(body func(int)) {
+			For(threads, 64, func(tid, _, _ int) { body(tid) })
+		},
+		"ForChunkedCtx": func(body func(int)) {
+			_ = ForChunkedCtx(context.Background(), threads, 64, 1, func(_, lo, _ int) { body(lo) })
+		},
+		"Fanout": func(body func(int)) {
+			fo := NewFanout(threads)
+			for i := 0; i < threads; i++ {
+				if !fo.Spawn(func() { body(i) }) {
+					t.Fatal("Fanout refused a task within its budget")
+				}
+			}
+			fo.Wait()
+		},
+	}
+	for name, run := range cases {
+		var running, finished atomic.Int32
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			run(func(i int) {
+				running.Add(1)
+				defer running.Add(-1)
+				if i == 0 {
+					panic("boom")
+				}
+				time.Sleep(time.Millisecond) // outlast the panicking worker
+				finished.Add(1)
+			})
+			return nil
+		}()
+		if got != "boom" {
+			t.Errorf("%s: the caller recovered %v, want the worker's panic", name, got)
+		}
+		if n := running.Load(); n != 0 || finished.Load() == 0 {
+			t.Errorf("%s: %d workers still running when the panic reached the caller, %d finished",
+				name, n, finished.Load())
+		}
 	}
 }
 
