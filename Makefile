@@ -32,10 +32,10 @@ perf-baseline:
 # the hot-path performance budget, and the race detector over every package
 # (the parallel HtY build and open-addressed tables live or die by this),
 # then the hot packages (hashtab, core, engine, plan, sortx, obs, dist,
-# lnum, cmd/sptc-serve) once more with the -tags assert invariant checks
-# compiled in (probe bounds, load factor, arena-offset monotonicity, DP
-# split partitions, estimator non-negativity, LRU recency generations, LN
-# key ranges; see internal/invariant). The commands and the hot-package
+# lnum, coo, cmd/sptc-serve) once more with the -tags assert invariant
+# checks compiled in (probe bounds, load factor, arena-offset monotonicity,
+# DP split partitions, estimator non-negativity, LRU recency generations, LN
+# key ranges, the sort's post-condition; see internal/invariant). The commands and the hot-package
 # list live in scripts/check.sh, which also runs without make. The only
 # performance gate is the benchmark, bash benchmark/run.sh (BENCHMARK.json).
 verify:

@@ -50,14 +50,9 @@ func EvalChain(steps []ChainStep, inputs map[string]*Tensor, opt Options) (*Chai
 // in-place mutation of an intermediate between uses never yields a stale
 // table.
 //
-// With Options.Planner == PlannerAuto the chain first runs through the
-// cost-based contraction-order planner (see PlanChain): when the fitted
-// model prices a different tree below the written order, the reordered
-// steps execute instead. The final output keeps its name, modes, and
-// values; intermediate names become planner-generated ("plan·0", …) and
-// each step's Report carries PlannedOrder and EstimatedNNZ. Chains the
-// planner cannot reorder — or cannot improve — run exactly as written;
-// planning never turns a valid chain into an error.
+// The steps run in the order given. To run the cost-based planner's order
+// instead, call PlanChain and evaluate its Steps: they keep the final
+// output's name, modes and values, and name the intermediates "plan·0", ….
 func EvalChainCtx(ctx context.Context, steps []ChainStep, inputs map[string]*Tensor, opt Options) (*ChainResult, error) {
 	if len(steps) == 0 {
 		return nil, fmt.Errorf("chain: no steps")
@@ -91,16 +86,6 @@ func EvalChainOn(ctx context.Context, exec Contractor, steps []ChainStep, inputs
 }
 
 func evalChain(ctx context.Context, exec Contractor, steps []ChainStep, inputs map[string]*Tensor, opt Options) (*ChainResult, error) {
-	var planRes *PlanResult
-	if opt.Planner == PlannerAuto {
-		// Planner failures fall back to the written order: a malformed
-		// chain surfaces its error from naive execution below, where the
-		// step index and spec are reported.
-		if pr, err := PlanChain(steps, inputs, opt); err == nil && pr.Planned {
-			planRes = pr
-			steps = pr.Steps
-		}
-	}
 	res := &ChainResult{Tensors: make(map[string]*Tensor, len(inputs)+len(steps))}
 	for name, t := range inputs {
 		if t == nil {
@@ -146,10 +131,6 @@ func evalChain(ctx context.Context, exec Contractor, steps []ChainStep, inputs m
 		z, rep, err := exec.Einsum(ctx, st.Spec, x, y, stepOpt)
 		if err != nil {
 			return nil, fmt.Errorf("chain: step %d (%s): %w", i, st.Spec, err)
-		}
-		if planRes != nil {
-			rep.PlannedOrder = planRes.StepOrders[i]
-			rep.EstimatedNNZ = planRes.EstNNZ[i]
 		}
 		res.Tensors[st.Out] = z
 		res.Reports = append(res.Reports, rep)

@@ -205,9 +205,10 @@ func TestEvalChainAliasingEdges(t *testing.T) {
 	}
 }
 
-// TestEvalChainAliasingWithPlanner runs the same aliasing chain under
-// PlannerAuto: whatever the planner decides (this chain is unplannable —
-// H is consumed twice), outputs and input immutability must hold.
+// TestEvalChainAliasingWithPlanner runs the same aliasing chain through
+// PlanChain and then EvalChain: whatever the planner decides (this chain is
+// unplannable — H is consumed twice), outputs and input immutability must
+// hold.
 func TestEvalChainAliasingWithPlanner(t *testing.T) {
 	a := Random([]uint64{8, 8}, 40, 81)
 	b := Random([]uint64{8, 8}, 40, 82)
@@ -219,11 +220,7 @@ func TestEvalChainAliasingWithPlanner(t *testing.T) {
 		{Out: "Z", Spec: "ad,ad->", X: "P", Y: "P"},
 	}
 	inputs := map[string]*Tensor{"A": a, "B": b}
-	opt := Options{Algorithm: AlgSparta, Planner: PlannerAuto}
-	res, err := EvalChain(steps, inputs, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := evalPlanned(t, steps, inputs, Options{Algorithm: AlgSparta})
 	oracle := chainOracle(t, steps, inputs, Options{Algorithm: AlgSparta})
 	if !res.Tensors["Z"].Equal(oracle["Z"]) {
 		t.Error("planner-auto output differs from oracle")

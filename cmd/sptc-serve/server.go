@@ -175,12 +175,12 @@ func (s *server) publish(name string, read, kept *operand) {
 // before.
 //
 // Row order is not observable through the API — GET /tensors reports dims,
-// nnz and the order-independent fingerprint — and the reorder is stable, so
-// every later reply is bitwise what x would have given; a box too wide for
-// LN keys has no stable sorter and is prepared per request, never stored.
-// The prepared Y, if any, rides across the swap: the stable reorder keeps
-// the relative order of duplicate coordinates, the only rows whose order
-// its table records.
+// nnz and the order-independent fingerprint — and the reorder is stable for
+// every index box (coo.Sort has one sorter, radix over LN key words, and no
+// unstable fallback), so every later reply is bitwise what x would have
+// given and the prepared form is always published. The prepared Y, if any,
+// rides across the swap: the stable reorder keeps the relative order of
+// duplicate coordinates, the only rows whose order its table records.
 func (s *server) preparedX(ctx context.Context, name string, x *operand, cmodesX []int, opt core.Options) (*operand, bool, error) {
 	if x.px != nil && slices.Equal(x.px.CmodesX(), cmodesX) {
 		return x, true, nil
@@ -190,9 +190,7 @@ func (s *server) preparedX(ctx context.Context, name string, x *operand, cmodesX
 		return nil, false, err
 	}
 	kept := &operand{t: px.Tensor(), fp: x.fp, px: px, py: x.py, cmodesY: x.cmodesY}
-	if px.Stable() {
-		s.publish(name, x, kept)
-	}
+	s.publish(name, x, kept)
 	return kept, false, nil
 }
 

@@ -2,6 +2,8 @@ package coo
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -116,15 +118,16 @@ func checkSorted(t *testing.T, ten *Tensor) {
 	}
 }
 
-// multiset fingerprint of (coords, value) pairs for permutation checking
+// multiset fingerprint of (coords, value) pairs for permutation checking:
+// every coordinate and the value's bits, exactly.
 func fingerprint(ten *Tensor) []string {
 	out := make([]string, ten.NNZ())
 	for i := 0; i < ten.NNZ(); i++ {
 		var b strings.Builder
 		for m := range ten.Inds {
-			b.WriteString(string(rune(ten.Inds[m][i])) + "|")
+			fmt.Fprintf(&b, "%d|", ten.Inds[m][i])
 		}
-		b.WriteString(string(rune(int(ten.Vals[i] * 1000))))
+		fmt.Fprintf(&b, "%x", math.Float64bits(ten.Vals[i]))
 		out[i] = b.String()
 	}
 	sort.Strings(out)
@@ -148,16 +151,19 @@ func TestSortSmallAndParallel(t *testing.T) {
 	}
 }
 
-func TestSortFallbackPath(t *testing.T) {
-	// Dims whose product overflows uint64 force the multi-column
-	// quicksort path.
+func TestSortWideBox(t *testing.T) {
+	// Dims whose product overflows uint64 sort one LN key word at a time.
 	dims := []uint64{1 << 31, 1 << 31, 1 << 31}
 	ten := randomTensor(t, dims, 3000, 9)
 	before := fingerprint(ten)
+	want := stableSorted(ten)
 	ten.Sort(2)
 	checkSorted(t, ten)
 	if !reflect.DeepEqual(before, fingerprint(ten)) {
-		t.Fatal("fallback sort changed the multiset")
+		t.Fatal("wide-box sort changed the multiset")
+	}
+	if !want.Equal(ten) {
+		t.Fatal("wide-box sort differs from the stable oracle")
 	}
 }
 
@@ -204,7 +210,7 @@ func TestSortAdversarial(t *testing.T) {
 	}
 }
 
-func TestQuickSortProperty(t *testing.T) {
+func TestSortProperty(t *testing.T) {
 	f := func(seed int64, raw uint16) bool {
 		nnz := int(raw % 2048)
 		ten := MustNew([]uint64{8, 8, 8}, nnz)
@@ -392,22 +398,23 @@ func stableSorted(ten *Tensor) *Tensor {
 // sort must produce byte-identical tensors — same coordinates AND same value
 // order at duplicate coordinates (both orders are (key, original position)).
 // Dims include an LN boundary case: a product one step under 2^64 keeps the
-// radix on the LN path with every key byte significant.
+// radix on one key word with every key byte significant. The last two boxes
+// are too wide for one word: 2^64 takes two, five modes of 2^32 take five,
+// and at 20 000 rows every word's pass runs the MSD path.
 func TestSortWithEnginesAgree(t *testing.T) {
 	shapes := [][]uint64{
 		{17, 13, 11},
 		{1 << 20, 3},
 		{1 << 31, 1 << 31, 3}, // card = 3*2^62, just under 2^64: top byte significant
+		{1 << 32, 1 << 32},
+		{1 << 32, 1 << 32, 1 << 32, 1 << 32, 1 << 32},
 	}
 	for si, dims := range shapes {
 		for _, nnz := range []int{0, 1, 500, 20000} {
 			for _, threads := range []int{1, 4} {
 				r := randomTensor(t, dims, nnz, int64(70+si))
 				want := stableSorted(r)
-				info := r.SortWith(threads, SortAuto)
-				if nnz >= 2 && !info.Radix {
-					t.Fatalf("shape %d: fell back for LN-encodable dims", si)
-				}
+				r.SortWith(threads, SortAuto)
 				if !want.Equal(r) {
 					t.Fatalf("shape %d nnz=%d threads=%d: engines disagree", si, nnz, threads)
 				}
@@ -418,27 +425,51 @@ func TestSortWithEnginesAgree(t *testing.T) {
 }
 
 // TestSortWithDuplicateCoordinates: duplicates are the stability stress —
-// the sort must keep the original value order at equal keys.
+// the sort must keep the original value order at equal keys, in a box that
+// fits one LN key and in boxes too wide for one (two and three key words).
 func TestSortWithDuplicateCoordinates(t *testing.T) {
-	ten := MustNew([]uint64{3, 3}, 0)
-	for i := 0; i < 4000; i++ {
-		ten.Append([]uint32{uint32(i) % 3, uint32(i/7) % 3}, float64(i))
-	}
-	want := stableSorted(ten)
-	ten.SortWith(2, SortAuto)
-	if !want.Equal(ten) {
-		t.Fatal("duplicate-coordinate value order differs from the stable oracle")
+	for _, dims := range [][]uint64{{3, 3}, {1 << 31, 1 << 31, 1 << 31}, {1 << 32, 2, 1 << 32, 1 << 32}} {
+		ten := MustNew(dims, 0)
+		row := make([]uint32, len(dims))
+		for i := 0; i < 4000; i++ {
+			for m, d := range dims {
+				// Three distinct values a mode, spread over its range.
+				row[m] = uint32((uint64(i/(m*7+1)) % 3) * ((d - 1) / 2))
+			}
+			ten.Append(row, float64(i))
+		}
+		want := stableSorted(ten)
+		ten.SortWith(2, SortAuto)
+		if !want.Equal(ten) {
+			t.Fatalf("dims %v: duplicate-coordinate value order differs from the stable oracle", dims)
+		}
 	}
 }
 
-// TestSortWithFallbackInfo: non-LN-encodable dims report a non-radix sort.
+// TestSortWithFallbackInfo: a box too wide for one LN key — the case a tuple
+// quicksort once took — sorts stably through the radix passes of every key
+// word, and an already-sorted one is recognised and keeps its columns.
 func TestSortWithFallbackInfo(t *testing.T) {
 	dims := []uint64{1 << 31, 1 << 31, 1 << 31}
 	ten := randomTensor(t, dims, 300, 5)
-	if info := ten.SortWith(2, SortAuto); info.Radix {
-		t.Fatal("radix reported on a non-LN-encodable box")
+	if words, lead := ten.keyWords(); len(words) != 2 || words[0].r.Order() != 2 || lead != words[1].r || lead.Order() != 1 {
+		t.Fatalf("key words of %v: %+v, want modes {1, 2} then {0}", dims, words)
 	}
-	checkSorted(t, ten)
+	want := stableSorted(ten)
+	info := ten.SortWith(2, SortAuto)
+	if info.Stats.Sorted || info.Stats.Passes == 0 {
+		t.Fatalf("unsorted wide box: %+v", info)
+	}
+	if !want.Equal(ten) {
+		t.Fatal("wide box differs from the stable oracle")
+	}
+	col0, vals := &ten.Inds[0][0], &ten.Vals[0]
+	if info := ten.SortWith(2, SortAuto); !info.Stats.Sorted {
+		t.Fatalf("sorted wide box not detected: %+v", info)
+	}
+	if &ten.Inds[0][0] != col0 || &ten.Vals[0] != vals {
+		t.Fatal("sorting a sorted wide box reallocated its columns")
+	}
 }
 
 // TestSortSortedKeepsColumns: when the keys are already in order the radix
@@ -449,7 +480,7 @@ func TestSortSortedKeepsColumns(t *testing.T) {
 	ten.Sort(2)
 	col0, vals := &ten.Inds[0][0], &ten.Vals[0]
 	info := ten.SortWith(2, SortAuto)
-	if !info.Radix || !info.Stats.Sorted {
+	if !info.Stats.Sorted {
 		t.Fatalf("sorted input not detected: %+v", info)
 	}
 	if &ten.Inds[0][0] != col0 || &ten.Vals[0] != vals {
@@ -458,17 +489,16 @@ func TestSortSortedKeepsColumns(t *testing.T) {
 }
 
 // TestSortableViewNeverWritesSource: permuting and sorting the view leaves
-// the source bitwise unchanged, both when the view shares the source's
-// columns (LN-encodable box: the sorter gathers into fresh ones) and when
-// the in-place tuple quicksort forces a deep copy.
+// the source bitwise unchanged while the view shares the source's columns,
+// for a box that fits one LN key and one too wide for it: the sorter gathers
+// into fresh columns either way.
 func TestSortableViewNeverWritesSource(t *testing.T) {
 	for _, dims := range [][]uint64{{9, 8, 7}, {1 << 31, 1 << 31, 1 << 31}} {
 		src := randomTensor(t, dims, 3000, 21)
 		snap := src.Clone()
 		v := src.SortableView()
-		_, lnErr := src.Radix()
-		if shared := &v.Vals[0] == &src.Vals[0]; shared != (lnErr == nil) {
-			t.Fatalf("dims %v: view shares storage = %v, LN-encodable = %v", dims, shared, lnErr == nil)
+		if &v.Vals[0] != &src.Vals[0] || &v.Inds[0][0] != &src.Inds[0][0] {
+			t.Fatalf("dims %v: view does not share the source's storage", dims)
 		}
 		if err := v.Permute([]int{2, 0, 1}); err != nil {
 			t.Fatal(err)

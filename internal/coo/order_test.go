@@ -136,28 +136,38 @@ func TestKeysInOrderAgreesWithIsSorted(t *testing.T) {
 
 // TestSortedInputAllocatesNothingPerRow pins the hit path of the sorter: rows
 // already in order are recognised before the (key, pos) slice — 16 bytes a
-// row — or anything else sized by nnz is allocated.
+// row — or anything else sized by nnz is allocated, in a box that fits one
+// LN key and in one that needs three (rows tie on the leading key word in
+// pairs, so the tie compare runs).
 func TestSortedInputAllocatesNothingPerRow(t *testing.T) {
 	n := 200_000
-	ten := MustNew([]uint64{uint64(n), 7}, n)
-	for i := 0; i < n; i++ {
-		ten.Append([]uint32{uint32(i), uint32(i % 7)}, 1)
-	}
-	for _, threads := range []int{1, 2} {
-		var info SortInfo
-		allocs := testing.AllocsPerRun(5, func() { info = ten.SortWith(threads, SortAuto) })
-		if !info.Radix || !info.Stats.Sorted {
-			t.Fatalf("threads=%d: sorted rows not recognised: %+v", threads, info)
+	for _, dims := range [][]uint64{{uint64(n), 7}, {uint64(n), 7, 1 << 32, 1 << 32}} {
+		ten := MustNew(dims, n)
+		row := make([]uint32, len(dims))
+		for i := 0; i < n; i++ {
+			row[0], row[1] = uint32(i), uint32(i%7)
+			if len(row) > 2 {
+				row[0], row[1], row[3] = uint32(i/2), 0, uint32(i%2)
+			}
+			ten.Append(row, 1)
 		}
-		if allocs > 12 {
-			t.Errorf("threads=%d: %v allocations sorting sorted rows, want a handful of goroutine closures", threads, allocs)
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		ten.SortWith(threads, SortAuto)
-		runtime.ReadMemStats(&after)
-		if got := after.TotalAlloc - before.TotalAlloc; got > uint64(n)/8 {
-			t.Errorf("threads=%d: %d bytes allocated sorting %d sorted rows", threads, got, n)
+		for _, threads := range []int{1, 2} {
+			var info SortInfo
+			allocs := testing.AllocsPerRun(5, func() { info = ten.SortWith(threads, SortAuto) })
+			if !info.Stats.Sorted {
+				t.Fatalf("dims %v threads=%d: sorted rows not recognised: %+v", dims, threads, info)
+			}
+			// Each key word past the first costs its encoder's three.
+			if words, _ := ten.keyWords(); allocs > float64(12+3*(len(words)-1)) {
+				t.Errorf("dims %v threads=%d: %v allocations sorting sorted rows, want a handful of goroutine closures and key words", dims, threads, allocs)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			ten.SortWith(threads, SortAuto)
+			runtime.ReadMemStats(&after)
+			if got := after.TotalAlloc - before.TotalAlloc; got > uint64(n)/8 {
+				t.Errorf("dims %v threads=%d: %d bytes allocated sorting %d sorted rows", dims, threads, got, n)
+			}
 		}
 	}
 }

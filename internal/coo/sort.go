@@ -1,9 +1,10 @@
 package coo
 
 import (
-	"slices"
+	"math/bits"
 	"sync/atomic"
 
+	"sparta/internal/invariant"
 	"sparta/internal/lnum"
 	"sparta/internal/parallel"
 	"sparta/internal/sortx"
@@ -14,45 +15,53 @@ import (
 // stays although nothing is left to select.
 type SortAlgo int
 
-// SortAuto picks the sortx radix engine whenever the index box is
-// LN-encodable and the tuple quicksort otherwise.
+// SortAuto is the only engine: the stable sortx radix sort over LN keys.
 const SortAuto SortAlgo = 0
 
-// SortInfo reports which engine a SortWith call used.
+// SortInfo reports how a SortWith call ran.
 type SortInfo struct {
-	Radix bool        // the sortx radix path ran
-	Stats sortx.Stats // radix pass/partition stats (zero value otherwise)
+	// Stats are the radix engine's: Sorted when the rows were already in
+	// order and nothing moved; pass counts summed over every key word;
+	// partition counts from the most significant word's pass.
+	Stats sortx.Stats
 }
 
-// Sort orders the non-zeros lexicographically over the current mode order.
+// Sort orders the non-zeros lexicographically over the current mode order,
+// stably: rows with equal coordinates keep their relative order. There is one
+// sorter, for every index box.
 //
-// When the full index box fits in a uint64 the sorter takes the LN fast
-// path: encode each coordinate once, sort (key, position) pairs with the
-// parallel radix engine (package sortx), then apply the permutation to
-// every column — one O(order) gather per element instead of O(order) work
-// per comparison. The gather writes fresh columns (the old ones are never
-// written, which SortableView relies on). Rows that are already in order are
-// recognised before anything is allocated. Otherwise it falls back to the
-// in-place multi-column parallel quicksort from §3.5 (OpenMP tasks in the
-// paper, a depth-budgeted goroutine fan-out here).
+// The modes are split, from the last one back, into runs whose box fits one
+// uint64 LN key (one run when the whole box fits, which is the common case).
+// The (key, position) pairs are sorted with the parallel radix engine
+// (package sortx) one run at a time, least significant first, each later
+// run's keys rebuilt at the positions the previous pass left; the engine is
+// stable, so the passes compose into lexicographic order. The permutation is
+// then applied to every column — one O(order) gather per element. The gather
+// writes fresh columns (the old ones are never written, which SortableView
+// relies on). Rows that are already in order are recognised before anything
+// is allocated.
 func (t *Tensor) Sort(threads int) {
 	t.SortWith(threads, SortAuto)
 }
 
-// SortWith is Sort, returning which engine ran and, on the radix path, its
-// pass/partition stats.
+// SortWith is Sort, returning the radix engine's pass/partition stats.
 func (t *Tensor) SortWith(threads int, _ SortAlgo) SortInfo {
-	n := t.NNZ()
-	if n < 2 {
+	if t.NNZ() < 2 {
 		return SortInfo{}
 	}
-	if r, err := lnum.NewRadix(t.Dims); err == nil {
-		return t.sortByKeys(r, threads)
+	words, lead := t.keyWords()
+	if t.inOrder(lead, len(words) > 1, threads) {
+		// Nothing moves: the columns stay as they are.
+		return SortInfo{Stats: sortx.Stats{Sorted: true}}
 	}
-	fo := parallel.NewFanout(threads)
-	quickSortTensor(t, 0, n, fo, maxDepth(n))
-	fo.Wait()
-	return SortInfo{}
+	return t.sortByKeys(words, threads)
+}
+
+// inOrder reports whether the rows are already in lexicographic order. The
+// leading key (lead) orders the leading modes only, so for a wide box, one
+// of several key words, the full tuple compare settles the ties.
+func (t *Tensor) inOrder(lead *lnum.Radix, wide bool, threads int) bool {
+	return t.keysInOrder(lead, threads) && (!wide || t.IsSorted())
 }
 
 // IsSorted reports whether the non-zeros are in lexicographic order.
@@ -70,14 +79,44 @@ func (t *Tensor) IsSorted() bool {
 // conversion.
 type keyPos = sortx.KeyPos
 
+// keyWord is one run of consecutive modes whose index box fits one LN key.
+type keyWord struct {
+	r    *lnum.Radix // encoder over the run's modes
+	cols [][]uint32  // the run's index columns
+}
+
+// keyWords splits t's modes, from the last one back, into the longest runs
+// whose box fits one uint64, least significant first, and returns them with
+// the encoder of the leading run. A box that fits is one word; a single
+// mode of at most 2^32 always fits.
+func (t *Tensor) keyWords() ([]keyWord, *lnum.Radix) {
+	words := make([]keyWord, 0, len(t.Dims))
+	var lead *lnum.Radix
+	for hi := len(t.Dims); hi > 0; {
+		lo, card := hi-1, t.Dims[hi-1]
+		for lo > 0 {
+			over, next := bits.Mul64(card, t.Dims[lo-1])
+			if over != 0 {
+				break
+			}
+			lo, card = lo-1, next
+		}
+		lead = lnum.MustRadix(t.Dims[lo:hi])
+		words = append(words, keyWord{r: lead, cols: t.Inds[lo:hi]})
+		hi = lo
+	}
+	return words, lead
+}
+
 // sortedCheckBlock is how many rows a keysInOrder worker scans between looks
 // at the shared "inversion found" flag.
 const sortedCheckBlock = 1 << 10
 
-// keysInOrder reports whether the rows are already in non-decreasing LN-key
-// order, computing each key from the columns as it goes: one parallel pass,
-// no allocation, and every worker stops soon after any of them meets an
-// inversion. LN order is lexicographic order, so this agrees with IsSorted.
+// keysInOrder reports whether the rows' leading keys (r encodes the leading
+// modes) are in non-decreasing order, computing each key from the columns
+// as it goes: one parallel pass, no allocation, and every worker stops soon
+// after any of them meets an inversion. LN order is lexicographic order, so
+// when r covers every mode this agrees with IsSorted.
 func (t *Tensor) keysInOrder(r *lnum.Radix, threads int) bool {
 	n := t.NNZ()
 	var inversion atomic.Bool
@@ -99,23 +138,52 @@ func (t *Tensor) keysInOrder(r *lnum.Radix, threads int) bool {
 	return !inversion.Load()
 }
 
-func (t *Tensor) sortByKeys(r *lnum.Radix, threads int) SortInfo {
-	n := t.NNZ()
-	if t.keysInOrder(r, threads) {
-		// Nothing moves: the columns stay as they are.
-		return SortInfo{Radix: true, Stats: sortx.Stats{Sorted: true}}
+// sortByKeys sorts the rows one key word at a time, least significant first,
+// then gathers every column through the resulting permutation. The radix
+// sort is stable, so each pass keeps the order the previous ones gave rows
+// whose keys tie, and duplicate coordinates keep their value order.
+func (t *Tensor) sortByKeys(words []keyWord, threads int) SortInfo {
+	kp := make([]keyPos, t.NNZ())
+	var info SortInfo
+	for w, word := range words {
+		st := word.sort(kp, w == 0, threads)
+		st.Sorted = false // an earlier word's pass may have moved rows
+		st.Passes += info.Stats.Passes
+		st.Skipped += info.Stats.Skipped
+		info.Stats = st
 	}
-	kp := make([]keyPos, n)
-	parallel.For(threads, n, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			kp[i] = keyPos{Key: r.EncodeStrided(t.Inds, i), Pos: int32(i)}
+	t.gather(kp, threads)
+	if invariant.Enabled {
+		invariant.Assert(t.IsSorted(), "coo: sorted rows out of tuple order")
+		invariant.Assert(isPermutation(kp), "coo: sort dropped or repeated a row")
+	}
+	return info
+}
+
+// sort keys every pair with w's encoding of the row at its position and
+// sorts the pairs stably by it. The first word's pass also numbers the
+// rows; a later word's keeps the order the previous pass left.
+func (w keyWord) sort(kp []keyPos, first bool, threads int) sortx.Stats {
+	r, cols := w.r, w.cols
+	parallel.For(threads, len(kp), func(_, lo, hi int) {
+		seg := kp[lo:hi]
+		if first {
+			for j := range seg {
+				seg[j] = keyPos{Key: r.EncodeStrided(cols, lo+j), Pos: int32(lo + j)}
+			}
+			return
+		}
+		for j := range seg {
+			seg[j].Key = r.EncodeStrided(cols, int(seg[j].Pos))
 		}
 	})
-	// The radix sort is stable, so duplicate coordinates keep their value
-	// order.
-	info := SortInfo{Radix: true, Stats: sortx.Sort(kp, r.Card()-1, threads)}
-	// Apply the permutation column by column (parallel across columns and
-	// within each column's gather).
+	return sortx.Sort(kp, r.Card()-1, threads)
+}
+
+// gather applies the permutation kp to every column, writing fresh ones
+// (parallel across columns and within each column's gather).
+func (t *Tensor) gather(kp []keyPos, threads int) {
+	n := len(kp)
 	for m := range t.Inds {
 		src := t.Inds[m]
 		dst := make([]uint32, n)
@@ -134,102 +202,17 @@ func (t *Tensor) sortByKeys(r *lnum.Radix, threads int) SortInfo {
 		}
 	})
 	t.Vals = dstV
-	return info
 }
 
-// maxDepth mirrors sort.Slice's 2*ceil(log2(n)) introsort budget: beyond it
-// quicksort degenerates and we switch to heapsort-free guaranteed-progress
-// behavior by just using the stdlib on the remaining range.
-func maxDepth(n int) int {
-	d := 0
-	for i := n; i > 0; i >>= 1 {
-		d++
-	}
-	return 2 * d
-}
-
-const serialCutoff = 1 << 11 // below this, sort serially
-const insertionCutoff = 16   // below this, insertion sort
-
-// quickSortTensor sorts t[lo:hi) in place comparing full index tuples —
-// the fallback for index boxes whose cardinality overflows uint64.
-func quickSortTensor(t *Tensor, lo, hi int, fo *parallel.Fanout, depth int) {
-	for hi-lo > insertionCutoff {
-		if depth == 0 {
-			sortStdlibRange(t, lo, hi)
-			return
+// isPermutation reports whether the pairs' positions are 0..len(kp)-1, each
+// once: the gather then moved every row exactly once.
+func isPermutation(kp []keyPos) bool {
+	seen := make([]bool, len(kp))
+	for _, p := range kp {
+		if p.Pos < 0 || int(p.Pos) >= len(kp) || seen[p.Pos] {
+			return false
 		}
-		depth--
-		p := partitionTensor(t, lo, hi)
-		llo, lhi := lo, p
-		rlo, rhi := p+1, hi
-		if lhi-llo > rhi-rlo {
-			llo, lhi, rlo, rhi = rlo, rhi, llo, lhi
-		}
-		if lhi-llo > serialCutoff {
-			a, b, d := llo, lhi, depth
-			if fo.Spawn(func() { quickSortTensor(t, a, b, fo, d) }) {
-				lo, hi = rlo, rhi
-				continue
-			}
-		}
-		quickSortTensor(t, llo, lhi, fo, depth)
-		lo, hi = rlo, rhi
+		seen[p.Pos] = true
 	}
-	for i := lo + 1; i < hi; i++ {
-		for j := i; j > lo && t.Less(j, j-1); j-- {
-			t.Swap(j, j-1)
-		}
-	}
-}
-
-func partitionTensor(t *Tensor, lo, hi int) int {
-	mid := lo + (hi-lo)/2
-	if t.Less(mid, lo) {
-		t.Swap(mid, lo)
-	}
-	if t.Less(hi-1, lo) {
-		t.Swap(hi-1, lo)
-	}
-	if t.Less(hi-1, mid) {
-		t.Swap(hi-1, mid)
-	}
-	t.Swap(mid, hi-2)
-	pivot := hi - 2
-	i := lo
-	for j := lo; j < hi-2; j++ {
-		if t.Less(j, pivot) {
-			t.Swap(i, j)
-			i++
-		}
-	}
-	t.Swap(i, hi-2)
-	return i
-}
-
-// sortStdlibRange sorts t[lo:hi) with the stdlib via an indirection slice;
-// only used as the introsort depth-exhaustion fallback.
-func sortStdlibRange(t *Tensor, lo, hi int) {
-	idx := make([]int, hi-lo)
-	for i := range idx {
-		idx[i] = lo + i
-	}
-	slices.SortFunc(idx, func(a, b int) int { return t.Compare(a, b) })
-	// apply permutation within the range
-	order := len(t.Dims)
-	tmpI := make([][]uint32, order)
-	for m := range tmpI {
-		tmpI[m] = make([]uint32, hi-lo)
-	}
-	tmpV := make([]float64, hi-lo)
-	for k, src := range idx {
-		for m := range t.Inds {
-			tmpI[m][k] = t.Inds[m][src]
-		}
-		tmpV[k] = t.Vals[src]
-	}
-	for m := range t.Inds {
-		copy(t.Inds[m][lo:hi], tmpI[m])
-	}
-	copy(t.Vals[lo:hi], tmpV)
+	return true
 }

@@ -127,21 +127,10 @@ func (t *Tensor) Clone() *Tensor {
 }
 
 // SortableView returns a tensor that Permute and Sort can be applied to
-// without writing to t's storage. When the index box is LN-encodable the
-// sorter gathers into fresh columns (sortByKeys) and Permute only moves slice
-// headers, so a view that shares t's columns and values but owns its Dims and
-// column headers is enough. The tuple quicksort for wider boxes swaps
-// elements where they lie, so that case gets a deep Clone.
+// without writing to t's storage: it shares t's columns and values but owns
+// its Dims and column headers. Permute only moves slice headers and the
+// sorter gathers into fresh columns, so neither writes the shared storage.
 func (t *Tensor) SortableView() *Tensor {
-	if _, err := lnum.NewRadix(t.Dims); err != nil {
-		return t.Clone()
-	}
-	return t.alias()
-}
-
-// alias returns a tensor that shares t's columns and values but owns its
-// Dims and column headers.
-func (t *Tensor) alias() *Tensor {
 	return &Tensor{
 		Dims:    append([]uint64(nil), t.Dims...),
 		Inds:    append([][]uint32(nil), t.Inds...),
@@ -153,7 +142,7 @@ func (t *Tensor) alias() *Tensor {
 // PermutedView returns t with its modes reordered as Permute would, in a
 // tensor of its own that shares t's columns and values; t is not touched.
 func (t *Tensor) PermutedView(perm []int) (*Tensor, error) {
-	v := t.alias()
+	v := t.SortableView()
 	if err := v.Permute(perm); err != nil {
 		return nil, err
 	}

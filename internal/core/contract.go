@@ -33,10 +33,6 @@ type Options struct {
 	// InPlace lets the algorithm permute and sort the caller's tensors
 	// instead of cloning them, saving one copy of each input.
 	InPlace bool
-	// Planner enables chain-level contraction-order planning
-	// (PlannerAuto). Only EvalChain consults it; single contractions
-	// accept and ignore the field so one Options value can drive both.
-	Planner Planner
 	// MaxOutputNNZ aborts the contraction with an error when the output
 	// would exceed this many non-zeros (0 = unlimited). SpTC outputs can
 	// dwarf both inputs (the paper's challenge 3); the bound is checked
@@ -92,18 +88,13 @@ func ContractCtx(ctx context.Context, x, y *coo.Tensor, cmodesX, cmodesY []int, 
 	return contractMain(ctx, p, px, nil, opt, rep)
 }
 
-// checkOptions validates the algorithm and planner selectors and builds the
+// checkOptions validates the algorithm selector and builds the
 // Report skeleton shared by the one-shot and prepared entry points.
 func checkOptions(opt Options, nnzX, nnzY int) (*Report, error) {
 	switch opt.Algorithm {
 	case AlgSPA, AlgCOOHtA, AlgSparta, AlgTwoPhase:
 	default:
 		return nil, errBadAlgorithm(opt.Algorithm)
-	}
-	switch opt.Planner {
-	case PlannerOff, PlannerAuto:
-	default:
-		return nil, fmt.Errorf("core: unknown planner mode %d", int(opt.Planner))
 	}
 	threads := opt.Threads
 	if threads < 1 {

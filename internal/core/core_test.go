@@ -323,8 +323,8 @@ func TestAlgorithmsAgreeRandom(t *testing.T) {
 // bitwise unchanged — dims, mode order and every column — whether the spec
 // leaves the modes where they are (sorted X takes the sorter's early return
 // and stays aliased for the whole contraction), permutes them (fresh sorted
-// columns), or has an index box too wide to LN-encode (in-place tuple
-// quicksort on a deep clone).
+// columns), or has an index box too wide for one LN key (the same fresh
+// columns, sorted one key word at a time).
 func TestContractLeavesInputsUntouched(t *testing.T) {
 	wideDims := []uint64{1 << 32, 1 << 31, 6}
 	wide := coo.MustNew(wideDims, 0)

@@ -24,7 +24,7 @@ var stageKey = [NumStages]string{
 // expose how much the constant-digit skip saves. PrepareX calls it where the
 // sort runs, so a contraction on an X prepared earlier adds nothing.
 func publishXSort(reg *obs.Registry, info coo.SortInfo, nnzX int) {
-	if reg == nil || !info.Radix {
+	if reg == nil {
 		return
 	}
 	st := info.Stats

@@ -117,8 +117,8 @@ func TestBuildDispatchOneShotMatchesPrepared(t *testing.T) {
 // it selects AlgSparta, matches the dense reference, and is accepted by the
 // prepared and streamed entry points, which serve AlgSparta only.
 func TestZeroOptionsIsSparta(t *testing.T) {
-	if reflect.TypeOf(Options{}).NumField() != 8 {
-		t.Fatalf("Options has %d fields, want 8", reflect.TypeOf(Options{}).NumField())
+	if reflect.TypeOf(Options{}).NumField() != 7 {
+		t.Fatalf("Options has %d fields, want 7", reflect.TypeOf(Options{}).NumField())
 	}
 	x := randomSparse([]uint64{9, 6, 5}, 200, 93)
 	y := randomSparse([]uint64{5, 8, 7}, 150, 94)

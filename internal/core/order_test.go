@@ -48,8 +48,8 @@ func TestPrepareX(t *testing.T) {
 		t.Fatal(err)
 	}
 	xo := px.Tensor()
-	if xo == x || px.sort.Stats.Sorted || !px.Stable() {
-		t.Fatalf("leading contract modes should need a stable reorder: %+v", px.sort)
+	if xo == x || px.sort.Stats.Sorted {
+		t.Fatalf("leading contract modes should need a reorder: %+v", px.sort)
 	}
 	if !x.Equal(before) {
 		t.Fatal("PrepareX changed its argument")
@@ -162,19 +162,97 @@ func TestPrepareX(t *testing.T) {
 		t.Fatalf("empty tensor: %+v, %v", empty, err)
 	}
 
-	// A box too wide for LN keys is sorted by the unstable tuple quicksort:
-	// still a valid PreparedX, but not one that may replace x.
+	// A box too wide for one LN key sorts one key word at a time, as stably
+	// as any other: its PreparedX may replace x like any other.
 	wide := coo.MustNew([]uint64{1 << 32, 1 << 31, 6}, 0)
 	rng := rand.New(rand.NewSource(33))
 	for i := 0; i < 200; i++ {
-		wide.Append([]uint32{rng.Uint32(), rng.Uint32() >> 1, uint32(rng.Intn(6))}, rng.NormFloat64())
+		wide.Append([]uint32{rng.Uint32() >> 28, rng.Uint32() >> 29, uint32(rng.Intn(6))}, 0)
 	}
+	wide = withDuplicates(wide, 60)
+	wideBefore := wide.Clone()
 	pw, err := PrepareX(ctx, wide, []int{2}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pw.Stable() || pw.Tensor() == wide || !pw.view.IsSorted() {
-		t.Fatalf("wide box: stable %v, Tensor() is x %v, view sorted %v", pw.Stable(), pw.Tensor() == wide, pw.view.IsSorted())
+	if pw.Tensor() == wide || !pw.view.IsSorted() || !wide.Equal(wideBefore) {
+		t.Fatalf("wide box: Tensor() is x %v, view sorted %v, x unchanged %v",
+			pw.Tensor() == wide, pw.view.IsSorted(), wide.Equal(wideBefore))
+	}
+	for i := 1; i < pw.view.NNZ(); i++ {
+		if pw.view.Compare(i-1, i) == 0 && pw.view.Vals[i-1] > pw.view.Vals[i] {
+			t.Fatalf("wide box rows %d,%d: equal coordinates out of their original order", i-1, i)
+		}
+	}
+	yw := randomSparse([]uint64{6, 5}, 20, 36)
+	zw, _, err := Contract(wide, yw, []int{2}, []int{0}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zwo, _, err := Contract(pw.Tensor(), yw, []int{2}, []int{0}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !zw.Equal(zwo) {
+		t.Fatal("wide box: contracting Tensor() differs from contracting x")
+	}
+}
+
+// TestWideBoxContractOracle: an X whose index box is too wide for one LN key
+// (Flickr's full dims, about 1.1e22) with duplicate coordinates gives
+// bitwise the same Z from the one-shot Contract, from PreparedY.ContractX on
+// its PreparedX, and from ContractStreamX over that PreparedX at window caps
+// 1 and 13: every path sorts X with the same stable sorter.
+func TestWideBoxContractOracle(t *testing.T) {
+	ctx := context.Background()
+	dims := []uint64{319686, 28153045, 1607191, 731}
+	rng := rand.New(rand.NewSource(41))
+	x := coo.MustNew(dims, 0)
+	idx := make([]uint32, len(dims))
+	for i := 0; i < 3000; i++ {
+		// Few distinct free coordinates, so sub-tensors hold several rows.
+		for m := 0; m < 3; m++ {
+			idx[m] = uint32(uint64(rng.Intn(8)) * (dims[m] / 8))
+		}
+		idx[3] = uint32(rng.Intn(int(dims[3])))
+		x.Append(idx, 0)
+	}
+	x = withDuplicates(x, 400)
+	if _, err := x.Radix(); err == nil {
+		t.Fatal("test setup: Flickr's box fits one LN key")
+	}
+	y := randomSparse([]uint64{731, 40}, 2000, 42)
+	cx, cy := []int{3}, []int{0}
+	for _, threads := range []int{1, 3} {
+		opt := Options{Threads: threads}
+		want, _, err := Contract(x, y, cx, cy, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr, err := PrepareY(y, cy, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		px, err := PrepareX(ctx, x, cx, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := pr.ContractX(ctx, px, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("threads=%d: ContractX on the stored PreparedX differs from Contract", threads)
+		}
+		for _, limit := range []int{1, 13} {
+			zs, rep, err := ContractStreamX(ctx, px, limit, pr, StreamOptions{Options: opt})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !zs.Equal(want) || rep.Windows < 2 {
+				t.Fatalf("threads=%d window cap %d: streamed Z equal %v in %d windows", threads, limit, zs.Equal(want), rep.Windows)
+			}
+		}
 	}
 }
 

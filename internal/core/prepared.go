@@ -311,13 +311,6 @@ func (px *PreparedX) Tensor() *coo.Tensor { return px.t }
 // modify the slice.
 func (px *PreparedX) CmodesX() []int { return px.cmodesX }
 
-// Stable reports whether rows with equal coordinates kept their relative
-// order, which is all a contraction's floating-point sums depend on: only
-// then may Tensor() stand in for x wherever results must stay bitwise the
-// same. False only for an index box too wide for LN keys, whose only sorter
-// is the tuple quicksort.
-func (px *PreparedX) Stable() bool { return px.sort.Radix || px.t.NNZ() < 2 }
-
 // windows yields px's sub-tensors in ascending order as windows of at most
 // limit rows — the greedy grouping coo.Mapped.Stream applies to a file's
 // chunks, here over px.ptrFX: a sub-tensor larger than limit is a window of

@@ -47,32 +47,6 @@ func (a Algorithm) String() string {
 	}
 }
 
-// Planner controls chain-level contraction-order planning. Only
-// sparta.EvalChain consults it; single contractions ignore the field.
-type Planner int
-
-const (
-	// PlannerOff executes chains exactly as written (the default).
-	PlannerOff Planner = 0
-	// PlannerAuto lets EvalChain reorder a chain's contractions when the
-	// cost model prices a different tree below the written order. The
-	// final output keeps its name, value, and mode order; intermediate
-	// names become planner-generated.
-	PlannerAuto Planner = 1
-)
-
-// String names the planner mode.
-func (p Planner) String() string {
-	switch p {
-	case PlannerOff:
-		return "off"
-	case PlannerAuto:
-		return "auto"
-	default:
-		return fmt.Sprintf("Planner(%d)", int(p))
-	}
-}
-
 // Stage identifies one of the five SpTC stages (§3.1).
 type Stage int
 
@@ -201,14 +175,6 @@ type Report struct {
 	// MergeWall is the coordinator's k-way merge of the per-shard sorted Z
 	// runs.
 	MergeWall time.Duration
-
-	// PlannedOrder is the contraction-order planner's subtree expression
-	// for this step ("(A×B)" over input names); empty when the chain ran
-	// in its written order.
-	PlannedOrder string
-	// EstimatedNNZ is the planner's predicted output nnz for this step
-	// (0 when the chain was not planned).
-	EstimatedNNZ int
 
 	// Data-object sizes in bytes (peak), for Figs. 3, 7, 9.
 	BytesX, BytesY   uint64

@@ -4,13 +4,13 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"sync"
 	"time"
 
 	"sparta/internal/coo"
 	"sparta/internal/core"
 	"sparta/internal/einsum"
 	"sparta/internal/obs"
+	"sparta/internal/parallel"
 )
 
 // Config assembles a Coordinator.
@@ -132,38 +132,34 @@ func (c *Coordinator) Contract(ctx context.Context, x, y *coo.Tensor, cmodesX, c
 	// sort them in place instead of cloning again.
 	job.Options.InPlace = true
 
-	// Fan out one goroutine per non-empty shard. The buffered channel
-	// guarantees every leg can deliver and exit even if a sibling failed —
-	// no goroutine outlives Contract (fault_test.go counts them).
+	// Run every non-empty shard concurrently, one leg each. parallel.For
+	// returns only once every leg has — no goroutine outlives Contract
+	// (fault_test.go counts them) — and re-raises a leg's panic here, on
+	// the caller, after its siblings have finished.
+	var legs []int
+	for s, p := range parts {
+		if p.NNZ() > 0 {
+			legs = append(legs, s)
+		}
+	}
+	dispatched := len(legs)
 	fanCtx, cancel := context.WithCancel(obs.DetachReq(ctx))
 	defer cancel()
-	results := make(chan shardResult, len(parts))
-	var wg sync.WaitGroup
-	dispatched := 0
-	for s, p := range parts {
-		if p.NNZ() == 0 {
-			continue
-		}
-		dispatched++
-		wg.Add(1)
-		//lint:ignore chunkloop one goroutine per shard RPC (bounded by S), not data-parallel work for parallel.For
-		go func(s int, p *coo.Tensor) {
-			defer wg.Done()
-			res := c.runShard(fanCtx, s, p, y, job)
-			if res.err != nil {
+	results := make([]shardResult, dispatched)
+	parallel.For(dispatched, dispatched, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			results[i] = c.runShard(fanCtx, legs[i], parts[legs[i]], y, job)
+			if results[i].err != nil {
 				cancel() // abort the siblings: the request cannot succeed
 			}
-			results <- res
-		}(s, p)
-	}
-	wg.Wait()
-	close(results)
+		}
+	})
 
 	runs := make([]*coo.Tensor, len(parts))
 	reps := make([]*core.Report, len(parts))
 	retries := 0
 	var failure error
-	for res := range results {
+	for _, res := range results {
 		if res.err != nil {
 			// Prefer the root-cause ShardError — one with real attempts —
 			// over siblings that died of the fan-out cancellation it

@@ -15,18 +15,26 @@ import (
 )
 
 // faulty wraps an Executor with injectable failure modes: fail the first N
-// Contract calls, or hang until the call's context is canceled. It is the
-// "worker killed / worker wedged mid-contract" stand-in for the in-process
-// fleet.
+// Contract calls, hang until the call's context is canceled, or panic. It is
+// the "worker killed / worker wedged / worker bug mid-contract" stand-in for
+// the in-process fleet.
 type faulty struct {
 	Executor
-	failN int32 // fail this many calls before recovering
-	hang  bool  // block until ctx is done, then return ctx.Err()
-	calls int32
+	failN  int32         // fail this many calls before recovering
+	hang   bool          // block until ctx is done, then return ctx.Err()
+	panics bool          // panic with errInjectedPanic
+	delay  time.Duration // sleep before contracting (outlast a panicking sibling)
+	calls  int32
+	done   int32 // calls that returned
 }
+
+var errInjectedPanic = errors.New("injected worker panic")
 
 func (f *faulty) Contract(ctx context.Context, x, y *coo.Tensor, job Job) (*coo.Tensor, *core.Report, error) {
 	atomic.AddInt32(&f.calls, 1)
+	if f.panics {
+		panic(errInjectedPanic)
+	}
 	if f.hang {
 		<-ctx.Done()
 		return nil, nil, ctx.Err()
@@ -34,7 +42,10 @@ func (f *faulty) Contract(ctx context.Context, x, y *coo.Tensor, job Job) (*coo.
 	if atomic.AddInt32(&f.failN, -1) >= 0 {
 		return nil, nil, errors.New("injected worker crash")
 	}
-	return f.Executor.Contract(ctx, x, y, job)
+	time.Sleep(f.delay)
+	z, rep, err := f.Executor.Contract(ctx, x, y, job)
+	atomic.AddInt32(&f.done, 1)
+	return z, rep, err
 }
 
 func faultFleet(t *testing.T, S int, wrap func(i int, ex Executor) Executor, cfg Config) *Coordinator {
@@ -177,9 +188,9 @@ func TestShardParentCancellation(t *testing.T) {
 	}
 }
 
-// TestShardNoGoroutineLeak runs healthy, failing, and canceled requests and
-// asserts the goroutine count settles back to the baseline — the buffered
-// fan-out channel guarantees every leg can deliver and exit.
+// TestShardNoGoroutineLeak runs healthy, failing, canceled and panicking
+// requests and asserts the goroutine count settles back to the baseline —
+// the fan-out joins every leg before Contract returns or re-panics.
 func TestShardNoGoroutineLeak(t *testing.T) {
 	rng := rand.New(rand.NewSource(39))
 	tc := randomContractCase(rng, 3, 391)
@@ -213,6 +224,15 @@ func TestShardNoGoroutineLeak(t *testing.T) {
 		cancel()
 	}
 
+	// Requests whose shard 0 panics.
+	cp, _ := panicFleet(t)
+	for i := 0; i < 3; i++ {
+		func() {
+			defer func() { _ = recover() }()
+			_, _, _ = cp.Contract(context.Background(), tc.x, tc.y, tc.cx, tc.cy, opt)
+		}()
+	}
+
 	// Settle: give exiting goroutines a moment to unwind.
 	deadline := time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
@@ -223,6 +243,50 @@ func TestShardNoGoroutineLeak(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("goroutines did not settle: before=%d after=%d", before, runtime.NumGoroutine())
+}
+
+// panicFleet is four shards whose first executor panics while the other
+// three contract after a short sleep.
+func panicFleet(t *testing.T) (*Coordinator, []*faulty) {
+	t.Helper()
+	fs := make([]*faulty, 4)
+	c := faultFleet(t, len(fs), func(i int, ex Executor) Executor {
+		fs[i] = &faulty{Executor: ex, panics: i == 0, delay: 5 * time.Millisecond}
+		return fs[i]
+	}, Config{})
+	return c, fs
+}
+
+// TestShardPanicReachesCaller: a panic inside one shard's executor does not
+// end the process. It reaches the recover of the goroutine that called
+// Contract, and only after every other leg has finished its contraction.
+func TestShardPanicReachesCaller(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	tc := randomContractCase(rng, 3, 431)
+	opt := core.Options{Algorithm: core.AlgSparta, Threads: 2}
+	c, fs := panicFleet(t)
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		_, _, _ = c.Contract(context.Background(), tc.x, tc.y, tc.cx, tc.cy, opt)
+		return nil
+	}()
+	if atomic.LoadInt32(&fs[0].calls) == 0 {
+		t.Fatal("test setup: shard 0 received no partition")
+	}
+	if got != errInjectedPanic {
+		t.Fatalf("the caller recovered %v, want the executor's panic", got)
+	}
+	healthy := 0
+	for _, f := range fs[1:] {
+		calls, done := atomic.LoadInt32(&f.calls), atomic.LoadInt32(&f.done)
+		if calls != done {
+			t.Errorf("%s: %d calls, %d returned when the panic reached the caller", f.Name(), calls, done)
+		}
+		healthy += int(calls)
+	}
+	if healthy == 0 {
+		t.Error("test setup: no healthy leg ran beside the panicking one")
+	}
 }
 
 // TestShardBackpressure bounds per-shard concurrency: with MaxInflight=1 on

@@ -99,8 +99,10 @@ func (r *Radix) Encode(idx []uint32) uint64 {
 func (r *Radix) EncodeStrided(idx [][]uint32, at int) uint64 {
 	var ln uint64
 	for m := range r.dims {
-		if invariant.Enabled {
-			invariant.Assertf(uint64(idx[m][at]) < r.dims[m],
+		// The check is the branch, not Assertf's argument, so the arguments
+		// are boxed only when it fails and the encode allocates nothing.
+		if invariant.Enabled && uint64(idx[m][at]) >= r.dims[m] {
+			invariant.Assertf(false,
 				"lnum: index %d out of range for mode %d (size %d); encode would wrap past Card",
 				idx[m][at], m, r.dims[m])
 		}

@@ -1,7 +1,8 @@
 // Package parallel provides the thread-pool primitives shared by all Sparta
-// stages: static range partitioning (For), dynamic chunked scheduling
-// (ForChunked), and a depth-bounded goroutine fan-out used by the parallel
-// quicksort in package coo.
+// stages: static range partitioning (For) and dynamic chunked scheduling
+// (ForChunked). There is no divide-and-conquer spawner: the one sorter (the
+// radix engine behind coo.Sort) partitions its work with For like every
+// other stage.
 //
 // The paper parallelizes all five SpTC stages with OpenMP; here each stage
 // maps onto one of these helpers with an explicit thread count so that the
@@ -190,53 +191,6 @@ func ForChunkedWork(threads, n, chunk int, work int64, body func(tid, lo, hi int
 func ForChunkedWorkCtx(ctx context.Context, threads, n, chunk int, work int64, body func(tid, lo, hi int)) error {
 	return ForChunkedCtx(ctx, ClampWork(threads, n, work), n, chunk, body)
 }
-
-// Fanout is a depth-budgeted goroutine spawner for divide-and-conquer
-// algorithms (parallel quicksort). Spawn returns true and runs f
-// asynchronously while budget remains; otherwise the caller should recurse
-// serially. Wait blocks until every spawned task (transitively) finished,
-// then re-raises the first panic a task raised.
-type Fanout struct {
-	j      join
-	budget int64
-	mu     sync.Mutex
-}
-
-// NewFanout allows roughly 4*threads concurrent tasks, enough to smooth
-// quicksort's uneven splits without goroutine storms.
-func NewFanout(threads int) *Fanout {
-	if threads < 1 {
-		threads = DefaultThreads()
-	}
-	return &Fanout{budget: int64(4 * threads)}
-}
-
-// Spawn runs f in a new goroutine if budget remains, returning true; the
-// budget slot is returned when f completes.
-func (fo *Fanout) Spawn(f func()) bool {
-	fo.mu.Lock()
-	if fo.budget <= 0 {
-		fo.mu.Unlock()
-		return false
-	}
-	fo.budget--
-	fo.mu.Unlock()
-	fo.j.wg.Add(1)
-	go func() {
-		defer func() {
-			fo.mu.Lock()
-			fo.budget++
-			fo.mu.Unlock()
-			fo.j.done(recover())
-		}()
-		f()
-	}()
-	return true
-}
-
-// Wait blocks until all spawned work has completed, then re-raises on the
-// caller the first panic a spawned task raised.
-func (fo *Fanout) Wait() { fo.j.wait() }
 
 // PrefixSum computes the exclusive prefix sum of counts and returns the
 // total. Used by the writeback stage to assign each thread-local Zlocal a

@@ -154,31 +154,8 @@ func BenchmarkForChunkedTiny(b *testing.B) {
 	})
 }
 
-func TestFanout(t *testing.T) {
-	fo := NewFanout(2)
-	var count int64
-	var spawn func(depth int)
-	spawn = func(depth int) {
-		atomic.AddInt64(&count, 1)
-		if depth == 0 {
-			return
-		}
-		for i := 0; i < 2; i++ {
-			d := depth - 1
-			if !fo.Spawn(func() { spawn(d) }) {
-				spawn(d)
-			}
-		}
-	}
-	spawn(6)
-	fo.Wait()
-	if count != 127 {
-		t.Fatalf("count = %d, want 127", count)
-	}
-}
-
-// TestWorkerPanicReachesCaller: a panic in one worker of For, ForChunkedCtx
-// or a Fanout task is re-raised on the calling goroutine, where recover sees
+// TestWorkerPanicReachesCaller: a panic in one worker of For or
+// ForChunkedCtx is re-raised on the calling goroutine, where recover sees
 // the value, and only after every other worker has returned.
 func TestWorkerPanicReachesCaller(t *testing.T) {
 	const threads = 4
@@ -188,15 +165,6 @@ func TestWorkerPanicReachesCaller(t *testing.T) {
 		},
 		"ForChunkedCtx": func(body func(int)) {
 			_ = ForChunkedCtx(context.Background(), threads, 64, 1, func(_, lo, _ int) { body(lo) })
-		},
-		"Fanout": func(body func(int)) {
-			fo := NewFanout(threads)
-			for i := 0; i < threads; i++ {
-				if !fo.Spawn(func() { body(i) }) {
-					t.Fatal("Fanout refused a task within its budget")
-				}
-			}
-			fo.Wait()
 		},
 	}
 	for name, run := range cases {

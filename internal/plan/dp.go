@@ -16,17 +16,13 @@ import (
 const DefaultExhaustiveLimit = 8
 
 // Config tunes the planner. The zero value selects the fitted-default cost
-// model, the package stats cache, and DefaultExhaustiveLimit.
+// model and DefaultExhaustiveLimit.
 type Config struct {
 	// Model prices candidate trees (nil = DefaultModel()).
 	Model *Model
 	// ExhaustiveLimit is the max leaf count for the subset DP (0 =
 	// DefaultExhaustiveLimit; above it the greedy portfolio runs).
 	ExhaustiveLimit int
-	// Threads parallelizes the stats-cache fingerprint pass (<1 = cores).
-	Threads int
-	// Cache supplies per-tensor statistics (nil = package default cache).
-	Cache *Cache
 }
 
 // Result reports what the planner decided. Steps always holds an
@@ -44,7 +40,7 @@ type Result struct {
 	// Model costs in ns; PlannedCostNS == NaiveCostNS when not planned.
 	NaiveCostNS, PlannedCostNS float64
 	// StepOrders[i] / EstNNZ[i] are the subtree expression and estimated
-	// output nnz of planned step i (feeds Report.PlannedOrder/EstimatedNNZ).
+	// output nnz of planned step i.
 	StepOrders []string
 	EstNNZ     []int
 	// EstPeakNNZ / NaiveEstPeakNNZ are the largest estimated step outputs.
@@ -366,10 +362,6 @@ func PlanSteps(steps []Step, tensors map[string]*coo.Tensor, cfg Config) (*Resul
 	if limit <= 0 {
 		limit = DefaultExhaustiveLimit
 	}
-	cache := cfg.Cache
-	if cache == nil {
-		cache = defaultCache
-	}
 	res := &Result{Steps: steps}
 	unplanned := func(reason string) (*Result, error) {
 		res.Planned = false
@@ -378,9 +370,7 @@ func PlanSteps(steps []Step, tensors map[string]*coo.Tensor, cfg Config) (*Resul
 		return res, nil
 	}
 
-	net, err := fromSteps(steps, tensors, func(t *coo.Tensor) *TensorStats {
-		return cache.Stats(t, cfg.Threads)
-	})
+	net, err := fromSteps(steps, tensors)
 	if err != nil {
 		var np notPlannable
 		if ok := asNotPlannable(err, &np); ok {

@@ -87,8 +87,9 @@ func (u *unionFind) union(a, b int) { u.parent[u.find(a)] = u.find(b) }
 // plannable: an intermediate consumed more than once (the executed value
 // would be needed twice — reordering cannot preserve the sharing), more
 // than one unconsumed output, or malformed steps (surfaced as errors by
-// naive execution, not here).
-func fromSteps(steps []Step, tensors map[string]*coo.Tensor, stats func(*coo.Tensor) *TensorStats) (*network, error) {
+// naive execution, not here). Each distinct input tensor is counted once
+// (StatsOf), however many steps name it.
+func fromSteps(steps []Step, tensors map[string]*coo.Tensor) (*network, error) {
 	if len(steps) == 0 {
 		return nil, notPlannable{"empty chain"}
 	}
@@ -99,6 +100,7 @@ func fromSteps(steps []Step, tensors map[string]*coo.Tensor, stats func(*coo.Ten
 		st   *TensorStats
 	}
 	var leafSrcs []leafSrc
+	stats := map[*coo.Tensor]*TensorStats{}
 	outVarsOf := map[string][]int{} // step outputs, pre-canonical
 	consumed := map[string]bool{}
 
@@ -124,8 +126,13 @@ func fromSteps(steps []Step, tensors map[string]*coo.Tensor, stats func(*coo.Ten
 		for i := range labels {
 			vars[i] = uf.fresh()
 		}
+		st, ok := stats[t]
+		if !ok {
+			st = StatsOf(t)
+			stats[t] = st
+		}
 		ref := operandRef{leaf: len(leafSrcs)}
-		leafSrcs = append(leafSrcs, leafSrc{name: name, vars: vars, st: stats(t)})
+		leafSrcs = append(leafSrcs, leafSrc{name: name, vars: vars, st: st})
 		return vars, ref, nil
 	}
 

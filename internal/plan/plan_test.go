@@ -244,32 +244,28 @@ func TestGreedyFallbackAboveLimit(t *testing.T) {
 	}
 }
 
-// TestStatsCache: repeated lookups of the same content hit the cache, and
-// the cache distinguishes tensors by content, not identity.
-func TestStatsCache(t *testing.T) {
-	c := NewCache(4)
+// TestStatsCountedOncePerTensor: a tensor that several steps name is
+// counted once per plan — its leaves share one TensorStats — while a clone
+// with the same content is a tensor of its own.
+func TestStatsCountedOncePerTensor(t *testing.T) {
 	a := gen.Random([]uint64{30, 30}, 400, 11)
-	b := a.Clone()
-	s1 := c.Stats(a, 0)
-	s2 := c.Stats(b, 0) // same content, different object: must hit
-	if s1 != s2 {
-		t.Error("clone missed the stats cache")
+	steps := []Step{
+		{Out: "G", Spec: "ab,cb->ac", X: "A", Y: "A"},
+		{Out: "Z", Spec: "ac,cd->ad", X: "G", Y: "B"},
 	}
-	if c.Len() != 1 {
-		t.Errorf("cache holds %d entries, want 1", c.Len())
+	net, err := fromSteps(steps, map[string]*coo.Tensor{"A": a, "B": a.Clone()})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Mutating the tensor changes its fingerprint → fresh stats.
-	b.Vals[0] += 1
-	s3 := c.Stats(b, 0)
-	if s3 == s1 {
-		t.Error("mutated tensor served stale stats")
+	if len(net.leaves) != 3 {
+		t.Fatalf("%d leaves, want A, A, B", len(net.leaves))
 	}
-	// LRU eviction caps the entry count.
-	for i := 0; i < 10; i++ {
-		c.Stats(gen.Random([]uint64{10, 10}, 50, int64(50+i)), 0)
+	stats := func(l leaf) *ModeStats { return l.est.mode[l.vars[0]] }
+	if stats(net.leaves[0]) != stats(net.leaves[1]) {
+		t.Error("the two occurrences of A were counted separately")
 	}
-	if c.Len() > 4 {
-		t.Errorf("cache grew to %d entries, cap 4", c.Len())
+	if stats(net.leaves[0]) == stats(net.leaves[2]) {
+		t.Error("B, a clone of A, shares A's statistics")
 	}
 }
 

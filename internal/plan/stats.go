@@ -4,20 +4,17 @@
 // magnitude before the fast kernels ever see the data. This package
 // estimates the nnz of every feasible intermediate from cheap per-mode
 // statistics (distinct counts, self-join moments, heavy-hitter lists,
-// nnz-per-index histograms — computed once per tensor and cached by the
-// engine's content fingerprint), prices candidate contraction trees with a
-// cost model fitted to the per-stage walls Reports already record, and
-// searches the tree space exhaustively for small networks (subset DP) with
-// a greedy fallback above.
+// nnz-per-index histograms — computed once per distinct tensor of a
+// PlanSteps call), prices candidate contraction trees with a cost model
+// fitted to the per-stage walls Reports already record, and searches the
+// tree space exhaustively for small networks (subset DP) with a greedy
+// fallback above.
 package plan
 
 import (
-	"container/list"
 	"sort"
-	"sync"
 
 	"sparta/internal/coo"
-	"sparta/internal/engine"
 	"sparta/internal/obs"
 )
 
@@ -70,8 +67,8 @@ type TensorStats struct {
 }
 
 // StatsOf computes t's per-mode statistics in one counting pass per mode.
-// The cost is O(nnz · order) — far below one contraction — and intended to
-// be paid once per tensor via Cache.
+// The cost is O(nnz · order) — far below one contraction — and PlanSteps
+// pays it once per distinct tensor it is given.
 func StatsOf(t *coo.Tensor) *TensorStats {
 	card := 1.0
 	for _, d := range t.Dims {
@@ -138,73 +135,4 @@ func modeStatsOf(t *coo.Tensor, m int) ModeStats {
 	ms.HistBounds = append([]float64(nil), obs.ProbeBuckets...)
 	ms.HistCounts = sh.Counts()
 	return ms
-}
-
-// Cache memoizes TensorStats by the engine's 128-bit content fingerprint,
-// so repeated plans over the same tensors (chains, serving) pay the
-// counting pass once. The fingerprint is recomputed per lookup — O(nnz),
-// the same content-addressing price the plan cache pays — which makes the
-// cache immune to callers mutating tensors between plans.
-type Cache struct {
-	mu  sync.Mutex
-	cap int
-	m   map[engine.Fingerprint]*list.Element
-	lru *list.List // of cacheEntry, front = most recent
-}
-
-type cacheEntry struct {
-	fp engine.Fingerprint
-	st *TensorStats
-}
-
-// NewCache builds a stats cache holding at most capEntries tensors
-// (capEntries <= 0 means DefaultCacheEntries).
-func NewCache(capEntries int) *Cache {
-	if capEntries <= 0 {
-		capEntries = DefaultCacheEntries
-	}
-	return &Cache{cap: capEntries, m: make(map[engine.Fingerprint]*list.Element), lru: list.New()}
-}
-
-// DefaultCacheEntries caps the package-level stats cache.
-const DefaultCacheEntries = 256
-
-// defaultCache serves PlanSteps callers that do not bring their own.
-var defaultCache = NewCache(DefaultCacheEntries)
-
-// Stats returns t's statistics, computing them on first sight of this
-// content fingerprint.
-func (c *Cache) Stats(t *coo.Tensor, threads int) *TensorStats {
-	fp := engine.FingerprintTensor(t, threads)
-	c.mu.Lock()
-	if el, ok := c.m[fp]; ok {
-		c.lru.MoveToFront(el)
-		st := el.Value.(cacheEntry).st
-		c.mu.Unlock()
-		return st
-	}
-	c.mu.Unlock()
-
-	// Count outside the lock; first-store-wins on a race, like the plan
-	// cache — both results are identical for identical content.
-	st := StatsOf(t)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[fp]; ok {
-		return el.Value.(cacheEntry).st
-	}
-	c.m[fp] = c.lru.PushFront(cacheEntry{fp: fp, st: st})
-	for c.lru.Len() > c.cap {
-		last := c.lru.Back()
-		delete(c.m, last.Value.(cacheEntry).fp)
-		c.lru.Remove(last)
-	}
-	return st
-}
-
-// Len reports the resident entry count (for tests).
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
 }

@@ -72,7 +72,7 @@ type PlanResult struct {
 	// Model costs in nanoseconds; equal when not planned.
 	NaiveCostNS, PlannedCostNS float64
 	// StepOrders[i] and EstNNZ[i] are planned step i's subtree expression
-	// and estimated output nnz (also surfaced per step on Report).
+	// and estimated output nnz.
 	StepOrders []string
 	EstNNZ     []int
 	// EstPeakNNZ / NaiveEstPeakNNZ are the largest estimated step outputs
@@ -85,21 +85,18 @@ type PlanResult struct {
 }
 
 // PlanChain runs the cost-based contraction-order planner over a chain
-// without executing it: per-tensor sparsity statistics (cached by content
-// fingerprint) feed an output-size estimator, and a dynamic program over
-// contraction trees picks the cheapest order under the fitted cost model.
-// Chains the planner cannot reorder safely come back unchanged with
-// Planned=false and a Reason — never an error; errors are reserved for
+// without executing it: per-tensor sparsity statistics (counted once per
+// distinct input tensor) feed an output-size estimator, and a dynamic
+// program over contraction trees picks the cheapest order under the fitted
+// cost model. Chains the planner cannot reorder safely come back unchanged
+// with Planned=false and a Reason — never an error; errors are reserved for
 // internal failures.
 //
-// EvalChain with Options.Planner == PlannerAuto runs exactly this and
-// executes the winning order.
-func PlanChain(steps []ChainStep, inputs map[string]*Tensor, opt Options) (*PlanResult, error) {
+// EvalChain runs the steps it is given: pass it pr.Steps to execute the
+// planned order.
+func PlanChain(steps []ChainStep, inputs map[string]*Tensor) (*PlanResult, error) {
 	model := plannerModel()
-	res, err := plan.PlanSteps(toPlanSteps(steps), inputs, plan.Config{
-		Model:   &model,
-		Threads: opt.Threads,
-	})
+	res, err := plan.PlanSteps(toPlanSteps(steps), inputs, plan.Config{Model: &model})
 	if err != nil {
 		return nil, err
 	}

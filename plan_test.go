@@ -37,7 +37,7 @@ func adversarialChain(seed int64) ([]ChainStep, map[string]*Tensor) {
 
 func TestPlanChainReordersAdversarialChain(t *testing.T) {
 	steps, inputs := adversarialChain(101)
-	pr, err := PlanChain(steps, inputs, Options{Algorithm: AlgSparta})
+	pr, err := PlanChain(steps, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,21 +71,34 @@ func TestPlanChainReordersAdversarialChain(t *testing.T) {
 	}
 }
 
+// evalPlanned runs a chain in the planner's order the way a caller does:
+// PlanChain, then EvalChain over the steps it returns (the written steps
+// when it keeps their order).
+func evalPlanned(t *testing.T, steps []ChainStep, inputs map[string]*Tensor, opt Options) (*PlanResult, *ChainResult) {
+	t.Helper()
+	pr, err := PlanChain(steps, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := EvalChain(pr.Steps, inputs, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pr, res
+}
+
 // TestEvalChainPlannedBitwiseIdentical is the acceptance gate: with exact
-// (integer-valued) inputs, PlannerAuto must produce the same final tensor
-// as PlannerOff, bit for bit, while actually reordering.
+// (integer-valued) inputs, the planned steps must produce the same final
+// tensor as the written ones, bit for bit, while actually reordering.
 func TestEvalChainPlannedBitwiseIdentical(t *testing.T) {
 	steps, inputs := adversarialChain(202)
 	off, err := EvalChain(steps, inputs, Options{Algorithm: AlgSparta})
 	if err != nil {
 		t.Fatal(err)
 	}
-	auto, err := EvalChain(steps, inputs, Options{Algorithm: AlgSparta, Planner: PlannerAuto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if auto.Reports[0].PlannedOrder == "" {
-		t.Fatal("PlannerAuto did not reorder the adversarial chain")
+	pr, auto := evalPlanned(t, steps, inputs, Options{Algorithm: AlgSparta})
+	if !pr.Planned {
+		t.Fatal("the planner did not reorder the adversarial chain")
 	}
 	zOff, zAuto := off.Tensors["Z"], auto.Tensors["Z"]
 	if zOff == nil || zAuto == nil {
@@ -94,24 +107,19 @@ func TestEvalChainPlannedBitwiseIdentical(t *testing.T) {
 	if !zOff.Equal(zAuto) {
 		t.Fatal("planned output differs from written-order output")
 	}
-	// Every step report carries the planner annotations.
-	for i, rep := range auto.Reports {
-		if rep.PlannedOrder == "" {
-			t.Errorf("step %d missing PlannedOrder", i)
+	// Every planned step carries its subtree and estimated output size.
+	for i := range pr.Steps {
+		if pr.StepOrders[i] == "" {
+			t.Errorf("step %d missing its planned order", i)
 		}
-		if rep.EstimatedNNZ <= 0 {
-			t.Errorf("step %d EstimatedNNZ = %d", i, rep.EstimatedNNZ)
-		}
-	}
-	for i, rep := range off.Reports {
-		if rep.PlannedOrder != "" || rep.EstimatedNNZ != 0 {
-			t.Errorf("PlannerOff step %d carries planner annotations", i)
+		if pr.EstNNZ[i] <= 0 {
+			t.Errorf("step %d estimated nnz = %d", i, pr.EstNNZ[i])
 		}
 	}
 }
 
-// TestEvalChainPlannedSweep diffs PlannerAuto against PlannerOff across a
-// variety of chain shapes, kernels, and seeds — outputs must be exactly
+// TestEvalChainPlannedSweep diffs the planned steps against the written
+// ones across a variety of chain shapes, kernels, and seeds — outputs must be exactly
 // equal whether or not the planner chose to reorder.
 func TestEvalChainPlannedSweep(t *testing.T) {
 	type shape struct {
@@ -178,12 +186,7 @@ func TestEvalChainPlannedSweep(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%d off: %v", sh.name, seed, err)
 			}
-			autoOpt := base
-			autoOpt.Planner = PlannerAuto
-			auto, err := EvalChain(sh.steps, inputs, autoOpt)
-			if err != nil {
-				t.Fatalf("%s/%d auto: %v", sh.name, seed, err)
-			}
+			_, auto := evalPlanned(t, sh.steps, inputs, base)
 			if !off.Tensors["Z"].Equal(auto.Tensors["Z"]) {
 				t.Errorf("%s/%d: planned output differs", sh.name, seed)
 			}
@@ -192,7 +195,7 @@ func TestEvalChainPlannedSweep(t *testing.T) {
 }
 
 // TestPlanChainUnplannableFallsBack: chains the planner cannot reorder come
-// back unchanged with a reason, and PlannerAuto still executes them.
+// back unchanged with a reason, and evaluating what it returns runs them.
 func TestPlanChainUnplannableFallsBack(t *testing.T) {
 	a := intValued(Random([]uint64{12, 10}, 80, 51))
 	b := intValued(Random([]uint64{10, 12}, 80, 52))
@@ -202,10 +205,7 @@ func TestPlanChainUnplannableFallsBack(t *testing.T) {
 		{Out: "Z", Spec: "ac,ca->", X: "W", Y: "W"},
 	}
 	inputs := map[string]*Tensor{"A": a, "B": b}
-	pr, err := PlanChain(steps, inputs, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pr, auto := evalPlanned(t, steps, inputs, Options{Algorithm: AlgSparta})
 	if pr.Planned {
 		t.Fatal("planned a chain with a twice-consumed intermediate")
 	}
@@ -219,12 +219,8 @@ func TestPlanChainUnplannableFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	auto, err := EvalChain(steps, inputs, Options{Algorithm: AlgSparta, Planner: PlannerAuto})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if !off.Tensors["Z"].Equal(auto.Tensors["Z"]) {
-		t.Error("fallback execution differs from PlannerOff")
+		t.Error("fallback execution differs from the written chain's")
 	}
 }
 
@@ -239,7 +235,7 @@ func TestPlanChainKeepsGoodOrder(t *testing.T) {
 		{Out: "Z", Spec: "ab,be->ae", X: "A", Y: "BCD"},
 	}
 	_, inputs := adversarialChain(303)
-	pr, err := PlanChain(steps, inputs, Options{})
+	pr, err := PlanChain(steps, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,9 +12,11 @@ cd "$(dirname "$0")/.."
 GO="${GO:-go}"
 # The packages that run again with -tags assert: the lock-free builds,
 # open-addressed tables and worker arenas live here, plus the server, whose
-# tiers share stored operands across concurrent requests, and the LN codec,
-# whose -tags assert range checks guard every key decode.
-hot="./internal/hashtab ./internal/core ./internal/engine ./internal/plan ./internal/sortx ./internal/obs ./internal/dist ./internal/lnum ./cmd/sptc-serve"
+# tiers share stored operands across concurrent requests, the LN codec,
+# whose -tags assert range checks guard every key decode, and the COO
+# sorter, whose post-condition (rows in tuple order, every row moved once)
+# is checked after each sort that moves rows.
+hot="./internal/hashtab ./internal/core ./internal/engine ./internal/plan ./internal/sortx ./internal/obs ./internal/dist ./internal/lnum ./internal/coo ./cmd/sptc-serve"
 $GO build ./...
 (cd benchmark && $GO vet . && $GO test .)
 unformatted="$(gofmt -l .)"

@@ -104,16 +104,6 @@ const (
 	AlgTwoPhase = core.AlgTwoPhase // traditional symbolic+numeric two-phase SpTC
 )
 
-// Planner controls chain-level contraction-order planning: EvalChain with
-// PlannerAuto reorders a chain's contractions when the fitted cost model
-// prices a different tree below the written order (see PlanChain).
-type Planner = core.Planner
-
-const (
-	PlannerOff  = core.PlannerOff  // execute chains exactly as written (default)
-	PlannerAuto = core.PlannerAuto // reorder when the cost model predicts a win
-)
-
 // Options configures Contract.
 type Options = core.Options
 
