@@ -9,8 +9,9 @@ test:
 	$(GO) test ./...
 
 # lint runs the in-tree analyzer suite (cmd/sptc-lint): atomicmix,
-# chunkloop, lnoverflow, hotpanic, bareerr, spanleak, ctxloop, mutexcopy,
-# deferinloop, atomicalign. Zero dependencies, exits non-zero on any
+# chunkloop, lnoverflow, hotpanic, bareerr, spanleak, ctxloop,
+# deferinloop, atomicalign (go vet's copylocks check, which verify runs first,
+# covers lock and atomic values copied by value). Zero dependencies, exits non-zero on any
 # unsuppressed finding. The -perf pass then diffs the compiler's heap-escape
 # and bounds-check diagnostics over the hot-path packages against the
 # committed budget (lint/hotpath_budget.json): any new escape or bounds

@@ -54,9 +54,9 @@ func TestEvalChainOnCoordinator(t *testing.T) {
 	}
 }
 
-// TestEvalChainOnEngine: the plain engine satisfies the same seam, so
-// EvalChainOn(engine) and EvalChain agree trivially — pinning the interface
-// against drift.
+// TestEvalChainOnValidation: EvalChainOn refuses a nil executor and an
+// empty chain. (The coordinator compiling as a Contractor above pins the
+// interface against drift.)
 func TestEvalChainOnValidation(t *testing.T) {
 	if _, err := EvalChainOn(context.Background(), nil, []ChainStep{{Out: "Z", Spec: "ab,bc->ac", X: "A", Y: "B"}}, nil, Options{}); err == nil {
 		t.Error("nil executor accepted")

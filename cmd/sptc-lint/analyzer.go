@@ -36,7 +36,6 @@ var analyzers = []*Analyzer{
 	bareerrAnalyzer,
 	spanleakAnalyzer,
 	ctxloopAnalyzer,
-	mutexcopyAnalyzer,
 	deferinloopAnalyzer,
 	atomicalignAnalyzer,
 }

@@ -139,10 +139,6 @@ func TestCtxloopFixture(t *testing.T) {
 	runFixture(t, "fix/ctxloop", ctxloopAnalyzer)
 }
 
-func TestMutexcopyFixture(t *testing.T) {
-	runFixture(t, "fix/mutexcopy", mutexcopyAnalyzer)
-}
-
 func TestDeferinloopFixture(t *testing.T) {
 	runFixture(t, "fix/internal/sortx", deferinloopAnalyzer)
 }

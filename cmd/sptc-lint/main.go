@@ -1,4 +1,4 @@
-// Command sptc-lint is Sparta's in-tree static-analysis gate: ten
+// Command sptc-lint is Sparta's in-tree static-analysis gate: nine
 // repo-specific analyzers over the whole module plus a compiler-diagnostic
 // performance tier, built on nothing but go/parser + go/types so it runs
 // offline with a bare toolchain (no golang.org/x/tools, no network, no
@@ -19,7 +19,6 @@
 //	bareerr     dropped error results
 //	spanleak    Tracer.Start* spans that are never End()ed
 //	ctxloop     exported ForChunked* callers that drop context.Context
-//	mutexcopy   sync.Mutex/WaitGroup/atomic values copied by value
 //	deferinloop defer inside a loop in a hot-path package
 //	atomicalign 64-bit atomics on struct fields misaligned for 32-bit
 //

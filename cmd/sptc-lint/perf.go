@@ -232,7 +232,10 @@ func parseDiagnostics(lines []string) []perfFinding {
 // enclosing function of every finding: methods as Type.Method, function
 // literals as Outer.funcN with N the literal's pre-order index within its
 // top-level declaration (mirroring the compiler's naming closely enough to
-// be stable and readable).
+// be stable and readable). The compiler reports an inlined callee's escape
+// at each call site it is inlined into as well as in the callee, so each
+// caller is charged too: the allocation happens in the caller's frame, and
+// a budget can move when an inlining decision does.
 func attributeFindings(modRoot string, raw []perfFinding) ([]perfFinding, error) {
 	byFile := map[string][]int{}
 	for i, f := range raw {

@@ -167,7 +167,9 @@ func TestCommittedBudget(t *testing.T) {
 // TestPerfGateEndToEnd builds a throwaway module with a deliberate heap
 // escape in a budgeted package and runs the real -perf pipeline against a
 // zero budget: the gate must fail, a baseline stamp must then succeed, and
-// the re-check against the fresh baseline must pass.
+// the re-check against the fresh baseline must pass. The stamp also pins
+// the inlining rule: an allocating helper inlined into two callers is
+// charged one escape in itself and one in each caller.
 func TestPerfGateEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles a scratch module")
@@ -192,6 +194,16 @@ func Leak() *int {
 	return &x
 }
 `)
+	write("internal/core/inline.go", `package core
+
+type box struct{ v int }
+
+func newBox(v int) *box { return &box{v: v} }
+
+func CallerA() *box { return newBox(1) }
+
+func CallerB() *box { return newBox(2) }
+`)
 	for _, pkg := range perfPackages {
 		if pkg != "internal/core" {
 			write(pkg+"/empty.go", "package "+filepath.Base(pkg)+"\n")
@@ -205,6 +217,15 @@ func Leak() *int {
 	}
 	if err := perfMain(true); err != nil {
 		t.Fatalf("perfMain baseline stamp failed: %v", err)
+	}
+	budget, err := readBudget(budgetRelPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fn := range []string{"newBox", "CallerA", "CallerB"} {
+		if got := budget.Functions["internal/core."+fn].Escapes; got != 1 {
+			t.Errorf("%s stamped with %d escape(s), want 1 (an inlined callee's escape is charged to each caller)", fn, got)
+		}
 	}
 	if err := perfMain(false); err != nil {
 		t.Fatalf("perfMain after re-stamp = %v, want clean", err)

@@ -30,6 +30,14 @@ func Einsum(spec string, x, y *Tensor, opt Options) (*Tensor, *Report, error) {
 // deadline stops the contraction at the next parallel chunk boundary and
 // returns ctx.Err().
 func EinsumCtx(ctx context.Context, spec string, x, y *Tensor, opt Options) (*Tensor, *Report, error) {
+	return einsumOn(ctx, core.ContractCtx, spec, x, y, opt)
+}
+
+// einsumOn is the one einsum path: parse spec, check it against the
+// operands' ranks, contract with the given function (a Contractor's
+// Contract), then put Z's modes in the spec's output order.
+func einsumOn(ctx context.Context, contract func(ctx context.Context, x, y *Tensor, cmodesX, cmodesY []int, opt Options) (*Tensor, *Report, error),
+	spec string, x, y *Tensor, opt Options) (*Tensor, *Report, error) {
 	ein, err := einsum.Parse(spec)
 	if err != nil {
 		return nil, nil, err
@@ -37,7 +45,7 @@ func EinsumCtx(ctx context.Context, spec string, x, y *Tensor, opt Options) (*Te
 	if err := ein.CheckRanks(spec, x.Order(), y.Order()); err != nil {
 		return nil, nil, err
 	}
-	z, rep, err := core.ContractCtx(ctx, x, y, ein.CmodesX, ein.CmodesY, opt)
+	z, rep, err := contract(ctx, x, y, ein.CmodesX, ein.CmodesY, opt)
 	if err != nil {
 		return nil, nil, err
 	}

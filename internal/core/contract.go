@@ -49,6 +49,14 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
+// threads resolves Options.Threads: <1 means GOMAXPROCS.
+func (o Options) threads() int {
+	if o.Threads < 1 {
+		return parallel.DefaultThreads()
+	}
+	return o.Threads
+}
+
 // Contract computes Z = X ×_{cmodesX}^{cmodesY} Y with the selected
 // algorithm: contract mode cmodesX[k] of X against cmodesY[k] of Y. The
 // output modes are X's free modes (original order) followed by Y's free
@@ -78,14 +86,19 @@ func ContractCtx(ctx context.Context, x, y *coo.Tensor, cmodesX, cmodesY []int, 
 	if err != nil {
 		return nil, nil, err
 	}
-	if opt.Algorithm == AlgTwoPhase {
-		z, err := contractTwoPhase(ctx, p, px, opt, rep)
-		if err != nil {
-			return nil, nil, err
-		}
-		return z, rep, nil
+	if opt.Algorithm == AlgSPA || opt.Algorithm == AlgCOOHtA {
+		return contractMain(ctx, p, px, nil, opt, rep)
 	}
-	return contractMain(ctx, p, px, nil, opt, rep)
+	// The hash-table-Y algorithms build a fresh PreparedY; its first use
+	// reports the build as stage ① work.
+	py, err := prepareY(ctx, y, cmodesY, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	if opt.Algorithm == AlgTwoPhase {
+		return contractTwoPhase(ctx, p, px, py, opt, rep)
+	}
+	return contractMain(ctx, p, px, py, opt, rep)
 }
 
 // checkOptions validates the algorithm selector and builds the
@@ -96,13 +109,9 @@ func checkOptions(opt Options, nnzX, nnzY int) (*Report, error) {
 	default:
 		return nil, errBadAlgorithm(opt.Algorithm)
 	}
-	threads := opt.Threads
-	if threads < 1 {
-		threads = parallel.DefaultThreads()
-	}
 	return &Report{
 		Algorithm: opt.Algorithm,
-		Threads:   threads,
+		Threads:   opt.threads(),
 		NNZX:      nnzX,
 		NNZY:      nnzY,
 	}, nil
@@ -121,10 +130,11 @@ func traceTarget(ctx context.Context, opt Options) (tr *obs.Tracer, track int, r
 }
 
 // contractMain runs stages ①–⑤ for the Zlocal-buffered algorithms on a
-// prepared X; what is left of stage ① here is Y's half. When prep is non-nil
-// that is skipped too — the prepared table is probed instead and the report
-// is marked HtYReused (no "hty build" span is opened) unless this is the
-// table's first use. Stages ②–④ run over all of px as one window.
+// prepared X; what is left of stage ① here is Y's half. With a PreparedY
+// (AlgSparta) that is only the table's report: the build ran in PrepareY, and
+// the first contraction on the table charges it (runStages). Without one
+// the baselines permute, sort and index COO Y here. Stages ②–④ run over all
+// of px as one window.
 func contractMain(ctx context.Context, p *plan, px *PreparedX, prep *PreparedY, opt Options, rep *Report) (*coo.Tensor, *Report, error) {
 	threads := rep.Threads
 
@@ -136,11 +146,8 @@ func contractMain(ctx context.Context, p *plan, px *PreparedX, prep *PreparedY, 
 	t0 := time.Now()
 	var y ySide
 	if prep != nil {
-		y.hty = prep.hty
-		rep.HtYReused = true
+		y.py = prep
 		prep.fillReport(rep)
-	} else if opt.Algorithm == AlgSparta {
-		y.hty = buildHtY(ctx, p, opt, threads, rep)
 	} else {
 		y.yw = p.y
 		if !opt.InPlace {
@@ -167,16 +174,13 @@ func contractMain(ctx context.Context, p *plan, px *PreparedX, prep *PreparedY, 
 	if err != nil {
 		return nil, nil, err
 	}
-	if prep != nil {
-		prep.chargeBuild(rep)
-	}
 	return z, rep, nil
 }
 
-// ySide is what stage ② searches: HtY for Sparta, the sorted COO Y and its
-// contract-key index for the baselines.
+// ySide is what stage ② searches: the prepared HtY for Sparta, the sorted
+// COO Y and its contract-key index for the baselines.
 type ySide struct {
-	hty   *hashtab.HtYFlat
+	py    *PreparedY
 	yw    *coo.Tensor
 	ptrCY []int
 }
@@ -234,7 +238,7 @@ func runStages(ctx context.Context, p *plan, y ySide, next func() (window, error
 			for f := lo; f < hi && w.err == nil; f++ {
 				switch opt.Algorithm {
 				case AlgSparta:
-					w.subSparta(p, win.view, y.hty, win.ptrFX, f)
+					w.subSparta(p, win.view, y.py.hty, win.ptrFX, f)
 				case AlgCOOHtA:
 					w.subCOOHtA(p, win.view, y.yw, win.ptrFX, y.ptrCY, f)
 				case AlgSPA:
@@ -300,6 +304,9 @@ func runStages(ctx context.Context, p *plan, y ySide, next func() (window, error
 	// order (f-ordered scatter + per-run LN(Fy) sorts). The residual per-run
 	// sort time is reported as rep.SubsortWall, charged to StageWrite where
 	// it ran.
+	if y.py != nil {
+		y.py.chargeBuild(rep)
+	}
 	publishMetrics(opt.Metrics, rep, ws, nil)
 	return z, nil
 }
@@ -362,32 +369,6 @@ type errBadAlgorithm Algorithm
 
 func (e errBadAlgorithm) Error() string {
 	return "core: unknown algorithm " + Algorithm(e).String()
-}
-
-// reportHtY records the table-side statistics of a built or reused HtY.
-func reportHtY(rep *Report, hty *hashtab.HtYFlat, nnzY, orderY int, bytesY uint64) {
-	rep.BytesY = bytesY
-	rep.BytesHtY = hty.Bytes()
-	rep.BucketsHtY = hty.NumBuckets()
-	rep.DistinctKeysY = hty.NKeys
-	rep.MaxSubNNZY = hty.MaxItems
-	rep.EstBytesHtY = hashtab.EstimateHtYBytes(nnzY, orderY, hty.NumBuckets())
-	rep.HtYBuildWalls = hty.Walls
-}
-
-// buildHtY runs the COO→HtY conversion and records the table stats plus
-// the build-only wall time (rep.HtYBuild), separate from X's permute+sort.
-// The table is sized from Y's distinct-key count. The build does not consult
-// ctx; callers checkpoint around it.
-func buildHtY(ctx context.Context, p *plan, opt Options, threads int, rep *Report) *hashtab.HtYFlat {
-	tr, track, _ := traceTarget(ctx, opt)
-	sp := tr.Start("hty build", track)
-	defer sp.End()
-	t0 := time.Now()
-	hty := hashtab.BuildHtYFlat(p.y, p.cmodesY, p.fmodesY, p.radC, p.radFY, 0, threads)
-	rep.HtYBuild = time.Since(t0)
-	reportHtY(rep, hty, p.y.NNZ(), p.y.Order(), p.y.Bytes())
-	return hty
 }
 
 // gatherFused is the sort-fused writeback: it allocates Z exactly (the sum

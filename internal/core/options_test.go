@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"sparta/internal/dense"
 )
@@ -75,41 +76,64 @@ func TestMaxOutputNNZ(t *testing.T) {
 	}
 }
 
-// TestBuildDispatchOneShotMatchesPrepared: buildHtY and PrepareY must
-// build the same table (same stats in the Report, bitwise-equal Z), both must
-// time the build, and the table is sized from Y's distinct keys.
+// TestBuildDispatchOneShotMatchesPrepared: the one-shot Contract and a first
+// use of PrepareY's table must report the same table (same stats, bitwise-equal
+// Z), both must time the build and count it as stage-① work, and the table is
+// sized from Y's distinct keys. The second shape is a tiny X against a large
+// Y, where a first use that left the build out of StageInput shows plainly.
 func TestBuildDispatchOneShotMatchesPrepared(t *testing.T) {
-	x := randomSparse([]uint64{9, 6, 5, 4}, 500, 91)
-	y := randomSparse([]uint64{5, 4, 8, 7}, 700, 92)
-	cx, cy := []int{2, 3}, []int{0, 1}
-	opt := Options{Algorithm: AlgSparta, Threads: 2}
-	z1, r1, err := Contract(x, y, cx, cy, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr, err := PrepareY(y, cy, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	z2, r2, err := pr.Contract(context.Background(), x, cx, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !z1.Equal(z2) {
-		t.Fatal("prepared Z differs from one-shot Z")
-	}
-	if r1.HtYBuild <= 0 || r2.HtYBuild <= 0 || r2.HtYReused {
-		t.Fatalf("build not reported: one-shot %v, prepared %v (reused %v)", r1.HtYBuild, r2.HtYBuild, r2.HtYReused)
-	}
-	if r1.BucketsHtY != r2.BucketsHtY || r1.DistinctKeysY != r2.DistinctKeysY || r1.MaxSubNNZY != r2.MaxSubNNZY ||
-		r1.EstBytesHtY != r2.EstBytesHtY || r1.BytesY != r2.BytesY || r1.BytesHtY != r2.BytesHtY {
-		t.Fatalf("table stats differ:\none-shot %+v\nprepared %+v", r1, r2)
-	}
-	if r1.EstBytesHtY < r1.BytesHtY {
-		t.Fatalf("Eq. 5 estimate %d below the measured table %d", r1.EstBytesHtY, r1.BytesHtY)
-	}
-	if r1.BucketsHtY >= 4*r1.DistinctKeysY {
-		t.Fatalf("table has %d slots for %d keys: not sized from the distinct keys", r1.BucketsHtY, r1.DistinctKeysY)
+	for _, c := range []struct {
+		xd, yd   []uint64
+		nnzX     int
+		nnzY     int
+		sx, sy   int64
+		buildMin time.Duration
+	}{
+		{[]uint64{9, 6, 5, 4}, []uint64{5, 4, 8, 7}, 500, 700, 91, 92, 0},
+		{[]uint64{9, 6, 5, 4}, []uint64{5, 4, 1000, 1000}, 20, 200000, 93, 94, time.Millisecond},
+	} {
+		x := randomSparse(c.xd, c.nnzX, c.sx)
+		y := randomSparse(c.yd, c.nnzY, c.sy)
+		cx, cy := []int{2, 3}, []int{0, 1}
+		opt := Options{Algorithm: AlgSparta, Threads: 2}
+		z1, r1, err := Contract(x, y, cx, cy, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr, err := PrepareY(y, cy, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		z2, r2, err := pr.Contract(context.Background(), x, cx, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !z1.Equal(z2) {
+			t.Fatalf("nnzY %d: prepared Z differs from one-shot Z", c.nnzY)
+		}
+		if r1.HtYBuild <= 0 || r2.HtYBuild <= 0 || r1.HtYReused || r2.HtYReused {
+			t.Fatalf("nnzY %d: build not reported: one-shot %v (reused %v), prepared %v (reused %v)",
+				c.nnzY, r1.HtYBuild, r1.HtYReused, r2.HtYBuild, r2.HtYReused)
+		}
+		if r2.HtYBuild < c.buildMin {
+			t.Fatalf("nnzY %d: build of %v is too short to tell stage ① apart", c.nnzY, r2.HtYBuild)
+		}
+		for _, r := range []*Report{r1, r2} {
+			if r.StageWall[StageInput] < r.HtYBuild || r.StageCPU[StageInput] < r.HtYBuild {
+				t.Fatalf("nnzY %d: StageInput wall %v / cpu %v leaves out the HtY build %v",
+					c.nnzY, r.StageWall[StageInput], r.StageCPU[StageInput], r.HtYBuild)
+			}
+		}
+		if r1.BucketsHtY != r2.BucketsHtY || r1.DistinctKeysY != r2.DistinctKeysY || r1.MaxSubNNZY != r2.MaxSubNNZY ||
+			r1.EstBytesHtY != r2.EstBytesHtY || r1.BytesY != r2.BytesY || r1.BytesHtY != r2.BytesHtY {
+			t.Fatalf("nnzY %d: table stats differ:\none-shot %+v\nprepared %+v", c.nnzY, r1, r2)
+		}
+		if r1.EstBytesHtY < r1.BytesHtY {
+			t.Fatalf("nnzY %d: Eq. 5 estimate %d below the measured table %d", c.nnzY, r1.EstBytesHtY, r1.BytesHtY)
+		}
+		if r1.BucketsHtY >= 4*r1.DistinctKeysY {
+			t.Fatalf("nnzY %d: table has %d slots for %d keys: not sized from the distinct keys", c.nnzY, r1.BucketsHtY, r1.DistinctKeysY)
+		}
 	}
 }
 

@@ -1,12 +1,17 @@
-// Package core implements the three SpTC algorithms the paper evaluates:
+// Package core implements the four SpTC algorithms the paper evaluates:
 //
-//   - AlgSPA:    COO Y + sparse accumulator (Algorithm 1, "SpTC-SPA")
-//   - AlgCOOHtA: COO Y + hash-table accumulator (the middle bar of Fig. 4)
-//   - AlgSparta: hash-table Y + hash-table accumulator (Algorithm 2, Sparta)
+//   - AlgSPA:      COO Y + sparse accumulator (Algorithm 1, "SpTC-SPA")
+//   - AlgCOOHtA:   COO Y + hash-table accumulator (the middle bar of Fig. 4)
+//   - AlgSparta:   hash-table Y + hash-table accumulator (Algorithm 2, Sparta)
+//   - AlgTwoPhase: hash-table Y and accumulator with a symbolic pass that
+//     sizes Z exactly (the §3.2 approach the paper argues against)
 //
-// All three share the five-stage structure — input processing, index search,
+// All four share the five-stage structure — input processing, index search,
 // accumulation, writeback, output sorting — and report per-stage timing and
 // operation counters so every figure of the evaluation can be regenerated.
+// The two hash-table-Y algorithms run on prepared operands: stage ① is
+// PrepareX plus PrepareY's HtY build, and a one-shot Contract does both
+// before it probes.
 package core
 
 import (
@@ -18,7 +23,7 @@ import (
 
 // plan holds the mode bookkeeping for one contraction Z = X ×_{cx}^{cy} Y.
 type plan struct {
-	y *coo.Tensor // X arrives as a *PreparedX
+	y *coo.Tensor // the baselines' COO Y; X and Sparta's Y arrive prepared
 
 	nfx, nfy int // number of free modes of X and Y
 	ncm      int // number of contract-mode pairs
@@ -29,9 +34,6 @@ type plan struct {
 	// built over the *paired* contract dims and Y's free dims.
 	radC  *lnum.Radix // contract-key encoder (shared by X probes and Y build)
 	radFY *lnum.Radix // Y free-index encoder (HtA keys, Z decode)
-
-	// For HtY construction on the un-permuted Y.
-	cmodesY, fmodesY []int
 
 	zdims  []uint64 // free dims of X ++ free dims of Y; [1] for full contraction
 	scalar bool     // true when both tensors are fully contracted
@@ -58,55 +60,76 @@ func newPlan(x, y *coo.Tensor, cmodesX, cmodesY []int) (*plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	cdims := make([]uint64, len(cmodesX))
 	for k := range cmodesX {
-		dx, dy := x.Dims[cmodesX[k]], y.Dims[cmodesY[k]]
-		if dx != dy {
+		if dx, dy := x.Dims[cmodesX[k]], y.Dims[cmodesY[k]]; dx != dy {
 			return nil, fmt.Errorf("core: contract pair %d: X mode %d has size %d but Y mode %d has size %d",
 				k, cmodesX[k], dx, cmodesY[k], dy)
 		}
-		cdims[k] = dx
 	}
-
-	p := &plan{
-		y:   y,
-		ncm: len(cmodesX),
-		nfx: x.Order() - len(cmodesX),
-		nfy: y.Order() - len(cmodesY),
+	ym, err := newYModes(y, inY, cmodesY)
+	if err != nil {
+		return nil, err
 	}
-
+	p := ym.plan(x, inX, cmodesX)
+	p.y = y
 	// Y: contract modes first in pairing order, then free modes.
-	p.permY = append(p.permY, cmodesY...)
-	for m := 0; m < y.Order(); m++ {
-		if !inY[m] {
-			p.permY = append(p.permY, m)
-			p.fmodesY = append(p.fmodesY, m)
+	p.permY = append(append(p.permY, cmodesY...), ym.fmodes...)
+	return p, nil
+}
+
+// yModes is what a contraction needs of Y's modes: the contract-mode sizes
+// in pairing order, the free modes and their sizes, and the radices over
+// both.
+type yModes struct {
+	cdims  []uint64
+	fmodes []int
+	fydims []uint64
+	radC   *lnum.Radix
+	radFY  *lnum.Radix
+}
+
+func newYModes(y *coo.Tensor, inY []bool, cmodesY []int) (yModes, error) {
+	var ym yModes
+	for _, m := range cmodesY {
+		ym.cdims = append(ym.cdims, y.Dims[m])
+	}
+	for m, contracted := range inY {
+		if !contracted {
+			ym.fmodes = append(ym.fmodes, m)
+			ym.fydims = append(ym.fydims, y.Dims[m])
 		}
 	}
-	p.cmodesY = append([]int(nil), cmodesY...)
+	var err error
+	if ym.radC, err = lnum.NewRadix(ym.cdims); err != nil {
+		return ym, fmt.Errorf("core: contract modes: %w", err)
+	}
+	if ym.radFY, err = lnum.NewRadix(ym.fydims); err != nil {
+		return ym, fmt.Errorf("core: Y free modes: %w", err)
+	}
+	return ym, nil
+}
 
-	if p.radC, err = lnum.NewRadix(cdims); err != nil {
-		return nil, fmt.Errorf("core: contract modes: %w", err)
+// plan is the contraction of an X, already validated against Y's modes,
+// over cmodesX (inX is modeSet's mask of them).
+func (ym *yModes) plan(x *coo.Tensor, inX []bool, cmodesX []int) *plan {
+	p := &plan{
+		ncm:   len(cmodesX),
+		nfx:   x.Order() - len(cmodesX),
+		nfy:   len(ym.fydims),
+		radC:  ym.radC,
+		radFY: ym.radFY,
 	}
-	fydims := make([]uint64, 0, p.nfy)
-	for _, m := range p.fmodesY {
-		fydims = append(fydims, y.Dims[m])
-	}
-	if p.radFY, err = lnum.NewRadix(fydims); err != nil {
-		return nil, fmt.Errorf("core: Y free modes: %w", err)
-	}
-
 	for _, m := range contractionPerm(inX, cmodesX)[:p.nfx] {
 		p.zdims = append(p.zdims, x.Dims[m])
 	}
-	p.zdims = append(p.zdims, fydims...)
+	p.zdims = append(p.zdims, ym.fydims...)
 	if len(p.zdims) == 0 {
 		// Full contraction: Z is a scalar, represented as a 1-mode tensor
 		// of size 1 with a single non-zero at index 0.
 		p.zdims = []uint64{1}
 		p.scalar = true
 	}
-	return p, nil
+	return p
 }
 
 // contractionPerm is the "correct mode order" of X (§3.1): its free modes

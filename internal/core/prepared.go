@@ -8,8 +8,6 @@ import (
 
 	"sparta/internal/coo"
 	"sparta/internal/hashtab"
-	"sparta/internal/lnum"
-	"sparta/internal/parallel"
 )
 
 // PreparedY is the reusable half of a contraction: Y converted to its HtY
@@ -25,18 +23,14 @@ import (
 // after PrepareY returns and safe for concurrent Contract calls.
 type PreparedY struct {
 	hty *hashtab.HtYFlat
-
-	cdims  []uint64 // contract-mode sizes in pairing order
-	fydims []uint64 // Y free-mode sizes in mode order
-	radC   *lnum.Radix
-	radFY  *lnum.Radix
+	yModes
 
 	nnzY   int
 	orderY int
 	bytesY uint64
 
 	// build is the HtY conversion wall time, reported on the first
-	// contraction (where it plays the role of Report.HtYBuild) and then
+	// contraction (as Report.HtYBuild and inside StageInput) and then
 	// dropped — reuses report HtYBuild=0, HtYReused=true.
 	build time.Duration
 	uses  atomic.Uint64
@@ -47,6 +41,13 @@ type PreparedY struct {
 // any AlgSparta contraction regardless of the other options). Y is read but
 // never mutated; the result references none of Y's storage.
 func PrepareY(y *coo.Tensor, cmodesY []int, opt Options) (*PreparedY, error) {
+	return prepareY(context.Background(), y, cmodesY, opt)
+}
+
+// prepareY is PrepareY with its "hty build" span on ctx's request track when
+// ctx carries one. It is the only place an HtY is built: the one-shot
+// Contract calls it too.
+func prepareY(ctx context.Context, y *coo.Tensor, cmodesY []int, opt Options) (*PreparedY, error) {
 	if y == nil {
 		return nil, fmt.Errorf("core: PrepareY: nil tensor")
 	}
@@ -57,36 +58,18 @@ func PrepareY(y *coo.Tensor, cmodesY []int, opt Options) (*PreparedY, error) {
 	if err != nil {
 		return nil, err
 	}
-	pr := &PreparedY{
-		nnzY:   y.NNZ(),
-		orderY: y.Order(),
-		bytesY: y.Bytes(),
+	ym, err := newYModes(y, inY, cmodesY)
+	if err != nil {
+		return nil, err
 	}
-	var fmodesY []int
-	for _, m := range cmodesY {
-		pr.cdims = append(pr.cdims, y.Dims[m])
-	}
-	for m := 0; m < y.Order(); m++ {
-		if !inY[m] {
-			fmodesY = append(fmodesY, m)
-			pr.fydims = append(pr.fydims, y.Dims[m])
-		}
-	}
-	if pr.radC, err = lnum.NewRadix(pr.cdims); err != nil {
-		return nil, fmt.Errorf("core: contract modes: %w", err)
-	}
-	if pr.radFY, err = lnum.NewRadix(pr.fydims); err != nil {
-		return nil, fmt.Errorf("core: Y free modes: %w", err)
-	}
+	pr := &PreparedY{yModes: ym, nnzY: y.NNZ(), orderY: y.Order(), bytesY: y.Bytes()}
 
-	threads := opt.Threads
-	if threads < 1 {
-		threads = parallel.DefaultThreads()
-	}
-	sp := opt.Tracer.Start("hty build", 0)
+	threads := opt.threads()
+	tr, track, _ := traceTarget(ctx, opt)
+	sp := tr.Start("hty build", track)
 	defer sp.End()
 	t0 := time.Now()
-	pr.hty = hashtab.BuildHtYFlat(y, cmodesY, fmodesY, pr.radC, pr.radFY, 0, threads)
+	pr.hty = hashtab.BuildHtYFlat(y, cmodesY, pr.fmodes, pr.radC, pr.radFY, 0, threads)
 	pr.build = time.Since(t0)
 	return pr, nil
 }
@@ -112,9 +95,10 @@ func (pr *PreparedY) Contract(ctx context.Context, x *coo.Tensor, cmodesX []int,
 // ContractX runs stages ②–⑤ for a prepared X against the prepared table:
 // neither input is scanned before the first HtY probe. Only AlgSparta is
 // supported (the baseline algorithms probe COO Y directly and have nothing
-// to reuse). The first contraction on a fresh PreparedY charges the build
-// time to Report.HtYBuild exactly like the one-shot path; every later one
-// reports HtYReused=true with HtYBuild=0 and opens no "hty build" span —
+// to reuse). The first contraction that completes on a PreparedY is its
+// first use: it reports the build as Report.HtYBuild and adds it to
+// StageInput, as the one-shot Contract (which is PrepareX, PrepareY and this
+// first use) does. Every later one reports HtYReused=true with HtYBuild=0 —
 // and the same holds for px, Report.XPrepared and the X share of
 // StageInput. Output is bitwise identical to the one-shot Contract with the
 // same options, because the same rows, table, radices, and stage ②–⑤ code
@@ -149,11 +133,14 @@ func (pr *PreparedY) planFor(x *coo.Tensor, cmodesX []int, opt Options) (*plan, 
 
 // chargeBuild reports the table's build on the first contraction that uses
 // it: that call conceptually ran the build, so it reports it the way the
-// one-shot path would.
+// one-shot path does, as HtYBuild and as stage-① work (PreparedX.fillReport's
+// rule for X's half).
 func (pr *PreparedY) chargeBuild(rep *Report) {
 	if pr.uses.Add(1) == 1 {
 		rep.HtYReused = false
 		rep.HtYBuild = pr.build
+		rep.StageWall[StageInput] += pr.build
+		rep.StageCPU[StageInput] += pr.build
 	}
 }
 
@@ -179,28 +166,20 @@ func (pr *PreparedY) newPlanX(x *coo.Tensor, cmodesX []int) (*plan, error) {
 				k, cmodesX[k], dx, pr.cdims[k])
 		}
 	}
-	p := &plan{
-		ncm:   len(cmodesX),
-		nfx:   x.Order() - len(cmodesX),
-		nfy:   len(pr.fydims),
-		radC:  pr.radC,
-		radFY: pr.radFY,
-	}
-	for _, m := range contractionPerm(inX, cmodesX)[:p.nfx] {
-		p.zdims = append(p.zdims, x.Dims[m])
-	}
-	p.zdims = append(p.zdims, pr.fydims...)
-	if len(p.zdims) == 0 {
-		p.zdims = []uint64{1}
-		p.scalar = true
-	}
-	return p, nil
+	return pr.plan(x, inX, cmodesX), nil
 }
 
-// fillReport copies the table-side statistics buildHtY would have
-// recorded, so warm-path reports stay comparable to cold ones.
+// fillReport records the table side of a contraction's report, marked
+// reused until chargeBuild finds this is the table's first use.
 func (pr *PreparedY) fillReport(rep *Report) {
-	reportHtY(rep, pr.hty, pr.nnzY, pr.orderY, pr.bytesY)
+	rep.HtYReused = true
+	rep.BytesY = pr.bytesY
+	rep.BytesHtY = pr.hty.Bytes()
+	rep.BucketsHtY = pr.hty.NumBuckets()
+	rep.DistinctKeysY = pr.hty.NKeys
+	rep.MaxSubNNZY = pr.hty.MaxItems
+	rep.EstBytesHtY = hashtab.EstimateHtYBytes(pr.nnzY, pr.orderY, pr.hty.NumBuckets())
+	rep.HtYBuildWalls = pr.hty.Walls
 }
 
 // NumFreeModes returns the number of free (kept) Y modes.
@@ -259,10 +238,7 @@ func PrepareX(ctx context.Context, x *coo.Tensor, cmodesX []int, opt Options) (*
 	if err != nil {
 		return nil, err
 	}
-	threads := opt.Threads
-	if threads < 1 {
-		threads = parallel.DefaultThreads()
-	}
+	threads := opt.threads()
 	t0 := time.Now()
 	perm := contractionPerm(inX, cmodesX)
 	view := x

@@ -85,21 +85,21 @@ type Report struct {
 	Algorithm Algorithm
 	Threads   int
 
-	// HtYBuild is the COO→HtY conversion wall time, separated from the
-	// rest of StageInput (X permute+sort). Zero when the build was skipped
-	// (HtYReused).
+	// HtYBuild is the COO→HtY conversion wall time, a part of StageInput
+	// reported on its own. Zero when the build was skipped (HtYReused).
 	HtYBuild time.Duration
 	// HtYBuildWalls is where the build of the table this contraction probed
 	// spent its time (encode / sort / group scans / pack beside fill). On a
 	// fresh build the four walls sum to HtYBuild within a few percent; on a
 	// reused table they still describe the build that made it.
 	HtYBuildWalls hashtab.BuildWalls
-	// HtYReused is true when this contraction skipped the COO→HtY build
-	// because a *PreparedY that an earlier contraction already used — kept
-	// by the caller, by the engine plan cache, or on sptc-serve's stored
-	// operand — supplied the table. The first contraction on a fresh
-	// PreparedY reports the build instead. The "hty build" span is absent
-	// from traces of such runs and HtYBuild is zero.
+	// HtYReused is true when this contraction probed a *PreparedY that an
+	// earlier contraction already completed on — kept by the caller, by a
+	// chain, by the engine plan cache, or on sptc-serve's stored operand.
+	// The first contraction to complete on a PreparedY is its first use: it
+	// reports the build (HtYBuild, inside StageInput) as the one-shot
+	// Contract does, since a one-shot is PrepareX, PrepareY and that first
+	// use. A reused run has no "hty build" span and HtYBuild is zero.
 	HtYReused bool
 	// XPrepared is true when this contraction skipped X's half of stage ①
 	// — permute, sort, sub-tensor index — because a *PreparedX that an

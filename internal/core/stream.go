@@ -135,7 +135,6 @@ func ContractStream(ctx context.Context, xs XStream, pr *PreparedY, opt StreamOp
 // next yields, into the sink opt asks for.
 func (pr *PreparedY) stream(ctx context.Context, p *plan, next func() (window, error), opt StreamOptions, rep *Report) (*coo.Tensor, *Report, error) {
 	rep.Streamed = true
-	rep.HtYReused = true
 	pr.fillReport(rep)
 	sink := &zSink{dims: p.zdims}
 	if opt.SpillZ {
@@ -145,12 +144,11 @@ func (pr *PreparedY) stream(ctx context.Context, p *plan, next func() (window, e
 		}
 		defer sink.spool.Close() // Materialize closes it too; Close is idempotent
 	}
-	z, err := runStages(ctx, p, ySide{hty: pr.hty}, next, sink, opt.Options, rep)
+	z, err := runStages(ctx, p, ySide{py: pr}, next, sink, opt.Options, rep)
 	if err != nil {
 		return nil, nil, err
 	}
 	rep.SpilledZ = opt.SpillZ
-	pr.chargeBuild(rep)
 	return z, rep, nil
 }
 

@@ -28,15 +28,15 @@ import (
 // contractTwoPhase runs Z = X × Y with HtY + HtA data structures but
 // two-phase output allocation. Inputs are pre-validated by Contract. Both
 // parallel phases checkpoint ctx between chunk claims.
-func contractTwoPhase(ctx context.Context, p *plan, px *PreparedX, opt Options, rep *Report) (*coo.Tensor, error) {
+func contractTwoPhase(ctx context.Context, p *plan, px *PreparedX, py *PreparedY, opt Options, rep *Report) (*coo.Tensor, *Report, error) {
 	threads := rep.Threads
 	tr, track, reqMode := traceTarget(ctx, opt)
-	xw, ptrFX := px.view, px.ptrFX
+	xw, ptrFX, hty := px.view, px.ptrFX, py.hty
 
-	// ① Input processing — X arrives prepared, Y's half is Sparta's.
+	// ① Input processing — both halves arrive prepared, as in Sparta.
 	spInput := tr.Start("input processing", track)
 	t0 := time.Now()
-	hty := buildHtY(ctx, p, opt, threads, rep)
+	py.fillReport(rep)
 	rep.StageWall[StageInput] = time.Since(t0)
 	rep.StageCPU[StageInput] = rep.StageWall[StageInput]
 	px.fillReport(rep)
@@ -72,17 +72,17 @@ func contractTwoPhase(ctx context.Context, p *plan, px *PreparedX, opt Options, 
 	rep.Symbolic = time.Since(t0)
 	spSym.End()
 	if symErr != nil {
-		return nil, symErr
+		return nil, nil, symErr
 	}
 	zoff, total := parallel.PrefixSum(counts)
 	if opt.MaxOutputNNZ > 0 && total > opt.MaxOutputNNZ {
-		return nil, &OutputTooLargeError{Got: total, Limit: opt.MaxOutputNNZ}
+		return nil, nil, &OutputTooLargeError{Got: total, Limit: opt.MaxOutputNNZ}
 	}
 
 	// Exact allocation — the symbolic phase's payoff.
 	z, err := coo.New(p.zdims, 0)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for m := range z.Inds {
 		z.Inds[m] = make([]uint32, total)
@@ -141,7 +141,7 @@ func contractTwoPhase(ctx context.Context, p *plan, px *PreparedX, opt Options, 
 	})
 	spNum.End()
 	if numErr != nil {
-		return nil, numErr
+		return nil, nil, numErr
 	}
 	mergeWorkerStats(rep, ws)
 	for _, sw := range symWorkers {
@@ -164,6 +164,7 @@ func contractTwoPhase(ctx context.Context, p *plan, px *PreparedX, opt Options, 
 		rep.StageCPU[StageSort] = rep.StageWall[StageSort]
 		spSort.End()
 	}
+	py.chargeBuild(rep)
 	publishMetrics(opt.Metrics, rep, ws, symWorkers)
-	return z, nil
+	return z, rep, nil
 }

@@ -8,7 +8,6 @@ import (
 
 	"sparta/internal/coo"
 	"sparta/internal/core"
-	"sparta/internal/einsum"
 	"sparta/internal/obs"
 	"sparta/internal/parallel"
 )
@@ -216,27 +215,6 @@ func (c *Coordinator) Contract(ctx context.Context, x, y *coo.Tensor, cmodesX, c
 	if c.metrics != nil {
 		c.metrics.Histogram("sptc_dist_merge_seconds", "coordinator run-merge wall time",
 			[]float64{1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1}).Observe(mergeWall.Seconds())
-	}
-	return z, rep, nil
-}
-
-// Einsum is Contract with an Einstein-summation spec, mirroring
-// engine.Einsum (including the output permutation and re-sort) so a
-// Coordinator satisfies the Contractor seam EvalChainOn calls through.
-func (c *Coordinator) Einsum(ctx context.Context, spec string, x, y *coo.Tensor, opt core.Options) (*coo.Tensor, *core.Report, error) {
-	ein, err := einsum.Parse(spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := ein.CheckRanks(spec, x.Order(), y.Order()); err != nil {
-		return nil, nil, err
-	}
-	z, rep, err := c.Contract(ctx, x, y, ein.CmodesX, ein.CmodesY, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := ein.Output(z, !opt.SkipOutputSort, opt.Threads); err != nil {
-		return nil, nil, err
 	}
 	return z, rep, nil
 }

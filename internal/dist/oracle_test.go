@@ -8,6 +8,7 @@ import (
 
 	"sparta/internal/coo"
 	"sparta/internal/core"
+	"sparta/internal/einsum"
 	"sparta/internal/engine"
 	"sparta/internal/gen"
 )
@@ -144,8 +145,9 @@ func TestShardOracleSweep(t *testing.T) {
 	}
 }
 
-// TestShardOraclePermutedOutput drives the spec path: Coordinator.Einsum must
-// match engine.Einsum including the output permutation and re-sort.
+// TestShardOraclePermutedOutput drives the spec path: Coordinator.Contract
+// followed by the spec's output permutation and re-sort must match the
+// engine's.
 func TestShardOraclePermutedOutput(t *testing.T) {
 	specs := []struct {
 		spec   string
@@ -157,16 +159,26 @@ func TestShardOraclePermutedOutput(t *testing.T) {
 	}
 	eng := engine.New(engine.Config{})
 	for _, s := range specs {
+		ein, err := einsum.Parse(s.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
 		x := gen.Random(s.xd, 700, 11)
 		y := gen.Random(s.yd, 350, 13)
 		for _, S := range []int{1, 4} {
 			opt := core.Options{Algorithm: core.AlgSparta, Threads: 2}
-			want, _, err := eng.Einsum(context.Background(), s.spec, x, y, opt)
+			want, _, err := eng.Contract(context.Background(), x, y, ein.CmodesX, ein.CmodesY, opt)
+			if err == nil {
+				err = ein.Output(want, true, opt.Threads)
+			}
 			if err != nil {
 				t.Fatalf("%s: oracle: %v", s.spec, err)
 			}
 			c := localFleet(t, S, LocalConfig{})
-			got, _, err := c.Einsum(context.Background(), s.spec, x, y, opt)
+			got, _, err := c.Contract(context.Background(), x, y, ein.CmodesX, ein.CmodesY, opt)
+			if err == nil {
+				err = ein.Output(got, true, opt.Threads)
+			}
 			if err != nil {
 				t.Fatalf("%s S=%d: %v", s.spec, S, err)
 			}

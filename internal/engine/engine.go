@@ -1,24 +1,21 @@
-// Package engine is the prepared-contraction layer over internal/core: it
-// splits an SpTC into Prepare (permute + HtY build — the stage-① work the
-// paper charges to every call) and Contract (stages ②–⑤ against the
-// prepared table), and caches prepared plans in an LRU keyed by a content
-// fingerprint of Y plus the contract-mode spec. Tensor-network chains and
-// other library callers that contract many X's against one Y skip the HtY
-// build on every warm call (Report.HtYReused). sptc-serve keeps its prepared
-// operands on its own immutable store instead and uses only this package's
-// fingerprint, footprint estimate and admission plan.
+// Package engine caches prepared Y operands for callers that cannot keep
+// them: an LRU of core.PreparedY keyed by a content fingerprint of Y plus the
+// contract-mode spec, so contractions against a Y equal to an earlier one
+// skip the HtY build (Report.HtYReused). Its users are dist.Local, whose
+// shards see each Y as a fresh tensor, and the benchmark. A chain keeps the
+// Ys it prepares itself, and sptc-serve keeps its prepared operands on its
+// stored tensors and uses only this package's fingerprint, footprint
+// estimate and admission plan.
 package engine
 
 import (
 	"context"
-	"strconv"
-	"strings"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"sparta/internal/coo"
 	"sparta/internal/core"
-	"sparta/internal/einsum"
 	"sparta/internal/obs"
 )
 
@@ -76,29 +73,13 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// modesString canonicalizes a contract-mode list for the cache key.
-func modesString(modes []int) string {
-	var b strings.Builder
-	for i, m := range modes {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(m))
-	}
-	return b.String()
-}
-
-// Prepare returns a prepared plan for contracting against cmodesY of y,
+// PrepareCtx returns a prepared plan for contracting against cmodesY of y,
 // reusing a cached one when y's content fingerprint and the contract modes
-// match. The returned bool is true on a cache hit (the HtY build was
-// skipped). The fingerprint pass is O(nnz_Y) and runs on every call — it is
-// what makes the cache safe against mutated tensors — but it is far cheaper
-// than the build it saves (no allocation, no hashing-table construction).
-func (e *Engine) Prepare(y *coo.Tensor, cmodesY []int, opt core.Options) (*core.PreparedY, bool, error) {
-	return e.PrepareCtx(context.Background(), y, cmodesY, opt)
-}
-
-// PrepareCtx is Prepare that builds nothing once ctx is done.
+// match, and builds nothing once ctx is done. The returned bool is true on a
+// cache hit (the HtY build was skipped). The fingerprint pass is O(nnz_Y) and
+// runs on every call — it is what makes the cache safe against mutated
+// tensors — but it is far cheaper than the build it saves (no allocation, no
+// hashing-table construction).
 func (e *Engine) PrepareCtx(ctx context.Context, y *coo.Tensor, cmodesY []int, opt core.Options) (*core.PreparedY, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
@@ -107,7 +88,7 @@ func (e *Engine) PrepareCtx(ctx context.Context, y *coo.Tensor, cmodesY []int, o
 		pr, err := core.PrepareY(y, cmodesY, opt)
 		return pr, false, err
 	}
-	k := planKey{fp: FingerprintTensor(y, opt.Threads), modes: modesString(cmodesY)}
+	k := planKey{fp: FingerprintTensor(y, opt.Threads), modes: fmt.Sprint(cmodesY)}
 	e.mu.Lock()
 	pr, ok := e.cache.get(k)
 	e.mu.Unlock()
@@ -133,16 +114,15 @@ func (e *Engine) PrepareCtx(ctx context.Context, y *coo.Tensor, cmodesY []int, o
 	return cached, false, nil
 }
 
-// Contract computes Z = X ×_{cmodesX}^{cmodesY} Y through the plan cache
-// when the algorithm supports it (AlgSparta); the baseline algorithms fall
-// through to the one-shot path, so the Engine is a drop-in front end for
-// every variant. Report.HtYReused tells the caller whether the warm path
-// ran. X is prepared and Y fingerprinted on every call: a caller that keeps
-// either keeps its core.PreparedX / core.PreparedY and calls
-// PreparedY.ContractX itself.
+// Contract computes Z = X ×_{cmodesX}^{cmodesY} Y through the plan cache.
+// Only AlgSparta has a table to cache; any other algorithm is refused before
+// the cache is touched, with PreparedY.ContractX's error. Report.HtYReused
+// tells the caller whether the warm path ran. X is prepared and Y
+// fingerprinted on every call: a caller that keeps either keeps its
+// core.PreparedX / core.PreparedY and calls PreparedY.ContractX itself.
 func (e *Engine) Contract(ctx context.Context, x, y *coo.Tensor, cmodesX, cmodesY []int, opt core.Options) (*coo.Tensor, *core.Report, error) {
 	if opt.Algorithm != core.AlgSparta {
-		return core.ContractCtx(ctx, x, y, cmodesX, cmodesY, opt)
+		return nil, nil, fmt.Errorf("core: prepared contraction supports only %v, got %v", core.AlgSparta, opt.Algorithm)
 	}
 	pr, hit, err := e.PrepareCtx(ctx, y, cmodesY, opt)
 	if err != nil {
@@ -157,26 +137,6 @@ func (e *Engine) Contract(ctx context.Context, x, y *coo.Tensor, cmodesX, cmodes
 		// the prep before (e.g. a plan inherited from a concurrent build).
 		rep.HtYReused = true
 		rep.HtYBuild = 0
-	}
-	return z, rep, nil
-}
-
-// Einsum is Contract with an Einstein-summation spec, including the
-// output-mode permutation of the spec's right-hand side.
-func (e *Engine) Einsum(ctx context.Context, spec string, x, y *coo.Tensor, opt core.Options) (*coo.Tensor, *core.Report, error) {
-	ein, err := einsum.Parse(spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := ein.CheckRanks(spec, x.Order(), y.Order()); err != nil {
-		return nil, nil, err
-	}
-	z, rep, err := e.Contract(ctx, x, y, ein.CmodesX, ein.CmodesY, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := ein.Output(z, !opt.SkipOutputSort, opt.Threads); err != nil {
-		return nil, nil, err
 	}
 	return z, rep, nil
 }

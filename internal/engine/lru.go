@@ -13,7 +13,7 @@ import (
 // the table).
 type planKey struct {
 	fp    Fingerprint
-	modes string // canonical "2,0"-style encoding of cmodesY
+	modes string // fmt.Sprint(cmodesY)
 }
 
 // lruEntry is one resident plan with its accounted size and last-touch

@@ -82,7 +82,7 @@ func TestEngineCacheDisabled(t *testing.T) {
 	y := randomSparse([]uint64{6, 5}, 80, 1)
 	opt := core.Options{Algorithm: core.AlgSparta}
 	for i := 0; i < 2; i++ {
-		if _, hit, err := eng.Prepare(y, []int{0}, opt); err != nil || hit {
+		if _, hit, err := eng.PrepareCtx(context.Background(), y, []int{0}, opt); err != nil || hit {
 			t.Fatalf("disabled cache: hit=%v err=%v", hit, err)
 		}
 	}
@@ -98,24 +98,24 @@ func TestEngineKeySeparation(t *testing.T) {
 	y := randomSparse([]uint64{6, 5, 4}, 90, 1)
 	base := core.Options{Algorithm: core.AlgSparta}
 
-	if _, hit, err := eng.Prepare(y, []int{0}, base); err != nil || hit {
+	if _, hit, err := eng.PrepareCtx(context.Background(), y, []int{0}, base); err != nil || hit {
 		t.Fatalf("first prepare: hit=%v err=%v", hit, err)
 	}
-	if _, hit, _ := eng.Prepare(y.Clone(), []int{0}, base); !hit {
+	if _, hit, _ := eng.PrepareCtx(context.Background(), y.Clone(), []int{0}, base); !hit {
 		t.Error("identical clone missed the cache")
 	}
-	if _, hit, _ := eng.Prepare(y, []int{1}, base); hit {
+	if _, hit, _ := eng.PrepareCtx(context.Background(), y, []int{1}, base); hit {
 		t.Error("different cmodesY hit the cache")
 	}
 	threaded := base
 	threaded.Threads = 3
-	if _, hit, _ := eng.Prepare(y, []int{0}, threaded); !hit {
+	if _, hit, _ := eng.PrepareCtx(context.Background(), y, []int{0}, threaded); !hit {
 		t.Error("a different thread count missed the cache: it changes build speed, not the table")
 	}
 
 	// Mutating the tensor invalidates by content, not by pointer.
 	y.Vals[0] += 1
-	if _, hit, _ := eng.Prepare(y, []int{0}, base); hit {
+	if _, hit, _ := eng.PrepareCtx(context.Background(), y, []int{0}, base); hit {
 		t.Error("mutated tensor still hit the cache")
 	}
 }
@@ -126,9 +126,9 @@ func TestEngineMetricsPublished(t *testing.T) {
 	opt := core.Options{Algorithm: core.AlgSparta}
 	y1 := randomSparse([]uint64{6, 5}, 60, 1)
 	y2 := randomSparse([]uint64{6, 5}, 60, 2)
-	eng.Prepare(y1, []int{0}, opt)
-	eng.Prepare(y1, []int{0}, opt) // hit
-	eng.Prepare(y2, []int{0}, opt) // miss, evicts y1's plan
+	eng.PrepareCtx(context.Background(), y1, []int{0}, opt)
+	eng.PrepareCtx(context.Background(), y1, []int{0}, opt) // hit
+	eng.PrepareCtx(context.Background(), y2, []int{0}, opt) // miss, evicts y1's plan
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -146,19 +146,27 @@ func TestEngineMetricsPublished(t *testing.T) {
 	}
 }
 
-// TestEngineNonSpartaFallthrough: baseline algorithms bypass the cache but
-// still produce results through the engine entry point.
-func TestEngineNonSpartaFallthrough(t *testing.T) {
+// TestEngineRefusesBaselines: the baseline algorithms have no table to cache,
+// so Engine.Contract refuses them with PreparedY.ContractX's error and
+// without touching the cache.
+func TestEngineRefusesBaselines(t *testing.T) {
 	eng := New(Config{})
 	x := randomSparse([]uint64{6, 5}, 60, 1)
 	y := randomSparse([]uint64{5, 4}, 40, 2)
+	pr, err := core.PrepareY(y, []int{0}, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	px, err := core.PrepareX(context.Background(), x, []int{1}, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, alg := range []core.Algorithm{core.AlgSPA, core.AlgCOOHtA, core.AlgTwoPhase} {
-		z, rep, err := eng.Contract(context.Background(), x, y, []int{1}, []int{0}, core.Options{Algorithm: alg})
-		if err != nil {
-			t.Fatalf("alg %v: %v", alg, err)
-		}
-		if z.NNZ() == 0 || rep.HtYReused {
-			t.Errorf("alg %v: nnz=%d reused=%v", alg, z.NNZ(), rep.HtYReused)
+		opt := core.Options{Algorithm: alg}
+		_, _, err := eng.Contract(context.Background(), x, y, []int{1}, []int{0}, opt)
+		_, _, want := pr.ContractX(context.Background(), px, opt)
+		if err == nil || want == nil || err.Error() != want.Error() {
+			t.Errorf("alg %v: engine error %v, want PreparedY.ContractX's %v", alg, err, want)
 		}
 	}
 	if s := eng.Stats(); s.Hits+s.Misses != 0 {

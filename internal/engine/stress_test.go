@@ -119,7 +119,7 @@ func TestConcurrentDistinctPreparations(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			pr, _, err := eng.Prepare(ys[g%len(ys)], []int{0}, opt)
+			pr, _, err := eng.PrepareCtx(context.Background(), ys[g%len(ys)], []int{0}, opt)
 			if err != nil {
 				t.Error(err)
 				return

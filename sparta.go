@@ -34,7 +34,6 @@ import (
 	"sparta/internal/blocksparse"
 	"sparta/internal/coo"
 	"sparta/internal/core"
-	"sparta/internal/engine"
 	"sparta/internal/gen"
 	"sparta/internal/hetmem"
 )
@@ -154,32 +153,36 @@ func ContractCtx(ctx context.Context, x, y *Tensor, cmodesX, cmodesY []int, opt 
 // ---------------------------------------------------------------------------
 // Prepared contractions
 
-// PreparedY is a contraction plan with the Y-side hash table already built
-// (stage ① charged once): Prepare once, then Contract many X tensors
+// PreparedY is Y's half of stage ①, done once: its HtY hash table and the
+// radices that probe it. PrepareY it once, then contract many X tensors
 // against it. Safe for concurrent use and immune to later mutation of the
-// source Y. Warm calls set Report.HtYReused.
+// source Y. Every use after the first sets Report.HtYReused.
 type PreparedY = core.PreparedY
 
-// Prepare builds the Y-side plan for contracting cmodesY of y under opt's
-// algorithm settings (AlgSparta only — the baselines have no reusable Y
-// structure).
-func Prepare(y *Tensor, cmodesY []int, opt Options) (*PreparedY, error) {
+// PrepareY builds the Y-side table for contracting cmodesY of y (AlgSparta
+// only — the baselines have no reusable Y structure).
+func PrepareY(y *Tensor, cmodesY []int, opt Options) (*PreparedY, error) {
 	return core.PrepareY(y, cmodesY, opt)
 }
 
-// Engine caches prepared plans in an LRU keyed by a content fingerprint of
-// Y plus the contract-mode spec, so repeated contractions against the same
-// Y — chains, serving workloads — skip the HtY build automatically.
-type Engine = engine.Engine
+// PreparedX is X's half of stage ①, done once: its rows permuted to
+// contraction order, sorted and indexed by sub-tensor. PreparedY.ContractX
+// and ContractStreamX start at the first HtY probe; every use after the
+// first sets Report.XPrepared.
+type PreparedX = core.PreparedX
 
-// EngineConfig sizes an Engine's plan cache.
-type EngineConfig = engine.Config
+// PrepareX permutes, sorts and indexes x for contracting its cmodesX modes.
+// x is not written unless opt.InPlace.
+func PrepareX(ctx context.Context, x *Tensor, cmodesX []int, opt Options) (*PreparedX, error) {
+	return core.PrepareX(ctx, x, cmodesX, opt)
+}
 
-// EngineStats is a snapshot of an Engine's cache counters.
-type EngineStats = engine.Stats
-
-// NewEngine builds a caching contraction engine.
-func NewEngine(cfg EngineConfig) *Engine { return engine.New(cfg) }
+// ContractStreamX contracts a prepared X against a prepared Y in windows of
+// at most windowNNZ rows, so only one window's accumulators and output run
+// are hot at once; output is bitwise identical to PreparedY.ContractX.
+func ContractStreamX(ctx context.Context, px *PreparedX, windowNNZ int, pr *PreparedY, opt StreamOptions) (*Tensor, *Report, error) {
+	return core.ContractStreamX(ctx, px, windowNNZ, pr, opt)
+}
 
 // ChooseY reports whether the paper's "larger tensor is Y" rule suggests
 // swapping the operands (note that swapping reorders the output modes to
