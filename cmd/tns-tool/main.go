@@ -1,8 +1,8 @@
 // Command tns-tool inspects and transforms sparse tensor files in the
 // FROSTT .tns text format or the repository's binary formats (selected by
 // file extension): .bin is the v1 stream layout, .sptn the v2 mmap-ready
-// layout with 8-byte-aligned sections and a sorted-window index — the
-// format the out-of-core streaming driver consumes zero-copy.
+// layout with 8-byte-aligned sections and a sorted flag — the format the
+// out-of-core streaming driver consumes zero-copy.
 //
 //	tns-tool stat     x.tns                # shape, nnz, density, per-mode stats
 //	tns-tool describe x.tns                # + occupancy, skew, nnz-per-index histograms
@@ -70,7 +70,7 @@ func load(path string) (*sparta.Tensor, error) {
 }
 
 // save writes a tensor choosing the format by extension: .sptn writes the
-// v2 layout (with the sorted-window index when the tensor is sorted — so
+// v2 layout (with the sorted flag when the tensor is sorted — so
 // `tns-tool sort x.tns -o x.sptn` produces a stream-ready file in one
 // step), .bin the v1 layout.
 func save(t *sparta.Tensor, path string) error {

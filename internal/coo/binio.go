@@ -24,22 +24,18 @@ import (
 //
 // Version 2 is the mmap-ready layout: every section starts on an 8-byte
 // boundary so a mapped file can be viewed in place as []uint32/[]uint64/
-// []float64 slices without copying, and a sorted-window chunk index lets
-// the out-of-core driver walk the tensor window by window. Each window
-// start is a mode-0 index change of the sorted tensor — a free-prefix
-// sub-tensor boundary for any contraction that keeps at least one leading
-// free mode, which is what makes per-window outputs disjoint and ordered.
+// []float64 slices without copying. A file whose rows are sorted carries the
+// sorted flag; with its modes already in contraction order it is a prepared
+// X as it stands (core.PrepareX indexes it without moving a row).
 //
 //	off 0   magic   "SPTN"
 //	off 4   version uint32    2
 //	off 8   order   uint32
 //	off 12  flags   uint32    bit 0: sorted lexicographically over the stored mode order
 //	off 16  nnz     uint64
-//	off 24  nwin    uint64    sorted-window count (0 when unsorted or empty)
+//	off 24  nwin    uint64    written as 0; readers skip nwin × uint64 after dims
 //	off 32  dims    order × uint64
-//	...     wins    nwin × uint64   window start offsets; window w spans
-//	                                [wins[w], wins[w+1]) with an implicit
-//	                                final bound of nnz; wins[0] == 0
+//	...     (nwin × uint64: a window index older writers stored, never read)
 //	...     inds    per mode: nnz × uint32, zero-padded to an 8-byte multiple
 //	...     vals    nnz × float64
 //
@@ -51,22 +47,12 @@ const (
 	binVersion2 = 2
 
 	// binFlagSorted marks a v2 file whose non-zeros are in lexicographic
-	// order; only such files carry a window index.
+	// order.
 	binFlagSorted = 1
 
 	// maxBinNNZ refuses absurd allocations from corrupt headers.
 	maxBinNNZ = 1 << 33
-
-	// maxBinWindows bounds the v2 window index; windows partition the
-	// non-zeros, so there can never be more windows than non-zeros.
-	maxBinWindows = maxBinNNZ
 )
-
-// DefaultWindowNNZ is the target non-zero count of one sorted window in the
-// v2 chunk index. Windows are merged upward from this by the streaming
-// driver, so the stored granularity only needs to be fine enough to respect
-// any DRAM budget worth streaming under.
-const DefaultWindowNNZ = 1 << 13
 
 // FormatError is the typed error every binary-format validation failure
 // returns: corrupt or hostile headers produce one of these, never a panic
@@ -82,34 +68,6 @@ func (e *FormatError) Error() string {
 
 // pad8 rounds n up to a multiple of 8.
 func pad8(n uint64) uint64 { return (n + 7) &^ 7 }
-
-// ChunkBoundaries cuts a sorted tensor into windows of at least target
-// non-zeros (the last may be smaller), with every cut at a position where
-// the mode-0 index changes. The result includes both 0 and NNZ(), so
-// window w spans [b[w], b[w+1]). target < 1 yields a single window.
-//
-// Cutting only at mode-0 changes is the streaming driver's correctness
-// anchor: a mode-0 change is a free-prefix sub-tensor boundary for every
-// contraction with >= 1 free X mode, so no window ever splits a sub-tensor
-// and per-window outputs are disjoint, ascending runs.
-func (t *Tensor) ChunkBoundaries(target int) []int {
-	n := t.NNZ()
-	if n == 0 {
-		return []int{0}
-	}
-	if target < 1 {
-		target = n
-	}
-	b := make([]int, 1, n/target+2)
-	b[0] = 0
-	lead := t.Inds[0]
-	for i := 1; i < n; i++ {
-		if lead[i] != lead[i-1] && i-b[len(b)-1] >= target {
-			b = append(b, i)
-		}
-	}
-	return append(b, n)
-}
 
 // WriteBin writes the tensor in the v1 binary format.
 func (t *Tensor) WriteBin(w io.Writer) error {
@@ -143,24 +101,17 @@ func (t *Tensor) WriteBin(w io.Writer) error {
 	return bw.Flush()
 }
 
-// WriteBinV2 writes the tensor in the mmap-ready v2 binary format. When the
-// tensor is sorted the file carries the sorted flag and a window index at
-// DefaultWindowNNZ granularity; unsorted tensors are still valid v2 files
-// (zero-copy loadable) but cannot be streamed window by window.
+// WriteBinV2 writes the tensor in the mmap-ready v2 binary format. A sorted
+// tensor's file carries the sorted flag; unsorted tensors are still valid v2
+// files (zero-copy loadable) but Mapped.Stream refuses them.
 func (t *Tensor) WriteBinV2(w io.Writer) error {
 	n := uint64(t.NNZ())
-	sorted := t.IsSorted()
-	var starts []int
-	if sorted && n > 0 {
-		b := t.ChunkBoundaries(DefaultWindowNNZ)
-		starts = b[:len(b)-1]
-	}
 	bw := bufio.NewWriterSize(w, 1<<20)
 	if _, err := bw.WriteString(binMagic); err != nil {
 		return err
 	}
 	var flags uint32
-	if sorted {
+	if t.IsSorted() {
 		flags |= binFlagSorted
 	}
 	for _, v := range []uint32{binVersion2, uint32(t.Order()), flags} {
@@ -168,16 +119,8 @@ func (t *Tensor) WriteBinV2(w io.Writer) error {
 			return err
 		}
 	}
-	for _, v := range []uint64{n, uint64(len(starts))} {
+	for _, v := range [][]uint64{{n, 0}, t.Dims} { // nnz, nwin; dims
 		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, t.Dims); err != nil {
-		return err
-	}
-	for _, s := range starts {
-		if err := binary.Write(bw, binary.LittleEndian, uint64(s)); err != nil {
 			return err
 		}
 	}
@@ -207,12 +150,11 @@ type binHeader struct {
 	nnz     uint64
 	nwin    uint64
 	dims    []uint64
-	wins    []uint64
 }
 
-// payloadBytes returns the byte size of everything after the dims/window
-// sections (index columns + padding + values). Overflow-safe under the
-// maxBinNNZ/order<=64 bounds already enforced.
+// payloadBytes returns the byte size of everything after the dims and the
+// skipped window index (index columns + padding + values). Overflow-safe
+// under the maxBinNNZ/order<=64 bounds already enforced.
 func (h *binHeader) payloadBytes() uint64 {
 	per := 4 * h.nnz
 	if h.version >= binVersion2 {
@@ -262,11 +204,8 @@ func readHeader(br io.Reader, limit int64) (*binHeader, error) {
 		if h.nnz > maxBinNNZ {
 			return nil, &FormatError{Section: "nnz", Msg: fmt.Sprintf("implausible nnz %d", h.nnz)}
 		}
-		if h.nwin > maxBinWindows || h.nwin > h.nnz {
+		if h.nwin > h.nnz {
 			return nil, &FormatError{Section: "nwin", Msg: fmt.Sprintf("window count %d exceeds nnz %d", h.nwin, h.nnz)}
-		}
-		if h.nwin > 0 && h.flags&binFlagSorted == 0 {
-			return nil, &FormatError{Section: "nwin", Msg: "window index on an unsorted tensor"}
 		}
 	}
 	var err error
@@ -285,21 +224,10 @@ func readHeader(br io.Reader, limit int64) (*binHeader, error) {
 		if h.nnz > maxBinNNZ {
 			return nil, &FormatError{Section: "nnz", Msg: fmt.Sprintf("implausible nnz %d", h.nnz)}
 		}
-	} else {
-		if h.wins, err = readU64s(br, h.nwin, "window index"); err != nil {
-			return nil, err
-		}
-		for w, s := range h.wins {
-			if w == 0 && s != 0 {
-				return nil, &FormatError{Section: "window index", Msg: fmt.Sprintf("first window starts at %d, want 0", s)}
-			}
-			if w > 0 && s <= h.wins[w-1] {
-				return nil, &FormatError{Section: "window index", Msg: fmt.Sprintf("window %d start %d not ascending", w, s)}
-			}
-			if s >= h.nnz {
-				return nil, &FormatError{Section: "window index", Msg: fmt.Sprintf("window %d starts at %d, past nnz %d", w, s, h.nnz)}
-			}
-		}
+	} else if n, err := io.CopyN(io.Discard, br, int64(8*h.nwin)); err != nil {
+		// A window index older writers stored: nothing reads it any more.
+		return nil, &FormatError{Section: "window index",
+			Msg: fmt.Sprintf("truncated after %d of %d bytes: %v", n, 8*h.nwin, err)}
 	}
 	// With the true file size in hand, reject headers whose declared payload
 	// cannot possibly be present — this is what keeps a 100-byte hostile file

@@ -33,6 +33,10 @@ func TestBinV2RoundTrip(t *testing.T) {
 	if !got.IsSorted() {
 		t.Fatal("round-tripped tensor lost sort order")
 	}
+	b := v2Bytes(t, ten)
+	if flags, nwin := binary.LittleEndian.Uint32(b[12:]), binary.LittleEndian.Uint64(b[24:]); flags != binFlagSorted || nwin != 0 {
+		t.Fatalf("sorted tensor wrote flags %#x and %d window entries, want the sorted flag and none", flags, nwin)
+	}
 }
 
 func TestBinV2UnsortedRoundTrip(t *testing.T) {
@@ -128,8 +132,10 @@ func TestBinV2HostileHeaders(t *testing.T) {
 		"absurd nnz":    func(b []byte) { binary.LittleEndian.PutUint64(b[16:], maxBinNNZ+1) },
 		"nwin over nnz": func(b []byte) { binary.LittleEndian.PutUint64(b[24:], 1<<40) },
 		"zero dim":      func(b []byte) { binary.LittleEndian.PutUint64(b[32:], 0) },
-		"window index on unsorted": func(b []byte) {
-			binary.LittleEndian.PutUint32(b[12:], 0) // clear sorted flag, keep nwin
+		"window index eats the payload": func(b []byte) {
+			// nwin <= nnz passes the count check; skipping that many
+			// entries leaves the columns short.
+			binary.LittleEndian.PutUint64(b[24:], binary.LittleEndian.Uint64(b[16:]))
 		},
 		"sorted flag on unsorted data": func(b []byte) {
 			// Swap the first two distinct coordinates' mode-0 indices; the
@@ -223,37 +229,5 @@ func TestBinV1V2Oracle(t *testing.T) {
 	}
 	if !bytes.Equal(direct, onDisk) {
 		t.Fatal("converted v2 file differs from a direct v2 write")
-	}
-}
-
-func TestChunkBoundaries(t *testing.T) {
-	empty := MustNew([]uint64{3}, 0)
-	if b := empty.ChunkBoundaries(4); len(b) != 1 || b[0] != 0 {
-		t.Fatalf("empty tensor boundaries = %v", b)
-	}
-
-	ten := randomTensor(t, []uint64{40, 6}, 500, 15)
-	ten.Sort(1)
-	ten.Dedup()
-	n := ten.NNZ()
-	if b := ten.ChunkBoundaries(0); len(b) != 2 || b[0] != 0 || b[1] != n {
-		t.Fatalf("target<1 should yield one window, got %v", b)
-	}
-	for _, target := range []int{1, 7, 64, n, 10 * n} {
-		b := ten.ChunkBoundaries(target)
-		if b[0] != 0 || b[len(b)-1] != n {
-			t.Fatalf("target %d: boundaries %v do not cover [0,%d]", target, b, n)
-		}
-		for i := 1; i < len(b)-1; i++ {
-			if b[i] <= b[i-1] {
-				t.Fatalf("target %d: boundaries not ascending: %v", target, b)
-			}
-			if ten.Inds[0][b[i]] == ten.Inds[0][b[i]-1] {
-				t.Fatalf("target %d: cut %d splits a mode-0 group", target, b[i])
-			}
-			if b[i]-b[i-1] < target {
-				t.Fatalf("target %d: window [%d,%d) below target", target, b[i-1], b[i])
-			}
-		}
 	}
 }

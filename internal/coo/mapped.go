@@ -23,7 +23,9 @@ func hostLittleEndian() bool {
 // interface). The index and value arrays are views straight into the page
 // cache: loading is O(1), touching a window faults in only that window's
 // pages, and the kernel evicts cold pages under memory pressure — which is
-// exactly the file-backed residency tier the streaming driver builds on.
+// exactly the file-backed residency tier the streaming driver builds on. A
+// sorted file in contraction order is a prepared X as it stands:
+// core.PrepareX over Tensor() moves no row and allocates only its index.
 //
 // The tensor view returned by Tensor() must be treated as immutable: the
 // pages are PROT_READ and writes through the view fault. Close unmaps; a
@@ -31,7 +33,6 @@ func hostLittleEndian() bool {
 type Mapped struct {
 	t      *Tensor
 	h      *mapHandle // nil on the heap-fallback path
-	chunks []int      // sorted-window boundaries incl. 0 and NNZ; nil when unsorted
 	sorted bool
 	path   string
 }
@@ -95,17 +96,13 @@ func OpenMapped(path string) (*Mapped, error) {
 }
 
 // openHeap is the portable fallback: a normal load presented through the
-// Mapped interface, with window boundaries recomputed from the data.
+// Mapped interface.
 func openHeap(path string) (*Mapped, error) {
 	t, err := LoadBin(path)
 	if err != nil {
 		return nil, err
 	}
-	m := &Mapped{t: t, path: path, sorted: t.IsSorted()}
-	if m.sorted {
-		m.chunks = t.ChunkBoundaries(DefaultWindowNNZ)
-	}
-	return m, nil
+	return &Mapped{t: t, path: path, sorted: t.IsSorted()}, nil
 }
 
 // newMappedView parses a v2 header out of the mapped bytes and builds the
@@ -138,34 +135,11 @@ func newMappedView(data []byte, path string) (*Mapped, error) {
 		off += colPad
 	}
 	t.Vals = f64View(data[off:], h.nnz)
-	// Deliberately no full index validation here: that would touch every
-	// page of a file that may be 10x RAM at open time. Structural header
-	// checks ran above; the streaming driver validates each window as it
-	// faults it in, and Validate() runs the full check on demand.
+	// Deliberately no index validation here: that would touch every page of
+	// a file that may be 10x RAM at open time. Structural header checks ran
+	// above; core.PrepareX checks a file-backed tensor's rows before it
+	// encodes one, and Validate() runs the full check on demand.
 	mp := &Mapped{t: t, path: path, sorted: h.flags&binFlagSorted != 0}
-	if mp.sorted {
-		mp.chunks = make([]int, 0, h.nwin+1)
-		for _, s := range h.wins {
-			mp.chunks = append(mp.chunks, int(s))
-		}
-		mp.chunks = append(mp.chunks, int(h.nnz))
-		if h.nnz == 0 {
-			mp.chunks = []int{0}
-		}
-		// Spot-check the index against the data: every stored boundary must
-		// be a mode-0 change, or the windows would split sub-tensors. An
-		// empty tensor's chunk list is the single element {0} — no interior
-		// boundaries to check.
-		if len(mp.chunks) > 2 {
-			lead := t.Inds[0]
-			for _, b := range mp.chunks[1 : len(mp.chunks)-1] {
-				if lead[b] == lead[b-1] {
-					return nil, &FormatError{Section: "window index",
-						Msg: fmt.Sprintf("boundary %d is not a mode-0 index change", b)}
-				}
-			}
-		}
-	}
 	mp.h = &mapHandle{data: data}
 	t.backing = mp.h
 	runtime.SetFinalizer(mp.h, (*mapHandle).release)
@@ -219,8 +193,7 @@ func (m *Mapped) Bytes() uint64 {
 }
 
 // Validate runs the full structural check (every index in range) — a
-// sequential pass over the whole mapping, so callers on the out-of-core
-// path prefer the driver's incremental per-window validation.
+// sequential pass over the whole mapping.
 func (m *Mapped) Validate() error { return m.t.Validate() }
 
 // Close releases the mapping. The tensor view and every window derived from
@@ -237,79 +210,19 @@ func (m *Mapped) Close() error {
 	return h.release()
 }
 
-// Stream returns a WindowStream over the mapped tensor with windows capped
-// at windowNNZ non-zeros (file chunks are merged up to the cap; a single
-// stored chunk larger than the cap stays whole — sub-tensor boundaries
-// cannot be split). windowNNZ <= 0 streams the whole tensor as one window.
-// The file must be sorted.
-func (m *Mapped) Stream(windowNNZ int) (*WindowStream, error) {
+// Stream is a sorted mapped tensor and the window cap core.ContractStream
+// walks it with.
+type Stream struct {
+	T         *Tensor
+	WindowNNZ int
+}
+
+// Stream returns the mapped tensor with a cap of windowNNZ non-zeros per
+// streamed window (windowNNZ <= 0 streams one window). The file must carry
+// the sorted flag.
+func (m *Mapped) Stream(windowNNZ int) (Stream, error) {
 	if !m.sorted {
-		return nil, fmt.Errorf("coo: %s: cannot stream an unsorted tensor file", m.path)
+		return Stream{}, fmt.Errorf("coo: %s: cannot stream an unsorted tensor file", m.path)
 	}
-	return &WindowStream{t: m.t, bounds: groupCapped(m.chunks, windowNNZ)}, nil
-}
-
-// WindowStream iterates sorted, sub-tensor-aligned windows of a tensor.
-// Each window is a zero-allocation slice view into the backing tensor —
-// pages of an mmap'd source fault in as the stream advances and are
-// reclaimable once the driver moves on.
-type WindowStream struct {
-	t      *Tensor
-	bounds []int
-	next   int
-}
-
-// groupCapped merges adjacent chunks [b[i], b[i+1]) into windows of at most
-// limit non-zeros, keeping every output boundary one of the input
-// boundaries. A single chunk above the limit stays whole. limit <= 0 yields
-// one window.
-func groupCapped(b []int, limit int) []int {
-	if len(b) < 2 {
-		return b
-	}
-	if limit <= 0 {
-		return []int{b[0], b[len(b)-1]}
-	}
-	out := make([]int, 1, 8)
-	out[0] = b[0]
-	for i := 1; i < len(b); i++ {
-		if b[i]-out[len(out)-1] > limit && b[i-1] != out[len(out)-1] {
-			out = append(out, b[i-1])
-		}
-	}
-	return append(out, b[len(b)-1])
-}
-
-// Dims returns the mode sizes of the streamed tensor.
-func (s *WindowStream) Dims() []uint64 { return s.t.Dims }
-
-// NNZ returns the total non-zero count across all windows.
-func (s *WindowStream) NNZ() int { return s.t.NNZ() }
-
-// Windows returns how many windows the stream yields.
-func (s *WindowStream) Windows() int { return len(s.bounds) - 1 }
-
-// Next returns the next window as a read-only view, or (nil, nil) when the
-// stream is exhausted.
-func (s *WindowStream) Next() (*Tensor, error) {
-	if s.next+1 >= len(s.bounds) {
-		return nil, nil
-	}
-	lo, hi := s.bounds[s.next], s.bounds[s.next+1]
-	s.next++
-	w := &Tensor{
-		Dims: s.t.Dims,
-		Inds: make([][]uint32, len(s.t.Inds)),
-		Vals: s.t.Vals[lo:hi],
-	}
-	for m := range s.t.Inds {
-		w.Inds[m] = s.t.Inds[m][lo:hi]
-	}
-	return w, nil
-}
-
-// Reset rewinds the stream to the first window.
-func (s *WindowStream) Reset() error {
-	s.next = 0
-	return nil
+	return Stream{T: m.t, WindowNNZ: windowNNZ}, nil
 }

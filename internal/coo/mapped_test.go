@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
-	"slices"
-	"strings"
 	"testing"
 )
 
@@ -97,13 +95,13 @@ func TestOpenMappedV1HeapFallback(t *testing.T) {
 	if !m.Tensor().Equal(ten) {
 		t.Fatal("heap fallback differs from the written tensor")
 	}
-	// Window boundaries are recomputed from the data on the fallback path.
+	// The fallback streams like a mapping: the whole tensor and the cap.
 	ws, err := m.Stream(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ws.NNZ() != ten.NNZ() {
-		t.Fatalf("stream nnz %d, want %d", ws.NNZ(), ten.NNZ())
+	if ws.T != m.Tensor() || ws.WindowNNZ != 0 {
+		t.Fatalf("stream of the heap fallback is %p cap %d, want the tensor %p cap 0", ws.T, ws.WindowNNZ, m.Tensor())
 	}
 }
 
@@ -124,67 +122,27 @@ func TestMappedClose(t *testing.T) {
 	}
 }
 
+// TestMappedStreamWindows: streaming a sorted file hands core.ContractStream
+// the mapped tensor itself, no copy of a row, and the window cap unchanged;
+// PreparedX.windows cuts the windows from there (core's
+// TestPreparedXWindowsGroupLikeAFile, TestContractStreamMappedFile).
 func TestMappedStreamWindows(t *testing.T) {
-	// Enough non-zeros that the v2 file stores several DefaultWindowNNZ
-	// chunks, so the stream really walks multiple stored windows.
 	ten := sortedRandom(t, []uint64{2048, 16, 8}, 20000, 25)
-	if ten.NNZ() <= DefaultWindowNNZ {
-		t.Fatalf("test tensor too small to carry a multi-chunk index: %d", ten.NNZ())
-	}
 	m, err := OpenMapped(saveV2(t, ten))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	for _, cap := range []int{0, 100, DefaultWindowNNZ, 1 << 24} {
+	for _, cap := range []int{0, 100, 1 << 13, 1 << 24} {
 		ws, err := m.Stream(cap)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cap == 0 && ws.Windows() != 1 {
-			t.Fatalf("cap 0 should stream one window, got %d", ws.Windows())
+		if ws.T != m.Tensor() || ws.WindowNNZ != cap {
+			t.Fatalf("cap %d: stream holds %p cap %d, want the mapped tensor %p", cap, ws.T, ws.WindowNNZ, m.Tensor())
 		}
-		if cap == 100 && ws.Windows() < 2 {
-			t.Fatalf("cap 100 should yield multiple windows, got %d", ws.Windows())
-		}
-		got := MustNew(ten.Dims, ten.NNZ())
-		idx := make([]uint32, ten.Order())
-		var prevLead int64 = -1
-		for {
-			w, err := ws.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if w == nil {
-				break
-			}
-			if w.NNZ() == 0 {
-				t.Fatal("empty window emitted")
-			}
-			// Every window boundary must be a mode-0 index change.
-			if int64(w.Inds[0][0]) <= prevLead {
-				t.Fatalf("cap %d: window starts at mode-0 index %d, previous window ended at %d",
-					cap, w.Inds[0][0], prevLead)
-			}
-			prevLead = int64(w.Inds[0][w.NNZ()-1])
-			for i := 0; i < w.NNZ(); i++ {
-				w.Index(i, idx)
-				got.Append(idx, w.Vals[i])
-			}
-		}
-		if !got.Equal(ten) {
-			t.Fatalf("cap %d: concatenated windows differ from the tensor", cap)
-		}
-		// Reset rewinds to the first window.
-		if err := ws.Reset(); err != nil {
-			t.Fatal(err)
-		}
-		w, err := ws.Next()
-		if err != nil || w == nil {
-			t.Fatalf("Next after Reset: %v, %v", w, err)
-		}
-		if w.Inds[0][0] != ten.Inds[0][0] {
-			t.Fatal("Reset did not rewind to the first window")
+		if !ws.T.Equal(ten) {
+			t.Fatalf("cap %d: streamed tensor differs from the written one", cap)
 		}
 	}
 }
@@ -206,13 +164,11 @@ func TestMappedUnsortedCannotStream(t *testing.T) {
 	}
 }
 
-// TestMappedRejectsMisalignedWindow: a stored window boundary that is not a
-// mode-0 index change would let the streaming driver split a sub-tensor, so
-// the open-time spot check must refuse the file.
-func TestMappedRejectsMisalignedWindow(t *testing.T) {
-	if !mmapSupported || !hostLittleEndian() {
-		t.Skip("spot check runs only on the zero-copy path")
-	}
+// TestMappedSkipsWindowIndex: files written before the window index was
+// dropped carry one after the dims. Readers skip it unread, whatever it
+// says — here a boundary that splits a mode-0 group, which the index's old
+// open-time check refused — and the tensor maps and loads as written.
+func TestMappedSkipsWindowIndex(t *testing.T) {
 	var buf bytes.Buffer
 	buf.WriteString(binMagic)
 	for _, v := range []uint32{binVersion2, 2, binFlagSorted} {
@@ -231,47 +187,41 @@ func TestMappedRejectsMisalignedWindow(t *testing.T) {
 		binary.Write(&buf, binary.LittleEndian, col)
 	}
 	binary.Write(&buf, binary.LittleEndian, []float64{1, 2, 3, 4})
-	path := filepath.Join(t.TempDir(), "bad.sptn")
+	want := MustNew([]uint64{4, 3}, 4)
+	for i, c := range [][2]uint32{{0, 0}, {0, 1}, {1, 0}, {2, 0}} {
+		want.Append(c[:], float64(i+1))
+	}
+	path := filepath.Join(t.TempDir(), "indexed.sptn")
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := OpenMapped(path)
-	if err == nil || !strings.Contains(err.Error(), "window index") {
-		t.Fatalf("want a window-index error, got %v", err)
+	m, err := OpenMapped(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestGroupCapped(t *testing.T) {
-	b := []int{0, 10, 25, 30, 100, 110}
-	cases := []struct {
-		limit int
-		want  []int
-	}{
-		{0, []int{0, 110}},                  // no cap: one window
-		{1000, []int{0, 110}},               // everything fits one window
-		{30, []int{0, 30, 100, 110}},        // merge up to the cap
-		{1, []int{0, 10, 25, 30, 100, 110}}, // nothing merges
-		{70, []int{0, 30, 100, 110}},        // the 70-wide chunk stays whole
+	defer m.Close()
+	if !m.Sorted() || !m.Tensor().Equal(want) {
+		t.Fatalf("mapped file with a window index: sorted %v, tensor %v", m.Sorted(), m.Tensor())
 	}
-	for _, c := range cases {
-		got := groupCapped(b, c.limit)
-		if len(got) != len(c.want) {
-			t.Errorf("limit %d: %v, want %v", c.limit, got, c.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("limit %d: %v, want %v", c.limit, got, c.want)
-				break
-			}
-		}
+	if ws, err := m.Stream(1); err != nil || ws.T != m.Tensor() {
+		t.Fatalf("stream of a file with a window index: %v", err)
+	}
+	loaded, err := LoadBin(path)
+	if err != nil || !loaded.Equal(want) {
+		t.Fatalf("LoadBin of a file with a window index: %v", err)
 	}
 }
 
 // splitAtMode0 cuts ten into runs at mode-0 boundaries so each run is a
 // valid disjoint, ascending spool input.
 func splitAtMode0(ten *Tensor, target int) []*Tensor {
-	b := ten.ChunkBoundaries(target)
+	b, lead := []int{0}, ten.Inds[0]
+	for i := 1; i < ten.NNZ(); i++ {
+		if lead[i] != lead[i-1] && i-b[len(b)-1] >= target {
+			b = append(b, i)
+		}
+	}
+	b = append(b, ten.NNZ())
 	runs := make([]*Tensor, 0, len(b)-1)
 	for i := 1; i < len(b); i++ {
 		lo, hi := b[i-1], b[i]
@@ -325,8 +275,7 @@ func TestRunSpoolRoundTrip(t *testing.T) {
 
 // TestRunSpoolRunsSplitAMode0Index: runs cut anywhere between two rows —
 // streaming a prepared X ends a window at any sub-tensor boundary,
-// mode 0 or not — still materialize, with only the run starts where mode 0
-// changes in the window index.
+// mode 0 or not — still materialize into the sorted tensor.
 func TestRunSpoolRunsSplitAMode0Index(t *testing.T) {
 	ten := sortedRandom(t, []uint64{50, 6, 4}, 2000, 27)
 	sp, err := NewRunSpool(t.TempDir(), ten.Dims)
@@ -334,7 +283,6 @@ func TestRunSpoolRunsSplitAMode0Index(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sp.Close()
-	starts := []int{0}
 	for lo := 0; lo < ten.NNZ(); lo += 37 {
 		hi := min(lo+37, ten.NNZ())
 		r := &Tensor{Dims: ten.Dims, Inds: make([][]uint32, ten.Order()), Vals: ten.Vals[lo:hi]}
@@ -344,20 +292,14 @@ func TestRunSpoolRunsSplitAMode0Index(t *testing.T) {
 		if err := sp.Append(r); err != nil {
 			t.Fatal(err)
 		}
-		if lo > 0 && ten.Inds[0][lo] != ten.Inds[0][lo-1] {
-			starts = append(starts, lo)
-		}
 	}
 	m, err := sp.Materialize()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	if !m.Tensor().Equal(ten) {
-		t.Fatal("materialized tensor differs from the spooled runs")
-	}
-	if got := m.chunks[:len(m.chunks)-1]; !slices.Equal(got, starts) {
-		t.Errorf("window index %v, want the mode-0 run starts %v", got, starts)
+	if !m.Sorted() || !m.Tensor().Equal(ten) {
+		t.Fatal("materialized tensor differs from the spooled runs, or lost the sorted flag")
 	}
 }
 

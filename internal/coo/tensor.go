@@ -113,6 +113,10 @@ func (t *Tensor) Validate() error {
 	return nil
 }
 
+// FileBacked reports whether t's columns are views into a mapped file: rows
+// that nothing checked against Dims when the file was opened.
+func (t *Tensor) FileBacked() bool { return t.backing != nil }
+
 // Clone deep-copies the tensor.
 func (t *Tensor) Clone() *Tensor {
 	c := &Tensor{

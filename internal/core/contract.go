@@ -187,9 +187,8 @@ type ySide struct {
 
 // window is runStages' unit of input: X's rows under the contraction
 // permutation (free modes first) and the index of the sub-tensors it runs.
-// The entries of ptrFX are row offsets into view, so a window of a PreparedX
-// is a sub-slice of its index over its shared columns, and a file window is
-// the window's own rows with their own index.
+// The entries of ptrFX are row offsets into view: a window is a sub-slice of
+// a PreparedX's index over its shared columns.
 type window struct {
 	view  *coo.Tensor
 	ptrFX []int
@@ -204,7 +203,7 @@ type window struct {
 // Otherwise each run goes to the sink, which returns Z: windows end at
 // sub-tensor boundaries, so the runs are disjoint and ascending and their
 // concatenation is the one-window Z, bitwise.
-func runStages(ctx context.Context, p *plan, y ySide, next func() (window, error), sink *zSink, opt Options, rep *Report) (*coo.Tensor, error) {
+func runStages(ctx context.Context, p *plan, y ySide, next func() window, sink *zSink, opt Options, rep *Report) (*coo.Tensor, error) {
 	threads := rep.Threads
 	tr, track, reqMode := traceTarget(ctx, opt)
 	ws := makeWorkers(threads, p, opt)
@@ -214,10 +213,7 @@ func runStages(ctx context.Context, p *plan, y ySide, next func() (window, error
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		win, err := next()
-		if err != nil {
-			return nil, err
-		}
+		win := next()
 		if win.view == nil {
 			break
 		}

@@ -229,7 +229,9 @@ type PreparedX struct {
 // telemetry of the sort) are consulted. X is read but not written unless
 // opt.InPlace, which permutes and sorts the caller's tensor instead of
 // gathering into fresh columns. An X whose rows are already in contraction
-// order is used as it is: Tensor() == x and only the index is allocated.
+// order is used as it is: Tensor() == x and only the index is allocated — a
+// sorted mapped file stays in the page cache. A file-backed X (coo.Mapped)
+// has its rows checked against Dims first: opening it checked none.
 func PrepareX(ctx context.Context, x *coo.Tensor, cmodesX []int, opt Options) (*PreparedX, error) {
 	if x == nil {
 		return nil, fmt.Errorf("core: nil X tensor")
@@ -237,6 +239,11 @@ func PrepareX(ctx context.Context, x *coo.Tensor, cmodesX []int, opt Options) (*
 	inX, err := modeSet(x.Order(), cmodesX, "X")
 	if err != nil {
 		return nil, err
+	}
+	if x.FileBacked() {
+		if err := x.Validate(); err != nil {
+			return nil, fmt.Errorf("core: mapped X: %w", err)
+		}
 	}
 	threads := opt.threads()
 	t0 := time.Now()
@@ -288,15 +295,16 @@ func (px *PreparedX) Tensor() *coo.Tensor { return px.t }
 func (px *PreparedX) CmodesX() []int { return px.cmodesX }
 
 // windows yields px's sub-tensors in ascending order as windows of at most
-// limit rows — the greedy grouping coo.Mapped.Stream applies to a file's
-// chunks, here over px.ptrFX: a sub-tensor larger than limit is a window of
-// its own, and limit <= 0 (or an empty X) is one window of everything.
-func (px *PreparedX) windows(limit int) func() (window, error) {
+// limit rows, grouped greedily over px.ptrFX: a sub-tensor larger than limit
+// is a window of its own, and limit <= 0 (or an empty X) is one window of
+// everything. It is the only code that chooses where a window ends, for a
+// resident X and a mapped file alike.
+func (px *PreparedX) windows(limit int) func() window {
 	ptr := px.ptrFX
 	lo, nf := 0, len(ptr)-1
-	return func() (window, error) {
+	return func() window {
 		if lo < 0 {
-			return window{}, nil
+			return window{}
 		}
 		hi := min(lo+1, nf)
 		if limit <= 0 {
@@ -309,7 +317,7 @@ func (px *PreparedX) windows(limit int) func() (window, error) {
 		if lo = hi; hi == nf {
 			lo = -1
 		}
-		return win, nil
+		return win
 	}
 }
 

@@ -3,25 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"sparta/internal/coo"
 )
-
-// XStream yields sorted X windows in contraction mode order (free modes
-// first, contract modes last): a mapped file's coo.WindowStream — every
-// window boundary must be a mode-0 index change, which is what makes
-// per-window outputs disjoint. A resident X streams through ContractStreamX
-// instead, as windows of its PreparedX.
-type XStream interface {
-	// Dims returns the streamed tensor's mode sizes, already permuted to
-	// contraction order.
-	Dims() []uint64
-	// NNZ returns the total non-zero count across all windows.
-	NNZ() int
-	// Next returns the next sorted window view, or (nil, nil) at the end.
-	Next() (*coo.Tensor, error)
-}
 
 // StreamOptions configures ContractStream and ContractStreamX. The embedded
 // Options mean the same as everywhere else (Algorithm must be AlgSparta).
@@ -65,75 +49,37 @@ func ContractStreamX(ctx context.Context, px *PreparedX, windowNNZ int, pr *Prep
 	return pr.stream(ctx, p, px.windows(windowNNZ), opt, rep)
 }
 
-// ContractStream computes Z = X ×^{prepared} Y walking a stream of X windows
-// from a file (coo.Mapped.Stream): only HtY, one window of X, and one
-// window's accumulators are ever hot at once — the out-of-core execution
-// tier that turns the paper's heterogeneous-memory placement priority into an
-// actual capability. Each window is bounds-checked and indexed as its pages
-// fault in. Output is bitwise identical to PreparedY.Contract with the same
-// options, for ContractStreamX's reason.
-//
-// The contraction must keep at least one free X mode: windows end at mode-0
-// changes, which are sub-tensor boundaries only when mode 0 is free.
-func ContractStream(ctx context.Context, xs XStream, pr *PreparedY, opt StreamOptions) (*coo.Tensor, *Report, error) {
-	if xs == nil {
+// ContractStream computes Z = X ×^{prepared} Y walking a sorted mapped file
+// (coo.Mapped.Stream) in windows of at most its cap: the out-of-core
+// execution tier that turns the paper's heterogeneous-memory placement
+// priority into an actual capability. The file is in contraction order, its
+// trailing modes pairing with the table's contract modes, so it is PrepareX
+// over the file's tensor — which moves nothing, checks the rows against
+// Dims, and allocates only the sub-tensor index — then ContractStreamX. The
+// mapping is read-only, so Options.InPlace is ignored.
+func ContractStream(ctx context.Context, xs coo.Stream, pr *PreparedY, opt StreamOptions) (*coo.Tensor, *Report, error) {
+	if xs.T == nil {
 		return nil, nil, fmt.Errorf("core: nil X stream")
 	}
 	if pr == nil {
 		return nil, nil, fmt.Errorf("core: nil prepared Y")
 	}
-	dims := xs.Dims()
-	nfx := len(dims) - len(pr.cdims)
-	if nfx < 1 {
-		return nil, nil, fmt.Errorf("core: streamed contraction needs at least one free X mode (fully contracted X must run in memory)")
-	}
-	// The stream is in contraction order: its trailing modes pair with the
-	// table's contract modes. planFor validates only the dims of the X it is
-	// given; the report's NNZX is the stream's.
+	nfx := xs.T.Order() - len(pr.cdims)
 	cmodesX := make([]int, len(pr.cdims))
 	for k := range cmodesX {
 		cmodesX[k] = nfx + k
 	}
-	p, rep, err := pr.planFor(&coo.Tensor{Dims: dims}, cmodesX, opt.Options)
+	opt.InPlace = false
+	px, err := PrepareX(ctx, xs.T, cmodesX, opt.Options)
 	if err != nil {
 		return nil, nil, err
 	}
-	rep.NNZX = xs.NNZ()
-	rep.BytesX = uint64(xs.NNZ()) * uint64(4*len(dims)+8)
-	next := func() (window, error) {
-		for {
-			t0 := time.Now()
-			win, err := xs.Next()
-			if err != nil || win == nil {
-				return window{}, err
-			}
-			if win.NNZ() == 0 {
-				continue
-			}
-			// mmap'd files skip full validation at open; check each window's
-			// indices as its pages fault in, so a corrupt file errors
-			// instead of producing garbage output.
-			if err := win.Validate(); err != nil {
-				return window{}, fmt.Errorf("core: streamed X window: %w", err)
-			}
-			ptrFX, err := win.SubPtrPar(nfx, rep.Threads)
-			if err != nil {
-				return window{}, err
-			}
-			rep.NF += len(ptrFX) - 1
-			rep.MaxSubNNZX = max(rep.MaxSubNNZX, coo.MaxSubNNZ(ptrFX))
-			d := time.Since(t0)
-			rep.StageWall[StageInput] += d
-			rep.StageCPU[StageInput] += d
-			return window{view: win, ptrFX: ptrFX}, nil
-		}
-	}
-	return pr.stream(ctx, p, next, opt, rep)
+	return ContractStreamX(ctx, px, xs.WindowNNZ, pr, opt)
 }
 
 // stream runs the validated contraction p against the table over the windows
 // next yields, into the sink opt asks for.
-func (pr *PreparedY) stream(ctx context.Context, p *plan, next func() (window, error), opt StreamOptions, rep *Report) (*coo.Tensor, *Report, error) {
+func (pr *PreparedY) stream(ctx context.Context, p *plan, next func() window, opt StreamOptions, rep *Report) (*coo.Tensor, *Report, error) {
 	rep.Streamed = true
 	pr.fillReport(rep)
 	sink := &zSink{dims: p.zdims}

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"os"
 	"runtime"
 	"slices"
 	"strings"
@@ -164,10 +167,7 @@ func TestContractStreamXLeadingModes(t *testing.T) {
 	}
 	next, at := px.windows(50), 0
 	for {
-		win, err := next()
-		if err != nil {
-			t.Fatal(err)
-		}
+		win := next()
 		if win.view == nil {
 			break
 		}
@@ -231,17 +231,15 @@ func TestContractStreamXSharedByConcurrentStreams(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPreparedXWindowsGroupLikeAFile: windows of a prepared X group whole
-// sub-tensors greedily up to the cap, by the rule coo's TestGroupCapped pins
-// for a file's stored chunks, and an empty X is one empty window.
+// TestPreparedXWindowsGroupLikeAFile: windows of a prepared X — a resident
+// one or a mapped file's — group whole sub-tensors greedily up to the cap, a
+// sub-tensor above the cap is a window of its own, and an empty X is one
+// empty window.
 func TestPreparedXWindowsGroupLikeAFile(t *testing.T) {
 	cuts := func(ptr []int, limit int) []int {
 		next, out := (&PreparedX{ptrFX: ptr}).windows(limit), []int{ptr[0]}
 		for {
-			win, err := next()
-			if err != nil {
-				t.Fatal(err)
-			}
+			win := next()
 			if win.ptrFX == nil {
 				return out
 			}
@@ -253,11 +251,11 @@ func TestPreparedXWindowsGroupLikeAFile(t *testing.T) {
 		limit int
 		want  []int
 	}{
-		{0, []int{0, 110}},
-		{1000, []int{0, 110}},
-		{30, []int{0, 30, 100, 110}},
-		{1, []int{0, 10, 25, 30, 100, 110}},
-		{70, []int{0, 30, 100, 110}},
+		{0, []int{0, 110}},                  // no cap: one window
+		{1000, []int{0, 110}},               // everything fits one window
+		{30, []int{0, 30, 100, 110}},        // merge up to the cap
+		{1, []int{0, 10, 25, 30, 100, 110}}, // nothing merges
+		{70, []int{0, 30, 100, 110}},        // the 70-row sub-tensor stays whole
 	} {
 		if got := cuts(ptr, c.limit); !slices.Equal(got, c.want) {
 			t.Errorf("cap %d: windows end at %v, want %v", c.limit, got, c.want)
@@ -273,6 +271,7 @@ func TestPreparedXWindowsGroupLikeAFile(t *testing.T) {
 // slices of the prepared rows and index, and with a small output what is
 // left is the workers, the per-window runs and Z. Adapting a resident X into
 // a window stream used to clone, permute and re-sort it: a copy at least.
+// Preparing the same X from a mapped file allocates only its index.
 func TestContractStreamXCopiesNothing(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("-tags assert: the invariant checks box their arguments, which allocates")
@@ -309,21 +308,62 @@ func TestContractStreamXCopiesNothing(t *testing.T) {
 				try, rep.Windows, got, copyBytes)
 		}
 	}
+
+	// x is in contraction order, so preparing it from a mapped file moves
+	// no row: what PrepareX allocates is its index, O(sub-tensors), below
+	// one index column of the file, 4 B × nnz.
+	m, err := openBytes(t, v2Bytes(t, x))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	mpx, err := PrepareX(ctx, m.Tensor(), cmX, opt.Options)
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, col := m1.TotalAlloc-m0.TotalAlloc, uint64(4*x.NNZ())
+	t.Logf("PrepareX over the mapped file: %d B allocated for %d sub-tensors", got, len(mpx.ptrFX)-1)
+	if got >= col || mpx.Tensor() != m.Tensor() {
+		t.Errorf("PrepareX over the mapped file allocated %d B for %d sub-tensors (one column is %d B), in place %v",
+			got, len(mpx.ptrFX)-1, col, mpx.Tensor() == m.Tensor())
+	}
+}
+
+// v2Bytes is x in the v2 file format, as SaveBinV2 writes it.
+func v2Bytes(t *testing.T, x *coo.Tensor) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := x.WriteBinV2(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// openBytes writes a v2 file image and opens it as a mapped view, closed
+// when the test ends.
+func openBytes(t *testing.T, b []byte) (*coo.Mapped, error) {
+	t.Helper()
+	path := t.TempDir() + "/x.sptn"
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := coo.OpenMapped(path)
+	if err == nil {
+		t.Cleanup(func() { _ = m.Close() })
+	}
+	return m, err
 }
 
 // mappedStream saves x — sorted, in contraction order — as a v2 file and
 // streams it back in windows of at most windowNNZ non-zeros.
-func mappedStream(t *testing.T, x *coo.Tensor, windowNNZ int) XStream {
+func mappedStream(t *testing.T, x *coo.Tensor, windowNNZ int) coo.Stream {
 	t.Helper()
-	path := t.TempDir() + "/x.sptn"
-	if err := x.SaveBinV2(path); err != nil {
-		t.Fatal(err)
-	}
-	m, err := coo.OpenMapped(path)
+	m, err := openBytes(t, v2Bytes(t, x))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = m.Close() })
 	xs, err := m.Stream(windowNNZ)
 	if err != nil {
 		t.Fatal(err)
@@ -331,13 +371,19 @@ func mappedStream(t *testing.T, x *coo.Tensor, windowNNZ int) XStream {
 	return xs
 }
 
-// TestContractStreamMappedFile runs the full out-of-core loop: X saved as a
-// sorted v2 file, opened as an mmap view, streamed against the prepared
-// table, and compared bitwise with the in-memory result.
+// TestContractStreamMappedFile runs the full out-of-core loop over a v2 file
+// opened as an mmap view, by both routes a mapped X takes — ContractStream
+// over Mapped.Stream, and PrepareX over Mapped.Tensor then ContractStreamX —
+// and compares each bitwise with PreparedY.Contract. The files:
+//   - a sorted one, which PrepareX uses where it lies (Tensor() is the
+//     mapping);
+//   - the same rows with a window index after the dims, as files written
+//     before the index was dropped carry one;
+//   - unsorted rows under a set sorted flag, which PrepareX sorts into fresh
+//     columns, leaving the mapping as it was.
 func TestContractStreamMappedFile(t *testing.T) {
-	// X already in contraction order (free modes first) so the sorted file
-	// is directly streamable; enough non-zeros that the file stores more
-	// than one DefaultWindowNNZ chunk.
+	ctx := context.Background()
+	// X already in contraction order (free modes first).
 	x := randomSparse([]uint64{4096, 6, 5}, 12000, 33)
 	y := randomSparse([]uint64{5, 9}, 70, 34)
 	cmX, cmY := []int{2}, []int{0}
@@ -346,32 +392,70 @@ func TestContractStreamMappedFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := pr.Contract(context.Background(), x, cmX, opt)
+	want, _, err := pr.Contract(ctx, x, cmX, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := t.TempDir() + "/x.sptn"
-	if err := x.SaveBinV2(path); err != nil {
-		t.Fatal(err)
+
+	sorted := v2Bytes(t, x)
+	dimsEnd := 32 + 8*x.Order()
+	var index []byte // a start at every mode-0 change 100 rows on
+	for i, last := 0, -100; i < x.NNZ(); i++ {
+		if i == 0 || (x.Inds[0][i] != x.Inds[0][i-1] && i-last >= 100) {
+			index, last = binary.LittleEndian.AppendUint64(index, uint64(i)), i
+		}
 	}
-	m, err := coo.OpenMapped(path)
-	if err != nil {
-		t.Fatal(err)
+	indexed := slices.Concat(sorted[:dimsEnd], index, sorted[dimsEnd:])
+	binary.LittleEndian.PutUint64(indexed[24:], uint64(len(index)/8))
+	reversed, idx := coo.MustNew(x.Dims, x.NNZ()), make([]uint32, x.Order())
+	for i := x.NNZ() - 1; i >= 0; i-- {
+		x.Index(i, idx)
+		reversed.Append(idx, x.Vals[i])
 	}
-	defer m.Close()
-	xs, err := m.Stream(200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	z, rep, err := ContractStream(context.Background(), xs, pr, StreamOptions{Options: opt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !z.Equal(want) {
-		t.Fatal("mmap-streamed output differs from in-memory")
-	}
-	if rep.Windows < 2 {
-		t.Fatalf("expected multiple windows, got %d", rep.Windows)
+	flagged := v2Bytes(t, reversed)
+	flagged[12] |= 1 // the sorted flag, on rows in descending order
+
+	for _, f := range []struct {
+		name    string
+		b       []byte
+		inPlace bool // rows already in contraction order
+	}{{"sorted", sorted, true}, {"window index", indexed, true}, {"sorted flag on unsorted rows", flagged, false}} {
+		m, err := openBytes(t, f.b)
+		if err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		stored := m.Tensor().Clone()
+		xs, err := m.Stream(200)
+		if err != nil {
+			t.Fatal(err)
+		}
+		z, rep, err := ContractStream(ctx, xs, pr, StreamOptions{Options: opt})
+		if err != nil {
+			t.Fatalf("%s: ContractStream: %v", f.name, err)
+		}
+		if d := bitwiseDiff(z, want); d != "" {
+			t.Fatalf("%s: ContractStream differs from in-memory: %s", f.name, d)
+		}
+		if rep.Windows < 2 {
+			t.Fatalf("%s: expected multiple windows, got %d", f.name, rep.Windows)
+		}
+		px, err := PrepareX(ctx, m.Tensor(), cmX, opt)
+		if err != nil {
+			t.Fatalf("%s: PrepareX: %v", f.name, err)
+		}
+		if got := px.Tensor() == m.Tensor(); got != f.inPlace {
+			t.Errorf("%s: prepared operand is the mapping: %v, want %v", f.name, got, f.inPlace)
+		}
+		z, _, err = ContractStreamX(ctx, px, 200, pr, StreamOptions{Options: opt})
+		if err != nil {
+			t.Fatalf("%s: ContractStreamX: %v", f.name, err)
+		}
+		if d := bitwiseDiff(z, want); d != "" {
+			t.Fatalf("%s: PrepareX + ContractStreamX differs from in-memory: %s", f.name, d)
+		}
+		if !m.Tensor().Equal(stored) {
+			t.Fatalf("%s: contracting the mapped file changed its rows", f.name)
+		}
 	}
 }
 
@@ -439,9 +523,11 @@ func TestContractStreamXErrors(t *testing.T) {
 }
 
 // TestContractStreamErrors: the file entry's own checks — a nil stream or
-// table, a baseline algorithm, mismatched contract sizes, an X with no free
-// mode (file windows end at mode-0 changes, which split its one sub-tensor)
-// — and the same mid-stream stops as every path.
+// table, a baseline algorithm, mismatched contract sizes — the same
+// mid-stream stops as every path, and a mapped file with an index at its
+// mode's size, refused with a named error on both routes before anything
+// encodes it. A fully contracted X is one sub-tensor, so it streams as one
+// window and equals the in-memory result.
 func TestContractStreamErrors(t *testing.T) {
 	ctx := context.Background()
 	x := randomSparse([]uint64{10, 6, 5}, 120, 38)
@@ -452,7 +538,7 @@ func TestContractStreamErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, _, err := ContractStream(ctx, nil, pr, opt); err == nil {
+	if _, _, err := ContractStream(ctx, coo.Stream{}, pr, opt); err == nil {
 		t.Error("nil stream accepted")
 	}
 	if _, _, err := ContractStream(ctx, mappedStream(t, x, 0), nil, opt); err == nil {
@@ -472,8 +558,16 @@ func TestContractStreamErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ContractStream(ctx, mappedStream(t, x, 0), prAll, opt); err == nil {
-		t.Error("fully contracted file stream accepted")
+	wantAll, _, err := prAll.Contract(ctx, x, []int{0, 1, 2}, opt.Options)
+	if err != nil {
+		t.Fatal(err)
+	}
+	z, rep, err := ContractStream(ctx, mappedStream(t, x, 5), prAll, opt)
+	if err != nil {
+		t.Fatalf("fully contracted file stream: %v", err)
+	}
+	if d := bitwiseDiff(z, wantAll); d != "" || rep.Windows != 1 {
+		t.Errorf("fully contracted file stream: %d windows, %s", rep.Windows, d)
 	}
 
 	capped := opt
@@ -485,5 +579,28 @@ func TestContractStreamErrors(t *testing.T) {
 	cancel()
 	if _, _, err := ContractStream(canceled, mappedStream(t, x, 0), pr, opt); !errors.Is(err, context.Canceled) {
 		t.Errorf("canceled context: got %v", err)
+	}
+
+	// The last row's mode-0 index set to the mode's size: still sorted, out
+	// of range.
+	b := v2Bytes(t, x)
+	binary.LittleEndian.PutUint32(b[32+8*x.Order()+4*(x.NNZ()-1):], uint32(x.Dims[0]))
+	m, err := openBytes(t, b)
+	if err != nil {
+		// The heap fallback validates at open.
+		if !strings.Contains(err.Error(), "out of range") {
+			t.Fatalf("out-of-range index: open failed with %v", err)
+		}
+		return
+	}
+	xs, err := m.Stream(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ContractStream(ctx, xs, pr, opt); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Errorf("out-of-range index, ContractStream: got %v", err)
+	}
+	if _, err := PrepareX(ctx, m.Tensor(), []int{2}, opt.Options); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Errorf("out-of-range index, PrepareX: got %v", err)
 	}
 }

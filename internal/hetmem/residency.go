@@ -1,7 +1,5 @@
 package hetmem
 
-import "sparta/internal/coo"
-
 // Residency is the static placement priority (§4.2) repurposed for real
 // tiered execution: instead of simulating which fraction of each object
 // would sit in DRAM vs PMM, it decides which objects live in anonymous
@@ -26,12 +24,11 @@ type Residency struct {
 	WindowNNZ int
 }
 
-// MinWindowNNZ floors the planned window size at the v2 file format's chunk
-// granularity — mapped streams cannot cut windows finer than the stored
-// index, and microscopic windows would drown the contraction in per-window
-// overhead anyway. A budget too small even for this still runs; it just
-// overshoots the budget by at most one chunk's working set.
-const MinWindowNNZ = coo.DefaultWindowNNZ
+// MinWindowNNZ floors the planned window size: microscopic windows would
+// drown the contraction in per-window overhead. A budget too small even for
+// this still runs; it overshoots the budget by one window's working set (a
+// window holds at least one whole sub-tensor).
+const MinWindowNNZ = 1 << 13
 
 // PlanResidency turns a footprint and a DRAM budget into an executable
 // placement. sizes carries the Eq. 5/6 bounds for the full contraction

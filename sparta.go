@@ -8,9 +8,10 @@
 //
 // between two COO sparse tensors of arbitrary order, computed in five
 // stages (input processing, index search, accumulation, writeback, output
-// sorting) with three selectable algorithms: the SpGEMM-style baseline
-// SpTC-SPA, the intermediate COOY+HtA, and Sparta proper (hash-table Y +
-// hash-table accumulator). All stages are parallel.
+// sorting) by Sparta proper (hash-table Y + hash-table accumulator, the
+// zero Options) or one of three baselines: the SpGEMM-style SpTC-SPA, the
+// intermediate COOY+HtA and the symbolic+numeric two-phase SpTC. All stages
+// are parallel.
 //
 // The package also provides the paper's substrates: a block-sparse
 // contraction engine (the ITensor-style baseline of §5.3), synthetic
@@ -22,9 +23,17 @@
 //
 //	x := sparta.Random([]uint64{100, 80, 60}, 5000, 1)
 //	y := sparta.Random([]uint64{60, 50}, 2000, 2)
-//	z, rep, err := sparta.Contract(x, y, []int{2}, []int{0}, sparta.Options{
-//		Algorithm: sparta.AlgSparta,
-//	})
+//	z, rep, err := sparta.Contract(x, y, []int{2}, []int{0}, sparta.Options{})
+//
+// Contract is PrepareX, PrepareY and PreparedY.ContractX in one call. A
+// caller that contracts an operand more than once keeps the prepared half:
+//
+//	py, err := sparta.PrepareY(y, []int{0}, sparta.Options{})
+//	px, err := sparta.PrepareX(ctx, x, []int{2}, sparta.Options{})
+//	z, rep, err := py.ContractX(ctx, px, sparta.Options{})
+//
+// A sorted v2 file in contraction order (OpenMapped) is prepared where it
+// lies, and ContractStreamX walks any PreparedX window by window.
 package sparta
 
 import (
@@ -69,22 +78,9 @@ type Mapped = coo.Mapped
 // files on little-endian unix hosts; a heap fallback elsewhere).
 func OpenMapped(path string) (*Mapped, error) { return coo.OpenMapped(path) }
 
-// XStream yields sorted X windows for ContractStream: Mapped.Stream cuts a
-// sorted file, already in contraction mode order, into windows at mode-0
-// changes, and ContractStream bounds-checks and indexes each window as its
-// pages fault in.
-type XStream = core.XStream
-
-// StreamOptions configures ContractStream (Options plus the Z spill
+// StreamOptions configures ContractStreamX (Options plus the Z spill
 // controls).
 type StreamOptions = core.StreamOptions
-
-// ContractStream computes Z walking X window by window against a prepared
-// Y, keeping only one window's working set hot; output is bitwise identical
-// to the in-memory Sparta path.
-func ContractStream(ctx context.Context, xs XStream, pr *PreparedY, opt StreamOptions) (*Tensor, *Report, error) {
-	return core.ContractStream(ctx, xs, pr, opt)
-}
 
 // MergeRuns merges sorted, pairwise-disjoint output runs into one tensor
 // (concatenation when the runs are already ascending — the streamed-driver
