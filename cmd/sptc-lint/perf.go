@@ -43,6 +43,8 @@ var perfPackages = []string{
 // to change the contract.
 var perfClean = []string{
 	"internal/hashtab.HtYFlat.Lookup",      // ④ probe loop
+	"internal/hashtab.countKeys",           // ① direct-arm histogram pass
+	"internal/hashtab.scatterItems",        // ① direct-arm scatter into the arena
 	"internal/sortx.lsdRange",              // ① LSD radix inner loop
 	"internal/sortx.insertionKP",           // ① small-run fallback inside SortPairs
 	"internal/core.gatherFused.func1",      // ⑤ fused-writeback scatter closure

@@ -6,6 +6,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -233,6 +237,38 @@ func TestStreamedTier(t *testing.T) {
 		if req == reqLeadOut { // Z is small enough to see a copy of X in the allocations
 			windowsShareTheStoredRows(t, ts.URL, ts0.URL, req, x.Bytes())
 		}
+	}
+}
+
+// TestCIStreamedBudget: the serve-smoke job's streamed leg starts the demo
+// server at 2 threads with a fixed -dram-budget and asserts the streamed
+// tier. The number is streamedBudget's for the demo request, so a change to
+// the demo operands' footprint (the HtY index arm, HtA's Eq. 6 term) fails
+// here, with the number to write, instead of in CI.
+func TestCIStreamedBudget(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", ".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`-demo -threads 2 -dram-budget (\d+)`).FindSubmatch(raw)
+	if m == nil {
+		t.Fatal("ci.yml: no streamed leg (-demo -threads 2 -dram-budget N) found")
+	}
+	budget, err := strconv.ParseUint(string(m[1]), 10, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := contractRequest{X: "demoA", Y: "demoB", Spec: "abc,cde->abde"}
+	probe := newServer(serverConfig{Threads: 2})
+	probe.loadDemo()
+	if want := streamedBudget(t, probe, req); budget != want {
+		t.Errorf("ci.yml streams the demo request under -dram-budget %d; streamedBudget gives %d", budget, want)
+	}
+	_, ts := testServer(t, serverConfig{Threads: 2, DRAMBudget: budget})
+	resp, got, bad := postContract(t, ts.URL, req)
+	if resp.StatusCode != http.StatusOK || got.ExecutionTier != "streamed" {
+		t.Fatalf("-dram-budget %d: status %d (%s), execution_tier %q, want 200 streamed",
+			budget, resp.StatusCode, bad.Error, got.ExecutionTier)
 	}
 }
 

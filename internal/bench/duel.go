@@ -31,7 +31,12 @@ func Duel(w io.Writer, c Config) error {
 	}
 	tab.Render(w)
 	bw := sparta.HtYBuildWalls
-	fmt.Fprintf(w, "%s HtY build %v: encode %v, sort %v, group scans %v, pack beside fill %v (fill alone %v)\n",
-		core.AlgSparta, sparta.HtYBuild, bw.Encode, bw.Sort, bw.Group, bw.PackFill, bw.Fill)
+	if bw.Direct {
+		fmt.Fprintf(w, "%s HtY build %v (%s): histograms %v, prefix sum %v, scatter %v\n",
+			core.AlgSparta, sparta.HtYBuild, htyArm(true), bw.Encode, bw.Group, bw.PackFill)
+		return nil
+	}
+	fmt.Fprintf(w, "%s HtY build %v (%s): encode %v, sort %v, group scans %v, pack beside fill %v (fill alone %v)\n",
+		core.AlgSparta, sparta.HtYBuild, htyArm(false), bw.Encode, bw.Sort, bw.Group, bw.PackFill, bw.Fill)
 	return nil
 }

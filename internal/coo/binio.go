@@ -282,10 +282,20 @@ func readBin(r io.Reader, limit int64) (*Tensor, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	if h.flags&binFlagSorted != 0 && !t.IsSorted() {
-		return nil, &FormatError{Section: "flags", Msg: "file claims sorted order but the non-zeros are not sorted"}
+	if err := checkSortedFlag(h, t); err != nil {
+		return nil, err
 	}
 	return t, nil
+}
+
+// checkSortedFlag refuses a file whose sorted flag is set on non-zeros that
+// are not sorted. Both open paths — LoadBin and the mapped view — run it,
+// so a file opens on both or on neither.
+func checkSortedFlag(h *binHeader, t *Tensor) error {
+	if h.flags&binFlagSorted != 0 && !t.IsSorted() {
+		return &FormatError{Section: "flags", Msg: "file claims sorted order but the non-zeros are not sorted"}
+	}
+	return nil
 }
 
 // LoadBin reads a binary tensor file (either version). The file's true size

@@ -135,10 +135,15 @@ func newMappedView(data []byte, path string) (*Mapped, error) {
 		off += colPad
 	}
 	t.Vals = f64View(data[off:], h.nnz)
-	// Deliberately no index validation here: that would touch every page of
-	// a file that may be 10x RAM at open time. Structural header checks ran
-	// above; core.PrepareX checks a file-backed tensor's rows before it
-	// encodes one, and Validate() runs the full check on demand.
+	// Deliberately no index range validation here: core.PrepareX checks a
+	// file-backed tensor's rows before it encodes one, and Validate() runs
+	// the full check on demand. A set sorted flag is checked, as LoadBin
+	// checks it: one sequential pass over the index columns, so a file that
+	// claims an order it does not have fails here as it fails on the heap
+	// fallback, instead of opening with Sorted() true.
+	if err := checkSortedFlag(h, t); err != nil {
+		return nil, err
+	}
 	mp := &Mapped{t: t, path: path, sorted: h.flags&binFlagSorted != 0}
 	mp.h = &mapHandle{data: data}
 	t.backing = mp.h

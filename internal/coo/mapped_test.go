@@ -3,8 +3,10 @@ package coo
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -161,6 +163,50 @@ func TestMappedUnsortedCannotStream(t *testing.T) {
 	}
 	if _, err := m.Stream(64); err == nil {
 		t.Fatal("Stream on an unsorted file must error")
+	}
+}
+
+// TestSortedFlagOnUnsortedRowsFailsEveryOpen: a v2 file whose sorted flag is
+// set on rows in descending order (the file TestContractStreamMappedFile in
+// package core builds) is refused with the same flags FormatError by the
+// mapped view, by LoadBin, and by the heap fallback OpenMapped takes for a
+// v1 file or a failed mapping — never opened with Sorted() true on one path
+// and refused on another.
+func TestSortedFlagOnUnsortedRowsFailsEveryOpen(t *testing.T) {
+	ten := sortedRandom(t, []uint64{40, 6, 5}, 500, 27)
+	reversed, idx := MustNew(ten.Dims, ten.NNZ()), make([]uint32, ten.Order())
+	for i := ten.NNZ() - 1; i >= 0; i-- {
+		ten.Index(i, idx)
+		reversed.Append(idx, ten.Vals[i])
+	}
+	var buf bytes.Buffer
+	if err := reversed.WriteBinV2(&buf); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	b[12] |= binFlagSorted
+	path := filepath.Join(t.TempDir(), "flagged.sptn")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var msgs []string
+	for _, open := range []struct {
+		name string
+		fn   func(string) (any, error)
+	}{
+		{"OpenMapped", func(p string) (any, error) { return OpenMapped(p) }},
+		{"LoadBin", func(p string) (any, error) { return LoadBin(p) }},
+		{"heap fallback", func(p string) (any, error) { return openHeap(p) }},
+	} {
+		_, err := open.fn(path)
+		var fe *FormatError
+		if !errors.As(err, &fe) || fe.Section != "flags" {
+			t.Fatalf("%s: %v, want a flags FormatError", open.name, err)
+		}
+		msgs = append(msgs, err.Error())
+	}
+	if msgs[0] != msgs[1] || msgs[1] != msgs[2] {
+		t.Errorf("the open paths disagree:\n%s", strings.Join(msgs, "\n"))
 	}
 }
 

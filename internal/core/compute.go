@@ -233,6 +233,10 @@ type workerSlot struct {
 // htaCapHint pre-sizes each worker's accumulator; it grows from there.
 const htaCapHint = 1024
 
+// AccumBuckets is the slot count every worker's hash accumulator starts
+// with, the #Buckets Eq. 6 charges HtA before a contraction runs.
+func AccumBuckets() int { return hashtab.HtASlots(htaCapHint) }
+
 // makeWorkers builds the per-thread state of one contraction in a single
 // arena allocation and returns a pointer to each element.
 func makeWorkers(threads int, p *plan, opt Options) []*worker {

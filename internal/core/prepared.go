@@ -188,9 +188,6 @@ func (pr *PreparedY) NumFreeModes() int { return len(pr.fydims) }
 // MaxItemLen returns nnz_Fmax of the prepared Y (Eq. 6 input).
 func (pr *PreparedY) MaxItemLen() int { return pr.hty.MaxItems }
 
-// NumBuckets returns the prepared key table's bucket/slot count.
-func (pr *PreparedY) NumBuckets() int { return pr.hty.NumBuckets() }
-
 // Bytes reports the resident footprint of the prepared plan: the hash table
 // plus the radix/dim bookkeeping. The engine's LRU cache budgets on this.
 func (pr *PreparedY) Bytes() uint64 {

@@ -89,9 +89,11 @@ type Report struct {
 	// reported on its own. Zero when the build was skipped (HtYReused).
 	HtYBuild time.Duration
 	// HtYBuildWalls is where the build of the table this contraction probed
-	// spent its time (encode / sort / group scans / pack beside fill). On a
-	// fresh build the four walls sum to HtYBuild within a few percent; on a
-	// reused table they still describe the build that made it.
+	// spent its time (encode / sort / group scans / pack beside fill on the
+	// hashed arm; histograms / prefix sum / scatter on the direct arm, which
+	// its Direct field names). On a fresh build the four walls sum to
+	// HtYBuild within a few percent; on a reused table they still describe
+	// the build that made it.
 	HtYBuildWalls hashtab.BuildWalls
 	// HtYReused is true when this contraction probed a *PreparedY that an
 	// earlier contraction already completed on — kept by the caller, by a
@@ -131,11 +133,11 @@ type Report struct {
 	MaxSubNNZX       int // nnz_Fmax of X
 	MaxSubNNZY       int // nnz_Fmax of Y (largest HtY item list / Y key run)
 	DistinctKeysY    int // distinct contract tuples in Y
-	BucketsHtY       int
+	BucketsHtY       int // hashed arm: table slots; direct arm: card(Cy)
 
 	// Operation counters.
 	SearchSteps uint64 // COO-Y linear-search key comparisons (SPA, COOY+HtA)
-	ProbesHtY   uint64 // HtY 8-slot control words inspected (Sparta, two-phase)
+	ProbesHtY   uint64 // HtY 8-slot control words inspected, one a lookup on the direct arm (Sparta, two-phase)
 	HitsY       uint64 // X non-zeros whose contract key exists in Y
 	MissY       uint64 // X non-zeros with no matching Y sub-tensor
 	Products    uint64 // scalar multiply-adds performed

@@ -378,9 +378,11 @@ func mappedStream(t *testing.T, x *coo.Tensor, windowNNZ int) coo.Stream {
 //   - a sorted one, which PrepareX uses where it lies (Tensor() is the
 //     mapping);
 //   - the same rows with a window index after the dims, as files written
-//     before the index was dropped carry one;
-//   - unsorted rows under a set sorted flag, which PrepareX sorts into fresh
-//     columns, leaving the mapping as it was.
+//     before the index was dropped carry one.
+//
+// The same rows unsorted open too; Stream refuses them and PrepareX sorts
+// them into fresh columns. Unsorted rows under a set sorted flag open on
+// neither path: OpenMapped and LoadBin refuse them with the same flags error.
 func TestContractStreamMappedFile(t *testing.T) {
 	ctx := context.Background()
 	// X already in contraction order (free modes first).
@@ -414,12 +416,21 @@ func TestContractStreamMappedFile(t *testing.T) {
 	}
 	flagged := v2Bytes(t, reversed)
 	flagged[12] |= 1 // the sorted flag, on rows in descending order
+	if _, err := openBytes(t, flagged); !isFlagsError(err) {
+		t.Fatalf("sorted flag on unsorted rows: OpenMapped gave %v, want a flags FormatError", err)
+	}
+	path := t.TempDir() + "/flagged.sptn"
+	if err := os.WriteFile(path, flagged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := coo.LoadBin(path); !isFlagsError(err) {
+		t.Fatalf("sorted flag on unsorted rows: LoadBin gave %v, want a flags FormatError", err)
+	}
 
 	for _, f := range []struct {
-		name    string
-		b       []byte
-		inPlace bool // rows already in contraction order
-	}{{"sorted", sorted, true}, {"window index", indexed, true}, {"sorted flag on unsorted rows", flagged, false}} {
+		name string
+		b    []byte
+	}{{"sorted", sorted}, {"window index", indexed}} {
 		m, err := openBytes(t, f.b)
 		if err != nil {
 			t.Fatalf("%s: %v", f.name, err)
@@ -443,8 +454,8 @@ func TestContractStreamMappedFile(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: PrepareX: %v", f.name, err)
 		}
-		if got := px.Tensor() == m.Tensor(); got != f.inPlace {
-			t.Errorf("%s: prepared operand is the mapping: %v, want %v", f.name, got, f.inPlace)
+		if px.Tensor() != m.Tensor() {
+			t.Errorf("%s: the prepared operand is not the mapping", f.name)
 		}
 		z, _, err = ContractStreamX(ctx, px, 200, pr, StreamOptions{Options: opt})
 		if err != nil {
@@ -457,6 +468,44 @@ func TestContractStreamMappedFile(t *testing.T) {
 			t.Fatalf("%s: contracting the mapped file changed its rows", f.name)
 		}
 	}
+
+	// The same unsorted rows without the flag open; Stream refuses them, and
+	// PrepareX sorts them into fresh columns, leaving the mapping as it was.
+	m, err := openBytes(t, v2Bytes(t, reversed))
+	if err != nil {
+		t.Fatalf("unsorted rows: %v", err)
+	}
+	if m.Sorted() {
+		t.Fatal("unsorted rows: Sorted() true")
+	}
+	if _, err := m.Stream(200); err == nil {
+		t.Fatal("unsorted rows: Stream accepted them")
+	}
+	stored := m.Tensor().Clone()
+	px, err := PrepareX(ctx, m.Tensor(), cmX, opt)
+	if err != nil {
+		t.Fatalf("unsorted rows: PrepareX: %v", err)
+	}
+	if px.Tensor() == m.Tensor() {
+		t.Error("unsorted rows: the prepared operand is the mapping")
+	}
+	z, _, err := ContractStreamX(ctx, px, 200, pr, StreamOptions{Options: opt})
+	if err != nil {
+		t.Fatalf("unsorted rows: ContractStreamX: %v", err)
+	}
+	if d := bitwiseDiff(z, want); d != "" {
+		t.Fatalf("unsorted rows: PrepareX + ContractStreamX differs from in-memory: %s", d)
+	}
+	if !m.Tensor().Equal(stored) {
+		t.Fatal("unsorted rows: contracting the mapped file changed its rows")
+	}
+}
+
+// isFlagsError reports whether err is the format error of a file whose
+// flags do not describe its rows.
+func isFlagsError(err error) bool {
+	var fe *coo.FormatError
+	return errors.As(err, &fe) && fe.Section == "flags"
 }
 
 // TestContractStreamXErrors: the prepared-X entry refuses a nil operand, a

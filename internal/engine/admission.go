@@ -26,16 +26,18 @@ const zlEntryBytes = 16
 // EstimateFootprint bounds the memory a contraction of an nnzX-nonzero X
 // against the prepared plan will demand. HtY is the table's exact resident
 // size. HtA and Z_local do not exist yet, so both use worst-case bounds:
-// Eq. 6 with nnz_Fmax(X) = nnzX (every X nonzero sharing one contract key)
-// and the prepared table's true nnz_Fmax(Y); Z_local assumes every X nonzero
-// matches a maximal Y fiber. Deliberately conservative — admission exists to
+// Eq. 6 with the accumulator's own starting buckets (core.AccumBuckets, not
+// HtY's, whose count means slots on one arm and keys on the other),
+// nnz_Fmax(X) = nnzX (every X nonzero sharing one contract key) and the
+// prepared table's true nnz_Fmax(Y); Z_local assumes every X nonzero matches
+// a maximal Y fiber. Deliberately conservative — admission exists to
 // protect the DRAM budget, and a shed request can retry, while an admitted
 // request that thrashes cannot.
 func EstimateFootprint(nnzX int, pr *core.PreparedY) Footprint {
 	maxY := pr.MaxItemLen()
 	return Footprint{
 		HtY:          pr.Bytes(),
-		HtAPerThread: hashtab.EstimateHtABytes(pr.NumBuckets(), nnzX, maxY, pr.NumFreeModes()),
+		HtAPerThread: hashtab.EstimateHtABytes(core.AccumBuckets(), nnzX, maxY, pr.NumFreeModes()),
 		ZLocal:       uint64(nnzX) * uint64(maxY) * zlEntryBytes,
 	}
 }

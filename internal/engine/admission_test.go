@@ -1,8 +1,12 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
+	"sparta/internal/coo"
+	"sparta/internal/core"
+	"sparta/internal/hashtab"
 	"sparta/internal/hetmem"
 )
 
@@ -85,5 +89,46 @@ func TestTierString(t *testing.T) {
 		if got := tier.String(); got != want {
 			t.Errorf("Tier %d: %q, want %q", int(tier), got, want)
 		}
+	}
+}
+
+// TestFootprintChargesTheAccumulatorsBuckets: Eq. 6's bucket term is HtA's
+// own starting size, whichever arm HtY's index took. Two Ys with the same
+// nnz and nnz_Fmax — 16 keys of 4 items each, over 16 keys (direct arm) and
+// over 2^21 (above htyDirectMax, hashed arm) — give the same HtA bound.
+func TestFootprintChargesTheAccumulatorsBuckets(t *testing.T) {
+	var fps []Footprint
+	var direct []bool
+	for _, keys := range []uint64{16, 1 << 21} {
+		y := coo.MustNew([]uint64{keys, 4}, 64)
+		x := coo.MustNew([]uint64{3, keys}, 3)
+		for k := uint64(0); k < 16; k++ {
+			for j := uint32(0); j < 4; j++ {
+				y.Append([]uint32{uint32(k * (keys / 16)), j}, 1)
+			}
+		}
+		x.Append([]uint32{0, 0}, 1)
+		pr, err := core.PrepareY(y, []int{0}, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, rep, err := pr.Contract(context.Background(), x, []int{1}, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pr.MaxItemLen() != 4 {
+			t.Fatalf("%d keys: nnz_Fmax %d, want 4", keys, pr.MaxItemLen())
+		}
+		fps = append(fps, EstimateFootprint(500, pr))
+		direct = append(direct, rep.HtYBuildWalls.Direct)
+	}
+	if !direct[0] || direct[1] {
+		t.Fatalf("arms direct=%v, want the 16-key Y direct and the 2^21-key Y hashed", direct)
+	}
+	if fps[0].HtAPerThread != fps[1].HtAPerThread {
+		t.Errorf("HtAPerThread %d (direct arm) vs %d (hashed arm), want equal", fps[0].HtAPerThread, fps[1].HtAPerThread)
+	}
+	if want := hashtab.EstimateHtABytes(core.AccumBuckets(), 500, 4, 1); fps[0].HtAPerThread != want {
+		t.Errorf("HtAPerThread %d, want Eq. 6 over the accumulator's %d buckets: %d", fps[0].HtAPerThread, core.AccumBuckets(), want)
 	}
 }

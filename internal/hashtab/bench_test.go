@@ -3,6 +3,7 @@ package hashtab
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sparta/internal/coo"
@@ -42,9 +43,10 @@ func nipsColdBuild(b *testing.B) (x, y *coo.Tensor, radC, radF *lnum.Radix) {
 	return x, y, lnum.MustRadix(y.Dims[1:]), lnum.MustRadix(y.Dims[:1])
 }
 
-// BenchmarkHtYBuild times the sort-then-pack COO→HtY conversion across
-// thread counts, then on the benchmark's cold_build shape, the number the
-// ROADMAP ledger quotes.
+// BenchmarkHtYBuild times the COO→HtY conversion across thread counts on
+// benchY (4 096 keys, 16 non-zeros a key: the direct arm), then on the
+// benchmark's cold_build shape (the hashed arm's sort-then-pack), the number
+// the ROADMAP ledger quotes.
 func BenchmarkHtYBuild(b *testing.B) {
 	y, radC, radF := benchY(1 << 16)
 	for _, threads := range []int{1, 4, 8} {
@@ -72,7 +74,8 @@ var lookupSink float64
 // BenchmarkHtYLookup times Lookup per key in the three regimes the tables
 // meet: the 8-items-per-key table of benchY; hit-only streams — every key
 // present, its first item read, as on accum_dense (4 096 keys) and write_out
-// (1 449) — over tables from L1-sized to far past the last-level cache; and
+// (1 449) — over tables from L1-sized to far past the last-level cache, on
+// each index arm; and
 // cold_build's own stream, 300 k probes of a 299 k-key table that miss
 // 99.7 % of the time.
 func BenchmarkHtYLookup(b *testing.B) {
@@ -105,11 +108,15 @@ func BenchmarkHtYLookup(b *testing.B) {
 		for k := 0; k < nkeys; k++ {
 			y.Append([]uint32{uint32(k), uint32(k & 1)}, float64(k))
 		}
-		h := BuildHtYFlat(y, []int{0}, []int{1}, lnum.MustRadix(dims[:1]), lnum.MustRadix(dims[1:]), 0, 0)
 		for i := range keys {
 			keys[i] = uint64(rng.Intn(nkeys))
 		}
-		run(fmt.Sprintf("hit-only/keys=%d", nkeys), h, keys)
+		for _, arm := range []Arm{ArmHashed, ArmDirect} {
+			restore := ForceArm(arm)
+			h := BuildHtYFlat(y, []int{0}, []int{1}, lnum.MustRadix(dims[:1]), lnum.MustRadix(dims[1:]), 0, 0)
+			restore()
+			run(fmt.Sprintf("hit-only/keys=%d/direct=%v", nkeys, h.Walls.Direct), h, keys)
+		}
 	}
 
 	x, nips, nipsC, nipsF := nipsColdBuild(b)
@@ -154,5 +161,47 @@ func BenchmarkHtAAdd(b *testing.B) {
 				h.Reset()
 			}
 		})
+	}
+}
+
+// BenchmarkHtYBuildDirectVsHashed is the sweep behind useDirect's two
+// constants: the whole build, forced down each arm, over contract-key spaces
+// of 2^8..2^22 keys filled with 1/32..4 non-zeros a key (uniform keys, two
+// contract and two free modes, as accum_dense's Y), at 1 and 2 threads.
+// Fills above 2^21 non-zeros are skipped to keep the inputs small.
+func BenchmarkHtYBuildDirectVsHashed(b *testing.B) {
+	fdims := []uint64{16, 16}
+	for lg := 8; lg <= 22; lg += 2 {
+		card := 1 << lg
+		cdims := []uint64{uint64(card) >> 4, 16}
+		dims := append(slices.Clone(cdims), fdims...)
+		for _, perKey := range []float64{1.0 / 32, 1.0 / 16, 1.0 / 8, 1.0 / 4, 1.0 / 2, 1, 2, 4} {
+			nnz := int(float64(card) * perKey)
+			if nnz < 64 || nnz > 1<<21 {
+				continue
+			}
+			rng := rand.New(rand.NewSource(int64(lg)))
+			y := coo.MustNew(dims, nnz)
+			idx := make([]uint32, len(dims))
+			for i := 0; i < nnz; i++ {
+				for m, d := range dims {
+					idx[m] = uint32(rng.Intn(int(d)))
+				}
+				y.Append(idx, rng.Float64())
+			}
+			radC, radF := lnum.MustRadix(cdims), lnum.MustRadix(fdims)
+			for _, threads := range []int{1, 2} {
+				for _, arm := range []Arm{ArmHashed, ArmDirect} {
+					name := fmt.Sprintf("card=2^%d/perkey=%g/threads=%d/%s", lg, perKey, threads, map[Arm]string{ArmHashed: "hashed", ArmDirect: "direct"}[arm])
+					b.Run(name, func(b *testing.B) {
+						defer ForceArm(arm)()
+						b.ReportAllocs()
+						for i := 0; i < b.N; i++ {
+							BuildHtYFlat(y, []int{0, 1}, []int{2, 3}, radC, radF, 0, threads)
+						}
+					})
+				}
+			}
+		}
 	}
 }

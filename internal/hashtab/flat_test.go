@@ -1,6 +1,7 @@
 package hashtab
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -163,12 +164,14 @@ func TestBuildHtYFlatBucketClamp(t *testing.T) {
 	}
 }
 
-// TestBuildHtYFlatMatchesOracle checks the sort-then-pack build against a
-// serially built map for the shapes that stress each of its steps, at thread
-// counts on both sides of the sorter's serial/parallel switch: presence,
-// stats, table sizing (8*NKeys/7 slots rounded up to a power of two, one
-// group at least), items in original Y order inside each key, and control
-// words, entries and arena bitwise identical whatever the thread count.
+// TestBuildHtYFlatMatchesOracle checks both arms' builds against a serially
+// built map for the shapes that stress each of their steps, at thread counts
+// on both sides of the sorter's serial/parallel switch: presence, stats,
+// table sizing (hashed: 8*NKeys/7 slots rounded up to a power of two, one
+// group at least; direct: card(Cy) cells), items in original Y order inside
+// each key, and the index and arena bitwise identical whatever the thread
+// count — the arena across the two arms too. A forced direct pick keeps the
+// hashed arm above htyDirectMax and under an explicit bucket count.
 func TestBuildHtYFlatMatchesOracle(t *testing.T) {
 	type tcase struct {
 		name    string
@@ -227,45 +230,72 @@ func TestBuildHtYFlatMatchesOracle(t *testing.T) {
 			for _, items := range oracle {
 				maxLen = max(maxLen, len(items))
 			}
-			wantBuckets := max(NextPow2((8*len(oracle)+6)/7), groupSlots)
+			hashedBuckets := max(NextPow2((8*len(oracle)+6)/7), groupSlots)
 			if tc.buckets > 0 {
-				wantBuckets = NextPow2(max(tc.buckets, len(oracle)+1))
+				hashedBuckets = NextPow2(max(tc.buckets, len(oracle)+1))
 			}
 
-			var ref *HtYFlat
-			for _, threads := range []int{1, 2, 8} {
-				h := BuildHtYFlat(y, tc.cmodes, tc.fmodes, radC, radF, tc.buckets, threads)
-				if h.NKeys != len(oracle) || h.NItems != tc.n || h.MaxItems != maxLen {
-					t.Fatalf("threads=%d: keys/items/max = %d/%d/%d, oracle %d/%d/%d", threads,
-						h.NKeys, h.NItems, h.MaxItems, len(oracle), tc.n, maxLen)
+			var ref, hashed *HtYFlat
+			for _, arm := range []Arm{ArmHashed, ArmDirect, ArmAuto} {
+				restore := ForceArm(arm)
+				wantDirect := tc.buckets <= 0 && radC.Card() <= htyDirectMax && arm != ArmHashed
+				if arm == ArmAuto {
+					wantDirect = useDirect(radC.Card(), tc.n, tc.buckets)
 				}
-				if h.NumBuckets() != wantBuckets {
-					t.Fatalf("threads=%d: %d buckets for %d keys (explicit %d), want %d",
-						threads, h.NumBuckets(), len(oracle), tc.buckets, wantBuckets)
+				wantBuckets := hashedBuckets
+				if wantDirect {
+					wantBuckets = int(radC.Card())
 				}
-				for ck, want := range oracle {
-					got, probes := h.Lookup(ck)
-					if !slices.Equal(got, want) {
-						t.Fatalf("threads=%d key %d: items differ from the oracle (got %d, want %d in Y order)",
-							threads, ck, len(got), len(want))
+				ref = nil
+				for _, threads := range []int{1, 2, 8} {
+					h := BuildHtYFlat(y, tc.cmodes, tc.fmodes, radC, radF, tc.buckets, threads)
+					name := fmt.Sprintf("arm=%d threads=%d", arm, threads)
+					if (h.off != nil) != wantDirect || h.Walls.Direct != wantDirect {
+						t.Fatalf("%s: direct arm %v (walls say %v), want %v", name, h.off != nil, h.Walls.Direct, wantDirect)
 					}
-					if probes < 1 || probes > h.NumBuckets() {
-						t.Fatalf("threads=%d key %d: %d probes", threads, ck, probes)
+					checkOracleBuild(t, name, h, rng, radC, oracle, tc.n, maxLen, wantBuckets)
+					if ref == nil {
+						ref = h
+					} else if !slices.Equal(h.ctrl, ref.ctrl) || !slices.Equal(h.ents, ref.ents) ||
+						!slices.Equal(h.off, ref.off) || !slices.Equal(h.items, ref.items) {
+						t.Fatalf("%s: table differs bitwise from the threads=1 build", name)
+					}
+					if hashed == nil {
+						hashed = h
+					} else if !slices.Equal(h.items, hashed.items) {
+						t.Fatalf("%s: arena differs bitwise from the hashed arm's", name)
 					}
 				}
-				for i := 0; i < 2000; i++ {
-					ck := uint64(rng.Int63n(int64(radC.Card())))
-					if got, _ := h.Lookup(ck); len(got) != len(oracle[ck]) {
-						t.Fatalf("threads=%d key %d: %d items, oracle %d", threads, ck, len(got), len(oracle[ck]))
-					}
-				}
-				if ref == nil {
-					ref = h
-				} else if !slices.Equal(h.ctrl, ref.ctrl) || !slices.Equal(h.ents, ref.ents) || !slices.Equal(h.items, ref.items) {
-					t.Fatalf("threads=%d: table differs bitwise from the threads=1 build", threads)
-				}
+				restore()
 			}
 		})
+	}
+}
+
+// checkOracleBuild fails unless h holds exactly oracle's keys and items, in
+// Y order, with the given stats and bucket count.
+func checkOracleBuild(t *testing.T, name string, h *HtYFlat, rng *rand.Rand, radC *lnum.Radix, oracle map[uint64][]YItem, n, maxLen, wantBuckets int) {
+	t.Helper()
+	if h.NKeys != len(oracle) || h.NItems != n || h.MaxItems != maxLen {
+		t.Fatalf("%s: keys/items/max = %d/%d/%d, oracle %d/%d/%d", name, h.NKeys, h.NItems, h.MaxItems, len(oracle), n, maxLen)
+	}
+	if h.NumBuckets() != wantBuckets {
+		t.Fatalf("%s: %d buckets for %d keys, want %d", name, h.NumBuckets(), len(oracle), wantBuckets)
+	}
+	for ck, want := range oracle {
+		got, probes := h.Lookup(ck)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s key %d: items differ from the oracle (got %d, want %d in Y order)", name, ck, len(got), len(want))
+		}
+		if probes < 1 || probes > h.NumBuckets() || (h.Walls.Direct && probes != 1) {
+			t.Fatalf("%s key %d: %d probes", name, ck, probes)
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		ck := uint64(rng.Int63n(int64(radC.Card())))
+		if got, _ := h.Lookup(ck); len(got) != len(oracle[ck]) || (got == nil) != (oracle[ck] == nil) {
+			t.Fatalf("%s key %d: %d items, oracle %d", name, ck, len(got), len(oracle[ck]))
+		}
 	}
 }
 
@@ -278,13 +308,15 @@ func pick[T any](v []T, modes []int) []T {
 	return out
 }
 
-// TestEstimateHtYBoundsFlatBytes: a slot costs 17 bytes (one control byte,
+// TestEstimateHtYBoundsFlatBytes: on the hashed arm a slot costs 17 bytes (one control byte,
 // one 16-byte entry) against the 8 Eq. 5 charges per bucket, an item 16
 // against Eq. 5's 8*order + 16, so Eq. 5 fed the real slot count upper-bounds
 // HtYFlat.Bytes whenever 8*order*nnz_Y >= 9*slots. Default sizing keeps
 // slots < 16/7*NKeys, so 9*slots < 21*NKeys <= 24*nnz_Y: the bound holds for
 // every Y of order 3 or more past the one-group minimum, all-distinct keys
-// included — the regimes checked here.
+// included — the regimes checked here. On the direct arm a bucket is a 4-byte
+// cell of off against Eq. 5's 8, so the bound holds outright; both arms are
+// checked.
 func TestEstimateHtYBoundsFlatBytes(t *testing.T) {
 	for _, tc := range []struct {
 		dims   []uint64
@@ -312,11 +344,15 @@ func TestEstimateHtYBoundsFlatBytes(t *testing.T) {
 		for k := range fmodes {
 			fmodes[k] = tc.ncm + k
 		}
-		h := BuildHtYFlat(y, cmodes, fmodes, lnum.MustRadix(tc.dims[:tc.ncm]), lnum.MustRadix(tc.dims[tc.ncm:]), 0, 2)
-		est := EstimateHtYBytes(y.NNZ(), y.Order(), h.NumBuckets())
-		if got := h.Bytes(); got > est {
-			t.Errorf("dims %v: Bytes %d exceeds the Eq. 5 estimate %d (%d keys, %d slots)",
-				tc.dims, got, est, h.NKeys, h.NumBuckets())
+		for _, arm := range []Arm{ArmHashed, ArmDirect} {
+			restore := ForceArm(arm)
+			h := BuildHtYFlat(y, cmodes, fmodes, lnum.MustRadix(tc.dims[:tc.ncm]), lnum.MustRadix(tc.dims[tc.ncm:]), 0, 2)
+			restore()
+			est := EstimateHtYBytes(y.NNZ(), y.Order(), h.NumBuckets())
+			if got := h.Bytes(); got > est {
+				t.Errorf("dims %v direct=%v: Bytes %d exceeds the Eq. 5 estimate %d (%d keys, %d buckets)",
+					tc.dims, h.Walls.Direct, got, est, h.NKeys, h.NumBuckets())
+			}
 		}
 	}
 }

@@ -53,12 +53,16 @@ type HtAFlat struct {
 	ProbeHist *obs.HistShard
 }
 
+// HtASlots is the slot count NewHtAFlat(capHint) starts with: Eq. 6's
+// #Buckets for an accumulator that has not grown.
+func HtASlots(capHint int) int { return NextPow2(2 * max(capHint, 16)) }
+
 // NewHtAFlat returns an accumulator sized for about capHint distinct keys.
 func NewHtAFlat(capHint int) *HtAFlat {
 	if capHint < 16 {
 		capHint = 16
 	}
-	nb := NextPow2(2 * capHint)
+	nb := HtASlots(capHint)
 	h := &HtAFlat{
 		table: make([]htaSlot, nb),
 		mask:  uint64(nb - 1),

@@ -36,23 +36,31 @@ type yEnt struct {
 }
 
 // BuildWalls are the wall times of BuildHtYFlat's steps, one clock read per
-// boundary: Encode + Sort + Group + PackFill is the whole build. Pack and
-// fill run side by side, so Fill — the table fill alone, timed inside its
-// goroutine — is part of PackFill, not a fifth term.
+// boundary: Encode + Sort + Group + PackFill is the whole build. On the
+// hashed arm pack and fill run side by side, so Fill — the table fill alone,
+// timed inside its goroutine — is part of PackFill, not a fifth term. The
+// direct arm has no pairs, no sort and no table: Encode is its histogram
+// pass, Group its prefix sum, PackFill its scatter, and Sort and Fill are 0.
 type BuildWalls struct {
-	Encode   time.Duration // columns gathered, (LN(Cy), pos) pairs written
-	Sort     time.Duration // radix sort of the pairs
-	Group    time.Duration // two scans: NKeys, then offsets and MaxItems
-	PackFill time.Duration // arena pack beside the table fill
-	Fill     time.Duration // the fill's own duration inside PackFill
+	Encode   time.Duration // hashed: (LN(Cy), pos) pairs written; direct: per-thread key histograms
+	Sort     time.Duration // hashed: radix sort of the pairs; direct: 0
+	Group    time.Duration // hashed: two scans, NKeys then offsets and MaxItems; direct: the prefix sum
+	PackFill time.Duration // hashed: arena pack beside the table fill; direct: the scatter into the arena
+	Fill     time.Duration // hashed: the fill's own duration inside PackFill; direct: 0
+	// Direct says which arm built the table, and so what the fields time.
+	Direct bool
 }
 
 // Sum is the build's wall time as its steps account for it.
 func (w BuildWalls) Sum() time.Duration { return w.Encode + w.Sort + w.Group + w.PackFill }
 
 // HtYFlat is the cache-friendly layout of the hash-table-represented second
-// input tensor: an open-addressed, power-of-two table of 8-slot groups over
-// a contiguous CSR-style item arena. A Lookup scans control words — a miss
+// input tensor: an index over a contiguous CSR-style item arena. The index
+// has two arms (DESIGN.md §9.5). The hashed arm is an open-addressed,
+// power-of-two table of 8-slot groups. The direct arm, which useDirect picks
+// for a small contract-key space that Y fills, is a CSR over LN(Cy) itself:
+// off[k] and off[k+1] bound key k's items, with no hashing and no probing.
+// On the hashed arm a Lookup scans control words — a miss
 // leaves them only for a tag collision, one occupied slot in 128 — and a hit
 // reads one 16-byte entry and then a sub-slice of the arena: no mutexes, no
 // per-entry slice headers, no pointer chasing, zero per-entry allocations.
@@ -65,11 +73,14 @@ func (w BuildWalls) Sum() time.Duration { return w.Encode + w.Sort + w.Group + w
 //	          key in slot 8g+i
 //	ents[s]   {key, off, n} of the key claiming slot s: its items are
 //	          items[off:off+n]; zero while the slot is free
+//	off[k]    direct arm only (ctrl and ents are nil): key k's items are
+//	          items[off[k]:off[k+1]]; off has card(Cy)+1 entries
 //	items     all nnz_Y YItems, grouped by ascending key, original Y
-//	          order inside each group
+//	          order inside each group — the same arena on both arms
 type HtYFlat struct {
 	ctrl  []uint64
 	ents  []yEnt
+	off   []int32
 	items []YItem
 
 	// NKeys is the number of distinct contract-index tuples.
@@ -82,7 +93,9 @@ type HtYFlat struct {
 	Walls BuildWalls
 }
 
-// BuildHtYFlat converts Y (COO, any order) into an HtYFlat by sort-then-pack:
+// BuildHtYFlat converts Y (COO, any order) into an HtYFlat. When useDirect
+// says so it builds the direct arm with a counting sort (buildDirect);
+// otherwise it builds the hashed arm by sort-then-pack:
 //
 //	encode  every non-zero becomes a (LN(Cy), position) pair (parallel)
 //	sort    the pairs are radix-sorted by key with the stable sortx engine,
@@ -100,11 +113,13 @@ type HtYFlat struct {
 // The sort is stable and everything after it is a function of the sorted
 // pairs alone, so the table is bitwise identical for any thread count,
 // duplicate coordinates in Y included. Walls records the four steps' times.
+// Both arms write the same arena, bitwise.
 //
 // buckets <= 0 picks the default: the next power of two >= 8*NKeys/7 slots
 // (load factor <= 7/8), at least one group. Explicit bucket counts are
 // rounded up to a power of two and clamped to > NKeys so the table always
-// keeps a free slot (probe sequences must terminate).
+// keeps a free slot (probe sequences must terminate); they also keep the
+// table on the hashed arm.
 func BuildHtYFlat(y *coo.Tensor, cmodes, fmodes []int, radC, radF *lnum.Radix, buckets, threads int) *HtYFlat {
 	t0 := time.Now()
 	n := y.NNZ()
@@ -117,6 +132,9 @@ func BuildHtYFlat(y *coo.Tensor, cmodes, fmodes []int, radC, radF *lnum.Radix, b
 		fCols[k] = y.Inds[m]
 	}
 	threads = parallel.Clamp(threads, n)
+	if useDirect(radC.Card(), n, buckets) {
+		return buildDirect(y.Vals, cCols, fCols, radC, radF, threads, t0)
+	}
 
 	kp := make([]sortx.KeyPos, n)
 	parallel.For(threads, n, func(_, lo, hi int) {
@@ -256,6 +274,9 @@ func (h *HtYFlat) fillTable(kp []sortx.KeyPos, itemOff []int32, buckets int) {
 // just above a true match (the subtraction's borrow); such a byte, like an
 // honest tag collision, fails the key compare and costs one entry read.
 //
+// On the direct arm the search is off[key] and off[key+1]: one probe, hit
+// or miss, and an empty range is a miss.
+//
 // The body is written for bounds-check elimination (the -perf lint gate
 // holds this function at zero escapes and zero bounds checks): the group
 // index is masked against len(ctrl)-1 so the prover sees every control-word
@@ -263,6 +284,18 @@ func (h *HtYFlat) fillTable(kp []sortx.KeyPos, itemOff []int32, buckets int) {
 // explicit range guards on conditions the build makes impossible, replacing
 // the compiler's implicit checks on the hot path.
 func (h *HtYFlat) Lookup(key uint64) ([]YItem, int) {
+	if off := h.off; len(off) > 0 {
+		starts, ends := off[:len(off)-1], off[1:]
+		if key >= uint64(len(ends)) || key >= uint64(len(starts)) {
+			return nil, 1 // impossible for a key of Cy's radix
+		}
+		items := h.items
+		lo, hi := int(starts[key]), int(ends[key])
+		if lo >= hi || lo < 0 || hi > len(items) {
+			return nil, 1 // an empty cell; the rest is impossible: off tiles the arena
+		}
+		return items[lo:hi], 1
+	}
 	ctrl, ents := h.ctrl, h.ents
 	if len(ctrl) == 0 {
 		return nil, 0
@@ -303,16 +336,23 @@ func (h *HtYFlat) Lookup(key uint64) ([]YItem, int) {
 	}
 }
 
-// NumBuckets returns the slot count of the table.
-func (h *HtYFlat) NumBuckets() int { return len(h.ents) }
+// NumBuckets returns the slot count of the hashed arm's table, or card(Cy)
+// on the direct arm, where each cell of off is one of Eq. 5's buckets.
+func (h *HtYFlat) NumBuckets() int {
+	if h.off != nil {
+		return len(h.off) - 1
+	}
+	return len(h.ents)
+}
 
 // Bytes reports the measured memory footprint: 8 per control word, 16 per
-// slot entry — 17 per slot — plus 16 per arena item. Eq. 5
-// (EstimateHtYBytes) charges 8 per slot and Size_idx*N_Y + Size_val +
-// Size_ep bytes per item against the fixed 16 here, so it upper-bounds this
-// whenever 8*N_Y*nnz_Y >= 9*slots. Default sizing keeps slots < 16/7*NKeys
-// (or one group), so that holds from order 3 up: 9*16/7*NKeys < 21*NKeys <=
-// 24*nnz_Y.
+// slot entry — 17 per slot — plus 16 per arena item on the hashed arm, and
+// 4*(card+1) + 16 per item on the direct arm. Eq. 5 (EstimateHtYBytes)
+// charges 8 per bucket and Size_idx*N_Y + Size_val + Size_ep bytes per item
+// against the fixed 16 here. On the direct arm that bounds this outright (8
+// per key against 4). On the hashed arm it does whenever 8*N_Y*nnz_Y >=
+// 9*slots. Default sizing keeps slots < 16/7*NKeys (or one group), so that
+// holds from order 3 up: 9*16/7*NKeys < 21*NKeys <= 24*nnz_Y.
 func (h *HtYFlat) Bytes() uint64 {
-	return uint64(len(h.ctrl))*8 + uint64(len(h.ents))*16 + uint64(len(h.items))*16
+	return uint64(len(h.ctrl))*8 + uint64(len(h.ents))*16 + uint64(len(h.off))*4 + uint64(len(h.items))*16
 }

@@ -1,6 +1,7 @@
 package hashtab
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -199,5 +200,114 @@ func TestHtYFlatSizing(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestUseDirect pins the rule's boundaries without running a build: an
+// explicit bucket count, htyDirectMax and the fill bound each send a Y to the
+// hashed arm, and a forced pick overrides only the fill bound.
+func TestUseDirect(t *testing.T) {
+	for _, c := range []struct {
+		card         uint64
+		nnz, buckets int
+		want         bool
+	}{
+		{1, 1, 0, true},
+		{1, 0, 0, false},
+		{64, 32, 0, true}, {64, 31, 0, false},
+		{61, 31, 0, true}, {61, 30, 0, false},
+		{4096, 120000, 0, true},
+		{4096, 120000, 1, false},
+		{htyDirectMax, htyDirectMax / directFillDiv, 0, true},
+		{htyDirectMax, htyDirectMax/directFillDiv - 1, 0, false},
+		{htyDirectMax + 1, 1 << 30, 0, false},
+		{1276076, 100000, 0, false},   // serve_warm's Y: above the cap
+		{680000000, 300000, 0, false}, // cold_build's Y
+		{math.MaxUint64, math.MaxInt, 0, false},
+	} {
+		if got := useDirect(c.card, c.nnz, c.buckets); got != c.want {
+			t.Errorf("useDirect(%d keys, %d nnz, %d buckets) = %v, want %v", c.card, c.nnz, c.buckets, got, c.want)
+		}
+	}
+	defer ForceArm(ArmDirect)()
+	if !useDirect(htyDirectMax, 0, 0) || useDirect(htyDirectMax+1, 1<<30, 0) || useDirect(64, 64, 8) {
+		t.Error("a forced direct pick must override only the fill bound")
+	}
+	ForceArm(ArmHashed)
+	if useDirect(64, 64, 0) {
+		t.Error("a forced hashed pick must keep the hashed arm")
+	}
+}
+
+// TestDirectThreadsBoundHistograms: the counting build's histograms, card
+// cells a thread, never hold more than histCellsPerNNZ cells a non-zero or
+// more than one histogram's worth when Y is sparser than that.
+func TestDirectThreadsBoundHistograms(t *testing.T) {
+	for _, c := range []struct {
+		card         uint64
+		nnz, threads int
+		want         int
+	}{
+		{4096, 120000, 2, 2},
+		{4096, 120000, 64, 64},
+		{1 << 20, 1 << 17, 4, 1},
+		{1 << 20, 1 << 18, 4, 2},
+		{1 << 20, 1 << 20, 64, 8},
+		{1 << 20, 10, 4, 1}, // a forced pick below the fill bound
+		{0, 0, 4, 1},
+	} {
+		got := directThreads(c.card, c.nnz, c.threads)
+		if got != c.want {
+			t.Errorf("directThreads(%d keys, %d nnz, %d threads) = %d, want %d", c.card, c.nnz, c.threads, got, c.want)
+		}
+		if cells := uint64(got) * c.card; cells > max(c.card, histCellsPerNNZ*uint64(c.nnz)) {
+			t.Errorf("card %d nnz %d: %d histogram cells", c.card, c.nnz, cells)
+		}
+	}
+}
+
+// TestHtYFlatDirectDescribesItself: on the direct arm NumBuckets is card(Cy),
+// Bytes is 4*(card+1) + 16*nnz_Y, every lookup reports one probe, the walls
+// mark the arm with Sort and Fill at zero, and a key's items sit where off
+// says.
+func TestHtYFlatDirectDescribesItself(t *testing.T) {
+	dims := []uint64{10, 6, 5}
+	radC, radF := lnum.MustRadix(dims[:2]), lnum.MustRadix(dims[2:])
+	y := coo.MustNew(dims, 0)
+	for i := 0; i < 40; i++ {
+		y.Append([]uint32{uint32(i * 7 % 10), uint32(i % 3), uint32(i % 5)}, float64(i))
+	}
+	h := BuildHtYFlat(y, []int{0, 1}, []int{2}, radC, radF, 0, 2)
+	if h.off == nil || !h.Walls.Direct {
+		t.Fatalf("60 keys, 40 non-zeros: hashed arm, want direct")
+	}
+	if h.NumBuckets() != 60 || len(h.off) != 61 || h.ctrl != nil || h.ents != nil {
+		t.Fatalf("NumBuckets %d over %d offsets (ctrl %d, ents %d), want 60 over 61 and no table",
+			h.NumBuckets(), len(h.off), len(h.ctrl), len(h.ents))
+	}
+	if got, want := h.Bytes(), uint64(4*61+16*40); got != want {
+		t.Fatalf("Bytes = %d, want %d", got, want)
+	}
+	if h.Walls.Sort != 0 || h.Walls.Fill != 0 || h.Walls.Sum() <= 0 {
+		t.Fatalf("walls %+v: want Sort and Fill 0 and a positive sum", h.Walls)
+	}
+	hits := 0
+	for k := uint64(0); k < 60; k++ {
+		items, probes := h.Lookup(k)
+		if probes != 1 {
+			t.Fatalf("key %d: %d probes, want 1", k, probes)
+		}
+		if n := int(h.off[k+1] - h.off[k]); len(items) != n || (n == 0) != (items == nil) {
+			t.Fatalf("key %d: %d items, off says %d", k, len(items), n)
+		}
+		if items != nil {
+			hits++
+		}
+	}
+	if hits != h.NKeys {
+		t.Fatalf("%d keys hit, NKeys = %d", hits, h.NKeys)
+	}
+	if items, probes := h.Lookup(60); items != nil || probes != 1 {
+		t.Fatalf("key past card: %d items after %d probes", len(items), probes)
 	}
 }
